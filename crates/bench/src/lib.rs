@@ -110,12 +110,6 @@ pub enum App {
     DfsSockets,
     /// Volume renderer on stream sockets.
     RenderSockets,
-    /// The engine-level sharded-executor workload: mesh-coupled compute
-    /// nodes driven by `shrimp_core::run_parallel`, used by the
-    /// `"parallel"` experiment group and the `--perf` speedup gate. Not a
-    /// Table 1 application, so it is absent from [`App::all`] and never
-    /// builds a [`Cluster`].
-    ParallelNodes,
     /// The distributed-cluster workload: the full SHRIMP stack (VMMC
     /// exports/imports, DMA, notifications) on the shard engine via
     /// `shrimp_core::run_distributed`, used by the `"cluster"` experiment
@@ -167,7 +161,6 @@ impl App {
             App::OceanNx => "Ocean-NX",
             App::DfsSockets => "DFS-sockets",
             App::RenderSockets => "Render-sockets",
-            App::ParallelNodes => "Engine-parallel",
             App::ClusterNodes => "Cluster-distributed",
             App::WarmClusterNodes => "Cluster-warm",
             App::KvNodes => "KV-replicated",
@@ -181,7 +174,6 @@ impl App {
             App::RadixVmmc => "VMMC",
             App::BarnesNx | App::OceanNx => "NX",
             App::DfsSockets | App::RenderSockets => "Sockets",
-            App::ParallelNodes => "Engine",
             App::ClusterNodes | App::WarmClusterNodes | App::KvNodes => "VMMC",
         }
     }
@@ -210,10 +202,6 @@ impl App {
             App::RenderSockets => {
                 let p = render_params();
                 format!("{0} x {0} image", p.image)
-            }
-            App::ParallelNodes => {
-                let p = spec::parallel_params_at(global_scale());
-                format!("{} nodes x {} steps", p.nodes, p.steps)
             }
             App::ClusterNodes => {
                 let p = spec::distributed_params_at(global_scale());
@@ -247,69 +235,12 @@ impl App {
     /// [`App::run`] with an explicit harness configuration — the
     /// programmatic entry the sweep runner's worker threads use (no
     /// process-environment reads).
+    ///
+    /// # Panics
+    ///
+    /// Panics for the apps outside [`App::all`], which build their own
+    /// sharded clusters (see [`RunSpec::run_on`]).
     pub fn run_with(&self, nodes: usize, cfg: DesignConfig, harness: &HarnessConfig) -> RunOutcome {
-        if *self == App::ParallelNodes {
-            // The engine workload has no cluster, so none of the
-            // trace/report machinery below applies; a single shard is the
-            // reference execution and every shard count yields the same
-            // outcome anyway.
-            let out = shrimp_core::run_parallel(&spec::parallel_params_at(scale_of(harness)), 1);
-            return RunOutcome {
-                elapsed: out.elapsed,
-                checksum: out.checksum,
-                messages: out.messages,
-                notifications: 0,
-                svm: None,
-            };
-        }
-        if *self == App::ClusterNodes {
-            // The sharded cluster builds its own machine(s); one shard is
-            // the reference execution and every count agrees with it.
-            let params = spec::distributed_params_at(scale_of(harness)).scaled_to(nodes);
-            let out = shrimp_core::run_distributed(&params, cfg, shrimp_core::Shards::Fixed(1));
-            return RunOutcome {
-                elapsed: out.elapsed,
-                checksum: out
-                    .node_results
-                    .iter()
-                    .fold(0u64, |acc, &r| acc.wrapping_add(r)),
-                messages: out.messages,
-                notifications: out.notifications,
-                svm: None,
-            };
-        }
-        if *self == App::WarmClusterNodes {
-            // The cold two-phase pipeline (warmup + checkpoint + resume);
-            // one shard is the reference execution here too.
-            let params = spec::warm_params_at(scale_of(harness), nodes, 1);
-            let (out, _) = shrimp_core::run_cold(&params, cfg, shrimp_core::Shards::Fixed(1));
-            return RunOutcome {
-                elapsed: out.elapsed,
-                checksum: out
-                    .node_results
-                    .iter()
-                    .fold(0u64, |acc, &r| acc.wrapping_add(r)),
-                messages: out.messages,
-                notifications: out.notifications,
-                svm: None,
-            };
-        }
-        if *self == App::KvNodes {
-            // The replicated KV service builds its own sharded cluster;
-            // one shard is the reference execution and every count agrees.
-            let params = spec::kv_params_for(scale_of(harness), nodes, 1);
-            let out = shrimp_apps::run_kv(&params, cfg, shrimp_core::Shards::Fixed(1));
-            return RunOutcome {
-                elapsed: out.elapsed,
-                checksum: out
-                    .node_results
-                    .iter()
-                    .fold(0u64, |acc, &r| acc.wrapping_add(r)),
-                messages: out.messages,
-                notifications: out.notifications,
-                svm: None,
-            };
-        }
         let cluster = Cluster::builder(nodes).config(cfg).build();
         if harness.trace {
             cluster.sim().trace().enable(Some(harness.trace_capacity));

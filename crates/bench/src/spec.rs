@@ -19,9 +19,9 @@ use shrimp_apps::radix::{run_radix_svm, run_radix_vmmc, RadixParams};
 use shrimp_apps::render::{run_render, RenderParams};
 use shrimp_apps::{Mechanism, RunOutcome};
 use shrimp_core::{
-    run_chaos_distributed, run_cold, run_distributed, run_parallel, run_warm, Cluster,
-    ClusterCheckpoint, ClusterReport, DesignConfig, DistributedParams, HeartbeatConfig,
-    LaunchOutcome, ParallelParams, RingBulk, WarmParams,
+    run_chaos_distributed, run_cold, run_distributed, run_warm, Cluster, ClusterCheckpoint,
+    ClusterReport, DesignConfig, DistributedParams, HeartbeatConfig, LaunchOutcome, RingBulk,
+    WarmParams,
 };
 use shrimp_faults::{FaultScenario, FifoStall, LinkFault, NodeCrash, NodePause};
 use shrimp_sim::{time, Category, MetricValue, MetricsSnapshot, Time, TraceEvent};
@@ -169,27 +169,6 @@ pub fn dfs_params_at(scale: Scale) -> DfsParams {
             block_bytes: 4096,
             cache_blocks: 8,
             reads_per_client: 4,
-        },
-    }
-}
-
-/// Engine-parallel workload at a scale. Always 16 nodes — the paper's
-/// cluster size — so shard counts 1/2/4 divide the node set evenly at
-/// every scale; only the step count (and the host-CPU burn that gives the
-/// threaded executor real work to parallelize) grows with the scale.
-pub fn parallel_params_at(scale: Scale) -> ParallelParams {
-    match scale {
-        Scale::Smoke => ParallelParams {
-            burn: 12_000,
-            ..ParallelParams::with_steps(192)
-        },
-        Scale::Reduced => ParallelParams {
-            burn: 12_000,
-            ..ParallelParams::with_steps(768)
-        },
-        Scale::Full => ParallelParams {
-            burn: 12_000,
-            ..ParallelParams::with_steps(3072)
         },
     }
 }
@@ -385,14 +364,16 @@ impl Knobs {
     }
 }
 
-/// Shard-count selection for shard-engine runs (the engine-parallel and
-/// distributed-cluster groups): `Auto` follows the sweep-wide `--shards`
-/// setting, `Fixed(k)` pins the row. One shared spelling across the whole
+/// Shard-count selection for the rows that run on
+/// [`ClusterBuilder::launch`](shrimp_core::ClusterBuilder::launch) (the
+/// cluster, chaos-cluster, warm and kv groups): `Auto` follows the
+/// sweep-wide `--shards` setting, clamped to the row's node count, and
+/// `Fixed(k)` pins the row. One shared spelling across the whole
 /// workspace — this is `shrimp_sim::shard::Shards`, re-exported through
-/// `shrimp_core`. Because both workloads are shard-count invariant, an
-/// `Auto` row's [`RunRecord`] is byte-identical at every setting; `Fixed`
-/// rows are the scaling pairs the `--perf` speedup gate compares. Chaos
-/// and classic single-`Sim` rows ignore the selection entirely.
+/// `shrimp_core`. Because every launch workload is shard-count invariant,
+/// an `Auto` row's [`RunRecord`] is byte-identical at every setting;
+/// `Fixed` rows are the scaling pairs the `--perf` speedup gate compares.
+/// Classic single-`Sim` rows ignore the selection entirely.
 pub use shrimp_core::Shards;
 
 // ---------------------------------------------------------------------------
@@ -416,7 +397,7 @@ pub struct RunSpec {
     pub scale: Scale,
     /// Workload seed (radix data; other workloads use fixed seeds).
     pub seed: u64,
-    /// Shard-count selection (engine-parallel runs only).
+    /// Shard-count selection (rows on the `launch()` path only).
     pub shards: Shards,
 }
 
@@ -485,10 +466,15 @@ impl RunSpec {
         id
     }
 
-    /// The shard count this run executes on: a [`Shards::Fixed`] pin wins;
-    /// otherwise the sweep-wide CLI setting (minimum 1).
+    /// The shard count this run asks for: a [`Shards::Fixed`] pin wins
+    /// unchanged — it is part of the row's identity, so `launch` refuses a
+    /// chaos pin wider than the machine — otherwise the sweep-wide CLI
+    /// setting, clamped to `1..=nodes`.
     pub fn effective_shards(&self, cli_shards: usize) -> usize {
-        self.shards.resolve(cli_shards)
+        match self.shards {
+            Shards::Auto => cli_shards.clamp(1, self.nodes),
+            Shards::Fixed(k) => k.max(1),
+        }
     }
 
     /// The design configuration of this run.
@@ -514,8 +500,8 @@ impl RunSpec {
     }
 
     /// [`RunSpec::execute_timed`] under a sweep-wide `--shards` setting.
-    /// Only engine-parallel runs with [`Shards::Auto`] are affected;
-    /// everything else (and every [`RunRecord`]) is independent of it.
+    /// Only `launch()` rows with [`Shards::Auto`] are affected; everything
+    /// else (and every [`RunRecord`]) is independent of it.
     pub fn execute_timed_at(&self, cli_shards: usize) -> (RunRecord, PerfSample) {
         let (record, perf, _) = self.execute_inner(false, cli_shards);
         (record, perf)
@@ -547,19 +533,16 @@ impl RunSpec {
         observe: bool,
         cli_shards: usize,
     ) -> (RunRecord, PerfSample, Option<Observation>) {
-        if self.app == App::ParallelNodes {
-            return self.execute_parallel(observe, cli_shards);
-        }
-        if self.app == App::ClusterNodes {
-            return self.execute_cluster(observe, cli_shards);
-        }
-        if self.app == App::KvNodes {
-            return self.execute_kv(observe, cli_shards);
-        }
-        if self.app == App::WarmClusterNodes {
+        if matches!(
+            self.app,
+            App::ClusterNodes | App::WarmClusterNodes | App::KvNodes
+        ) {
             let (record, perf, _) = self
-                .execute_warm_at(cli_shards, None)
-                .expect("a cold warm-cluster run consumes no external checkpoint");
+                .execute_launch(cli_shards, None)
+                .expect("a run without an external checkpoint decodes none");
+            // Per-shard trace interleavings are a host-layout detail the
+            // deterministic artifacts must not depend on, so an observed
+            // launch row yields an empty observation.
             return (record, perf, observe.then(Observation::default));
         }
         let start = std::time::Instant::now();
@@ -624,134 +607,6 @@ impl RunSpec {
         )
     }
 
-    /// The distributed-cluster execution path: the full SHRIMP stack on
-    /// the shard engine via [`shrimp_core::run_distributed`] — or, when
-    /// the knobs carry a fault scenario,
-    /// [`shrimp_core::run_chaos_distributed`] with the default heartbeat
-    /// failure detector for the row's node count. The
-    /// [`RunRecord`] comes from the shard-count-invariant
-    /// [`LaunchOutcome`](shrimp_core::LaunchOutcome) — byte-identical at
-    /// every shard count — while the [`PerfSample`] (wall-clock, executor
-    /// events, effective shards) sees the parallelism. Like the
-    /// engine-parallel path, an observed run yields an empty
-    /// [`Observation`]: per-shard trace interleavings are a host-layout
-    /// detail the deterministic artifacts must not depend on.
-    fn execute_cluster(
-        &self,
-        observe: bool,
-        cli_shards: usize,
-    ) -> (RunRecord, PerfSample, Option<Observation>) {
-        let start = std::time::Instant::now();
-        let mut params = distributed_params_at(self.scale).scaled_to(self.nodes);
-        params.seed = self.seed;
-        let shards = self.effective_shards(cli_shards);
-        let chaos = self.knobs.faults.is_active();
-        let out = if chaos {
-            run_chaos_distributed(
-                &params,
-                self.design_config(),
-                Shards::Fixed(shards),
-                HeartbeatConfig::for_nodes(self.nodes),
-            )
-        } else {
-            run_distributed(&params, self.design_config(), Shards::Fixed(shards))
-        };
-        let checksum = out
-            .node_results
-            .iter()
-            .fold(0u64, |acc, &r| acc.wrapping_add(r));
-        // Same serialization rule as the classic path: recovery metrics
-        // appear only on chaos/reliability rows, so plain cluster rows
-        // stay byte-identical.
-        let recovery = (self.knobs.reliability || chaos).then_some(Recovery {
-            retransmits: out.retransmits,
-            corrupt_detected: out.corrupt_detected,
-            dup_suppressed: out.dup_suppressed,
-            faults_injected: out.faults_injected,
-            detection_latency_ps: out.detection_latency_ps,
-            recovery_time_ps: out.recovery_time_ps,
-        });
-        let record = RunRecord {
-            elapsed: out.elapsed,
-            checksum,
-            messages: out.messages,
-            notifications: out.notifications,
-            interrupts: out.interrupts,
-            syscalls: out.syscalls,
-            net_packets: out.net_packets,
-            net_bytes: out.net_bytes,
-            recovery,
-            kv: None,
-        };
-        let wall_ns = start.elapsed().as_nanos() as u64;
-        (
-            record,
-            PerfSample {
-                wall_ns,
-                events: out.events,
-                peak_rss_bytes: peak_rss_bytes(),
-                shards: out.shards,
-            },
-            observe.then(Observation::default),
-        )
-    }
-
-    /// The replicated-KV execution path ([`App::KvNodes`]): the service
-    /// of `shrimp_apps::kv` on the `launch()` path, always with the
-    /// metrics plane on — the row's tail-latency quantiles come out of
-    /// the merged `(App, "kv_req_ps")` histogram, which is part of the
-    /// shard-count-invariant [`LaunchOutcome`](shrimp_core::LaunchOutcome),
-    /// so the [`KvMetrics`] block is byte-identical at every shard count
-    /// like the rest of the [`RunRecord`]. Like the other shard-engine
-    /// paths, an observed run yields an empty [`Observation`].
-    fn execute_kv(
-        &self,
-        observe: bool,
-        cli_shards: usize,
-    ) -> (RunRecord, PerfSample, Option<Observation>) {
-        let start = std::time::Instant::now();
-        let params = kv_params_for(self.scale, self.nodes, self.seed);
-        let shards = self.effective_shards(cli_shards);
-        let out = run_kv(&params, self.design_config(), Shards::Fixed(shards));
-        let checksum = out
-            .node_results
-            .iter()
-            .fold(0u64, |acc, &r| acc.wrapping_add(r));
-        let chaos = self.knobs.faults.is_active();
-        let recovery = (self.knobs.reliability || chaos).then_some(Recovery {
-            retransmits: out.retransmits,
-            corrupt_detected: out.corrupt_detected,
-            dup_suppressed: out.dup_suppressed,
-            faults_injected: out.faults_injected,
-            detection_latency_ps: out.detection_latency_ps,
-            recovery_time_ps: out.recovery_time_ps,
-        });
-        let kv = Some(KvMetrics::capture(&params, &out));
-        let record = RunRecord {
-            elapsed: out.elapsed,
-            checksum,
-            messages: out.messages,
-            notifications: out.notifications,
-            interrupts: out.interrupts,
-            syscalls: out.syscalls,
-            net_packets: out.net_packets,
-            net_bytes: out.net_bytes,
-            recovery,
-            kv,
-        };
-        let wall_ns = start.elapsed().as_nanos() as u64;
-        (
-            record,
-            PerfSample {
-                wall_ns,
-                events: out.events,
-                peak_rss_bytes: peak_rss_bytes(),
-                shards: out.shards,
-            },
-            observe.then(Observation::default),
-        )
-    }
-
     /// The warm-start execution path ([`App::WarmClusterNodes`]).
     ///
     /// With `checkpoint` (an encoded
@@ -789,23 +644,71 @@ impl RunSpec {
             App::WarmClusterNodes,
             "execute_warm_at only runs warm-cluster rows"
         );
-        assert!(
-            !self.knobs.faults.is_active(),
-            "warm-start rows cannot carry a fault scenario"
-        );
+        self.execute_launch(cli_shards, checkpoint)
+    }
+
+    /// The one execution path of every row on
+    /// [`ClusterBuilder::launch`](shrimp_core::ClusterBuilder::launch):
+    /// [`App::ClusterNodes`] (with the heartbeat failure detector when the
+    /// knobs carry a fault scenario), [`App::KvNodes`] and
+    /// [`App::WarmClusterNodes`] differ only in the program and parameters
+    /// they launch. The [`RunRecord`] comes from the shard-count-invariant
+    /// [`LaunchOutcome`] through [`RunRecord::from_launch`], so it is
+    /// byte-identical at every shard count, while the [`PerfSample`]
+    /// (wall-clock, executor events, effective shards) sees the
+    /// parallelism. `checkpoint` and the returned bytes are the warm
+    /// rows' checkpoint artifact (see [`RunSpec::execute_warm_at`]); other
+    /// rows return no bytes.
+    fn execute_launch(
+        &self,
+        cli_shards: usize,
+        checkpoint: Option<&[u8]>,
+    ) -> Result<(RunRecord, PerfSample, Vec<u8>), shrimp_sim::SnapshotError> {
         let start = std::time::Instant::now();
-        let params = warm_params_at(self.scale, self.nodes, self.seed);
-        let shards = self.effective_shards(cli_shards);
+        let shards = Shards::Fixed(self.effective_shards(cli_shards));
         let cfg = self.design_config();
-        let (out, bytes) = match checkpoint {
-            Some(bytes) => {
-                let ckpt = ClusterCheckpoint::decode(bytes)?;
-                let out = run_warm(&params, cfg, Shards::Fixed(shards), &ckpt)?;
-                (out, bytes.to_vec())
+        let mut kv = None;
+        let mut bytes = Vec::new();
+        let out = match self.app {
+            App::ClusterNodes => {
+                let mut params = distributed_params_at(self.scale).scaled_to(self.nodes);
+                params.seed = self.seed;
+                if self.knobs.faults.is_active() {
+                    let detector = HeartbeatConfig::for_nodes(self.nodes);
+                    run_chaos_distributed(&params, cfg, shards, detector)
+                } else {
+                    run_distributed(&params, cfg, shards)
+                }
             }
-            None => run_cold(&params, cfg, Shards::Fixed(shards)),
+            App::KvNodes => {
+                let params = kv_params_for(self.scale, self.nodes, self.seed);
+                let out = run_kv(&params, cfg, shards);
+                kv = Some(KvMetrics::capture(&params, &out));
+                out
+            }
+            App::WarmClusterNodes => {
+                assert!(
+                    !self.knobs.faults.is_active(),
+                    "warm-start rows cannot carry a fault scenario"
+                );
+                let params = warm_params_at(self.scale, self.nodes, self.seed);
+                match checkpoint {
+                    Some(input) => {
+                        let ckpt = ClusterCheckpoint::decode(input)?;
+                        bytes = input.to_vec();
+                        run_warm(&params, cfg, shards, &ckpt)?
+                    }
+                    None => {
+                        let (out, captured) = run_cold(&params, cfg, shards);
+                        bytes = captured;
+                        out
+                    }
+                }
+            }
+            app => panic!("{} does not run on the launch path", app.name()),
         };
-        let record = Self::record_of_launch(&out);
+        let recovery = self.knobs.reliability || self.knobs.faults.is_active();
+        let record = RunRecord::from_launch(&out, recovery, kv);
         let wall_ns = start.elapsed().as_nanos() as u64;
         Ok((
             record,
@@ -819,75 +722,14 @@ impl RunSpec {
         ))
     }
 
-    /// The fault-free [`RunRecord`] of a phase-B
-    /// [`LaunchOutcome`](shrimp_core::LaunchOutcome).
-    fn record_of_launch(out: &LaunchOutcome) -> RunRecord {
-        RunRecord {
-            elapsed: out.elapsed,
-            checksum: out
-                .node_results
-                .iter()
-                .fold(0u64, |acc, &r| acc.wrapping_add(r)),
-            messages: out.messages,
-            notifications: out.notifications,
-            interrupts: out.interrupts,
-            syscalls: out.syscalls,
-            net_packets: out.net_packets,
-            net_bytes: out.net_bytes,
-            recovery: None,
-            kv: None,
-        }
-    }
-
-    /// The engine-parallel execution path: no cluster, no trace/metrics
-    /// plane (the shard workload records nothing into either, so an
-    /// observed run yields an empty [`Observation`]). The [`RunRecord`] is
-    /// built from the commutative [`shrimp_core::ParallelOutcome`] metrics
-    /// and is byte-identical at every shard count; only the
-    /// [`PerfSample`] — wall-clock and executor events — sees the
-    /// parallelism.
-    fn execute_parallel(
-        &self,
-        observe: bool,
-        cli_shards: usize,
-    ) -> (RunRecord, PerfSample, Option<Observation>) {
-        let start = std::time::Instant::now();
-        let out = run_parallel(
-            &parallel_params_at(self.scale),
-            self.effective_shards(cli_shards),
-        );
-        let record = RunRecord {
-            elapsed: out.elapsed,
-            checksum: out.checksum,
-            messages: out.messages,
-            notifications: 0,
-            interrupts: 0,
-            syscalls: 0,
-            net_packets: out.messages,
-            net_bytes: out.bytes,
-            recovery: None,
-            kv: None,
-        };
-        let wall_ns = start.elapsed().as_nanos() as u64;
-        (
-            record,
-            PerfSample {
-                wall_ns,
-                events: out.events,
-                peak_rss_bytes: peak_rss_bytes(),
-                shards: self.effective_shards(cli_shards),
-            },
-            observe.then(Observation::default),
-        )
-    }
-
     /// Runs the spec's application on a caller-provided cluster (the thin
     /// bench wrappers use this to reuse [`RunOutcome`] directly).
     ///
     /// # Panics
     ///
-    /// Panics for [`App::ParallelNodes`], which has no cluster; engine
-    /// runs go through [`RunSpec::execute_timed_at`].
+    /// Panics for the `launch()` apps ([`App::ClusterNodes`],
+    /// [`App::WarmClusterNodes`], [`App::KvNodes`]), which build their own
+    /// sharded clusters; they run through [`RunSpec::execute_timed_at`].
     pub fn run_on(&self, cluster: &Cluster) -> RunOutcome {
         let scale = self.scale;
         match self.app {
@@ -913,18 +755,10 @@ impl RunSpec {
             App::RenderSockets => {
                 run_render(cluster, &render_params_at(scale), self.socket_config())
             }
-            App::ParallelNodes => {
-                panic!("Engine-parallel has no cluster; execute the spec instead of run_on")
-            }
-            App::ClusterNodes => {
-                panic!("Cluster-distributed builds its own sharded cluster; execute the spec instead of run_on")
-            }
-            App::WarmClusterNodes => {
-                panic!("Cluster-warm builds its own sharded clusters; execute the spec instead of run_on")
-            }
-            App::KvNodes => {
-                panic!("KV-replicated builds its own sharded cluster; execute the spec instead of run_on")
-            }
+            App::ClusterNodes | App::WarmClusterNodes | App::KvNodes => panic!(
+                "{} builds its own sharded cluster; execute the spec instead of run_on",
+                self.app.name()
+            ),
         }
     }
 
@@ -1114,6 +948,36 @@ impl KvMetrics {
 }
 
 impl RunRecord {
+    /// The record of a [`ClusterBuilder::launch`](shrimp_core::ClusterBuilder::launch)
+    /// run — the one conversion every `launch()` row uses. The checksum is
+    /// the wrapping sum of the node results; `recovery` adds the recovery
+    /// block (chaos and reliability rows) and `kv` is the service block of
+    /// [`App::KvNodes`] rows.
+    fn from_launch(out: &LaunchOutcome, recovery: bool, kv: Option<KvMetrics>) -> Self {
+        RunRecord {
+            elapsed: out.elapsed,
+            checksum: out
+                .node_results
+                .iter()
+                .fold(0u64, |acc, &r| acc.wrapping_add(r)),
+            messages: out.messages,
+            notifications: out.notifications,
+            interrupts: out.interrupts,
+            syscalls: out.syscalls,
+            net_packets: out.net_packets,
+            net_bytes: out.net_bytes,
+            recovery: recovery.then_some(Recovery {
+                retransmits: out.retransmits,
+                corrupt_detected: out.corrupt_detected,
+                dup_suppressed: out.dup_suppressed,
+                faults_injected: out.faults_injected,
+                detection_latency_ps: out.detection_latency_ps,
+                recovery_time_ps: out.recovery_time_ps,
+            }),
+            kv,
+        }
+    }
+
     /// The gated metrics as stable `(name, value)` pairs — the flat row
     /// schema shared by `sweep.json` and the committed baselines.
     /// Recovery and KV metrics are appended only when present.
@@ -1381,26 +1245,14 @@ pub fn matrix(scale: Scale, max_nodes: usize) -> Vec<RunSpec> {
             }),
     );
 
-    // Engine-parallel: the sharded conservative executor at the paper's 16
-    // nodes (independent of `max_nodes` — the workload is engine-level, no
-    // cluster). Fixed shard counts are the scaling rows the `--perf`
-    // speedup gate compares; the Auto row follows the sweep-wide
-    // `--shards` flag and must stay byte-identical at every setting.
-    for sh in [1usize, 2, 4] {
-        specs.push(
-            RunSpec::new("parallel", App::ParallelNodes, 16, scale).with_shards(Shards::Fixed(sh)),
-        );
-    }
-    specs.push(RunSpec::new("parallel", App::ParallelNodes, 16, scale));
-
     // Distributed cluster: the full SHRIMP stack (VMMC/NIC/notifications)
-    // on the shard engine, independent of `max_nodes` like the parallel
-    // group (the workload is proportional, so row cost is bounded by the
-    // scale's step count). The 16-node Auto row follows the sweep-wide
-    // `--shards` flag and must stay byte-identical at every setting; the
-    // pinned 64-node pair is the cluster leg of the `--perf` speedup gate;
-    // the 256-node row exercises the machine at Paragon scale (too heavy
-    // for the smoke gate).
+    // on the shard engine, independent of `max_nodes` (the workload is
+    // proportional, so row cost is bounded by the scale's step count).
+    // The 16-node Auto row follows the sweep-wide `--shards` flag and must
+    // stay byte-identical at every setting; the pinned 64-node pair is
+    // the scaling pair of the `--perf` speedup gate; the 256-node row
+    // exercises the machine at Paragon scale (too heavy for the smoke
+    // gate).
     specs.push(RunSpec::new("cluster", App::ClusterNodes, 16, scale));
     for sh in [1usize, 4] {
         specs.push(
@@ -1547,12 +1399,6 @@ mod tests {
             ..Knobs::as_built()
         });
         assert_eq!(spec.id(), "table2/radix-vmmc-default/p4/syscall");
-        let pinned = RunSpec::new("parallel", App::ParallelNodes, 16, Scale::Smoke)
-            .with_shards(Shards::Fixed(4));
-        assert_eq!(
-            pinned.id(),
-            "parallel/engine-parallel-default/p16/as-built/sh4"
-        );
         let cluster = RunSpec::new("cluster", App::ClusterNodes, 64, Scale::Smoke)
             .with_shards(Shards::Fixed(4));
         assert_eq!(
@@ -1575,7 +1421,6 @@ mod tests {
             "fifo",
             "du-queue",
             "chaos",
-            "parallel",
             "cluster",
             "chaos-cluster",
             "warm",
@@ -1638,26 +1483,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_record_is_shard_count_invariant() {
-        // The Auto row follows the CLI shard count; the record must not.
-        let auto = RunSpec::new("parallel", App::ParallelNodes, 16, Scale::Smoke);
-        let (one, perf1) = auto.execute_timed_at(1);
-        let (four, perf4) = auto.execute_timed_at(4);
-        assert_eq!(one, four, "CLI shard count leaked into the record");
-        assert!(perf1.events > 0 && perf1.events == perf4.events);
-        // A Fixed pin beats the CLI and is visible only in the id.
-        let pinned = auto.clone().with_shards(Shards::Fixed(2));
-        assert_eq!(pinned.effective_shards(4), 2);
-        assert_eq!(auto.effective_shards(4), 4);
-        let (two, _) = pinned.execute_timed_at(4);
-        assert_eq!(one, two);
-        // Observed engine runs yield an empty observation, deterministically.
-        let (rec, _, obs) = auto.execute_observed_at(2);
-        assert_eq!(rec, one);
-        assert_eq!(obs, Observation::default());
-    }
-
-    #[test]
     fn cluster_record_is_shard_count_invariant() {
         // The 16-node Auto row: the CLI shard count reaches the perf
         // sample but never the record.
@@ -1667,12 +1492,48 @@ mod tests {
         assert_eq!(one, four, "CLI shard count leaked into the record");
         assert_eq!((perf1.shards, perf4.shards), (1, 4));
         assert!(one.messages > 0 && one.notifications > 0 && one.interrupts > 0);
-        // A Fixed pin beats the CLI.
+        // A Fixed pin beats the CLI and is visible only in the id.
         let pinned = auto.clone().with_shards(Shards::Fixed(2));
         assert_eq!(pinned.effective_shards(4), 2);
+        assert_eq!(auto.effective_shards(4), 4);
         let (two, perf2) = pinned.execute_timed_at(4);
         assert_eq!(one, two);
         assert_eq!(perf2.shards, 2);
+        // Observed launch runs yield an empty observation, deterministically.
+        let (rec, _, obs) = auto.execute_observed_at(2);
+        assert_eq!(rec, one);
+        assert_eq!(obs, Observation::default());
+    }
+
+    /// An unpinned chaos row follows `--shards` only up to its node count:
+    /// a wider setting clamps instead of tripping the refusal meant for
+    /// pinned rows, while a pin wider than the machine is still refused.
+    #[test]
+    fn unpinned_chaos_row_clamps_wide_cli_shards() {
+        let spec = matrix(Scale::Smoke, 4)
+            .into_iter()
+            .find(|s| {
+                s.id() == "chaos-cluster/cluster-distributed-default/p16/rel+drop3+corrupt2+dup3"
+            })
+            .expect("matrix lost the 16-node chaos-cluster row");
+        let (one, _) = spec.execute_timed_at(1);
+        let (wide, perf) = spec.execute_timed_at(17);
+        assert_eq!(one, wide, "--shards 17 leaked into the chaos record");
+        assert_eq!(perf.shards, 16);
+        let err = Cluster::builder(spec.nodes)
+            .config(spec.design_config())
+            .shards(Shards::Fixed(17))
+            .try_launch(shrimp_core::node_program(
+                distributed_params_at(Scale::Smoke).scaled_to(spec.nodes),
+            ))
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            shrimp_core::ShrimpError::ShardOverflow {
+                shards: 17,
+                nodes: 16
+            }
+        ));
     }
 
     #[test]

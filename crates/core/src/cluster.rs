@@ -36,7 +36,6 @@ use shrimp_sim::{Queue, Sim, Time};
 use crate::checkpoint::NodeState;
 use crate::config::DesignConfig;
 use crate::cpu::Cpu;
-use crate::parallel::shard_of;
 use crate::stats::NodeStats;
 use crate::vmmc::{ExportId, Vmmc};
 
@@ -171,12 +170,11 @@ impl ClusterBuilder {
         self
     }
 
-    /// Sets the fault-injection scenario. The classic
-    /// [`ClusterBuilder::build`] path draws all packet fates from one
-    /// shared RNG stream; [`ClusterBuilder::launch`] uses per-entity
-    /// streams (one per directed mesh edge, one per node) so the same
-    /// scenario partitions cleanly across shards with byte-identical
-    /// fates at any shard count.
+    /// Sets the fault-injection scenario. Both [`ClusterBuilder::build`]
+    /// and [`ClusterBuilder::launch`] draw packet fates from per-entity
+    /// streams (one per directed mesh edge), so the same scenario
+    /// partitions cleanly across shards with byte-identical fates at any
+    /// shard count.
     pub fn faults(mut self, faults: FaultScenario) -> Self {
         self.cfg.faults = faults;
         self
@@ -263,10 +261,10 @@ impl ClusterBuilder {
         }
         let mesh = cfg.mesh.clone().unwrap_or_else(|| MeshConfig::for_nodes(n));
         let net: ShrimpNetwork = Network::new(sim.clone(), mesh, n);
-        // One shared fault plane per run (absent on fault-free runs, which
+        // One fault plane per run (absent on fault-free runs, which
         // therefore pay nothing and replay byte-identically).
         let fault_plane = cfg.faults.is_active().then(|| {
-            let plane = FaultPlane::new(cfg.faults);
+            let plane = FaultPlane::per_entity(cfg.faults);
             net.install_fault_plane(plane.clone());
             plane
         });
@@ -705,6 +703,12 @@ pub struct LaunchOutcome {
     /// gauges keep elementwise maxima and are **not**. Empty unless
     /// [`ClusterBuilder::metrics`] enabled the plane.
     pub metrics: MetricsSnapshot,
+}
+
+/// Contiguous block assignment of nodes to shards: node `i` of `n` on
+/// shard `i * shards / n`.
+fn shard_of(node: usize, nodes: usize, shards: usize) -> usize {
+    node * shards / nodes
 }
 
 /// Constructs and starts the nodes `range` (global ids) against `net`.

@@ -54,9 +54,18 @@ use shrimp_sim::{time, Category, Queue, Time};
 
 use crate::cluster::{Cluster, LaunchOutcome, NodeProgram, Notification};
 use crate::config::DesignConfig;
-use crate::parallel::choice;
 use crate::stats::NodeStats;
 use crate::vmmc::{ProxyBuffer, Vmmc};
+
+/// One round of SplitMix64 keyed by node and step — the deterministic
+/// per-(node, step) choice stream of every workload in this module.
+fn choice(seed: u64, node: usize, step: u32, salt: u64) -> u64 {
+    let mut st = seed
+        ^ (node as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+        ^ (step as u64).wrapping_mul(0xbf58_476d_1ce4_e5b9)
+        ^ salt;
+    splitmix64(&mut st)
+}
 
 /// Workload shape for one distributed cluster run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -57,7 +57,6 @@ pub mod cluster;
 pub mod config;
 pub mod cpu;
 pub mod distributed;
-pub mod parallel;
 pub mod report;
 pub mod ring;
 pub mod stats;
@@ -72,7 +71,6 @@ pub use distributed::{
     chaos_node_program, node_program, run_chaos_distributed, run_distributed, DistributedParams,
     HeartbeatConfig,
 };
-pub use parallel::{run_parallel, shard_of, ParallelOutcome, ParallelParams};
 pub use report::{ClusterReport, NodeReport};
 pub use ring::{connect_ring, RingBulk, RingFrame, RingReceiver, RingSender};
 pub use shrimp_faults::{node_backoff, FaultScenario, NodeCrash, Reliability, ShrimpError};

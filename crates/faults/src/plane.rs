@@ -4,7 +4,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use shrimp_sim::rng::{rng_for, rng_for_entity, SimRng};
+use shrimp_sim::rng::{rng_for_entity, SimRng};
 use shrimp_sim::Time;
 
 use crate::scenario::{FaultScenario, NodeCrash};
@@ -52,57 +52,23 @@ impl FaultStats {
     }
 }
 
-/// Where the plane's randomness comes from.
-///
-/// `Shared` is the PR-3 design: one `rng_for("faults", seed)` stream drawn in
-/// global packet order. That only replays on a single-`Sim` run, because the
-/// draw order couples every node; the committed chaos baselines are pinned to
-/// it, so it stays byte-for-byte as-is.
-///
-/// `PerEntity` derives one independent stream per *directed mesh edge*
-/// `(src, dst)` lazily on first use. A packet's fate then depends only on how
-/// many packets that edge carried before it — a per-edge count that is
-/// invariant under shard placement — so the plane partitions across shards
-/// with byte-identical fates at any shard count. Per-node faults (FIFO
-/// stalls, pauses, crashes) are fixed windows that draw nothing, so they are
-/// trivially partitionable in both modes.
-enum RngMode {
-    Shared(RefCell<SimRng>),
-    PerEntity {
-        seed: u64,
-        edges: RefCell<HashMap<(usize, usize), SimRng>>,
-    },
-}
-
 struct PlaneInner {
     scenario: FaultScenario,
-    rng: RngMode,
+    /// One RNG stream per directed mesh edge `(src, dst)`, derived lazily
+    /// from `(scenario.seed, edge)` on the edge's first packet.
+    edges: RefCell<HashMap<(usize, usize), SimRng>>,
     stats: FaultStats,
-}
-
-impl RngMode {
-    /// Runs `f` on the stream that owns randomness for edge `(src, dst)`.
-    fn with_edge<T>(&self, src: usize, dst: usize, f: impl FnOnce(&mut SimRng) -> T) -> T {
-        match self {
-            RngMode::Shared(rng) => f(&mut rng.borrow_mut()),
-            RngMode::PerEntity { seed, edges } => {
-                let mut edges = edges.borrow_mut();
-                let rng = edges.entry((src, dst)).or_insert_with(|| {
-                    let edge = ((src as u64) << 32) | dst as u64;
-                    rng_for_entity("faults", *seed, edge)
-                });
-                f(rng)
-            }
-        }
-    }
 }
 
 /// A shared handle to one run's fault-injection state.
 ///
-/// Cloned into the network and every NIC; every random decision comes from
-/// one RNG stream seeded by `rng_for("faults", scenario.seed)`, and the
-/// single-threaded discrete-event executor makes the draw order — and hence
-/// the whole run — deterministic.
+/// Cloned into the network and every NIC. Every random decision comes from
+/// the stream of the directed mesh edge `(src, dst)` the packet travels, so
+/// a packet's fate depends only on how many packets that edge carried
+/// before it — a per-edge count that is invariant under shard placement.
+/// The plane therefore partitions across shards with byte-identical fates
+/// at any shard count. Per-node faults (FIFO stalls, pauses, crashes) are
+/// fixed windows that draw nothing.
 #[derive(Clone)]
 pub struct FaultPlane {
     inner: Rc<PlaneInner>,
@@ -117,21 +83,6 @@ impl std::fmt::Debug for FaultPlane {
 }
 
 impl FaultPlane {
-    /// Creates a plane for `scenario` on the legacy shared RNG stream.
-    ///
-    /// Fates replay only when every packet in the run draws in one global
-    /// order — i.e. on the classic single-`Sim` contended path. The sharded
-    /// path uses [`FaultPlane::per_entity`].
-    pub fn new(scenario: FaultScenario) -> Self {
-        FaultPlane {
-            inner: Rc::new(PlaneInner {
-                scenario,
-                rng: RngMode::Shared(RefCell::new(rng_for("faults", scenario.seed))),
-                stats: FaultStats::default(),
-            }),
-        }
-    }
-
     /// Creates a plane for `scenario` with one independent RNG stream per
     /// directed mesh edge, so fates are invariant under shard placement.
     ///
@@ -143,18 +94,20 @@ impl FaultPlane {
         FaultPlane {
             inner: Rc::new(PlaneInner {
                 scenario,
-                rng: RngMode::PerEntity {
-                    seed: scenario.seed,
-                    edges: RefCell::new(HashMap::new()),
-                },
+                edges: RefCell::new(HashMap::new()),
                 stats: FaultStats::default(),
             }),
         }
     }
 
-    /// `true` if this plane draws from per-edge streams (shard-safe mode).
-    pub fn is_per_entity(&self) -> bool {
-        matches!(self.inner.rng, RngMode::PerEntity { .. })
+    /// Runs `f` on the stream that owns randomness for edge `(src, dst)`.
+    fn with_edge<T>(&self, src: usize, dst: usize, f: impl FnOnce(&mut SimRng) -> T) -> T {
+        let mut edges = self.inner.edges.borrow_mut();
+        let rng = edges.entry((src, dst)).or_insert_with(|| {
+            let edge = ((src as u64) << 32) | dst as u64;
+            rng_for_entity("faults", self.inner.scenario.seed, edge)
+        });
+        f(rng)
     }
 
     /// The scenario this plane injects.
@@ -171,18 +124,14 @@ impl FaultPlane {
     /// records any injection.
     ///
     /// Drop, corrupt, and duplicate are mutually exclusive per packet; each
-    /// packet consumes exactly one RNG draw so fates replay with the seed.
-    /// In shared mode the edge is ignored (one global draw order); in
-    /// per-entity mode the draw comes from the edge's own stream.
+    /// packet consumes exactly one draw from the edge's own stream so fates
+    /// replay with the seed.
     pub fn packet_fate(&self, src: usize, dst: usize) -> PacketFate {
         let s = &self.inner.scenario;
         if s.drop_pct == 0 && s.corrupt_pct == 0 && s.duplicate_pct == 0 {
             return PacketFate::Deliver;
         }
-        let roll = self
-            .inner
-            .rng
-            .with_edge(src, dst, |rng| rng.gen_range(0..100u64)) as u8;
+        let roll = self.with_edge(src, dst, |rng| rng.gen_range(0..100u64)) as u8;
         let stats = &self.inner.stats;
         if roll < s.drop_pct {
             stats.drops.set(stats.drops.get() + 1);
@@ -201,7 +150,7 @@ impl FaultPlane {
     /// A fresh random value for choosing how to corrupt a payload on edge
     /// `src -> dst` (drawn from the same stream as that edge's fates).
     pub fn corrupt_salt(&self, src: usize, dst: usize) -> u64 {
-        self.inner.rng.with_edge(src, dst, |rng| rng.gen_u64())
+        self.with_edge(src, dst, |rng| rng.gen_u64())
     }
 
     /// Records a send refused because no route avoided a failed link.
@@ -289,8 +238,8 @@ mod tests {
             duplicate_pct: 10,
             ..FaultScenario::none()
         };
-        let a = FaultPlane::new(scenario);
-        let b = FaultPlane::new(scenario);
+        let a = FaultPlane::per_entity(scenario);
+        let b = FaultPlane::per_entity(scenario);
         let fates_a: Vec<_> = (0..256).map(|_| a.packet_fate(0, 1)).collect();
         let fates_b: Vec<_> = (0..256).map(|_| b.packet_fate(0, 1)).collect();
         assert_eq!(fates_a, fates_b);
@@ -308,7 +257,7 @@ mod tests {
 
     #[test]
     fn empty_scenario_never_touches_the_rng() {
-        let plane = FaultPlane::new(FaultScenario::none());
+        let plane = FaultPlane::per_entity(FaultScenario::none());
         for _ in 0..64 {
             assert_eq!(plane.packet_fate(0, 1), PacketFate::Deliver);
         }
@@ -317,7 +266,7 @@ mod tests {
 
     #[test]
     fn rates_are_roughly_honored() {
-        let plane = FaultPlane::new(FaultScenario {
+        let plane = FaultPlane::per_entity(FaultScenario {
             seed: 3,
             drop_pct: 25,
             ..FaultScenario::none()
@@ -332,7 +281,7 @@ mod tests {
 
     #[test]
     fn link_blocking_is_undirected_and_windowed() {
-        let plane = FaultPlane::new(FaultScenario {
+        let plane = FaultPlane::per_entity(FaultScenario {
             link: Some(LinkFault {
                 from: 1,
                 to: 2,
@@ -395,8 +344,6 @@ mod tests {
             assert_eq!(a.packet_fate(3, 7), b.packet_fate(3, 7));
             assert_eq!(a.corrupt_salt(3, 7), b.corrupt_salt(3, 7));
         }
-        assert!(a.is_per_entity());
-        assert!(!FaultPlane::new(scenario).is_per_entity());
     }
 
     #[test]
@@ -420,7 +367,7 @@ mod tests {
 
     #[test]
     fn fifo_stall_reports_its_end() {
-        let plane = FaultPlane::new(FaultScenario {
+        let plane = FaultPlane::per_entity(FaultScenario {
             fifo_stall: Some(FifoStall {
                 node: 2,
                 at_us: 10,

@@ -21,13 +21,14 @@ FLAGS:
                       (default without either flag: reduced bench sizes)
   --nodes <N>         override the matrix's maximum node count
   --workers <N>       worker threads (default: available parallelism)
-  --shards <N>        shard count for engine-parallel runs without a pinned
-                      /shK id segment (default 1). Artifacts and baselines
-                      are byte-identical at every setting; only wall-clock
-                      changes
+  --shards <N>        shard count for launch() rows (cluster, chaos-cluster,
+                      warm, kv) without a pinned /shK id segment (default 1;
+                      clamped to each row's node count). Artifacts and
+                      baselines are byte-identical at every setting; only
+                      wall-clock changes
   --require-speedup <X>
-                      fail unless the widest pinned engine-parallel row ran
-                      at >= X times the events/sec of its single-shard twin
+                      fail unless the widest pinned cluster row ran at
+                      >= X times the events/sec of its single-shard twin
                       (measure with --workers 1); reported and skipped when
                       the host has fewer hardware threads than shards
   --filter <SUBSTR>   only run specs whose id contains SUBSTR

@@ -24,9 +24,8 @@ use crate::json::{escape, Json};
 use crate::runner::RunResult;
 
 /// Schema tag written into every perf document. v2 adds the effective
-/// `shards` count to every row and generalizes the single
-/// `parallel_speedup` block into a `speedups` array with one entry per
-/// shard-engine experiment group (`parallel`, `cluster`).
+/// `shards` count to every row and a `speedups` array with one entry per
+/// shard-engine experiment group that carried a pinned scaling pair.
 pub const SCHEMA: &str = "shrimp-perf-v2";
 
 /// Relative band around the baseline's aggregate `events_per_sec`.
@@ -114,7 +113,7 @@ pub fn to_json(scale: &str, results: &[RunResult]) -> String {
 /// events/sec.
 #[derive(Debug, Clone)]
 pub struct Speedup {
-    /// Experiment group the pair belongs to (`parallel`, `cluster`).
+    /// Experiment group the pair belongs to (`cluster`).
     pub experiment: String,
     /// Id of the single-shard row.
     pub base_id: String,
@@ -140,11 +139,12 @@ impl Speedup {
 
 /// The experiment groups whose matrices carry pinned `Shards::Fixed`
 /// scaling pairs, in the order their speedups are reported.
-const SHARD_ENGINE_EXPERIMENTS: [&str; 2] = ["parallel", "cluster"];
+const SHARD_ENGINE_EXPERIMENTS: [&str; 1] = ["cluster"];
 
 /// Extracts every [`Speedup`] comparison from completed pinned
-/// shard-engine rows — one per experiment group (`parallel`, `cluster`)
-/// that carried both a `Fixed(1)` row and a wider `Fixed(k)` row. In each pair the two rows execute the
+/// shard-engine rows — one per experiment group in
+/// `SHARD_ENGINE_EXPERIMENTS` that carried both a `Fixed(1)` row and a
+/// wider `Fixed(k)` row. In each pair the two rows execute the
 /// byte-identical simulation (the workloads are shard-count invariant),
 /// so their events/sec ratio isolates the conservative executor's
 /// parallel efficiency — meaningful only when the sweep ran with
@@ -263,8 +263,7 @@ pub fn check_speedup(
     if speedups.is_empty() {
         return Err(
             "no completed pinned shard-engine rows (need a Fixed(1) and a wider Fixed(N) \
-             row in the parallel or cluster group — run with --experiment parallel or \
-             --experiment cluster)"
+             row in the cluster group — run with --experiment cluster)"
                 .to_string(),
         );
     }
@@ -498,17 +497,6 @@ mod tests {
         }
     }
 
-    fn parallel_result(index: usize, shards: Shards, events: u64, wall_ns: u64) -> RunResult {
-        pinned_result(
-            "parallel",
-            App::ParallelNodes,
-            index,
-            shards,
-            events,
-            wall_ns,
-        )
-    }
-
     fn cluster_result(index: usize, shards: Shards, events: u64, wall_ns: u64) -> RunResult {
         pinned_result("cluster", App::ClusterNodes, index, shards, events, wall_ns)
     }
@@ -516,17 +504,17 @@ mod tests {
     #[test]
     fn speedup_compares_the_pinned_extremes() {
         let results = vec![
-            parallel_result(0, Shards::Fixed(1), 1_000, 1_000_000),
-            parallel_result(1, Shards::Fixed(2), 1_000, 700_000),
-            parallel_result(2, Shards::Fixed(4), 1_000, 500_000),
+            cluster_result(0, Shards::Fixed(1), 1_000, 1_000_000),
+            cluster_result(1, Shards::Fixed(2), 1_000, 700_000),
+            cluster_result(2, Shards::Fixed(4), 1_000, 500_000),
             // Auto rows and other experiments never enter the comparison.
-            parallel_result(3, Shards::Auto, 1_000, 1),
+            cluster_result(3, Shards::Auto, 1_000, 1),
             result_with(9_999, 1),
         ];
         let speedups = pinned_speedups(&results);
-        assert_eq!(speedups.len(), 1, "only the parallel group has a pair");
+        assert_eq!(speedups.len(), 1, "only the cluster group has a pair");
         let sp = &speedups[0];
-        assert_eq!(sp.experiment, "parallel");
+        assert_eq!(sp.experiment, "cluster");
         assert_eq!(sp.shards, 4);
         assert!(sp.base_id.ends_with("/sh1") && sp.wide_id.ends_with("/sh4"));
         assert!((sp.ratio() - 2.0).abs() < 0.01, "ratio {}", sp.ratio());
@@ -549,46 +537,46 @@ mod tests {
         let block = doc.get("speedups").expect("speedups array");
         let arr = block.as_arr().expect("array");
         assert_eq!(arr.len(), 1);
-        assert_eq!(arr[0].get("experiment").unwrap().as_str(), Some("parallel"));
+        assert_eq!(arr[0].get("experiment").unwrap().as_str(), Some("cluster"));
         assert_eq!(arr[0].get("shards").unwrap().as_u64(), Some(4));
     }
 
     #[test]
-    fn speedup_gates_every_shard_engine_group() {
-        // parallel scales 2.0x, cluster only 1.2x: the weakest pair fails
-        // the gate, so a cluster regression cannot hide behind parallel.
+    fn speedup_gates_only_the_shard_engine_groups() {
+        // A pinned kv pair scales 2.0x, cluster only 1.2x: the kv pair is
+        // not a shard-engine scaling probe, so it neither enters the gate
+        // nor hides the cluster pair's failure.
         let results = vec![
-            parallel_result(0, Shards::Fixed(1), 1_000, 1_000_000),
-            parallel_result(1, Shards::Fixed(4), 1_000, 500_000),
+            pinned_result("kv", App::KvNodes, 0, Shards::Fixed(1), 1_000, 1_000_000),
+            pinned_result("kv", App::KvNodes, 1, Shards::Fixed(4), 1_000, 500_000),
             cluster_result(2, Shards::Fixed(1), 1_200, 1_000_000),
             cluster_result(3, Shards::Fixed(4), 1_200, 833_000),
         ];
         let speedups = pinned_speedups(&results);
-        assert_eq!(speedups.len(), 2);
-        assert_eq!(speedups[0].experiment, "parallel");
-        assert_eq!(speedups[1].experiment, "cluster");
+        assert_eq!(speedups.len(), 1);
+        assert_eq!(speedups[0].experiment, "cluster");
 
         let ok = check_speedup(&results, 1.1, 4).unwrap();
         assert!(ok.passed());
         let fail = check_speedup(&results, 1.5, 4).unwrap();
         assert!(!fail.passed(), "the 1.2x cluster pair must fail a 1.5x bar");
         let render = fail.render();
-        assert!(render.contains("parallel speedup gate PASSED"), "{render}");
         assert!(render.contains("cluster speedup gate FAILED"), "{render}");
-        // A 2-thread host skips both 4-shard pairs and passes.
+        assert!(!render.contains("kv"), "{render}");
+        // A 2-thread host skips the 4-shard pair and passes.
         let skip = check_speedup(&results, 1.5, 2).unwrap();
         assert!(skip.skipped() && skip.passed());
 
         let text = to_json("smoke", &results);
         let doc = json::parse(&text).expect("valid JSON");
         let arr = doc.get("speedups").unwrap().as_arr().unwrap();
-        assert_eq!(arr.len(), 2);
-        assert_eq!(arr[1].get("experiment").unwrap().as_str(), Some("cluster"));
+        assert_eq!(arr.len(), 1);
+        assert_eq!(arr[0].get("experiment").unwrap().as_str(), Some("cluster"));
     }
 
     #[test]
     fn speedup_needs_both_pinned_rows() {
-        let only_base = vec![parallel_result(0, Shards::Fixed(1), 1_000, 1_000)];
+        let only_base = vec![cluster_result(0, Shards::Fixed(1), 1_000, 1_000)];
         assert!(pinned_speedups(&only_base).is_empty());
         assert!(check_speedup(&only_base, 1.5, 4).is_err());
         let text = to_json("smoke", &only_base);

@@ -86,9 +86,9 @@ pub struct RunnerOptions {
     /// simulator's trace sink and metrics registry disabled, keeping
     /// `sweep.json` byte-identical to the committed baselines.
     pub observe: bool,
-    /// Sweep-wide shard count for engine-parallel runs whose spec says
-    /// [`Shards::Auto`](shrimp_bench::Shards::Auto). Pinned rows ignore it,
-    /// cluster runs are unaffected, and every [`RunRecord`] is
+    /// Sweep-wide shard count for `launch()` rows whose spec says
+    /// [`Shards::Auto`](shrimp_bench::Shards::Auto). Pinned rows and
+    /// classic single-`Sim` rows ignore it, and every [`RunRecord`] is
     /// byte-identical at any setting — only wall-clock can change.
     pub shards: usize,
     /// A serialized [`ClusterCheckpoint`](shrimp_core::ClusterCheckpoint)

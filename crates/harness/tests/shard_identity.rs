@@ -7,10 +7,10 @@
 //! determinism guarantee: `Shards::Auto` rows follow the sweep-wide
 //! setting, yet their `RunRecord` metrics are invariant, so
 //! `results/sweep.json` and the committed smoke baselines cannot drift
-//! with the host's parallelism. Two row families exercise the engine:
-//! the synthetic `parallel` group and the `cluster` group, whose nodes
-//! run the full SHRIMP stack (VMMC, NIC, notifications) sharded across
-//! `Sim`s with the mesh as the only cross-shard channel.
+//! with the host's parallelism. The `launch()` row families — cluster,
+//! chaos-cluster, warm and kv — exercise the engine: their nodes run the
+//! full SHRIMP stack (VMMC, NIC, notifications) sharded across `Sim`s
+//! with the mesh as the only cross-shard channel.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -65,10 +65,6 @@ fn committed(name: &str) -> String {
 fn smoke_sweep_is_byte_identical_across_shard_counts() {
     let specs = matrix(Scale::Smoke, 4);
     assert!(
-        specs.iter().any(|s| s.experiment == "parallel"),
-        "smoke matrix lost its engine-parallel rows"
-    );
-    assert!(
         specs.iter().any(|s| s.experiment == "cluster"),
         "smoke matrix lost its distributed-cluster rows"
     );
@@ -114,12 +110,11 @@ fn cluster_rows_are_byte_identical_across_shard_counts() {
     );
 }
 
-/// Chaos under parallel: the nine chaos smoke rows executed with
+/// Chaos under `--shards`: the nine chaos smoke rows executed with
 /// `--shards 4` reproduce the committed chaos baseline byte for byte.
 /// These rows run classic single-`Sim` applications (Radix on `build()`),
-/// where the fault plane draws from its legacy shared RNG stream — the
-/// stream the committed bytes pin — so the `--shards` flag must stay a
-/// no-op for them even with the fault plane active.
+/// so the `--shards` flag must stay a no-op for them even with the fault
+/// plane active.
 #[test]
 fn chaos_rows_under_shards_4_match_the_committed_baseline() {
     let mut specs = matrix(Scale::Smoke, 4);

@@ -319,19 +319,7 @@ impl<P: 'static> Network<P> {
     /// Installs a fault plane: subsequent [`Network::send`] calls consult it
     /// for per-packet fates and failed links. Without one (the default) the
     /// send path is exactly the fault-free fast path.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a legacy shared-stream plane ([`FaultPlane::new`]) is
-    /// installed on a sharded backplane: its single RNG stream is
-    /// zero-lookahead shared state. Sharded backplanes take a
-    /// [`FaultPlane::per_entity`] plane (one stream per mesh edge), whose
-    /// draws depend only on per-edge send order and therefore partition.
     pub fn install_fault_plane(&self, plane: FaultPlane) {
-        assert!(
-            self.inner.decoupled.is_none() || plane.is_per_entity(),
-            "sharded backplanes require a per-entity fault plane"
-        );
         *self.inner.faults.borrow_mut() = Some(plane);
     }
 
@@ -986,7 +974,7 @@ mod tests {
     #[test]
     fn fault_plane_drops_corrupts_and_duplicates() {
         let (sim, nw) = net(16);
-        nw.install_fault_plane(FaultPlane::new(FaultScenario {
+        nw.install_fault_plane(FaultPlane::per_entity(FaultScenario {
             seed: 11,
             drop_pct: 20,
             corrupt_pct: 20,
@@ -1018,7 +1006,7 @@ mod tests {
     fn failed_link_routes_around() {
         let (sim, nw) = net(16);
         // Dimension-order route 0 -> 1 uses link (0,1); fail it permanently.
-        nw.install_fault_plane(FaultPlane::new(FaultScenario {
+        nw.install_fault_plane(FaultPlane::per_entity(FaultScenario {
             link: Some(LinkFault {
                 from: 0,
                 to: 1,
@@ -1040,7 +1028,7 @@ mod tests {
     #[test]
     fn transient_link_failure_recovers() {
         let (sim, nw) = net(16);
-        nw.install_fault_plane(FaultPlane::new(FaultScenario {
+        nw.install_fault_plane(FaultPlane::per_entity(FaultScenario {
             link: Some(LinkFault {
                 from: 0,
                 to: 1,
@@ -1068,7 +1056,7 @@ mod tests {
         // A 2x1 mesh has a single link; failing it partitions the pair.
         let sim = Sim::new();
         let nw: Network<u64> = Network::new(sim.clone(), MeshConfig::for_nodes(2), 2);
-        let plane = FaultPlane::new(FaultScenario {
+        let plane = FaultPlane::per_entity(FaultScenario {
             link: Some(LinkFault {
                 from: 0,
                 to: 1,
@@ -1088,7 +1076,7 @@ mod tests {
     fn installed_but_empty_plane_changes_nothing() {
         let (sim_a, nw_a) = net(16);
         let (sim_b, nw_b) = net(16);
-        nw_b.install_fault_plane(FaultPlane::new(FaultScenario::none()));
+        nw_b.install_fault_plane(FaultPlane::per_entity(FaultScenario::none()));
         let ta = nw_a.send(NodeId(0), NodeId(9), 256, 5);
         let tb = nw_b.send(NodeId(0), NodeId(9), 256, 5);
         sim_a.run();

@@ -1710,7 +1710,7 @@ mod tests {
         use shrimp_faults::{FaultPlane, FaultScenario};
         let sim = Sim::new();
         let net: ShrimpNetwork = shrimp_net::Network::new(sim.clone(), MeshConfig::shrimp_4x4(), 2);
-        net.install_fault_plane(FaultPlane::new(FaultScenario {
+        net.install_fault_plane(FaultPlane::per_entity(FaultScenario {
             seed: 1,
             corrupt_pct: 100,
             ..FaultScenario::none()

@@ -77,8 +77,8 @@ pub struct Packet {
 impl Packet {
     /// A sealed deliberate-update data packet with default header bits and
     /// physical destination 0 — the common case for engine-level drivers
-    /// that form packets directly rather than through a NIC engine (e.g.
-    /// the sharded parallel workload in `shrimp-core`).
+    /// and tests that form packets directly rather than through a NIC
+    /// engine.
     pub fn data(src: NodeId, dst: NodeId, data: Vec<u8>, sent_at: Time) -> Self {
         Packet {
             src,

@@ -34,11 +34,13 @@
 //! What may run sharded: a model is shard-safe when every cross-shard
 //! interaction honours the lookahead (`arrival ≥ now + L`) and same-time
 //! message handling is order-independent (commutative state updates). The
-//! SHRIMP *cluster* model shares fabric state (link reservations, the fault
-//! plane's RNG stream) with zero lookahead between nodes, so a whole
-//! cluster forms a single coupling class — one shard — while engine-level
-//! workloads partitioned by node (see `shrimp-core`'s `parallel` module)
-//! exploit the full width.
+//! SHRIMP cluster meets both conditions on `shrimp-core`'s
+//! `ClusterBuilder::launch` path: nodes are partitioned across shards, the
+//! decoupled mesh transport keeps no shared link reservations, and the
+//! fault plane draws from one RNG stream per directed mesh edge, so the
+//! mesh latency is the only bound on a window. Only the classic contended
+//! transport, whose link reservations couple all nodes with zero
+//! lookahead, stays on one `Sim`.
 
 use std::cell::{Cell, RefCell};
 use std::ptr;

@@ -8,8 +8,8 @@
 //! at the `(time, seq)` stream level: each node's send timeline must match
 //! entry for entry, and each node's delivery timeline must match as a
 //! per-instant multiset (two deliveries to one node at the same picosecond
-//! are unordered by construction — the workload, like the production one
-//! in `shrimp_core::parallel`, treats them commutatively).
+//! are unordered by construction — the workload treats them
+//! commutatively).
 //!
 //! Workloads come from `shrimp-testkit` choice sources, so failures replay
 //! and shrink deterministically.
@@ -37,7 +37,8 @@ struct StepOp {
     sends: Vec<(usize, Time, u64)>,
 }
 
-/// Contiguous node → shard assignment, as in `shrimp_core::parallel`.
+/// Contiguous node → shard assignment, as in `shrimp_core`'s sharded
+/// cluster launch.
 fn shard_of(node: usize, nodes: usize, shards: usize) -> usize {
     node * shards / nodes
 }
