@@ -602,6 +602,7 @@ impl RunSpec {
                 events,
                 peak_rss_bytes: peak_rss_bytes(),
                 shards: 1,
+                windows: 0,
             },
             observation,
         )
@@ -717,6 +718,7 @@ impl RunSpec {
                 events: out.events,
                 peak_rss_bytes: peak_rss_bytes(),
                 shards: out.shards,
+                windows: out.windows,
             },
             bytes,
         ))
@@ -840,6 +842,9 @@ pub struct PerfSample {
     /// single-`Sim` row). Host-execution metadata, so it lives here and in
     /// `perf.json`, never in the [`RunRecord`].
     pub shards: usize,
+    /// Shard synchronization windows the run executed (0 on every classic
+    /// row and on the one-shard path). Host-side metadata like `shards`.
+    pub windows: u64,
 }
 
 /// Everything the observability plane captured during one observed run:

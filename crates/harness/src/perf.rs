@@ -25,7 +25,8 @@ use crate::runner::RunResult;
 
 /// Schema tag written into every perf document. v2 adds the effective
 /// `shards` count to every row and a `speedups` array with one entry per
-/// shard-engine experiment group that carried a pinned scaling pair.
+/// shard-engine experiment group that carried a pinned scaling pair. The
+/// per-row `windows` count came later; it is additive, so the tag stayed.
 pub const SCHEMA: &str = "shrimp-perf-v2";
 
 /// Relative band around the baseline's aggregate `events_per_sec`.
@@ -94,13 +95,14 @@ pub fn to_json(scale: &str, results: &[RunResult]) -> String {
         let _ = write!(
             out,
             "    {{\"id\": \"{}\", \"wall_ns\": {}, \"events\": {}, \
-             \"events_per_sec\": {}, \"peak_rss_bytes\": {}, \"shards\": {}}}",
+             \"events_per_sec\": {}, \"peak_rss_bytes\": {}, \"shards\": {}, \"windows\": {}}}",
             escape(&r.spec.id()),
             p.wall_ns,
             p.events,
             events_per_sec(p.events, p.wall_ns),
             p.peak_rss_bytes,
             p.shards,
+            p.windows,
         );
         out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
     }
@@ -386,6 +388,7 @@ mod tests {
                 events,
                 peak_rss_bytes: 1 << 20,
                 shards: 1,
+                windows: 0,
             }),
             obs: None,
             checkpoint: None,
@@ -407,10 +410,12 @@ mod tests {
             "events_per_sec",
             "peak_rss_bytes",
             "shards",
+            "windows",
         ] {
             assert!(rows[0].get(field).is_some(), "row missing {field}");
         }
         assert_eq!(rows[0].get("shards").unwrap().as_u64(), Some(1));
+        assert_eq!(rows[0].get("windows").unwrap().as_u64(), Some(0));
         // 2000 events in 1ms = 2M events/sec, in the row and the totals.
         assert_eq!(
             rows[0].get("events_per_sec").unwrap().as_u64(),
@@ -491,6 +496,7 @@ mod tests {
                     Shards::Fixed(k) => k,
                     Shards::Auto => 1,
                 },
+                windows: 0,
             }),
             obs: None,
             checkpoint: None,

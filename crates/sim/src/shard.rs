@@ -7,8 +7,9 @@
 //! determinism up:
 //!
 //! * Every **shard** owns a full `Sim` (its own wheel and ready queue) built
-//!   and run on its own OS thread — `Sim` stays `!Send`; only the shard's
-//!   *builder closure* and the messages cross threads.
+//!   and run on its own OS thread — shard 0 on the caller's, the others on
+//!   scoped threads. `Sim` stays `!Send`; only the shard's *builder
+//!   closure* and the messages cross threads.
 //! * Shards interact **only** through timestamped messages pushed onto
 //!   lock-free per-edge queues (`EdgeQueue`); in the SHRIMP machine the
 //!   routing backplane is the one such channel, and its link + transceiver
@@ -18,16 +19,24 @@
 //!   cross-shard lookahead, every event strictly before the global safe
 //!   horizon `H = m + L` is causally independent of anything another shard
 //!   has yet to do — any message sent at `t ≥ m` arrives no earlier than
-//!   `t + L ≥ H`. Each shard runs `run_for(H - 1)`, the coordinator
-//!   barriers, in-flight messages are merged, and the next horizon is
-//!   derived. No null messages are exchanged; the barrier *is* the
-//!   conservative protocol.
+//!   `t + L ≥ H`. Each shard runs `run_for(H - 1)`, publishes its earliest
+//!   pending event and cross-shard send in its report slot, and arrives at
+//!   the barrier. There is no coordinator; every shard then reads all slots
+//!   and derives the same next horizon and drain decision itself.
+//! * The **barrier** is an arrival counter and a generation word: the last
+//!   arriver resets the count, bumps the generation and unparks the rest. A
+//!   waiter spins a bounded while first, if the host has a core per shard.
+//!   One barrier per window is enough because slots and edge queues are
+//!   **double-buffered by step parity**: step `k` writes parity `k & 1`,
+//!   step `k + 1` reads it, and step `k + 2` cannot start writing it again
+//!   before every shard has finished step `k + 1`.
 //! * **Determinism**: inbound messages are merged into a shard's wheel in
-//!   `(arrival, source shard, per-edge seq)` order, which is a pure function
-//!   of the simulated program — never of thread scheduling — so a sharded
-//!   run is bit-reproducible, and `ExecMode::Serial` (the cfg-gated
-//!   single-thread oracle, compiled like `legacy-sched`) replays the exact
-//!   same schedule for differential testing.
+//!   `(arrival, source shard, per-edge seq)` order, and the parity rule fixes
+//!   which merge an envelope lands in (the one after the step that sent it,
+//!   whatever the thread timing), so a sharded run is bit-reproducible, and
+//!   `ExecMode::Serial` (the cfg-gated single-thread oracle, compiled like
+//!   `legacy-sched`) replays the exact same schedule for differential
+//!   testing.
 //! * `shards == 1` degenerates to today's executor: the runner builds one
 //!   `Sim` and calls [`Sim::run`]; no windows, no barriers, no queues.
 //!
@@ -43,10 +52,12 @@
 //! lookahead, stays on one `Sim`.
 
 use std::cell::{Cell, RefCell};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::ptr;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicPtr, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
+use std::thread::{self, Thread};
 
 use crate::executor::Sim;
 use crate::time::Time;
@@ -72,12 +83,9 @@ struct EdgeNode<M> {
 
 /// Lock-free intrusive stack carrying one directed shard-to-shard edge.
 ///
-/// The producer (source shard, during its window) pushes with a CAS loop;
-/// the consumer (destination shard, at the barrier) takes the whole list
-/// with one atomic swap and restores FIFO order by reversing. The window
-/// protocol already separates the phases — producers are parked at the
-/// barrier while consumers merge — but the queue is safe under full
-/// concurrency regardless.
+/// The producer (source shard, during one step) pushes with a CAS loop; the
+/// consumer (destination shard, in the next step) takes the whole list with
+/// one atomic swap. The queue is safe under full concurrency regardless.
 struct EdgeQueue<M> {
     head: AtomicPtr<EdgeNode<M>>,
 }
@@ -112,10 +120,10 @@ impl<M> EdgeQueue<M> {
         }
     }
 
-    /// Takes every queued envelope, oldest first.
-    fn drain(&self) -> Vec<Envelope<M>> {
+    /// Moves every queued envelope into `out`, newest first: the merge
+    /// sorts on a key unique per envelope, so the order taken is moot.
+    fn drain_into(&self, out: &mut Vec<Envelope<M>>) {
         let mut head = self.head.swap(ptr::null_mut(), Ordering::AcqRel);
-        let mut out = Vec::new();
         while !head.is_null() {
             // Safety: nodes are only produced by `push` and ownership of the
             // whole chain transferred by the swap above.
@@ -123,18 +131,17 @@ impl<M> EdgeQueue<M> {
             head = node.next;
             out.push(node.env);
         }
-        out.reverse();
-        out
     }
 }
 
 impl<M> Drop for EdgeQueue<M> {
     fn drop(&mut self) {
-        self.drain();
+        self.drain_into(&mut Vec::new());
     }
 }
 
-/// The full mesh of directed edges, indexed `src * shards + dst`.
+/// The full mesh of directed edges, two queues (one per step parity) per
+/// edge, indexed `(src * shards + dst) * 2 + parity`.
 struct Fabric<M> {
     shards: usize,
     edges: Vec<EdgeQueue<M>>,
@@ -144,12 +151,12 @@ impl<M> Fabric<M> {
     fn new(shards: usize) -> Self {
         Fabric {
             shards,
-            edges: (0..shards * shards).map(|_| EdgeQueue::new()).collect(),
+            edges: (0..shards * shards * 2).map(|_| EdgeQueue::new()).collect(),
         }
     }
 
-    fn edge(&self, src: usize, dst: usize) -> &EdgeQueue<M> {
-        &self.edges[src * self.shards + dst]
+    fn edge(&self, src: usize, dst: usize, parity: usize) -> &EdgeQueue<M> {
+        &self.edges[(src * self.shards + dst) * 2 + parity]
     }
 }
 
@@ -173,28 +180,14 @@ struct ShardCore<M> {
     edge_seq: RefCell<Vec<u64>>,
     /// Earliest arrival pushed cross-shard since the last barrier report.
     sent_min: Cell<Option<Time>>,
+    /// Parity of the protocol step in progress (building is step 0, then one
+    /// step per window or drain): cross-shard sends go to its edge queues.
+    parity: Cell<usize>,
+    /// The merge buffer, kept between steps so merging allocates nothing.
+    batch: RefCell<Vec<Envelope<M>>>,
 }
 
 impl<M: 'static> ShardCore<M> {
-    fn new(
-        shard: usize,
-        shards: usize,
-        lookahead: Time,
-        start: Time,
-        fabric: Arc<Fabric<M>>,
-    ) -> Rc<Self> {
-        Rc::new(ShardCore {
-            shard,
-            shards,
-            lookahead,
-            sim: Sim::new_at(start),
-            fabric,
-            handler: RefCell::new(None),
-            edge_seq: RefCell::new(vec![0; shards]),
-            sent_min: Cell::new(None),
-        })
-    }
-
     fn send(self: &Rc<Self>, dst: usize, arrival: Time, msg: M) {
         assert!(dst < self.shards, "send to shard {dst} of {}", self.shards);
         let now = self.sim.now();
@@ -214,7 +207,8 @@ impl<M: 'static> ShardCore<M> {
             seqs[dst] += 1;
             s
         };
-        self.fabric.edge(self.shard, dst).push(Envelope {
+        let edge = self.fabric.edge(self.shard, dst, self.parity.get());
+        edge.push(Envelope {
             arrival,
             src: self.shard,
             seq,
@@ -237,20 +231,23 @@ impl<M: 'static> ShardCore<M> {
         });
     }
 
-    /// Drains every inbound edge and merges the messages into the wheel in
+    /// Starts the next protocol step: drains every inbound edge of the
+    /// previous step's parity and merges the messages into the wheel in
     /// `(arrival, src shard, per-edge seq)` order — the deterministic merge
     /// that keeps `(time, seq)` event order independent of thread timing.
-    fn merge_inbound(self: &Rc<Self>) {
-        let mut batch: Vec<Envelope<M>> = Vec::new();
-        for src in 0..self.shards {
-            if src != self.shard {
-                batch.extend(self.fabric.edge(src, self.shard).drain());
-            }
+    fn begin_step(self: &Rc<Self>) {
+        let drain = self.parity.get();
+        self.parity.set(drain ^ 1);
+        let mut batch = self.batch.take();
+        for src in (0..self.shards).filter(|&src| src != self.shard) {
+            let edge = self.fabric.edge(src, self.shard, drain);
+            edge.drain_into(&mut batch);
         }
         batch.sort_unstable_by_key(|e| (e.arrival, e.src, e.seq));
-        for env in batch {
+        for env in batch.drain(..) {
             self.dispatch(env.arrival, env.msg);
         }
+        self.batch.replace(batch);
     }
 
     /// Earliest event this shard may yet produce or fire: a woken process
@@ -501,32 +498,19 @@ pub struct ShardPlan<R> {
 pub type PhasedBuilder<M, R> = Box<dyn FnOnce(&ShardCtx<M>) -> ShardPlan<R> + Send>;
 
 // ---------------------------------------------------------------------------
-// The coordinator
+// The window protocol
 // ---------------------------------------------------------------------------
 
-/// What a shard reports at each barrier.
-struct Reply {
-    pending: Option<Time>,
-    sent_min: Option<Time>,
-    window: Option<WindowShard>,
-}
+/// What a shard publishes at each barrier: its earliest pending event and
+/// the earliest arrival it sent cross-shard during the step.
+type Report = [Option<Time>; 2];
 
-enum Cmd {
-    Window { horizon: Time },
-    Drain,
-    Finish,
-}
-
-/// Computes the next global safe horizon from the barrier replies. `None`
+/// Computes the next global safe horizon from the barrier reports. `None`
 /// means the simulation is exhausted (no timers anywhere, nothing in
 /// flight).
-fn next_horizon(pending: &[Option<Time>], sent: &[Option<Time>], lookahead: Time) -> Option<Time> {
-    pending
-        .iter()
-        .chain(sent.iter())
-        .flatten()
-        .min()
-        .map(|&m| m.saturating_add(lookahead))
+fn next_horizon(reports: impl IntoIterator<Item = Report>, lookahead: Time) -> Option<Time> {
+    let earliest = reports.into_iter().flatten().flatten().min();
+    earliest.map(|m| m.saturating_add(lookahead))
 }
 
 /// Runs `builders` (one per shard) to completion under the conservative
@@ -565,7 +549,8 @@ where
 ///
 /// # Panics
 ///
-/// Same contract as [`run_sharded`].
+/// Same contract as [`run_sharded`]. A panic on any shard is re-raised on
+/// the caller, with its original payload, once every shard has stopped.
 pub fn run_sharded_phased<M, R>(
     cfg: &ShardConfig,
     builders: Vec<PhasedBuilder<M, R>>,
@@ -582,20 +567,14 @@ where
     // shut down, drain, harvest; no windows. (Kept off under observation so
     // window-protocol properties can be probed at any width.)
     if cfg.shards == 1 && !cfg.observe_windows {
-        let fabric = Arc::new(Fabric::new(1));
-        let ctx = ShardCtx {
-            core: ShardCore::new(0, 1, cfg.lookahead, cfg.start, fabric),
-        };
-        let ShardPlan { shutdown, harvest } = builders.into_iter().next().unwrap()(&ctx);
-        let elapsed = ctx.core.sim.run();
-        shutdown();
-        ctx.core.sim.run();
+        let builder = builders.into_iter().next().unwrap();
+        let mut run = ShardRun::build(0, cfg, Arc::new(Fabric::new(1)), builder);
+        let elapsed = run.core.sim.run();
+        run.shutdown.take().expect("a built shard has its shutdown")();
+        run.core.sim.run();
         return ShardOutcome {
-            results: vec![harvest()],
             elapsed,
-            events: ctx.core.sim.events(),
-            windows: 0,
-            window_log: None,
+            ..run.finish()
         };
     }
 
@@ -606,275 +585,295 @@ where
     }
 }
 
-/// One shard's window step: merge inbound, run to the horizon, report.
-fn shard_window<M: 'static>(core: &Rc<ShardCore<M>>, horizon: Time, observe: bool) -> Reply {
-    core.merge_inbound();
-    let before = core.sim.now();
-    let events_before = core.sim.events();
-    core.sim.run_for(horizon - 1);
-    let window = observe.then(|| WindowShard {
-        before,
-        after: core.sim.now(),
-        fired: core.sim.events() - events_before,
-        sent_min_arrival: core.sent_min.get(),
-    });
-    Reply {
-        pending: core.pending(),
-        sent_min: core.sent_min.take(),
-        window,
+/// One shard's side of the window protocol. The threaded runner drives one
+/// per thread with a barrier between steps, the serial oracle all of them
+/// on one thread in shard order; both feed every shard the same horizons.
+struct ShardRun<M, R> {
+    core: Rc<ShardCore<M>>,
+    /// Taken at the drain step.
+    shutdown: Option<Box<dyn FnOnce()>>,
+    harvest: Box<dyn FnOnce() -> R>,
+    windows: u64,
+    /// This shard's column of the window log, when observing.
+    log: Option<Vec<WindowRecord>>,
+}
+
+impl<M: 'static, R> ShardRun<M, R> {
+    /// Builds shard `shard`'s world: protocol step 0.
+    fn build(
+        shard: usize,
+        cfg: &ShardConfig,
+        fabric: Arc<Fabric<M>>,
+        builder: PhasedBuilder<M, R>,
+    ) -> Self {
+        let core = Rc::new(ShardCore {
+            shard,
+            shards: cfg.shards,
+            lookahead: cfg.lookahead,
+            sim: Sim::new_at(cfg.start),
+            fabric,
+            handler: RefCell::new(None),
+            edge_seq: RefCell::new(vec![0; cfg.shards]),
+            sent_min: Cell::new(None),
+            parity: Cell::new(0),
+            batch: RefCell::new(Vec::new()),
+        });
+        let ShardPlan { shutdown, harvest } = builder(&ShardCtx {
+            core: Rc::clone(&core),
+        });
+        ShardRun {
+            core,
+            shutdown: Some(shutdown),
+            harvest,
+            windows: 0,
+            log: cfg.observe_windows.then(Vec::new),
+        }
+    }
+
+    /// Runs the step every shard derived from the last barrier's reports: a
+    /// window up to `horizon`, or at the first exhaustion the drain step
+    /// that runs [`ShardPlan::shutdown`]. Returns `None` at the second
+    /// exhaustion, when the run is over.
+    fn step(&mut self, horizon: Option<Time>) -> Option<Report> {
+        if horizon.is_none() && self.shutdown.is_none() {
+            return None;
+        }
+        let core = &self.core;
+        core.begin_step();
+        match horizon {
+            Some(horizon) => {
+                let (before, events) = (core.sim.now(), core.sim.events());
+                core.sim.run_for(horizon - 1);
+                self.windows += 1;
+                if let Some(log) = self.log.as_mut() {
+                    let shards = vec![WindowShard {
+                        before,
+                        after: core.sim.now(),
+                        fired: core.sim.events() - events,
+                        sent_min_arrival: core.sent_min.get(),
+                    }];
+                    log.push(WindowRecord { horizon, shards });
+                }
+            }
+            // Global drain boundary: everything is exhausted, so no shard
+            // can still send to a queue another shard is about to close.
+            None => self.shutdown.take().expect("checked above")(),
+        }
+        Some([core.pending(), core.sent_min.take()])
+    }
+
+    /// This shard's share of the run's outcome.
+    fn finish(self) -> ShardOutcome<R> {
+        ShardOutcome {
+            results: vec![(self.harvest)()],
+            elapsed: self.core.sim.now(),
+            events: self.core.sim.events(),
+            windows: self.windows,
+            window_log: self.log,
+        }
     }
 }
 
-fn run_threaded<M, R>(cfg: &ShardConfig, builders: Vec<PhasedBuilder<M, R>>) -> ShardOutcome<R>
+/// Merges the shards' shares, given in shard order, into the run's outcome.
+fn merge<R>(shares: impl IntoIterator<Item = ShardOutcome<R>>) -> ShardOutcome<R> {
+    let merged = shares.into_iter().reduce(|mut all, share| {
+        all.results.extend(share.results);
+        all.elapsed = all.elapsed.max(share.elapsed);
+        all.events += share.events;
+        if let (Some(log), Some(column)) = (all.window_log.as_mut(), share.window_log) {
+            for (record, cell) in log.iter_mut().zip(column) {
+                record.shards.extend(cell.shards);
+            }
+        }
+        all
+    });
+    merged.expect("a run has at least one shard")
+}
+
+/// A barrier waiter's bounded spin before it parks: a few microseconds,
+/// about one short window, so waiting on a peer mid-window rarely pays for
+/// a park/unpark round trip.
+const SPIN_ITERS: u32 = 4096;
+
+/// One shard's barrier [`Report`] per step parity, `u64::MAX` standing for
+/// `None` (a timer at `Time::MAX` could never fire anyway: its horizon
+/// saturates), on a cache line of its own.
+#[derive(Default)]
+#[repr(align(64))]
+struct Slot([[AtomicU64; 2]; 2]);
+
+impl Slot {
+    // Relaxed suffices: a slot is written before its owner arrives at the
+    // barrier and read after the reader leaves it; the barrier orders both.
+    fn store(&self, parity: usize, report: Report) {
+        for (cell, value) in self.0[parity].iter().zip(report) {
+            cell.store(value.unwrap_or(u64::MAX), Ordering::Relaxed);
+        }
+    }
+
+    fn load(&self, parity: usize) -> Report {
+        self.0[parity]
+            .each_ref()
+            .map(|cell| Some(cell.load(Ordering::Relaxed)).filter(|&t| t != u64::MAX))
+    }
+}
+
+/// The coordinator-free barrier of one threaded run: an arrival counter and
+/// a generation word.
+///
+/// Memory ordering: every arrival is an `AcqRel` `fetch_add`, so the last
+/// arriver acquires all that each shard wrote before arriving (its report
+/// slot, its edge-queue pushes, the poison flag); it publishes them with a
+/// `Release` bump of `generation`, which waiters read with `Acquire`.
+struct Barrier {
+    arrived: AtomicUsize,
+    generation: AtomicU64,
+    /// Set by a shard that panicked. Every shard that stops, it included,
+    /// still arrives once without waiting, so no peer waits for it.
+    poisoned: AtomicBool,
+    /// Spin before parking only when each shard can hold a core of its own;
+    /// otherwise a spinning waiter takes the time slice its peer needs.
+    spin: bool,
+    /// Each shard's thread, registered at its first arrival, so the last
+    /// arriver can unpark them all.
+    threads: Vec<OnceLock<Thread>>,
+}
+
+impl Barrier {
+    fn new(shards: usize) -> Self {
+        Barrier {
+            arrived: AtomicUsize::new(0),
+            generation: AtomicU64::new(0),
+            poisoned: AtomicBool::new(false),
+            spin: thread::available_parallelism().is_ok_and(|p| p.get() >= shards),
+            threads: (0..shards).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    /// Counts one arrival. The last of all shards resets the count for the
+    /// next barrier, bumps the generation and unparks everyone else.
+    fn arrive(&self, shard: usize) {
+        self.threads[shard].get_or_init(thread::current);
+        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 < self.threads.len() {
+            return;
+        }
+        self.arrived.store(0, Ordering::Relaxed);
+        self.generation.fetch_add(1, Ordering::Release);
+        for (other, t) in self.threads.iter().enumerate() {
+            if other != shard {
+                t.get().expect("every arrived shard registered").unpark();
+            }
+        }
+    }
+
+    /// Arrives and waits for every other shard. `false` when a shard
+    /// panicked and the run must stop.
+    fn wait(&self, shard: usize) -> bool {
+        // Read before arriving: it cannot move until this shard arrives.
+        let generation = self.generation.load(Ordering::Acquire);
+        self.arrive(shard);
+        let mut spins = if self.spin { SPIN_ITERS } else { 0 };
+        while self.generation.load(Ordering::Acquire) == generation {
+            if spins > 0 {
+                spins -= 1;
+                std::hint::spin_loop();
+            } else {
+                // A stale or spurious wake-up just re-checks the generation.
+                thread::park();
+            }
+        }
+        !self.poisoned.load(Ordering::Relaxed)
+    }
+}
+
+/// Shard 0 runs on the calling thread, shards `1..n` on scoped threads.
+fn run_threaded<M, R>(cfg: &ShardConfig, mut builders: Vec<PhasedBuilder<M, R>>) -> ShardOutcome<R>
 where
     M: Send + 'static,
     R: Send + 'static,
 {
-    let n = cfg.shards;
-    let fabric = Arc::new(Fabric::new(n));
-    let observe = cfg.observe_windows;
-    let lookahead = cfg.lookahead;
-    let start = cfg.start;
-
-    let mut outcome = None;
-    // The first dead shard's panic payload, re-raised on the caller after
-    // the scope has wound everything down (`thread::scope`'s own
-    // propagation would wrap it in a generic "a scoped thread panicked").
-    let died: std::sync::Mutex<Option<Box<dyn std::any::Any + Send>>> = std::sync::Mutex::new(None);
-    std::thread::scope(|scope| {
-        // All channel endpoints are owned by this closure, so every exit
-        // path (including the early returns below) drops them, unblocks any
-        // surviving shard thread, and lets the scope join.
-        //
-        // A `None` reply marks a shard whose simulation panicked: the
-        // coordinator unwinds cleanly, and the caller re-raises the shard's
-        // original panic payload once the scope has joined.
-        let (reply_tx, reply_rx) = mpsc::channel::<(usize, Option<Reply>)>();
-        let (final_tx, final_rx) = mpsc::channel::<(usize, R, Time, u64)>();
-        let mut cmd_txs = Vec::with_capacity(n);
-        let mut cmd_rxs = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = mpsc::channel::<Cmd>();
-            cmd_txs.push(tx);
-            cmd_rxs.push(Some(rx));
-        }
-
-        for (shard, builder) in builders.into_iter().enumerate() {
-            let fabric = Arc::clone(&fabric);
-            let reply_tx = reply_tx.clone();
-            let final_tx = final_tx.clone();
-            let cmd_rx = cmd_rxs[shard].take().unwrap();
-            let died = &died;
-            scope.spawn(move || {
-                let fail_tx = reply_tx.clone();
-                let run = std::panic::AssertUnwindSafe(move || {
-                    let core = ShardCore::new(shard, n, lookahead, start, fabric);
-                    let ctx = ShardCtx {
-                        core: Rc::clone(&core),
-                    };
-                    let ShardPlan { shutdown, harvest } = builder(&ctx);
-                    let mut shutdown = Some(shutdown);
-                    // Initial report: spawned processes are runnable at t = 0.
-                    let _ = reply_tx.send((
-                        shard,
-                        Some(Reply {
-                            pending: core.pending(),
-                            sent_min: None,
-                            window: None,
-                        }),
-                    ));
-                    while let Ok(cmd) = cmd_rx.recv() {
-                        match cmd {
-                            Cmd::Window { horizon } => {
-                                let reply = shard_window(&core, horizon, observe);
-                                let _ = reply_tx.send((shard, Some(reply)));
-                            }
-                            Cmd::Drain => {
-                                if let Some(f) = shutdown.take() {
-                                    f();
-                                }
-                                let _ = reply_tx.send((
-                                    shard,
-                                    Some(Reply {
-                                        pending: core.pending(),
-                                        sent_min: core.sent_min.take(),
-                                        window: None,
-                                    }),
-                                ));
-                            }
-                            Cmd::Finish => {
-                                let _ = final_tx.send((
-                                    shard,
-                                    harvest(),
-                                    core.sim.now(),
-                                    core.sim.events(),
-                                ));
-                                break;
-                            }
-                        }
-                    }
-                });
-                if let Err(payload) = std::panic::catch_unwind(run) {
-                    died.lock().unwrap().get_or_insert(payload);
-                    let _ = fail_tx.send((shard, None));
+    let fabric = Arc::new(Fabric::new(cfg.shards));
+    let barrier = Barrier::new(cfg.shards);
+    let slots: Vec<Slot> = (0..cfg.shards).map(|_| Slot::default()).collect();
+    // The first panicking shard's payload, re-raised once every shard has
+    // stopped (`thread::scope` would replace it with a generic message).
+    let died = Mutex::new(None);
+    // One shard's whole run: build, steps separated by the barrier, harvest.
+    // `None` when this or another shard panicked.
+    let shard_main = |shard: usize, builder: PhasedBuilder<M, R>| {
+        let body = AssertUnwindSafe(|| {
+            let mut run = ShardRun::build(shard, cfg, Arc::clone(&fabric), builder);
+            // Sends made while building are reported after the first window.
+            slots[shard].store(0, [run.core.pending(), None]);
+            loop {
+                if !barrier.wait(shard) {
+                    return None;
                 }
-            });
-        }
-        drop(reply_tx);
-        drop(final_tx);
-
-        // Coordinator (this thread): lockstep windows until exhaustion.
-        // `collect` returns `None` when any shard died — the coordinator
-        // then drops the command channels so the surviving shards unwind,
-        // and the scope re-raises the dead shard's panic.
-        let mut pending = vec![None; n];
-        let mut sent = vec![None; n];
-        let collect = |pending: &mut Vec<Option<Time>>, sent: &mut Vec<Option<Time>>| {
-            let mut per_shard = Vec::new();
-            for _ in 0..n {
-                match reply_rx.recv() {
-                    Ok((shard, Some(reply))) => {
-                        pending[shard] = reply.pending;
-                        sent[shard] = reply.sent_min;
-                        if let Some(w) = reply.window {
-                            per_shard.push((shard, w));
-                        }
-                    }
-                    Ok((_, None)) | Err(_) => return None,
+                let parity = run.core.parity.get();
+                let horizon = next_horizon(slots.iter().map(|s| s.load(parity)), cfg.lookahead);
+                match run.step(horizon) {
+                    Some(report) => slots[shard].store(run.core.parity.get(), report),
+                    None => return Some(run.finish()),
                 }
             }
-            per_shard.sort_by_key(|&(s, _)| s);
-            Some(per_shard)
-        };
-
-        if collect(&mut pending, &mut sent).is_none() {
-            return;
-        }
-        let mut windows = 0u64;
-        let mut log = observe.then(Vec::new);
-        let mut drained = false;
-        loop {
-            while let Some(horizon) = next_horizon(&pending, &sent, lookahead) {
-                for tx in &cmd_txs {
-                    let _ = tx.send(Cmd::Window { horizon });
-                }
-                let Some(per_shard) = collect(&mut pending, &mut sent) else {
-                    return;
-                };
-                windows += 1;
-                if let Some(log) = log.as_mut() {
-                    log.push(WindowRecord {
-                        horizon,
-                        shards: per_shard.into_iter().map(|(_, w)| w).collect(),
-                    });
-                }
-            }
-            if drained {
-                break;
-            }
-            // Global drain boundary: everything is exhausted, so no shard
-            // can still send to a queue another shard is about to close.
-            drained = true;
-            for tx in &cmd_txs {
-                let _ = tx.send(Cmd::Drain);
-            }
-            if collect(&mut pending, &mut sent).is_none() {
-                return;
-            }
-        }
-        for tx in &cmd_txs {
-            let _ = tx.send(Cmd::Finish);
-        }
-        let mut finals = Vec::with_capacity(n);
-        for _ in 0..n {
-            match final_rx.recv() {
-                Ok(f) => finals.push(f),
-                Err(_) => return, // a shard died during harvest
-            }
-        }
-        finals.sort_by_key(|&(s, ..)| s);
-        let elapsed = finals.iter().map(|&(_, _, now, _)| now).max().unwrap_or(0);
-        let events = finals.iter().map(|&(.., ev)| ev).sum();
-        outcome = Some(ShardOutcome {
-            results: finals.into_iter().map(|(_, r, ..)| r).collect(),
-            elapsed,
-            events,
-            windows,
-            window_log: log,
         });
+        let share = catch_unwind(body).unwrap_or_else(|payload| {
+            died.lock()
+                .expect("nothing panics while holding the payload lock")
+                .get_or_insert(payload);
+            barrier.poisoned.store(true, Ordering::Relaxed);
+            None
+        });
+        // A stopping shard, the one that panicked or one that saw the flag,
+        // arrives once more without waiting: a peer that read the flag clear
+        // may already wait at the next barrier.
+        if share.is_none() {
+            barrier.arrive(shard);
+        }
+        share
+    };
+    let first = builders.remove(0);
+    let shares: Option<Vec<_>> = thread::scope(|scope| {
+        let shard_main = &shard_main;
+        let spawned: Vec<_> = builders
+            .into_iter()
+            .enumerate()
+            .map(|(i, builder)| scope.spawn(move || shard_main(i + 1, builder)))
+            .collect();
+        let first = shard_main(0, first);
+        let rest = spawned.into_iter().map(|h| h.join().expect("caught there"));
+        std::iter::once(first).chain(rest).collect()
     });
-    if let Some(payload) = died.into_inner().unwrap() {
-        std::panic::resume_unwind(payload);
+    if let Some(payload) = died.into_inner().expect("payload lock") {
+        resume_unwind(payload);
     }
-    outcome.expect("a shard exited without an outcome or a panic")
+    merge(shares.expect("a shard stopped with neither an outcome nor a panic"))
 }
 
 /// The serial oracle: identical protocol, every shard on this thread,
-/// windows replayed in shard order.
+/// steps replayed in shard order.
 #[cfg(any(test, feature = "serial-shards"))]
 fn run_serial<M, R>(cfg: &ShardConfig, builders: Vec<PhasedBuilder<M, R>>) -> ShardOutcome<R>
 where
     M: Send + 'static,
     R: Send + 'static,
 {
-    let n = cfg.shards;
-    let fabric = Arc::new(Fabric::new(n));
-    let mut cores = Vec::with_capacity(n);
-    let mut shutdowns = Vec::with_capacity(n);
-    let mut harvests = Vec::with_capacity(n);
-    for (shard, builder) in builders.into_iter().enumerate() {
-        let core = ShardCore::new(shard, n, cfg.lookahead, cfg.start, Arc::clone(&fabric));
-        let ctx = ShardCtx {
-            core: Rc::clone(&core),
-        };
-        let ShardPlan { shutdown, harvest } = builder(&ctx);
-        shutdowns.push(shutdown);
-        harvests.push(harvest);
-        cores.push(core);
-    }
-    let mut pending: Vec<Option<Time>> = cores.iter().map(|c| c.pending()).collect();
-    let mut sent: Vec<Option<Time>> = vec![None; n];
-    let mut windows = 0u64;
-    let mut log = cfg.observe_windows.then(Vec::new);
-    let mut drained = false;
+    let fabric = Arc::new(Fabric::new(cfg.shards));
+    let mut runs: Vec<ShardRun<M, R>> = builders
+        .into_iter()
+        .enumerate()
+        .map(|(shard, b)| ShardRun::build(shard, cfg, Arc::clone(&fabric), b))
+        .collect();
+    let mut reports: Vec<Report> = runs.iter().map(|r| [r.core.pending(), None]).collect();
+    // Every shard agrees on each step, so all of them stop at the same one.
     loop {
-        while let Some(horizon) = next_horizon(&pending, &sent, cfg.lookahead) {
-            let mut per_shard = Vec::new();
-            for (shard, core) in cores.iter().enumerate() {
-                let reply = shard_window(core, horizon, cfg.observe_windows);
-                pending[shard] = reply.pending;
-                sent[shard] = reply.sent_min;
-                if let Some(w) = reply.window {
-                    per_shard.push(w);
-                }
-            }
-            windows += 1;
-            if let Some(log) = log.as_mut() {
-                log.push(WindowRecord {
-                    horizon,
-                    shards: per_shard,
-                });
-            }
-        }
-        if drained {
-            break;
-        }
-        drained = true;
-        for (shard, shutdown) in shutdowns.drain(..).enumerate() {
-            shutdown();
-            pending[shard] = cores[shard].pending();
-            sent[shard] = cores[shard].sent_min.take();
+        let horizon = next_horizon(reports.iter().copied(), cfg.lookahead);
+        match runs.iter_mut().map(|r| r.step(horizon)).collect() {
+            Some(next) => reports = next,
+            None => break,
         }
     }
-    let elapsed = cores.iter().map(|c| c.sim.now()).max().unwrap_or(0);
-    let events = cores.iter().map(|c| c.sim.events()).sum();
-    ShardOutcome {
-        results: harvests.into_iter().map(|h| h()).collect(),
-        elapsed,
-        events,
-        windows,
-        window_log: log,
-    }
+    merge(runs.into_iter().map(ShardRun::finish))
 }
 
 #[cfg(test)]
@@ -945,31 +944,93 @@ mod tests {
         );
     }
 
+    /// Window for window, at a width where barrier waiters may spin and at
+    /// one past the host's cores, where spinning is off and every wait parks.
     #[test]
     fn threaded_and_serial_agree_exactly() {
-        let mk = |mode| {
-            let mut cfg = ShardConfig::new(4, ns(3));
-            cfg.mode = mode;
-            cfg.observe_windows = true;
-            run_sharded(&cfg, ring_builders(4, ns(3), 48))
-        };
-        let threaded = mk(ExecMode::Threaded);
-        let serial = mk(ExecMode::Serial);
-        assert_eq!(threaded.results, serial.results);
-        assert_eq!(threaded.elapsed, serial.elapsed);
-        assert_eq!(threaded.events, serial.events);
-        assert_eq!(threaded.windows, serial.windows);
-        let (tl, sl) = (
-            threaded.window_log.as_ref().unwrap(),
-            serial.window_log.as_ref().unwrap(),
+        let cores = thread::available_parallelism().map_or(1, |p| p.get());
+        assert!(
+            !Barrier::new(cores + 2).spin,
+            "past the core count waits park"
         );
-        assert_eq!(tl.len(), sl.len());
-        for (t, s) in tl.iter().zip(sl) {
-            assert_eq!(t.horizon, s.horizon);
-            for (a, b) in t.shards.iter().zip(&s.shards) {
-                assert_eq!((a.before, a.after, a.fired), (b.before, b.after, b.fired));
+        for n in [4, cores + 2] {
+            let mk = |mode| {
+                let mut cfg = ShardConfig::new(n, ns(3));
+                cfg.mode = mode;
+                cfg.observe_windows = true;
+                run_sharded(&cfg, ring_builders(n, ns(3), 48))
+            };
+            let threaded = mk(ExecMode::Threaded);
+            let serial = mk(ExecMode::Serial);
+            assert_eq!(
+                threaded.results.iter().sum::<u64>(),
+                48,
+                "{n} shards dropped hops"
+            );
+            assert_eq!(threaded.results, serial.results);
+            assert_eq!(threaded.elapsed, serial.elapsed);
+            assert_eq!(threaded.events, serial.events);
+            assert_eq!(threaded.windows, serial.windows);
+            let (tl, sl) = (
+                threaded.window_log.as_ref().unwrap(),
+                serial.window_log.as_ref().unwrap(),
+            );
+            assert_eq!(tl.len(), sl.len());
+            for (t, s) in tl.iter().zip(sl) {
+                assert_eq!(t.horizon, s.horizon);
+                for (a, b) in t.shards.iter().zip(&s.shards) {
+                    assert_eq!((a.before, a.after, a.fired), (b.before, b.after, b.fired));
+                }
             }
         }
+    }
+
+    /// Every shard sleeps one lookahead per window; shard `victim` panics
+    /// in its sixth window while its peers, with nothing else to do, wait
+    /// at the barrier. Without the poison flag the run would never end.
+    fn run_with_panicking_shard(n: usize, victim: usize) {
+        let builders: Vec<Builder<u32, ()>> = (0..n)
+            .map(|shard| {
+                let b: Builder<u32, ()> = Box::new(move |ctx: &ShardCtx<u32>| {
+                    let (sim, lookahead) = (ctx.sim().clone(), ctx.lookahead());
+                    ctx.sim().spawn(async move {
+                        for window in 0..10_000 {
+                            sim.sleep(lookahead).await;
+                            if shard == victim && window == 5 {
+                                panic!("deliberate failure on shard {shard}");
+                            }
+                        }
+                    });
+                    Box::new(|| ())
+                });
+                b
+            })
+            .collect();
+        run_sharded(&ShardConfig::new(n, ns(1)), builders);
+    }
+
+    #[test]
+    #[should_panic(expected = "deliberate failure on shard 1")]
+    fn a_panicking_last_shard_stops_two_shards() {
+        run_with_panicking_shard(2, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "deliberate failure on shard 3")]
+    fn a_panicking_last_shard_stops_four_shards() {
+        run_with_panicking_shard(4, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "deliberate failure on shard 0")]
+    fn a_panicking_caller_shard_stops_two_shards() {
+        run_with_panicking_shard(2, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "deliberate failure on shard 0")]
+    fn a_panicking_caller_shard_stops_four_shards() {
+        run_with_panicking_shard(4, 0);
     }
 
     #[test]
