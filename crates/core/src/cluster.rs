@@ -1014,8 +1014,10 @@ impl Cluster {
     }
 
     /// Runs the simulation until the given application processes complete,
-    /// then shuts the machine down and drains remaining events. Returns the
-    /// simulated completion time of the *applications* and their outputs.
+    /// then shuts the machine down, drains remaining events and releases
+    /// the processes left blocked forever (see [`Sim::release_blocked`]).
+    /// Returns the simulated completion time of the *applications* and
+    /// their outputs.
     ///
     /// # Panics
     ///
@@ -1033,6 +1035,9 @@ impl Cluster {
             .expect("application processes deadlocked; check for missing sends/receives");
         self.shutdown();
         sim.run();
+        // Whatever still waits now waits forever (an acceptor loop, a
+        // dispatch loop); it holds this cluster, so release it.
+        sim.release_blocked();
         (t, out)
     }
 

@@ -186,9 +186,15 @@ impl Nic {
                 power_epoch: Cell::new(0),
             }),
         };
-        // The Xpress-bus board: snoop every main-memory write.
-        let snoop = nic.clone();
-        mem.set_snoop(move |addr, data| snoop.snoop_store(addr, data));
+        // The Xpress-bus board: snoop every main-memory write. The hook
+        // holds a weak reference: the board owns the memory, so a strong
+        // one would keep both alive forever; a dropped board snoops nothing.
+        let board = Rc::downgrade(&nic.inner);
+        mem.set_snoop(move |addr, data| {
+            if let Some(inner) = board.upgrade() {
+                Nic { inner }.snoop_store(addr, data);
+            }
+        });
         nic
     }
 
@@ -1774,5 +1780,41 @@ mod tests {
         // The nack itself was corrupted in flight (100% rate) and dropped
         // silently at the sender.
         assert_eq!(r.nics[0].counters().corrupt_detected.get(), 1);
+    }
+
+    #[test]
+    fn a_dropped_board_leaves_its_memory_snooping_nothing() {
+        let sim = Sim::new();
+        let net: ShrimpNetwork = Network::new(sim.clone(), MeshConfig::shrimp_4x4(), 2);
+        let mem = NodeMem::new();
+        let page = mem.alloc_pages(1);
+        mem.set_cache_mode(page, CacheMode::WriteThrough);
+        let bus = MemBus::shrimp_default();
+        let nic = Nic::new(sim, NodeId(0), NicConfig::default(), mem.clone(), bus, net);
+        nic.opt_set(
+            page,
+            OptEntry {
+                dst_node: NodeId(1),
+                dst_page: 0,
+                au_enable: true,
+                combine: false,
+                interrupt: false,
+            },
+        );
+        mem.cpu_store(Paddr::from_parts(page, 0), &[1; 4]);
+        assert_eq!(
+            nic.counters().au_stores.get(),
+            1,
+            "the hook reaches a live board"
+        );
+
+        let board = Rc::downgrade(&nic.inner);
+        drop(nic);
+        assert!(
+            board.upgrade().is_none(),
+            "the snoop hook kept the board alive"
+        );
+        // The memory outlives its board; a store to it snoops nothing.
+        mem.cpu_store(Paddr::from_parts(page, 8), &[2; 4]);
     }
 }

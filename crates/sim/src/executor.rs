@@ -310,6 +310,23 @@ impl TaskSlab {
         }
     }
 
+    /// Takes the future out of every live slot not being polled and frees
+    /// the slot; stale wakes for these tasks stay inert.
+    fn release_live(&mut self) -> Vec<BoxFuture> {
+        let mut released = Vec::new();
+        for idx in 0..self.slots.len() {
+            let SlotState::Live { fut, .. } = &mut self.slots[idx].state else {
+                continue;
+            };
+            let Some(fut) = fut.take() else {
+                continue; // mid-poll: the running task is not blocked
+            };
+            released.push(fut);
+            self.complete(task_id(idx as u32, self.slots[idx].gen));
+        }
+        released
+    }
+
     fn complete(&mut self, id: TaskId) {
         let (idx, _) = split_id(id);
         let slot = &mut self.slots[idx as usize];
@@ -575,6 +592,25 @@ impl Sim {
         t
     }
 
+    /// Releases every process that is blocked forever: drops its future,
+    /// and with it all the process captured, and frees its slot, so
+    /// [`Sim::live_tasks`] reads 0 afterwards. A run calls this at its end:
+    /// a blocked process often holds handles to the components that own
+    /// this `Sim`, a cycle that would otherwise keep the whole simulated
+    /// machine alive.
+    ///
+    /// Does nothing while a timer pends or a process is runnable, since a
+    /// blocked process might still be woken. The futures leave the task
+    /// slab before any is dropped, so their `Drop` code may use the `Sim`.
+    pub fn release_blocked(&self) {
+        if self.has_runnable() || self.next_deadline().is_some() {
+            return;
+        }
+        // The slab borrow ends with this statement, before any drop runs.
+        let released = self.inner.tasks.borrow_mut().release_live();
+        drop(released);
+    }
+
     /// Earliest pending timer deadline, or `None` when no timer is
     /// scheduled. Woken-but-unpolled processes are *not* timers; see
     /// [`Sim::has_runnable`]. The sharded conservative-parallel runner
@@ -825,6 +861,7 @@ pub async fn join_all<T>(handles: Vec<TaskHandle<T>>) -> Vec<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::queue::Queue;
     use crate::time::{ns, us};
 
     #[test]
@@ -1086,5 +1123,60 @@ mod tests {
         }
         // 50 sequential tasks must reuse one slot, not grow 50.
         assert!(sim.inner.tasks.borrow().slots.len() <= 2);
+    }
+
+    /// Touches the simulator's task slab when dropped.
+    struct CountsTasksOnDrop(Sim);
+
+    impl Drop for CountsTasksOnDrop {
+        fn drop(&mut self) {
+            self.0.live_tasks();
+        }
+    }
+
+    #[test]
+    fn release_blocked_frees_what_a_blocked_process_captured() {
+        let sim = Sim::new();
+        let queue: Queue<u32> = Queue::new();
+        let captured = Rc::new(());
+        let (q, held, guard) = (
+            queue.clone(),
+            captured.clone(),
+            CountsTasksOnDrop(sim.clone()),
+        );
+        sim.spawn(async move {
+            let _held = (held, guard);
+            q.recv().await;
+        });
+        sim.run();
+        assert_eq!((sim.live_tasks(), Rc::strong_count(&captured)), (1, 2));
+
+        sim.release_blocked();
+        assert_eq!(sim.live_tasks(), 0);
+        assert_eq!(Rc::strong_count(&captured), 1, "the future was not dropped");
+        // A late send wakes the released process's stale id: inert.
+        let events = sim.events();
+        queue.send(1);
+        sim.run();
+        assert_eq!((sim.live_tasks(), sim.events()), (0, events));
+    }
+
+    #[test]
+    fn release_blocked_waits_while_a_timer_pends_or_a_process_is_runnable() {
+        let sim = Sim::new();
+        let queue: Queue<u32> = Queue::new();
+        let q = queue.clone();
+        let h = sim.spawn(async move { q.recv().await });
+        sim.release_blocked(); // spawned, not yet polled: runnable
+        assert_eq!(sim.live_tasks(), 1);
+
+        sim.schedule(ns(5), move || queue.send(7));
+        sim.run_for(ns(1)); // the process now waits on the timer's send
+        assert!(!sim.has_runnable());
+        sim.release_blocked();
+        assert_eq!(sim.live_tasks(), 1);
+
+        sim.run();
+        assert_eq!(h.try_take(), Some(Some(7)));
     }
 }

@@ -662,10 +662,16 @@ impl<M: 'static, R> ShardRun<M, R> {
         Some([core.pending(), core.sent_min.take()])
     }
 
-    /// This shard's share of the run's outcome.
+    /// This shard's share of the run's outcome. Once harvested, the shard
+    /// lets go of its world: the delivery handler (which holds the shard's
+    /// backplane, whose sender holds this core) and every process still
+    /// blocked.
     fn finish(self) -> ShardOutcome<R> {
+        let results = vec![(self.harvest)()];
+        self.core.handler.take();
+        self.core.sim.release_blocked();
         ShardOutcome {
-            results: vec![(self.harvest)()],
+            results,
             elapsed: self.core.sim.now(),
             events: self.core.sim.events(),
             windows: self.windows,
@@ -1153,5 +1159,35 @@ mod tests {
             })
             .collect();
         run_sharded(&ShardConfig::new(2, ns(10)), builders);
+    }
+
+    /// The delivery handler holds the shard's own sender, as a sharded
+    /// backplane's does; the finished run must still drop it, and with it
+    /// what it captured, on the fast path and the threaded runner alike.
+    #[test]
+    fn a_finished_run_drops_its_delivery_handler() {
+        for n in [1usize, 2] {
+            let sentinel = Arc::new(());
+            let builders: Vec<Builder<u32, ()>> = (0..n)
+                .map(|shard| {
+                    let sentinel = Arc::clone(&sentinel);
+                    let b: Builder<u32, ()> = Box::new(move |ctx: &ShardCtx<u32>| {
+                        let tx = ctx.sender();
+                        ctx.on_message(move |_, _| {
+                            let _ = (&tx, &sentinel);
+                        });
+                        ctx.send((shard + 1) % n, ns(10), 0);
+                        Box::new(|| ())
+                    });
+                    b
+                })
+                .collect();
+            run_sharded(&ShardConfig::new(n, ns(10)), builders);
+            assert_eq!(
+                Arc::strong_count(&sentinel),
+                1,
+                "{n} shard(s) kept the handler alive"
+            );
+        }
     }
 }
