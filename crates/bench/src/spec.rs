@@ -958,7 +958,11 @@ impl RunRecord {
     /// the wrapping sum of the node results; `recovery` adds the recovery
     /// block (chaos and reliability rows) and `kv` is the service block of
     /// [`App::KvNodes`] rows.
-    fn from_launch(out: &LaunchOutcome, recovery: bool, kv: Option<KvMetrics>) -> Self {
+    ///
+    /// Public so a driver that calls `launch()` itself, such as the
+    /// isolated host-time benchmark, builds byte-identical records through
+    /// this same conversion instead of a copy of it.
+    pub fn from_launch(out: &LaunchOutcome, recovery: bool, kv: Option<KvMetrics>) -> Self {
         RunRecord {
             elapsed: out.elapsed,
             checksum: out

@@ -15,7 +15,6 @@
 //! to it exactly, and its outcome is byte-identical at any shard count.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
@@ -31,7 +30,7 @@ use shrimp_sim::metrics::MetricsSnapshot;
 use shrimp_sim::shard::{
     run_sharded_phased, PhasedBuilder, ShardConfig, ShardCtx, ShardPlan, Shards,
 };
-use shrimp_sim::{Queue, Sim, Time};
+use shrimp_sim::{FastMap, Queue, Sim, Time};
 
 use crate::checkpoint::NodeState;
 use crate::config::DesignConfig;
@@ -79,7 +78,7 @@ pub(crate) struct Node {
     pub(crate) space: AddressSpace,
     pub(crate) stats: Rc<NodeStats>,
     /// physical page -> (export, page index within export); set at export.
-    pub(crate) page_dir: RefCell<HashMap<u64, (u32, usize)>>,
+    pub(crate) page_dir: RefCell<FastMap<u64, (u32, usize)>>,
     pub(crate) notifications_blocked: Cell<bool>,
     pub(crate) pending_notifications: RefCell<Vec<(u32, Notification)>>,
 }
@@ -751,7 +750,7 @@ fn assemble(
             nic,
             cpu,
             stats: Rc::new(NodeStats::new()),
-            page_dir: RefCell::new(HashMap::new()),
+            page_dir: RefCell::new(FastMap::default()),
             notifications_blocked: Cell::new(false),
             pending_notifications: RefCell::new(Vec::new()),
         });

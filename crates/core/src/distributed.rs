@@ -462,18 +462,20 @@ async fn run_chaos_node(
             let mut last_heard = vec![start; n];
             let mut deadline = vec![start + det.lease; n];
             let mut attempt = vec![0u32; n];
+            let mut slots = vec![0u8; ctrl_len];
             loop {
                 sim.sleep(det.period).await;
                 let now = sim.now();
                 if sh.halt.get() || now >= abort_at {
                     break;
                 }
-                for q in 0..n {
+                // One read of the whole control buffer: nothing below
+                // awaits, so every slot is sampled at this same instant.
+                vmmc.space().read(ctrl, &mut slots);
+                for (q, b) in slots.chunks_exact(CTRL_SLOT).enumerate() {
                     if q == me {
                         continue;
                     }
-                    let mut b = [0u8; CTRL_SLOT];
-                    vmmc.space().read(ctrl.add((q * CTRL_SLOT) as u64), &mut b);
                     let hb = u64::from_le_bytes(b[..8].try_into().unwrap());
                     let done = u64::from_le_bytes(b[8..].try_into().unwrap());
                     let view = &sh.peers[q];

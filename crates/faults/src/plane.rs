@@ -1,11 +1,10 @@
 //! The seeded fault plane that turns a scenario into individual faults.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use shrimp_sim::rng::{rng_for_entity, SimRng};
-use shrimp_sim::Time;
+use shrimp_sim::{FastMap, Time};
 
 use crate::scenario::{FaultScenario, NodeCrash};
 
@@ -56,7 +55,7 @@ struct PlaneInner {
     scenario: FaultScenario,
     /// One RNG stream per directed mesh edge `(src, dst)`, derived lazily
     /// from `(scenario.seed, edge)` on the edge's first packet.
-    edges: RefCell<HashMap<(usize, usize), SimRng>>,
+    edges: RefCell<FastMap<(usize, usize), SimRng>>,
     stats: FaultStats,
 }
 
@@ -94,7 +93,7 @@ impl FaultPlane {
         FaultPlane {
             inner: Rc::new(PlaneInner {
                 scenario,
-                edges: RefCell::new(HashMap::new()),
+                edges: RefCell::new(FastMap::default()),
                 stats: FaultStats::default(),
             }),
         }

@@ -2,10 +2,9 @@
 //! the NIC snoop hook, and per-page write watchers.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
-use shrimp_sim::Gate;
+use shrimp_sim::{FastMap, Gate};
 
 use crate::addr::{page_chunks, Paddr, PAGE_SIZE};
 
@@ -26,12 +25,12 @@ pub enum CacheMode {
 type SnoopFn = Box<dyn Fn(Paddr, &[u8])>;
 
 struct NodeMemInner {
-    pages: RefCell<HashMap<u64, Box<[u8; PAGE_SIZE]>>>,
-    cache_modes: RefCell<HashMap<u64, CacheMode>>,
-    pinned: RefCell<HashMap<u64, u32>>, // pin counts
+    pages: RefCell<FastMap<u64, Box<[u8; PAGE_SIZE]>>>,
+    cache_modes: RefCell<FastMap<u64, CacheMode>>,
+    pinned: RefCell<FastMap<u64, u32>>, // pin counts
     next_phys_page: RefCell<u64>,
     snoop: RefCell<Option<SnoopFn>>,
-    write_gates: RefCell<HashMap<u64, Gate>>,
+    write_gates: RefCell<FastMap<u64, Gate>>,
     any_write_gate: Gate,
 }
 
@@ -63,12 +62,12 @@ impl NodeMem {
     pub fn new() -> Self {
         NodeMem {
             inner: Rc::new(NodeMemInner {
-                pages: RefCell::new(HashMap::new()),
-                cache_modes: RefCell::new(HashMap::new()),
-                pinned: RefCell::new(HashMap::new()),
+                pages: RefCell::new(FastMap::default()),
+                cache_modes: RefCell::new(FastMap::default()),
+                pinned: RefCell::new(FastMap::default()),
                 next_phys_page: RefCell::new(1), // page 0 reserved (null)
                 snoop: RefCell::new(None),
-                write_gates: RefCell::new(HashMap::new()),
+                write_gates: RefCell::new(FastMap::default()),
                 any_write_gate: Gate::new(),
             }),
         }

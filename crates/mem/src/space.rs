@@ -5,15 +5,16 @@
 //! export/import/bind time — exactly the design challenge §1.1 describes.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
+
+use shrimp_sim::FastMap;
 
 use crate::addr::{page_chunks, Paddr, Vaddr, PAGE_SIZE};
 use crate::node::NodeMem;
 
 struct SpaceInner {
     mem: NodeMem,
-    table: RefCell<HashMap<u64, u64>>, // virt page -> phys page
+    table: RefCell<FastMap<u64, u64>>, // virt page -> phys page
     next_virt_page: RefCell<u64>,
 }
 
@@ -37,7 +38,7 @@ impl AddressSpace {
         AddressSpace {
             inner: Rc::new(SpaceInner {
                 mem,
-                table: RefCell::new(HashMap::new()),
+                table: RefCell::new(FastMap::default()),
                 // Leave a guard gap at virtual 0.
                 next_virt_page: RefCell::new(16),
             }),

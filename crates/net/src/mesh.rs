@@ -2,13 +2,13 @@
 
 use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use std::rc::Rc;
 
 use shrimp_faults::{FaultPlane, PacketFate, ShrimpError};
 use shrimp_sim::shard::ShardSender;
 use shrimp_sim::sync::Resource;
-use shrimp_sim::{time, Queue, Sim, Time};
+use shrimp_sim::{time, FastMap, Queue, Sim, Time};
 
 use crate::stats::NetStats;
 
@@ -173,7 +173,7 @@ struct Decoupled<P> {
     /// Cross-shard channel to the peer backplanes.
     sender: ShardSender<Flit<P>>,
     /// Last granted arrival per (src, dst) pair, for the no-overtake clamp.
-    last_arrival: RefCell<HashMap<(usize, usize), Time>>,
+    last_arrival: RefCell<FastMap<(usize, usize), Time>>,
     /// Per-destination reorder heaps (only owned destinations are used).
     heaps: RefCell<Vec<BinaryHeap<Reverse<HeapEntry<P>>>>>,
     /// Instant for which a drain of the node's heap is already scheduled.
@@ -182,7 +182,7 @@ struct Decoupled<P> {
 
 struct Channels {
     // Directed router-to-router links.
-    links: HashMap<(usize, usize), Resource>,
+    links: FastMap<(usize, usize), Resource>,
     // Node-to-router and router-to-node channels.
     inject: Vec<Resource>,
     eject: Vec<Resource>,
@@ -245,7 +245,7 @@ impl<P: 'static> Network<P> {
             cfg.capacity()
         );
         let channels = Channels {
-            links: HashMap::new(),
+            links: FastMap::default(),
             inject: (0..n_nodes).map(|_| Resource::new()).collect(),
             eject: (0..n_nodes).map(|_| Resource::new()).collect(),
             loopback: (0..n_nodes).map(|_| Resource::new()).collect(),
@@ -293,7 +293,7 @@ impl<P: 'static> Network<P> {
             shard: sender.shard(),
             shard_map,
             sender,
-            last_arrival: RefCell::new(HashMap::new()),
+            last_arrival: RefCell::new(FastMap::default()),
             heaps: RefCell::new((0..n_nodes).map(|_| BinaryHeap::new()).collect()),
             drain_at: (0..n_nodes).map(|_| Cell::new(0)).collect(),
         };
@@ -302,7 +302,7 @@ impl<P: 'static> Network<P> {
                 sim,
                 cfg,
                 channels: RefCell::new(Channels {
-                    links: HashMap::new(),
+                    links: FastMap::default(),
                     inject: Vec::new(),
                     eject: Vec::new(),
                     loopback: Vec::new(),

@@ -26,13 +26,23 @@ impl PacketKind {
     }
 }
 
-/// FNV-1a over the payload bytes; the per-packet integrity check carried in
-/// the header.
+/// The per-packet integrity check carried in the header: the payload length,
+/// then the payload as 8-byte little-endian words (the tail zero-padded),
+/// each folded in as `h = (h ^ w) * K`. With `K` odd every step is a
+/// bijection of `h`, so any change confined to one word changes the result.
 pub fn payload_checksum(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let mut h = 0xcbf2_9ce4_8422_2325 ^ data.len() as u64;
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        h = (h ^ u64::from_le_bytes(w.try_into().expect("chunks_exact yields 8 bytes")))
+            .wrapping_mul(K);
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut w = [0u8; 8];
+        w[..tail.len()].copy_from_slice(tail);
+        h = (h ^ u64::from_le_bytes(w)).wrapping_mul(K);
     }
     h
 }

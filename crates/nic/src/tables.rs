@@ -6,11 +6,15 @@
 //! addressed through proxy indices; we keep both in one table with proxy
 //! indices allocated from a high range (mirroring the single physical OPT
 //! RAM of the real board).
+//!
+//! Proxy indices come from one contiguous allocator, so that region is
+//! stored densely, indexed by `index - PROXY_INDEX_BASE`; only the sparse
+//! physical-page entries live in a map.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 
 use shrimp_net::NodeId;
+use shrimp_sim::FastMap;
 
 /// First OPT index used for proxy (import) entries, far above any physical
 /// page number a node can own.
@@ -47,19 +51,34 @@ pub struct IptEntry {
 }
 
 /// The two page tables of one NIC.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct PageTables {
-    opt: RefCell<HashMap<u64, OptEntry>>,
-    ipt: RefCell<HashMap<u64, IptEntry>>,
+    /// OPT entries at physical page numbers (below [`PROXY_INDEX_BASE`]).
+    opt: RefCell<FastMap<u64, OptEntry>>,
+    /// OPT entries at proxy indices, slot `i` holding `PROXY_INDEX_BASE + i`.
+    proxies: RefCell<Vec<Option<OptEntry>>>,
+    ipt: RefCell<FastMap<u64, IptEntry>>,
     next_proxy: RefCell<u64>,
+}
+
+impl Default for PageTables {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// The dense slot of a proxy OPT index; `None` for a physical page.
+fn proxy_slot(index: u64) -> Option<usize> {
+    index.checked_sub(PROXY_INDEX_BASE).map(|i| i as usize)
 }
 
 impl PageTables {
     /// Creates empty tables.
     pub fn new() -> Self {
         PageTables {
-            opt: RefCell::new(HashMap::new()),
-            ipt: RefCell::new(HashMap::new()),
+            opt: RefCell::new(FastMap::default()),
+            proxies: RefCell::new(Vec::new()),
+            ipt: RefCell::new(FastMap::default()),
             next_proxy: RefCell::new(PROXY_INDEX_BASE),
         }
     }
@@ -69,6 +88,7 @@ impl PageTables {
     /// export/import sequence reallocates the same proxy indices.
     pub fn clear(&self) {
         self.opt.borrow_mut().clear();
+        self.proxies.borrow_mut().clear();
         self.ipt.borrow_mut().clear();
         *self.next_proxy.borrow_mut() = PROXY_INDEX_BASE;
     }
@@ -82,19 +102,44 @@ impl PageTables {
         first
     }
 
-    /// Installs or replaces an OPT entry.
+    /// Installs or replaces an OPT entry. A proxy index should come from
+    /// [`alloc_proxy_range`](Self::alloc_proxy_range): the proxy region is
+    /// stored densely up to the highest index ever set.
     pub fn opt_set(&self, index: u64, entry: OptEntry) {
-        self.opt.borrow_mut().insert(index, entry);
+        match proxy_slot(index) {
+            Some(i) => {
+                let mut proxies = self.proxies.borrow_mut();
+                if proxies.len() <= i {
+                    proxies.resize(i + 1, None);
+                }
+                proxies[i] = Some(entry);
+            }
+            None => {
+                self.opt.borrow_mut().insert(index, entry);
+            }
+        }
     }
 
     /// Removes an OPT entry.
     pub fn opt_clear(&self, index: u64) {
-        self.opt.borrow_mut().remove(&index);
+        match proxy_slot(index) {
+            Some(i) => {
+                if let Some(slot) = self.proxies.borrow_mut().get_mut(i) {
+                    *slot = None;
+                }
+            }
+            None => {
+                self.opt.borrow_mut().remove(&index);
+            }
+        }
     }
 
     /// Looks up an OPT entry.
     pub fn opt_get(&self, index: u64) -> Option<OptEntry> {
-        self.opt.borrow().get(&index).copied()
+        match proxy_slot(index) {
+            Some(i) => self.proxies.borrow().get(i).copied().flatten(),
+            None => self.opt.borrow().get(&index).copied(),
+        }
     }
 
     /// Installs or replaces an IPT entry.
@@ -130,11 +175,18 @@ impl PageTables {
     }
 
     /// Every OPT entry, sorted by index — the deterministic table image a
-    /// checkpoint stores.
+    /// checkpoint stores. Physical pages all sort below the proxy region,
+    /// so the sorted map part is followed by the proxy slots in order.
     pub fn opt_entries(&self) -> Vec<(u64, OptEntry)> {
         let mut out: Vec<(u64, OptEntry)> =
             self.opt.borrow().iter().map(|(&i, &e)| (i, e)).collect();
         out.sort_unstable_by_key(|&(i, _)| i);
+        let proxies = self.proxies.borrow();
+        out.extend(
+            (PROXY_INDEX_BASE..)
+                .zip(proxies.iter())
+                .filter_map(|(i, e)| e.map(|e| (i, e))),
+        );
         out
     }
 
@@ -151,6 +203,9 @@ impl PageTables {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use shrimp_testkit::prop::*;
+    use shrimp_testkit::{prop_assert_eq, props};
+    use std::collections::BTreeMap;
 
     fn entry(node: usize) -> OptEntry {
         OptEntry {
@@ -179,6 +234,53 @@ mod tests {
         let b = t.alloc_proxy_range(2);
         assert!(a >= PROXY_INDEX_BASE);
         assert_eq!(b, a + 4);
+    }
+
+    props! {
+        cases = 64;
+
+        /// Random OPT edits on physical pages and proxy indices, with power
+        /// cycles in between, give the lookups and the sorted table image
+        /// of an ordered reference map.
+        fn opt_matches_ordered_reference(
+            ops in vec_of(zip3(u8_in(0..16), u64_in(0..64), any_u8()), 1..200),
+        ) {
+            let t = PageTables::new();
+            let mut model = BTreeMap::new();
+            let index_of = |k: u64| {
+                if k < 32 {
+                    k + 1
+                } else {
+                    PROXY_INDEX_BASE + k - 32
+                }
+            };
+            for &(op, k, node) in &ops {
+                let index = index_of(k);
+                match op {
+                    0..=9 => {
+                        t.opt_set(index, entry(node as usize));
+                        model.insert(index, entry(node as usize));
+                    }
+                    10..=14 => {
+                        t.opt_clear(index);
+                        model.remove(&index);
+                    }
+                    _ => {
+                        t.alloc_proxy_range(5);
+                        t.clear();
+                        model.clear();
+                        prop_assert_eq!(t.next_proxy(), PROXY_INDEX_BASE);
+                        prop_assert_eq!(t.alloc_proxy_range(2), PROXY_INDEX_BASE);
+                    }
+                }
+                prop_assert_eq!(t.opt_get(index), model.get(&index).copied());
+            }
+            for k in 0..64 {
+                prop_assert_eq!(t.opt_get(index_of(k)), model.get(&index_of(k)).copied());
+            }
+            let image: Vec<(u64, OptEntry)> = model.into_iter().collect();
+            prop_assert_eq!(t.opt_entries(), image);
+        }
     }
 
     #[test]

@@ -9,11 +9,11 @@
 //! intent and case counts unchanged.
 
 use shrimp_mem::{AddressSpace, CacheMode, MemBus, NodeMem, Paddr, PAGE_SIZE};
-use shrimp_net::{MeshConfig, Network, NodeId};
-use shrimp_nic::{DuRequest, IptEntry, Nic, NicConfig, OptEntry, ShrimpNetwork};
+use shrimp_net::{Faultable, MeshConfig, Network, NodeId};
+use shrimp_nic::{DuRequest, IptEntry, Nic, NicConfig, OptEntry, Packet, ShrimpNetwork};
 use shrimp_sim::Sim;
 use shrimp_testkit::prop::*;
-use shrimp_testkit::{prop_assert_eq, props};
+use shrimp_testkit::{prop_assert, prop_assert_eq, props};
 
 struct Rig {
     sim: Sim,
@@ -177,5 +177,25 @@ props! {
         prop_assert_eq!(got, model);
         // Counter sanity: stores were all seen by the snoop path.
         prop_assert_eq!(r.nics[0].counters().au_stores.get(), stores.len() as u64);
+    }
+}
+
+props! {
+    cases = 128;
+
+    /// The word-wise payload checksum verifies an untouched sealed packet
+    /// and catches every in-flight corruption, whatever the payload length
+    /// (ragged 8-byte tails and the empty payload included) and salt.
+    fn checksum_detects_every_corruption(
+        payload in vec_of(any_u8(), 0..PAGE_SIZE + 1),
+        salts in vec_of(any_u64(), 1..16),
+    ) {
+        let sealed = Packet::data(NodeId(0), NodeId(1), payload, 0);
+        prop_assert!(sealed.checksum_ok());
+        for salt in salts {
+            let mut damaged = sealed.clone();
+            damaged.corrupt(salt);
+            prop_assert!(!damaged.checksum_ok(), "salt {salt:#x} went undetected");
+        }
     }
 }

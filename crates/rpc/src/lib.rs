@@ -42,11 +42,11 @@
 #![warn(missing_docs)]
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use shrimp_core::ring::{connect_ring, RingBulk, RingReceiver, RingSender};
 use shrimp_core::{Cluster, Vmmc};
+use shrimp_sim::FastMap;
 
 /// A registered procedure: bytes in, bytes out.
 pub type Procedure = Box<dyn Fn(&[u8]) -> Vec<u8>>;
@@ -68,7 +68,7 @@ impl Default for RpcConfig {
 
 struct ServerInner {
     vm: Vmmc,
-    procedures: RefCell<HashMap<u32, Procedure>>,
+    procedures: RefCell<FastMap<u32, Procedure>>,
     pending_conns: RefCell<Vec<(RingReceiver, RingSender)>>,
     started: std::cell::Cell<bool>,
     calls_served: std::cell::Cell<u64>,
@@ -91,7 +91,7 @@ impl std::fmt::Debug for RpcServer {
 struct SystemInner {
     cluster: Cluster,
     cfg: RpcConfig,
-    servers: RefCell<HashMap<usize, RpcServer>>,
+    servers: RefCell<FastMap<usize, RpcServer>>,
 }
 
 /// The cluster-wide RPC service registry. Cheap to clone.
@@ -132,7 +132,7 @@ impl RpcSystem {
             inner: Rc::new(SystemInner {
                 cluster: cluster.clone(),
                 cfg,
-                servers: RefCell::new(HashMap::new()),
+                servers: RefCell::new(FastMap::default()),
             }),
         }
     }
@@ -147,7 +147,7 @@ impl RpcSystem {
             .or_insert_with(|| RpcServer {
                 inner: Rc::new(ServerInner {
                     vm: self.inner.cluster.vmmc(node),
-                    procedures: RefCell::new(HashMap::new()),
+                    procedures: RefCell::new(FastMap::default()),
                     pending_conns: RefCell::new(Vec::new()),
                     started: std::cell::Cell::new(false),
                     calls_served: std::cell::Cell::new(0),

@@ -40,6 +40,7 @@
 #![warn(missing_docs)]
 
 pub mod executor;
+pub mod fastmap;
 pub mod metrics;
 pub mod queue;
 pub mod rng;
@@ -51,6 +52,7 @@ pub mod trace;
 pub mod wheel;
 
 pub use executor::{Sim, TaskHandle};
+pub use fastmap::{FastMap, FastSet};
 pub use metrics::{HistogramSnapshot, MetricSample, MetricValue, MetricsRegistry, MetricsSnapshot};
 pub use queue::{unbounded, Queue, QueueReceiver, QueueSender};
 pub use rng::SimRng;

@@ -9,6 +9,7 @@
 //! filter and aggregate without string matching.
 
 use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 use crate::time::Time;
@@ -85,7 +86,7 @@ impl TraceEvent {
 
 struct SinkInner {
     enabled: bool,
-    events: Vec<TraceEvent>,
+    events: VecDeque<TraceEvent>,
     /// Bound on retained events (oldest dropped beyond it).
     capacity: usize,
     dropped: u64,
@@ -120,7 +121,7 @@ impl TraceSink {
         TraceSink {
             inner: Rc::new(RefCell::new(SinkInner {
                 enabled: false,
-                events: Vec::new(),
+                events: VecDeque::new(),
                 capacity: 64 * 1024,
                 dropped: 0,
             })),
@@ -181,10 +182,10 @@ impl TraceSink {
         }
         kv.truncate(kept);
         if inner.events.len() >= inner.capacity {
-            inner.events.remove(0);
+            inner.events.pop_front();
             inner.dropped += 1;
         }
-        inner.events.push(TraceEvent {
+        inner.events.push_back(TraceEvent {
             at,
             category,
             kv,
@@ -194,16 +195,16 @@ impl TraceSink {
 
     /// Takes all recorded events, leaving the sink empty.
     pub fn take(&self) -> Vec<TraceEvent> {
-        std::mem::take(&mut self.inner.borrow_mut().events)
+        std::mem::take(&mut self.inner.borrow_mut().events).into()
     }
 
     /// Takes only the events of one category, leaving the rest recorded.
     pub fn take_category(&self, category: Category) -> Vec<TraceEvent> {
         let mut inner = self.inner.borrow_mut();
-        let (hit, keep) = std::mem::take(&mut inner.events)
+        let (hit, keep): (Vec<_>, Vec<_>) = std::mem::take(&mut inner.events)
             .into_iter()
             .partition(|e| e.category == category);
-        inner.events = keep;
+        inner.events = keep.into();
         hit
     }
 
@@ -310,6 +311,21 @@ mod tests {
         assert_eq!(ev.len(), 3);
         assert_eq!(ev[0].message, "e2");
         assert_eq!(sink.dropped(), 2);
+    }
+
+    #[test]
+    fn repeated_overflow_keeps_newest_in_order() {
+        let sink = TraceSink::new();
+        sink.enable(Some(100));
+        for i in 0..10_000u64 {
+            sink.record_kv(i, Category::Other, vec![("i", i)], String::new());
+        }
+        assert_eq!(sink.dropped(), 9_900);
+        let ev = sink.take();
+        let kept: Vec<u64> = ev.iter().map(|e| e.at).collect();
+        assert_eq!(kept, (9_900..10_000).collect::<Vec<_>>());
+        assert!(ev.iter().all(|e| e.field("i") == Some(e.at)));
+        assert!(sink.take().is_empty());
     }
 
     #[test]

@@ -43,12 +43,12 @@
 #![warn(missing_docs)]
 
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 use shrimp_core::ring::{connect_ring, RingBulk, RingReceiver, RingSender};
 use shrimp_core::{Cluster, Vmmc};
-use shrimp_sim::Queue;
+use shrimp_sim::{FastMap, Queue};
 
 /// Stream data frame.
 const TAG_DATA: u32 = 1;
@@ -126,7 +126,7 @@ impl Listener {
 struct SocketNetInner {
     cluster: Cluster,
     cfg: SocketConfig,
-    listeners: RefCell<HashMap<(usize, u16), Queue<Socket>>>,
+    listeners: RefCell<FastMap<(usize, u16), Queue<Socket>>>,
 }
 
 /// The cluster-wide sockets service (listener registry). Cheap to clone.
@@ -153,7 +153,7 @@ impl SocketNet {
             inner: Rc::new(SocketNetInner {
                 cluster: cluster.clone(),
                 cfg,
-                listeners: RefCell::new(HashMap::new()),
+                listeners: RefCell::new(FastMap::default()),
             }),
         }
     }

@@ -3,13 +3,13 @@
 //! protocol handlers driven by notifications.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 use shrimp_core::ring::{connect_ring, RingBulk, RingReceiver, RingSender};
 use shrimp_core::{Cluster, ProxyBuffer, ShrimpError, Vmmc};
 use shrimp_mem::{Vaddr, PAGE_SIZE};
-use shrimp_sim::{trace_event, Event, Semaphore};
+use shrimp_sim::{trace_event, Event, FastMap, FastSet, Semaphore};
 
 use crate::config::{Protocol, SvmConfig};
 use crate::msg::{Notice, Reply, Request};
@@ -31,7 +31,7 @@ struct Region {
     npages: usize,
     homes: Vec<u16>,
     state: RefCell<Vec<PState>>,
-    twins: RefCell<HashMap<u32, Vec<u8>>>,
+    twins: RefCell<FastMap<u32, Vec<u8>>>,
     bound: RefCell<Vec<bool>>,
     /// Proxy to each node's copy of this region (for AU bindings to homes).
     proxies: Vec<Option<ProxyBuffer>>,
@@ -81,17 +81,17 @@ struct NodeShared {
     fence_slot_local: Vec<Option<Vaddr>>,
     fence_in_page: Vaddr,
     // Interval tracking.
-    dirty: RefCell<HashSet<(u32, u32)>>,
-    rw_pages: RefCell<HashSet<(u32, u32)>>,
-    touched_homes: RefCell<HashSet<usize>>,
-    notices_pending: RefCell<HashSet<(u32, u32)>>,
+    dirty: RefCell<FastSet<(u32, u32)>>,
+    rw_pages: RefCell<FastSet<(u32, u32)>>,
+    touched_homes: RefCell<FastSet<usize>>,
+    notices_pending: RefCell<FastSet<(u32, u32)>>,
     /// All pages this node wrote since its last barrier; a barrier acts as
     /// a global synchronization, so these are re-published there even if a
     /// lock release already carried them (scope-consistency-style notice
     /// distribution; full vector timestamps are not needed for data-race-
     /// free programs).
-    notices_since_barrier: RefCell<HashSet<(u32, u32)>>,
-    deferred_inval: RefCell<HashSet<(u32, u32)>>,
+    notices_since_barrier: RefCell<FastSet<(u32, u32)>>,
+    deferred_inval: RefCell<FastSet<(u32, u32)>>,
     stats: Rc<SvmStats>,
 }
 
@@ -210,12 +210,12 @@ impl Svm {
                 fence_out: (0..n).map(|_| Cell::new(0)).collect(),
                 fence_slot_local: std::mem::take(&mut fence_slots[me]),
                 fence_in_page: fence_pages[me],
-                dirty: RefCell::new(HashSet::new()),
-                rw_pages: RefCell::new(HashSet::new()),
-                touched_homes: RefCell::new(HashSet::new()),
-                notices_pending: RefCell::new(HashSet::new()),
-                notices_since_barrier: RefCell::new(HashSet::new()),
-                deferred_inval: RefCell::new(HashSet::new()),
+                dirty: RefCell::new(FastSet::default()),
+                rw_pages: RefCell::new(FastSet::default()),
+                touched_homes: RefCell::new(FastSet::default()),
+                notices_pending: RefCell::new(FastSet::default()),
+                notices_since_barrier: RefCell::new(FastSet::default()),
+                deferred_inval: RefCell::new(FastSet::default()),
                 stats: Rc::new(SvmStats::new()),
             });
             nodes.push(SvmNode { sh });
@@ -307,7 +307,7 @@ impl Svm {
                 npages,
                 homes: homes.clone(),
                 state: RefCell::new(state),
-                twins: RefCell::new(HashMap::new()),
+                twins: RefCell::new(FastMap::default()),
                 bound: RefCell::new(vec![false; npages]),
                 proxies,
             }));
