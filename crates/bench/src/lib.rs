@@ -1,42 +1,29 @@
-//! Experiment harness shared by the per-table/figure bench targets and the
-//! `shrimp-harness` sweep runner.
+//! Experiment definitions shared by the `shrimp-harness` sweep runner and
+//! the bench targets that measure outside the matrix.
 //!
-//! Each bench target (`benches/*.rs`, `harness = false`) regenerates one
-//! table or figure of the paper by executing the corresponding
-//! [`spec::RunSpec`]s. Problem sizes default to scaled-down instances so
-//! `cargo bench` completes quickly; set `SHRIMP_FULL=1` for the paper's
-//! sizes (documented in `EXPERIMENTS.md`), and `SHRIMP_NODES=<n>` to
-//! override the 16-node default. Both are thin shims over the typed
-//! [`HarnessConfig`], which drivers can also build programmatically.
+//! [`spec::matrix`] enumerates every run of the paper's tables and figures
+//! as a [`spec::RunSpec`]; the sweep runner executes them into
+//! `sweep.json`, and `shrimp-harness --report` renders the paper's
+//! figures and tables from that artifact. The remaining bench targets
+//! (`benches/*.rs`, `harness = false`) cover what the matrix does not:
+//! microbenchmarks, engine throughput and hardware ablations. Problem
+//! sizes default to scaled-down instances so `cargo bench` completes
+//! quickly; set `SHRIMP_FULL=1` for the paper's sizes (documented in
+//! `EXPERIMENTS.md`), and `SHRIMP_NODES=<n>` to override the 16-node
+//! default. Both are thin shims over the typed [`HarnessConfig`].
 
 #![warn(missing_docs)]
 
 pub mod spec;
 
-use shrimp_apps::barnes::BarnesParams;
 use shrimp_apps::dfs::DfsParams;
-use shrimp_apps::ocean::OceanParams;
 use shrimp_apps::radix::RadixParams;
-use shrimp_apps::render::RenderParams;
-use shrimp_apps::RunOutcome;
-use shrimp_core::{Cluster, DesignConfig};
 use shrimp_sim::{time, Time};
 use shrimp_testkit::HarnessConfig;
 
 pub use spec::{
     matrix, Knobs, KvMetrics, Observation, PerfSample, RunRecord, RunSpec, Scale, Shards, Variant,
 };
-
-/// The problem scale a harness configuration selects (`Full` under
-/// `SHRIMP_FULL=1`, `Reduced` otherwise; [`Scale::Smoke`] is only reachable
-/// programmatically).
-pub fn scale_of(cfg: &HarnessConfig) -> Scale {
-    if cfg.full_scale {
-        Scale::Full
-    } else {
-        Scale::Reduced
-    }
-}
 
 /// `true` when the process-global configuration asks for the paper's
 /// problem sizes (`SHRIMP_FULL=1`).
@@ -49,9 +36,14 @@ pub fn max_nodes() -> usize {
     HarnessConfig::global().nodes
 }
 
-/// The scale selected by the process-global configuration.
+/// The scale selected by the process-global configuration (`Full` under
+/// `SHRIMP_FULL=1`, `Reduced` otherwise).
 pub fn global_scale() -> Scale {
-    scale_of(HarnessConfig::global())
+    if full_scale() {
+        Scale::Full
+    } else {
+        Scale::Reduced
+    }
 }
 
 /// Radix problem size at the global scale (paper: 2 M keys, 3 iters).
@@ -59,34 +51,9 @@ pub fn radix_params() -> RadixParams {
     spec::radix_params_at(global_scale(), 1)
 }
 
-/// Ocean-SVM problem size at the global scale (paper: 514 x 514).
-pub fn ocean_svm_params() -> OceanParams {
-    spec::ocean_svm_params_at(global_scale())
-}
-
-/// Ocean-NX problem size at the global scale (paper: 258 x 258).
-pub fn ocean_nx_params() -> OceanParams {
-    spec::ocean_nx_params_at(global_scale())
-}
-
-/// Barnes-NX problem size at the global scale (paper: 4 K bodies, 20 iters).
-pub fn barnes_nx_params() -> BarnesParams {
-    spec::barnes_nx_params_at(global_scale())
-}
-
-/// Barnes-SVM problem size at the global scale (paper: 16 K bodies).
-pub fn barnes_svm_params() -> BarnesParams {
-    spec::barnes_svm_params_at(global_scale())
-}
-
 /// DFS workload at the global scale.
 pub fn dfs_params() -> DfsParams {
     spec::dfs_params_at(global_scale())
-}
-
-/// Render workload at the global scale.
-pub fn render_params() -> RenderParams {
-    spec::render_params_at(global_scale())
 }
 
 /// The applications of Table 1, with their default versions: AURC for the
@@ -178,44 +145,35 @@ impl App {
         }
     }
 
-    /// Problem-size column of Table 1 for the current scale.
-    pub fn problem_size(&self) -> String {
+    /// Problem-size column of Table 1 at `scale`.
+    pub fn problem_size(&self, scale: Scale) -> String {
         match self {
-            App::BarnesSvm => format!("{} bodies", barnes_svm_params().bodies),
-            App::OceanSvm => {
-                let p = ocean_svm_params();
-                format!("{0} x {0}", p.n)
-            }
+            App::BarnesSvm => format!("{} bodies", spec::barnes_svm_params_at(scale).bodies),
+            App::OceanSvm => format!("{0} x {0}", spec::ocean_svm_params_at(scale).n),
             App::RadixSvm | App::RadixVmmc => {
-                let p = radix_params();
+                let p = spec::radix_params_at(scale, 1);
                 format!("{} keys, {} iters", p.total_keys, p.iters)
             }
             App::BarnesNx => {
-                let p = barnes_nx_params();
+                let p = spec::barnes_nx_params_at(scale);
                 format!("{} bodies, {} iters", p.bodies, p.steps)
             }
-            App::OceanNx => {
-                let p = ocean_nx_params();
-                format!("{0} x {0}", p.n)
-            }
-            App::DfsSockets => format!("{} clients", dfs_params().clients),
-            App::RenderSockets => {
-                let p = render_params();
-                format!("{0} x {0} image", p.image)
-            }
+            App::OceanNx => format!("{0} x {0}", spec::ocean_nx_params_at(scale).n),
+            App::DfsSockets => format!("{} clients", spec::dfs_params_at(scale).clients),
+            App::RenderSockets => format!("{0} x {0} image", spec::render_params_at(scale).image),
             App::ClusterNodes => {
-                let p = spec::distributed_params_at(global_scale());
+                let p = spec::distributed_params_at(scale);
                 format!("{} nodes x {} rounds", p.nodes, p.steps)
             }
             App::WarmClusterNodes => {
-                let p = spec::warm_params_at(global_scale(), 16, 1);
+                let p = spec::warm_params_at(scale, 16, 1);
                 format!(
                     "{} nodes x {} rounds ({} warmup)",
                     p.base.nodes, p.base.steps, p.warmup
                 )
             }
             App::KvNodes => {
-                let p = spec::kv_params_at(global_scale());
+                let p = spec::kv_params_at(scale);
                 format!(
                     "{}x{} replicas, {} keys, {} reqs/client",
                     p.groups, p.replication, p.keys, p.requests
@@ -224,53 +182,9 @@ impl App {
         }
     }
 
-    /// Runs this application on `nodes` nodes under `cfg`, in its default
-    /// version, honouring the process-global [`HarnessConfig`]
-    /// (`SHRIMP_TRACE=1` dumps the trace, `SHRIMP_REPORT=1` the machine-wide
-    /// utilization report).
-    pub fn run(&self, nodes: usize, cfg: DesignConfig) -> RunOutcome {
-        self.run_with(nodes, cfg, HarnessConfig::global())
-    }
-
-    /// [`App::run`] with an explicit harness configuration — the
-    /// programmatic entry the sweep runner's worker threads use (no
-    /// process-environment reads).
-    ///
-    /// # Panics
-    ///
-    /// Panics for the apps outside [`App::all`], which build their own
-    /// sharded clusters (see [`RunSpec::run_on`]).
-    pub fn run_with(&self, nodes: usize, cfg: DesignConfig, harness: &HarnessConfig) -> RunOutcome {
-        let cluster = Cluster::builder(nodes).config(cfg).build();
-        if harness.trace {
-            cluster.sim().trace().enable(Some(harness.trace_capacity));
-        }
-        let spec = RunSpec::new("adhoc", *self, nodes, scale_of(harness));
-        let out = spec.run_on(&cluster);
-        if harness.trace {
-            let events = cluster.sim().trace().take();
-            println!(
-                "--- {} trace (last {} events, {} dropped) ---\n{}",
-                self.name(),
-                events.len(),
-                cluster.sim().trace().dropped(),
-                shrimp_sim::TraceSink::render(&events)
-            );
-        }
-        if harness.report {
-            let report = shrimp_core::ClusterReport::capture(&cluster, out.elapsed);
-            println!(
-                "--- {} on {} nodes ---\n{}",
-                self.name(),
-                nodes,
-                report.render()
-            );
-        }
-        out
-    }
-
-    /// Smallest sensible node count for this application (Ocean-NX "does
-    /// not run on a uniprocessor"; sockets apps need client + server).
+    /// Smallest node count this application runs on: 2 for Render, whose
+    /// controller and workers need separate nodes, 1 for every other one.
+    /// Table 1 reports each application's sequential time at this count.
     pub fn min_nodes(&self) -> usize {
         match self {
             App::RenderSockets => 2,
@@ -279,38 +193,39 @@ impl App {
     }
 }
 
-/// Percentage increase of `new` over `base`.
-pub fn pct_increase(base: Time, new: Time) -> f64 {
-    assert!(base > 0);
-    (new as f64 - base as f64) / base as f64 * 100.0
-}
-
 /// Formats a simulated time as seconds with 2 decimals.
 pub fn secs(t: Time) -> String {
     format!("{:.2}", time::to_secs(t))
 }
 
-/// Prints a fixed-width table with a title line.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    println!("\n=== {title} ===");
+/// Formats a fixed-width table under a title line.
+pub fn format_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {
             widths[i] = widths[i].max(cell.len());
         }
     }
-    let line = |cells: Vec<String>| {
+    let mut out = format!("\n=== {title} ===\n");
+    let mut line = |cells: &[String]| {
         let mut s = String::new();
         for (i, c) in cells.iter().enumerate() {
             s.push_str(&format!("{:<w$}  ", c, w = widths[i]));
         }
-        println!("{}", s.trim_end());
+        out.push_str(s.trim_end());
+        out.push('\n');
     };
-    line(headers.iter().map(|h| h.to_string()).collect());
-    line(widths.iter().map(|w| "-".repeat(*w)).collect());
+    line(&headers.iter().map(|h| h.to_string()).collect::<Vec<_>>());
+    line(&widths.iter().map(|w| "-".repeat(*w)).collect::<Vec<_>>());
     for row in rows {
-        line(row.clone());
+        line(row);
     }
+    out
+}
+
+/// Prints [`format_table`] to stdout.
+pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
+    print!("{}", format_table(title, headers, rows));
 }
 
 /// Announces the scale of a bench run.
@@ -325,12 +240,12 @@ pub fn announce(what: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use shrimp_core::Cluster;
 
     #[test]
     fn every_app_runs_at_small_scale() {
         // Smoke: each Table 1 app completes on 2 nodes at smoke scale, via
         // the programmatic (environment-free) entry point.
-        let quiet = HarnessConfig::new();
         for app in App::all() {
             let nodes = app.min_nodes().max(2);
             let spec = RunSpec::new("test", app, nodes, Scale::Smoke);
@@ -338,13 +253,5 @@ mod tests {
             let out = spec.run_on(&cluster);
             assert!(out.elapsed > 0, "{} produced no time", app.name());
         }
-        let out = App::DfsSockets.run_with(2, DesignConfig::default(), &quiet);
-        assert!(out.elapsed > 0);
-    }
-
-    #[test]
-    fn pct_increase_math() {
-        assert_eq!(pct_increase(100, 150), 50.0);
-        assert_eq!(pct_increase(200, 200), 0.0);
     }
 }

@@ -6,10 +6,9 @@
 //! [`Scale`] and a workload seed. Specs are plain `Send` data — the
 //! `shrimp-harness` sweep runner shards them across worker threads —
 //! and [`RunSpec::execute`] builds the cluster, runs the application and
-//! returns the deterministic [`RunRecord`] metrics. The per-table bench
-//! binaries are thin wrappers over the same specs, so a number printed
-//! by `cargo bench` and a row in `results/sweep.json` come from the
-//! identical run.
+//! returns the deterministic [`RunRecord`] metrics. The paper's figures
+//! and tables are rendered from those rows (`shrimp-harness --report`),
+//! never from a second run of the same spec.
 
 use shrimp_apps::barnes::{run_barnes_nx, run_barnes_svm, BarnesParams};
 use shrimp_apps::dfs::{run_dfs, DfsParams};
@@ -20,8 +19,7 @@ use shrimp_apps::render::{run_render, RenderParams};
 use shrimp_apps::{Mechanism, RunOutcome};
 use shrimp_core::{
     run_chaos_distributed, run_cold, run_distributed, run_warm, Cluster, ClusterCheckpoint,
-    ClusterReport, DesignConfig, DistributedParams, HeartbeatConfig, LaunchOutcome, RingBulk,
-    WarmParams,
+    DesignConfig, DistributedParams, HeartbeatConfig, LaunchOutcome, RingBulk, WarmParams,
 };
 use shrimp_faults::{FaultScenario, FifoStall, LinkFault, NodeCrash, NodePause};
 use shrimp_sim::{time, Category, MetricValue, MetricsSnapshot, Time, TraceEvent};
@@ -40,7 +38,8 @@ pub enum Scale {
     /// Smallest sizes: every application in seconds, for CI and the
     /// harness determinism/regression gates.
     Smoke,
-    /// The default `cargo bench` sizes (minutes, same shapes as paper).
+    /// The default sweep and `cargo bench` sizes (minutes, same shapes as
+    /// the paper).
     Reduced,
     /// The paper's problem sizes (`SHRIMP_FULL=1`).
     Full,
@@ -557,7 +556,7 @@ impl RunSpec {
             cluster.sim().metrics().enable();
         }
         let out = self.run_on(&cluster);
-        let report = ClusterReport::capture(&cluster, out.elapsed);
+        let net = cluster.network().stats();
         // Recovery metrics only exist on chaos/reliability runs; plain rows
         // omit them so their serialized form is byte-identical to before
         // the fault plane existed.
@@ -583,8 +582,8 @@ impl RunSpec {
             notifications: out.notifications,
             interrupts: cluster.total(|s| s.interrupts_taken.get()),
             syscalls: cluster.total(|s| s.syscalls.get()),
-            net_packets: report.net_packets,
-            net_bytes: report.net_bytes,
+            net_packets: net.packets(),
+            net_bytes: net.bytes(),
             recovery,
             kv: None,
         };
@@ -724,8 +723,9 @@ impl RunSpec {
         ))
     }
 
-    /// Runs the spec's application on a caller-provided cluster (the thin
-    /// bench wrappers use this to reuse [`RunOutcome`] directly).
+    /// Runs the spec's application on a caller-provided cluster and returns
+    /// its [`RunOutcome`] — the step [`RunSpec::execute`] wraps with
+    /// cluster construction and metric capture.
     ///
     /// # Panics
     ///
@@ -761,6 +761,23 @@ impl RunSpec {
                 "{} builds its own sharded cluster; execute the spec instead of run_on",
                 self.app.name()
             ),
+        }
+    }
+
+    /// The version this run executes: [`Variant::Default`] resolved to
+    /// AURC for the SVM applications and to deliberate update for the
+    /// VMMC and NX ones (every other variant is already explicit). Two
+    /// runs with the same app, resolved variant, nodes, knobs and seed
+    /// are the same configuration whatever their ids say.
+    pub fn resolved_variant(&self) -> Variant {
+        match (self.variant, self.app) {
+            (Variant::Default, App::BarnesSvm | App::OceanSvm | App::RadixSvm) => {
+                Variant::Protocol(self.protocol())
+            }
+            (Variant::Default, App::RadixVmmc | App::BarnesNx | App::OceanNx) => {
+                Variant::Mechanism(self.mechanism())
+            }
+            (variant, _) => variant,
         }
     }
 
@@ -1079,10 +1096,16 @@ pub fn matrix(scale: Scale, max_nodes: usize) -> Vec<RunSpec> {
         }
     }
 
-    // Tables 1 and 3: the default versions as built (sequential times,
-    // message and notification counts).
+    // Tables 1 and 3: the default versions as built — message and
+    // notification counts at the headline size, and each application's
+    // sequential time at its smallest node count.
     for app in App::all() {
         specs.push(RunSpec::new("table1", app, n.max(app.min_nodes()), scale));
+    }
+    for app in App::all() {
+        if app.min_nodes() != n.max(app.min_nodes()) {
+            specs.push(RunSpec::new("table1", app, app.min_nodes(), scale));
+        }
     }
 
     // Table 2: a system call before every send (paper: all except DFS).

@@ -75,7 +75,7 @@ static GLOBAL: Counting = Counting;
 /// Live-byte drift tolerated over the three measured executions of a row.
 const ALLOWANCE: isize = 16 * 1024;
 
-/// One smoke row per application — the Table 1 row of each paper
+/// One smoke row per application — the 16-node Table 1 row of each paper
 /// application (`dfs-sockets` among them), the first warm-start row and
 /// the kv primary-crash row — plus the 16-node cluster row and the
 /// chaos-cluster crash and crash/restart rows at one and two shards.
@@ -83,7 +83,7 @@ fn rows() -> Vec<RunSpec> {
     let specs = matrix(Scale::Smoke, 16);
     let mut rows: Vec<RunSpec> = specs
         .iter()
-        .filter(|s| s.experiment == "table1")
+        .filter(|s| s.experiment == "table1" && s.nodes == 16)
         .cloned()
         .collect();
     rows.extend(

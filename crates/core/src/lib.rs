@@ -57,7 +57,6 @@ pub mod cluster;
 pub mod config;
 pub mod cpu;
 pub mod distributed;
-pub mod report;
 pub mod ring;
 pub mod stats;
 pub mod vmmc;
@@ -71,7 +70,6 @@ pub use distributed::{
     chaos_node_program, node_program, run_chaos_distributed, run_distributed, DistributedParams,
     HeartbeatConfig,
 };
-pub use report::{ClusterReport, NodeReport};
 pub use ring::{connect_ring, RingBulk, RingFrame, RingReceiver, RingSender};
 pub use shrimp_faults::{node_backoff, FaultScenario, NodeCrash, Reliability, ShrimpError};
 pub use shrimp_net::NodeId;

@@ -14,12 +14,15 @@
 //! per-metric tolerance bands, exiting non-zero on regression. With
 //! `--perf`, host wall-clock and simulator events/sec samples land in
 //! `results/perf.json` ([`perf`]) — strictly apart from the deterministic
-//! artifact — with their own generous throughput gate.
+//! artifact — with their own generous throughput gate. `--report` reads
+//! a saved sweep back and renders the paper's figures and tables from its
+//! rows ([`report`]), checking each shape claim as a band.
 //!
 //! ```text
 //! cargo run --release -p shrimp-harness -- --smoke --workers 4
 //! cargo run --release -p shrimp-harness -- --smoke --write-baseline
 //! cargo run --release -p shrimp-harness -- --list
+//! cargo run --release -p shrimp-harness -- --report results/sweep.json
 //! ```
 
 #![warn(missing_docs)]
@@ -28,6 +31,7 @@ pub mod chrome;
 pub mod gate;
 pub mod json;
 pub mod perf;
+pub mod report;
 pub mod runner;
 pub mod sweep;
 

@@ -1,5 +1,6 @@
 //! The `shrimp-harness` CLI: run the experiment sweep, write
-//! `results/sweep.json`, and gate against committed baselines.
+//! `results/sweep.json`, and gate against committed baselines — or, with
+//! `--report`, render the paper's figures and tables from a saved sweep.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -7,7 +8,7 @@ use std::time::Duration;
 
 use shrimp_bench::{matrix, Scale};
 use shrimp_harness::runner::{run_sweep_with_progress, RunnerOptions};
-use shrimp_harness::{chrome, gate, json, perf, sweep};
+use shrimp_harness::{chrome, gate, json, perf, report, sweep};
 
 const USAGE: &str = "\
 shrimp-harness — parallel experiment sweep with baseline regression gating
@@ -63,11 +64,17 @@ FLAGS:
                       --filter and don't gate the output against a
                       baseline recorded without it
   --list              print the matrix's run ids and exit
+  --report <PATH>     run nothing: render Fig 3, Fig 4, Tables 1-4 and
+                      §4.5 from the sweep artifact at PATH and check the
+                      paper's shape bands (none on a smoke artifact)
 
 EXIT STATUS:
-  0  sweep completed, gate passed (or not applicable)
-  1  a run failed (panic/timeout) or the gate found a regression
-  2  usage error";
+  0  sweep completed, gate passed (or not applicable);
+     --report: every band holds
+  1  a run failed (panic/timeout) or the gate found a regression;
+     --report: a band broke
+  2  usage error; --report: the artifact is unreadable, or a row it
+     needs is missing or failed";
 
 struct Cli {
     scale: Scale,
@@ -89,6 +96,7 @@ struct Cli {
     checkpoint_in: Option<PathBuf>,
     trace_out: Option<PathBuf>,
     list: bool,
+    report: Option<PathBuf>,
 }
 
 fn parse_args(args: &[String]) -> Result<Cli, String> {
@@ -112,6 +120,7 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         checkpoint_in: None,
         trace_out: None,
         list: false,
+        report: None,
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -154,6 +163,7 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             "--checkpoint-in" => cli.checkpoint_in = Some(PathBuf::from(value("--checkpoint-in")?)),
             "--trace-out" => cli.trace_out = Some(PathBuf::from(value("--trace-out")?)),
             "--list" => cli.list = true,
+            "--report" => cli.report = Some(PathBuf::from(value("--report")?)),
             "--help" | "-h" => {
                 println!("{USAGE}");
                 std::process::exit(0);
@@ -200,6 +210,23 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+
+    if let Some(path) = &cli.report {
+        return match report::load(path) {
+            Ok(r) => {
+                print!("{}{}", r.text, r.render_bands());
+                if r.broken().is_empty() {
+                    ExitCode::SUCCESS
+                } else {
+                    ExitCode::FAILURE
+                }
+            }
+            Err(e) => {
+                eprintln!("error: --report {}: {e}", path.display());
+                ExitCode::from(2)
+            }
+        };
+    }
 
     let nodes = cli.nodes.unwrap_or_else(|| cli.scale.default_nodes());
     let mut specs = matrix(cli.scale, nodes);

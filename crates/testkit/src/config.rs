@@ -27,9 +27,6 @@ use std::sync::OnceLock;
 /// |---|---|---|
 /// | `full_scale` | `SHRIMP_FULL=1` | `false` |
 /// | `nodes` | `SHRIMP_NODES` | 16 |
-/// | `trace` | `SHRIMP_TRACE=1` | `false` |
-/// | `trace_capacity` | — | 512 |
-/// | `report` | `SHRIMP_REPORT=1` | `false` |
 /// | `prop_cases` | `SHRIMP_PROP_CASES` | `None` (use declared count) |
 /// | `prop_seed` | `SHRIMP_PROP_SEED` | `None` (0) |
 /// | `bench_iters` | `SHRIMP_BENCH_ITERS` | 10 |
@@ -42,12 +39,6 @@ pub struct HarnessConfig {
     pub full_scale: bool,
     /// Cluster size for the headline experiments (paper: 16).
     pub nodes: usize,
-    /// Enable the simulator trace and dump it after each run.
-    pub trace: bool,
-    /// Retained-event bound for the trace ring when `trace` is set.
-    pub trace_capacity: usize,
-    /// Print the machine-wide utilization report after each run.
-    pub report: bool,
     /// Property-test case count override (`None`: each suite's declared count).
     pub prop_cases: Option<u32>,
     /// Extra seed perturbation for property tests.
@@ -74,9 +65,6 @@ impl HarnessConfig {
         HarnessConfig {
             full_scale: false,
             nodes: 16,
-            trace: false,
-            trace_capacity: 512,
-            report: false,
             prop_cases: None,
             prop_seed: None,
             bench_iters: 10,
@@ -90,12 +78,9 @@ impl HarnessConfig {
     /// with every `SHRIMP_*` knob present in the process environment
     /// (unparsable values fall back to the default, as before).
     pub fn from_env() -> Self {
-        let flag = |name: &str| std::env::var(name).map(|v| v == "1").unwrap_or(false);
         HarnessConfig {
-            full_scale: flag("SHRIMP_FULL"),
+            full_scale: std::env::var("SHRIMP_FULL").is_ok_and(|v| v == "1"),
             nodes: env_parse("SHRIMP_NODES").unwrap_or(16),
-            trace: flag("SHRIMP_TRACE"),
-            report: flag("SHRIMP_REPORT"),
             prop_cases: env_parse("SHRIMP_PROP_CASES"),
             prop_seed: env_parse("SHRIMP_PROP_SEED"),
             bench_iters: env_parse("SHRIMP_BENCH_ITERS").unwrap_or(10),
@@ -104,7 +89,6 @@ impl HarnessConfig {
                 .map(|v| v != "0")
                 .unwrap_or(true),
             bench_dir: std::env::var("SHRIMP_BENCH_DIR").ok().map(PathBuf::from),
-            ..Self::new()
         }
     }
 
@@ -130,24 +114,6 @@ impl HarnessConfig {
     /// Builder: cluster size.
     pub fn with_nodes(mut self, nodes: usize) -> Self {
         self.nodes = nodes;
-        self
-    }
-
-    /// Builder: trace dumps (with the default capacity).
-    pub fn with_trace(mut self, trace: bool) -> Self {
-        self.trace = trace;
-        self
-    }
-
-    /// Builder: trace ring capacity.
-    pub fn with_trace_capacity(mut self, capacity: usize) -> Self {
-        self.trace_capacity = capacity;
-        self
-    }
-
-    /// Builder: post-run utilization report.
-    pub fn with_report(mut self, report: bool) -> Self {
-        self.report = report;
         self
     }
 
@@ -212,17 +178,13 @@ mod tests {
         let c = HarnessConfig::new()
             .with_full_scale(true)
             .with_nodes(4)
-            .with_trace(true)
-            .with_trace_capacity(64)
-            .with_report(true)
             .with_prop_cases(7)
             .with_prop_seed(99)
             .with_bench_iters(0) // clamps to 1
             .with_bench_warmup(0)
             .with_bench_json(false);
-        assert!(c.full_scale && c.trace && c.report);
+        assert!(c.full_scale);
         assert_eq!(c.nodes, 4);
-        assert_eq!(c.trace_capacity, 64);
         assert_eq!(c.prop_case_count(48), 7);
         assert_eq!(c.prop_seed, Some(99));
         assert_eq!(c.bench_iters, 1);

@@ -57,6 +57,6 @@ fn main() {
         "\nAutomatic update's latency advantage shows at small messages and\n\
          fades with size. In applications deliberate update wins bulk anyway\n\
          (the paper's §4.2): its DMA overlaps computation, while every AU\n\
-         word costs CPU — run `cargo bench --bench fig4_du_au` to see it."
+         word costs CPU — see Figure 4 (right) in `shrimp-harness --report`."
     );
 }
