@@ -1468,6 +1468,37 @@ mod tests {
             .iter()
             .filter(|s| s.experiment == "fig3")
             .all(|s| s.nodes <= 4));
+        // The shapes the smoke baseline's byte identity relies on to cover
+        // every fault scenario, the sharded oracle sizes and failover.
+        let group =
+            |exp: &str| -> Vec<&RunSpec> { specs.iter().filter(|s| s.experiment == exp).collect() };
+        assert_eq!(group("chaos").len(), 9, "smoke chaos group changed size");
+        let chaos_cluster = group("chaos-cluster");
+        assert_eq!(
+            chaos_cluster.len(),
+            3,
+            "smoke chaos-cluster group changed size"
+        );
+        assert!(
+            chaos_cluster
+                .iter()
+                .any(|s| s.nodes == 64 && s.knobs.faults.crash.is_some()),
+            "chaos-cluster group lost its 64-node crash row"
+        );
+        let kv = group("kv");
+        assert_eq!(kv.len(), 2, "smoke kv group changed size");
+        assert!(
+            kv.iter().any(|s| s.knobs.faults.crash.is_some()),
+            "kv group lost its failover row"
+        );
+        let cluster = group("cluster");
+        for nodes in [16, 64] {
+            assert!(
+                cluster.iter().any(|s| s.nodes == nodes),
+                "cluster group lost its p{nodes} row"
+            );
+        }
+        assert_eq!(group("warm").len(), 3, "smoke warm group changed size");
     }
 
     #[test]

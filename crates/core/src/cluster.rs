@@ -246,44 +246,65 @@ impl ClusterBuilder {
     /// the run loop).
     pub fn build_on(self, sim: Sim) -> Cluster {
         let n = self.nodes;
+        let cluster = self.assemble_on(sim, 0..n, |sim, mesh| Network::new(sim.clone(), mesh, n));
+        for i in 0..n {
+            cluster.spawn_dispatcher(i);
+        }
+        cluster
+    }
+
+    /// The one construction path of both [`ClusterBuilder::build_on`] and
+    /// each launch shard: assembles nodes `owned` of the machine on `sim`,
+    /// over the backplane `network` builds from the mesh geometry. Spawns
+    /// no task, so each caller keeps its own spawn order.
+    fn assemble_on(
+        &self,
+        sim: Sim,
+        owned: std::ops::Range<usize>,
+        network: impl FnOnce(&Sim, MeshConfig) -> ShrimpNetwork,
+    ) -> Cluster {
         if self.metrics {
             sim.metrics().enable();
         }
         if let Some(capacity) = self.trace_capacity {
             sim.trace().enable(capacity);
         }
-        let mut cfg = self.cfg;
+        let mut cfg = self.cfg.clone();
         // The Table 4 experiment is a firmware change: interrupts fire on
         // every message arrival whether or not the receiver enabled them.
         if cfg.interrupt_per_message {
             cfg.nic.force_arrival_interrupts = true;
         }
-        let mesh = cfg.mesh.clone().unwrap_or_else(|| MeshConfig::for_nodes(n));
-        let net: ShrimpNetwork = Network::new(sim.clone(), mesh, n);
-        // One fault plane per run (absent on fault-free runs, which
-        // therefore pay nothing and replay byte-identically).
+        let mesh = cfg
+            .mesh
+            .clone()
+            .unwrap_or_else(|| MeshConfig::for_nodes(self.nodes));
+        let net = network(&sim, mesh);
+        // One fault plane per `Sim` (absent on fault-free runs, which
+        // therefore pay nothing and replay byte-identically). Every
+        // directed mesh edge draws from a stream seeded by (seed, edge) and
+        // consumed in that edge's node-local send order, so each shard's
+        // plane built from the shared scenario yields fates byte-identical
+        // at any shard count.
         let fault_plane = cfg.faults.is_active().then(|| {
             let plane = FaultPlane::per_entity(cfg.faults);
             net.install_fault_plane(plane.clone());
             plane
         });
-        let nodes = assemble(&sim, &cfg, &net, fault_plane.as_ref(), 0..n);
-        let cluster = Cluster {
+        let node_base = owned.start;
+        let nodes = assemble(&sim, &cfg, &net, fault_plane.as_ref(), owned);
+        Cluster {
             inner: Rc::new(ClusterInner {
                 sim,
                 cfg,
                 net,
                 nodes,
-                node_base: 0,
-                total_nodes: n,
+                node_base,
+                total_nodes: self.nodes,
                 exports: RefCell::new(Vec::new()),
                 fault_plane,
             }),
-        };
-        for i in 0..n {
-            cluster.spawn_dispatcher(i);
         }
-        cluster
     }
 
     /// Runs `program` on every node of the machine under the
@@ -419,20 +440,11 @@ impl ClusterBuilder {
             .expect("every shard owns at least one node");
         let owned = shard_map.iter().filter(|&&s| s == shard).count();
         let sim = ctx.sim().clone();
-        if self.metrics {
-            sim.metrics().enable();
-        }
-        if let Some(capacity) = self.trace_capacity {
-            sim.trace().enable(capacity);
-        }
-        let mut cfg = self.cfg.clone();
-        if cfg.interrupt_per_message {
-            cfg.nic.force_arrival_interrupts = true;
-        }
-        let mesh = cfg.mesh.clone().unwrap_or_else(|| MeshConfig::for_nodes(n));
-        let net: ShrimpNetwork = Network::sharded(sim.clone(), mesh, n, shard_map, ctx.sender());
+        let cluster = self.assemble_on(sim.clone(), node_base..node_base + owned, |sim, mesh| {
+            Network::sharded(sim.clone(), mesh, n, shard_map, ctx.sender())
+        });
         {
-            let net = net.clone();
+            let net = cluster.network().clone();
             ctx.on_message(move |arrival, flit| {
                 // Structurally unreachable: `net` was just built sharded. The
                 // typed error exists for callers that wire a contended
@@ -442,34 +454,6 @@ impl ClusterBuilder {
                 }
             });
         }
-        // Each shard builds its own per-entity plane from the shared
-        // scenario: every directed mesh edge draws from a stream seeded by
-        // (seed, edge) and consumed in that edge's node-local send order,
-        // so fates are byte-identical at any shard count.
-        let fault_plane = cfg.faults.is_active().then(|| {
-            let plane = FaultPlane::per_entity(cfg.faults);
-            net.install_fault_plane(plane.clone());
-            plane
-        });
-        let nodes = assemble(
-            &sim,
-            &cfg,
-            &net,
-            fault_plane.as_ref(),
-            node_base..node_base + owned,
-        );
-        let cluster = Cluster {
-            inner: Rc::new(ClusterInner {
-                sim: sim.clone(),
-                cfg,
-                net,
-                nodes,
-                node_base,
-                total_nodes: n,
-                exports: RefCell::new(Vec::new()),
-                fault_plane,
-            }),
-        };
         #[allow(clippy::type_complexity)]
         let finished: Rc<RefCell<Vec<(usize, Time, u64)>>> = Rc::new(RefCell::new(Vec::new()));
         for node in node_base..node_base + owned {

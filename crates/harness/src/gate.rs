@@ -8,7 +8,9 @@
 //! answer is never tolerable drift. A baseline row whose run is missing
 //! from the fresh sweep (or no longer completes) is a regression; fresh
 //! rows with no baseline counterpart are reported but pass — they gate
-//! once a refreshed baseline commits them.
+//! once a refreshed baseline commits them. A sweep narrowed by
+//! `--experiment`/`--filter` ([`Selection`]) is gated against the same
+//! narrowing of the baseline, so one full baseline serves every subset.
 
 use std::fmt;
 
@@ -100,6 +102,30 @@ impl fmt::Display for Regression {
     }
 }
 
+/// The `--experiment`/`--filter` row selection. The sweep runs only the
+/// matrix rows it keeps and the gate compares only the baseline rows it
+/// keeps.
+#[derive(Debug, Clone, Default)]
+pub struct Selection {
+    /// Keep only rows of this experiment group.
+    pub experiment: Option<String>,
+    /// Keep only rows whose id contains this substring.
+    pub filter: Option<String>,
+}
+
+impl Selection {
+    /// `true` when the row `id` of group `experiment` is selected.
+    pub fn keeps(&self, experiment: &str, id: &str) -> bool {
+        self.experiment.as_deref().is_none_or(|g| g == experiment)
+            && self.filter.as_deref().is_none_or(|f| id.contains(f))
+    }
+
+    /// `true` when no row is left out.
+    pub fn is_everything(&self) -> bool {
+        self.experiment.is_none() && self.filter.is_none()
+    }
+}
+
 /// Outcome of gating one sweep against one baseline.
 #[derive(Debug, Clone, Default)]
 pub struct GateOutcome {
@@ -145,18 +171,18 @@ impl GateOutcome {
     }
 }
 
-/// Diffs fresh `results` against a parsed `baseline` document.
-///
-/// Accepts both the current sweep schema and `v1` baselines: `v2` only
-/// added optional nested observed-metrics entries, which the comparison
-/// below skips anyway (`as_u64` on an object is `None`).
-pub fn check(baseline: &Json, results: &[RunResult]) -> Result<GateOutcome, String> {
+/// Diffs fresh `results` against the rows of a parsed `baseline` document
+/// that `selection` keeps.
+pub fn check(
+    baseline: &Json,
+    results: &[RunResult],
+    selection: &Selection,
+) -> Result<GateOutcome, String> {
     if let Some(schema) = baseline.get("schema").and_then(|v| v.as_str()) {
-        if schema != crate::sweep::SCHEMA && schema != crate::sweep::SCHEMA_V1 {
+        if schema != crate::sweep::SCHEMA {
             return Err(format!(
-                "unsupported baseline schema \"{schema}\" (expected \"{}\" or \"{}\")",
-                crate::sweep::SCHEMA,
-                crate::sweep::SCHEMA_V1
+                "unsupported baseline schema \"{schema}\" (expected \"{}\")",
+                crate::sweep::SCHEMA
             ));
         }
     }
@@ -172,6 +198,13 @@ pub fn check(baseline: &Json, results: &[RunResult]) -> Result<GateOutcome, Stri
             .get("id")
             .and_then(|v| v.as_str())
             .ok_or("baseline row missing \"id\"")?;
+        let experiment = row
+            .get("experiment")
+            .and_then(|v| v.as_str())
+            .ok_or("baseline row missing \"experiment\"")?;
+        if !selection.keeps(experiment, id) {
+            continue;
+        }
         covered.push(id);
         outcome.compared += 1;
         let Some(fresh) = results.iter().find(|r| r.spec.id() == id) else {
@@ -234,17 +267,26 @@ mod tests {
     use crate::sweep;
     use shrimp_bench::{App, RunSpec, Scale};
 
-    fn one_result() -> Vec<RunResult> {
-        let spec = RunSpec::new("test", App::DfsSockets, 2, Scale::Smoke);
+    const ALL: Selection = Selection {
+        experiment: None,
+        filter: None,
+    };
+
+    fn result_of(experiment: &'static str) -> RunResult {
+        let spec = RunSpec::new(experiment, App::DfsSockets, 2, Scale::Smoke);
         let record = spec.execute();
-        vec![RunResult {
+        RunResult {
             index: 0,
             spec,
             status: RunStatus::Ok(record),
             perf: None,
             obs: None,
             checkpoint: None,
-        }]
+        }
+    }
+
+    fn one_result() -> Vec<RunResult> {
+        vec![result_of("test")]
     }
 
     fn baseline_of(results: &[RunResult]) -> Json {
@@ -254,7 +296,7 @@ mod tests {
     #[test]
     fn identical_metrics_pass() {
         let results = one_result();
-        let outcome = check(&baseline_of(&results), &results).unwrap();
+        let outcome = check(&baseline_of(&results), &results, &ALL).unwrap();
         assert!(outcome.passed(), "{:?}", outcome.regressions);
         assert_eq!(outcome.compared, 1);
         assert!(outcome.uncovered.is_empty());
@@ -269,13 +311,13 @@ mod tests {
         if let RunStatus::Ok(r) = &mut inside[0].status {
             r.elapsed += r.elapsed / 10; // +10%
         }
-        assert!(check(&baseline, &inside).unwrap().passed());
+        assert!(check(&baseline, &inside, &ALL).unwrap().passed());
         // Push it past the band: fails with a metric regression.
         let mut outside = results.clone();
         if let RunStatus::Ok(r) = &mut outside[0].status {
             r.elapsed *= 2; // +100%
         }
-        let outcome = check(&baseline, &outside).unwrap();
+        let outcome = check(&baseline, &outside, &ALL).unwrap();
         assert!(!outcome.passed());
         assert!(matches!(
             &outcome.regressions[0].kind,
@@ -291,7 +333,7 @@ mod tests {
         if let RunStatus::Ok(r) = &mut wrong[0].status {
             r.checksum ^= 1;
         }
-        let outcome = check(&baseline, &wrong).unwrap();
+        let outcome = check(&baseline, &wrong, &ALL).unwrap();
         assert!(!outcome.passed(), "a changed answer must always gate");
     }
 
@@ -299,14 +341,14 @@ mod tests {
     fn missing_and_failed_runs_are_regressions() {
         let results = one_result();
         let baseline = baseline_of(&results);
-        let outcome = check(&baseline, &[]).unwrap();
+        let outcome = check(&baseline, &[], &ALL).unwrap();
         assert!(matches!(
             outcome.regressions[0].kind,
             RegressionKind::MissingRun
         ));
         let mut failed = results.clone();
         failed[0].status = RunStatus::TimedOut;
-        let outcome = check(&baseline, &failed).unwrap();
+        let outcome = check(&baseline, &failed, &ALL).unwrap();
         assert!(matches!(
             &outcome.regressions[0].kind,
             RegressionKind::Failed(label) if label == "timeout"
@@ -314,24 +356,10 @@ mod tests {
     }
 
     #[test]
-    fn gate_reads_v1_and_v2_schemas_but_rejects_unknown() {
+    fn gate_rejects_unknown_schemas() {
         let results = one_result();
-        let v2 = baseline_of(&results);
-        assert!(check(&v2, &results).unwrap().passed());
-        // A v1 baseline (pre-observability rows are shaped identically).
-        let v1 = json::parse(
-            &sweep::to_json("smoke", &results).replace(sweep::SCHEMA, sweep::SCHEMA_V1),
-        )
-        .unwrap();
-        assert_eq!(
-            v1.get("schema").unwrap().as_str(),
-            Some(sweep::SCHEMA_V1),
-            "replace missed the schema tag"
-        );
-        assert!(check(&v1, &results).unwrap().passed());
-        // Anything else is an explicit error, not silent mis-comparison.
         let v9 = json::parse("{\"schema\": \"shrimp-sweep-v9\", \"rows\": []}").unwrap();
-        let err = check(&v9, &results).unwrap_err();
+        let err = check(&v9, &results, &ALL).unwrap_err();
         assert!(err.contains("shrimp-sweep-v9"), "{err}");
     }
 
@@ -343,8 +371,54 @@ mod tests {
             sweep::SCHEMA
         ))
         .unwrap();
-        let outcome = check(&baseline, &results).unwrap();
+        let outcome = check(&baseline, &results, &ALL).unwrap();
         assert!(outcome.passed());
         assert_eq!(outcome.uncovered.len(), 1);
+    }
+
+    #[test]
+    fn a_selection_gates_only_the_baseline_rows_it_keeps() {
+        let results = vec![result_of("test"), result_of("other")];
+        let baseline = baseline_of(&results);
+        let test_only = Selection {
+            experiment: Some("test".to_string()),
+            filter: None,
+        };
+        // The unselected "other" row is neither compared nor missing.
+        let outcome = check(&baseline, &results[..1], &test_only).unwrap();
+        assert!(outcome.passed(), "{:?}", outcome.regressions);
+        assert_eq!(outcome.compared, 1);
+        // The same narrowed sweep against the whole baseline misses a row.
+        let outcome = check(&baseline, &results[..1], &ALL).unwrap();
+        assert_eq!(outcome.regressions.len(), 1);
+        assert_eq!(outcome.regressions[0].id, results[1].spec.id());
+        // `--filter` narrows the baseline by id substring the same way.
+        let by_id = Selection {
+            experiment: None,
+            filter: Some("other/".to_string()),
+        };
+        let outcome = check(&baseline, &results[1..], &by_id).unwrap();
+        assert!(outcome.passed(), "{:?}", outcome.regressions);
+        assert_eq!(outcome.compared, 1);
+    }
+
+    #[test]
+    fn a_selected_row_missing_from_the_sweep_is_still_a_regression() {
+        let results = vec![result_of("test"), result_of("other")];
+        let baseline = baseline_of(&results);
+        let test_only = Selection {
+            experiment: Some("test".to_string()),
+            filter: None,
+        };
+        let outcome = check(&baseline, &results[1..], &test_only).unwrap();
+        assert_eq!(outcome.compared, 1);
+        assert_eq!(
+            outcome.regressions,
+            vec![Regression {
+                id: results[0].spec.id(),
+                kind: RegressionKind::MissingRun,
+            }]
+        );
+        assert_eq!(outcome.uncovered, vec![results[1].spec.id()]);
     }
 }

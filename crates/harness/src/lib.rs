@@ -35,7 +35,7 @@ pub mod report;
 pub mod runner;
 pub mod sweep;
 
-pub use gate::{check, GateOutcome, Regression, RegressionKind};
+pub use gate::{check, GateOutcome, Regression, RegressionKind, Selection};
 pub use runner::{run_sweep, RunResult, RunStatus, RunnerOptions};
 
 #[cfg(test)]

@@ -33,12 +33,15 @@ FLAGS:
                       (measure with --workers 1); reported and skipped when
                       the host has fewer hardware threads than shards
   --filter <SUBSTR>   only run specs whose id contains SUBSTR
-  --experiment <GRP>  only run specs of one experiment group (e.g. chaos)
+  --experiment <GRP>  only run specs of one experiment group (e.g. chaos);
+                      with either, the gate compares only the baseline rows
+                      the same selection keeps
   --timeout-secs <N>  per-run wall-clock timeout (default 600)
   --out <PATH>        sweep artifact path (default results/sweep.json)
   --baseline <PATH>   baseline to gate against
                       (default results/baselines/<scale>.json, if present)
-  --write-baseline    write the baseline file(s) instead of gating
+  --write-baseline    write the baseline file(s) instead of gating (the
+                      whole matrix only: refused with --filter/--experiment)
   --no-gate           skip the regression gate
   --perf              also write host wall-clock/events-per-sec samples to
                       results/perf.json and gate them (generous ±40% band)
@@ -82,8 +85,7 @@ struct Cli {
     workers: Option<usize>,
     shards: usize,
     require_speedup: Option<f64>,
-    filter: Option<String>,
-    experiment: Option<String>,
+    selection: gate::Selection,
     timeout: Duration,
     out: Option<PathBuf>,
     baseline: Option<PathBuf>,
@@ -106,8 +108,7 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         workers: None,
         shards: 1,
         require_speedup: None,
-        filter: None,
-        experiment: None,
+        selection: gate::Selection::default(),
         timeout: Duration::from_secs(600),
         out: None,
         baseline: None,
@@ -145,8 +146,8 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                 cli.require_speedup =
                     Some(v.parse().map_err(|_| format!("'{v}' is not a number"))?);
             }
-            "--filter" => cli.filter = Some(value("--filter")?),
-            "--experiment" => cli.experiment = Some(value("--experiment")?),
+            "--filter" => cli.selection.filter = Some(value("--filter")?),
+            "--experiment" => cli.selection.experiment = Some(value("--experiment")?),
             "--timeout-secs" => {
                 cli.timeout = Duration::from_secs(parse_num(&value("--timeout-secs")?)? as u64)
             }
@@ -170,6 +171,13 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             }
             other => return Err(format!("unknown flag '{other}'")),
         }
+    }
+    // A baseline is the whole matrix; a subset written over it would turn
+    // every unselected row into an uncovered one.
+    if cli.write_baseline && !cli.selection.is_everything() {
+        return Err(
+            "--write-baseline writes the whole matrix; drop --filter/--experiment".to_string(),
+        );
     }
     Ok(cli)
 }
@@ -230,12 +238,7 @@ fn main() -> ExitCode {
 
     let nodes = cli.nodes.unwrap_or_else(|| cli.scale.default_nodes());
     let mut specs = matrix(cli.scale, nodes);
-    if let Some(group) = &cli.experiment {
-        specs.retain(|s| s.experiment == group.as_str());
-    }
-    if let Some(filter) = &cli.filter {
-        specs.retain(|s| s.id().contains(filter.as_str()));
-    }
+    specs.retain(|s| cli.selection.keeps(s.experiment, &s.id()));
     if cli.list {
         for s in &specs {
             println!("{}", s.id());
@@ -425,7 +428,9 @@ fn main() -> ExitCode {
     let mut gate_failed = false;
     if !cli.no_gate {
         match std::fs::read_to_string(&baseline_path) {
-            Ok(text) => match json::parse(&text).and_then(|doc| gate::check(&doc, &results)) {
+            Ok(text) => match json::parse(&text)
+                .and_then(|doc| gate::check(&doc, &results, &cli.selection))
+            {
                 Ok(outcome) => {
                     println!("\n{}", outcome.render());
                     gate_failed = !outcome.passed();
@@ -495,5 +500,25 @@ fn main() -> ExitCode {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Cli, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn write_baseline_refuses_a_selection() {
+        assert!(parse(&["--smoke", "--write-baseline"]).is_ok());
+        for narrowed in [["--experiment", "kv"], ["--filter", "p16"]] {
+            let mut args = vec!["--smoke", "--write-baseline"];
+            args.extend(narrowed);
+            let err = parse(&args).err().expect("a narrowed baseline is refused");
+            assert!(err.contains("--write-baseline"), "{err}");
+        }
     }
 }

@@ -15,14 +15,10 @@ use shrimp_sim::time;
 use crate::json::escape;
 use crate::runner::{RunResult, RunStatus};
 
-/// Schema tag written into every sweep document. `v2` added the optional
-/// observed-metrics entries (histograms/gauges as nested objects under
-/// `"<category>/<name>"` keys) to the per-row `metrics` block; rows from
-/// unobserved sweeps are byte-identical to `v1` rows.
+/// Schema tag written into every sweep document. A row's `metrics` block
+/// may carry optional observed-metrics entries (histograms/gauges as
+/// nested objects under `"<category>/<name>"` keys) after its flat fields.
 pub const SCHEMA: &str = "shrimp-sweep-v2";
-
-/// The previous schema tag; the regression gate reads both.
-pub const SCHEMA_V1: &str = "shrimp-sweep-v1";
 
 /// Serializes results as the sweep document.
 pub fn to_json(scale: &str, results: &[RunResult]) -> String {

@@ -1,69 +1,20 @@
 //! Observability integration tests: the metrics registry and trace export
-//! must be free when off (unobserved rows byte-match the committed
-//! baseline) and complete when on (an observed fig3 row yields a Chrome
-//! trace spanning several component timelines plus latency histograms in
-//! the sweep row).
+//! must be complete when on (an observed fig3 row yields a Chrome trace
+//! spanning several component timelines plus latency histograms in the
+//! sweep row). That they are free when off is the smoke baseline's job:
+//! unobserved rows must byte-match `results/baselines/smoke.json`.
 
 use std::collections::BTreeSet;
-use std::path::PathBuf;
 
 use shrimp_bench::{matrix, RunSpec, Scale};
 use shrimp_harness::runner::{RunResult, RunStatus};
 use shrimp_harness::{chrome, json, sweep};
-
-fn baseline_text() -> String {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results/baselines/smoke.json");
-    std::fs::read_to_string(path).expect("committed smoke baseline")
-}
 
 fn smoke_spec(id: &str) -> RunSpec {
     matrix(Scale::Smoke, 4)
         .into_iter()
         .find(|s| s.id() == id)
         .unwrap_or_else(|| panic!("{id} missing from smoke matrix"))
-}
-
-/// Serializes one unobserved run exactly as the sweep artifact would:
-/// the single row line, indentation included.
-fn row_line(spec: &RunSpec) -> String {
-    let result = RunResult {
-        index: 0,
-        spec: spec.clone(),
-        status: RunStatus::Ok(spec.execute()),
-        perf: None,
-        obs: None,
-        checkpoint: None,
-    };
-    let text = sweep::to_json("smoke", &[result]);
-    text.lines()
-        .find(|l| l.trim_start().starts_with("{\"id\""))
-        .expect("sweep artifact has a row line")
-        .to_string()
-}
-
-/// With observability off (the default), rows are byte-for-byte what the
-/// committed baseline recorded: the registry and trace sink cost nothing
-/// disabled. One representative row per experiment flavor; the CI sweep
-/// byte-compares the full matrix.
-#[test]
-fn unobserved_rows_are_byte_identical_to_committed_baseline() {
-    let baseline = baseline_text();
-    assert!(
-        baseline.contains(&format!("\"schema\": \"{}\"", sweep::SCHEMA)),
-        "baseline not at the current schema"
-    );
-    for id in [
-        "fig3/radix-svm-aurc/p4/as-built",
-        "table1/dfs-sockets-default/p4/as-built",
-        "table1/radix-vmmc-default/p4/as-built",
-        "chaos/radix-vmmc-du/p4/rel",
-    ] {
-        let line = row_line(&smoke_spec(id));
-        assert!(
-            baseline.contains(&line),
-            "{id}: fresh unobserved row diverges from the committed baseline\nfresh: {line}"
-        );
-    }
 }
 
 /// An observed fig3 SVM row must produce a Chrome trace whose timeline

@@ -6,7 +6,7 @@
 //! This is the artifact-level face of the conservative executor's
 //! determinism guarantee: `Shards::Auto` rows follow the sweep-wide
 //! setting, yet their `RunRecord` metrics are invariant, so
-//! `results/sweep.json` and the committed smoke baselines cannot drift
+//! `results/sweep.json` and the committed smoke baseline cannot drift
 //! with the host's parallelism. The `launch()` row families — cluster,
 //! chaos-cluster, warm and kv — exercise the engine: their nodes run the
 //! full SHRIMP stack (VMMC, NIC, notifications) sharded across `Sim`s
@@ -60,7 +60,13 @@ fn committed(name: &str) -> String {
 
 /// The full smoke sweep, three times: `--shards 1`, `--shards 2` and
 /// `--shards 4` must produce byte-identical artifacts, and that one
-/// artifact must match the committed smoke baseline byte for byte.
+/// artifact must match the committed smoke baseline byte for byte. This
+/// covers every experiment group at once: the classic chaos rows (for
+/// which `--shards` must stay a no-op even with the fault plane active)
+/// and every `launch()` family — cluster rows up to the pinned 64-node
+/// pair, chaos-cluster crash/restart faults under the heartbeat detector,
+/// warm-start forks and the kv rows whose latency quantiles come out of
+/// histograms merged across shards.
 #[test]
 fn smoke_sweep_is_byte_identical_across_shard_counts() {
     let specs = matrix(Scale::Smoke, 4);
@@ -77,120 +83,6 @@ fn smoke_sweep_is_byte_identical_across_shard_counts() {
         one,
         committed("smoke.json"),
         "the sweep artifact drifted from the committed smoke baseline"
-    );
-}
-
-/// The sharded-cluster differential oracle at the artifact level: the
-/// cluster rows alone — full SHRIMP nodes partitioned across shards,
-/// including the pinned 64-node pair — produce the same bytes whether
-/// the `Shards::Auto` row runs on one `Sim` (the single-`Sim` oracle
-/// path: one shard, no windows) or windowed across 2 or 4 shards.
-#[test]
-fn cluster_rows_are_byte_identical_across_shard_counts() {
-    let mut specs = matrix(Scale::Smoke, 4);
-    specs.retain(|s| s.experiment == "cluster");
-    assert!(
-        specs.iter().any(|s| s.nodes == 16),
-        "cluster group lost its 16-node oracle row"
-    );
-    assert!(
-        specs.iter().any(|s| s.nodes == 64),
-        "cluster group lost its 64-node rows"
-    );
-    let oracle = sweep_bytes(&specs, 1);
-    assert_eq!(
-        oracle,
-        sweep_bytes(&specs, 2),
-        "--shards 2 changed the cluster rows"
-    );
-    assert_eq!(
-        oracle,
-        sweep_bytes(&specs, 4),
-        "--shards 4 changed the cluster rows"
-    );
-}
-
-/// Chaos under `--shards`: the nine chaos smoke rows executed with
-/// `--shards 4` reproduce the committed chaos baseline byte for byte.
-/// These rows run classic single-`Sim` applications (Radix on `build()`),
-/// so the `--shards` flag must stay a no-op for them even with the fault
-/// plane active.
-#[test]
-fn chaos_rows_under_shards_4_match_the_committed_baseline() {
-    let mut specs = matrix(Scale::Smoke, 4);
-    specs.retain(|s| s.experiment == "chaos");
-    assert_eq!(specs.len(), 9, "smoke chaos group changed size");
-    let fresh = sweep_bytes(&specs, 4);
-    assert_eq!(
-        fresh,
-        committed("chaos-smoke.json"),
-        "--shards 4 (or a regression) changed the chaos sweep artifact"
-    );
-}
-
-/// Sharded chaos: the chaos-cluster rows — fault scenarios on the
-/// `launch()` path, per-entity RNG streams, crash/restart faults, and
-/// the heartbeat failure detector — produce byte-identical artifacts at
-/// `--shards` 1, 2 and 4, and the single-shard run (the windowless
-/// single-`Sim` oracle) matches the committed baseline byte for byte.
-#[test]
-fn chaos_cluster_rows_are_byte_identical_across_shard_counts() {
-    let mut specs = matrix(Scale::Smoke, 4);
-    specs.retain(|s| s.experiment == "chaos-cluster");
-    assert_eq!(specs.len(), 3, "smoke chaos-cluster group changed size");
-    assert!(
-        specs
-            .iter()
-            .any(|s| s.nodes == 64 && s.knobs.faults.crash.is_some()),
-        "chaos-cluster group lost its 64-node crash rows"
-    );
-    let oracle = sweep_bytes(&specs, 1);
-    assert_eq!(
-        oracle,
-        sweep_bytes(&specs, 2),
-        "--shards 2 changed the chaos-cluster rows"
-    );
-    assert_eq!(
-        oracle,
-        sweep_bytes(&specs, 4),
-        "--shards 4 changed the chaos-cluster rows"
-    );
-    assert_eq!(
-        oracle,
-        committed("chaos-cluster-smoke.json"),
-        "the chaos-cluster artifact drifted from its committed baseline"
-    );
-}
-
-/// The replicated-KV rows: open-loop load whose latency quantiles come
-/// out of the merged metrics histograms, plus a primary-crash failover —
-/// byte-identical at `--shards` 1, 2 and 4 (the histogram merge across
-/// shards is commutative and associative), and the single-shard oracle
-/// matches the committed kv baseline byte for byte.
-#[test]
-fn kv_rows_are_byte_identical_across_shard_counts() {
-    let mut specs = matrix(Scale::Smoke, 4);
-    specs.retain(|s| s.experiment == "kv");
-    assert_eq!(specs.len(), 2, "smoke kv group changed size");
-    assert!(
-        specs.iter().any(|s| s.knobs.faults.crash.is_some()),
-        "kv group lost its failover row"
-    );
-    let oracle = sweep_bytes(&specs, 1);
-    assert_eq!(
-        oracle,
-        sweep_bytes(&specs, 2),
-        "--shards 2 changed the kv rows"
-    );
-    assert_eq!(
-        oracle,
-        sweep_bytes(&specs, 4),
-        "--shards 4 changed the kv rows"
-    );
-    assert_eq!(
-        oracle,
-        committed("kv-smoke.json"),
-        "the kv artifact drifted from its committed baseline"
     );
 }
 

@@ -47,107 +47,6 @@ enum TimerAction {
     Call(Box<dyn FnOnce()>),
 }
 
-/// Pending-timer storage. The wheel is the production scheduler; the legacy
-/// binary heap it replaced is kept compilable only for tests and the
-/// `legacy-sched` feature, as the reference for byte-identity checks.
-// The wheel's inline slot arrays dwarf the legacy heap; with one TimerStore
-// per Sim, boxing the hot variant to please the lint would be backwards.
-#[cfg_attr(any(test, feature = "legacy-sched"), allow(clippy::large_enum_variant))]
-enum TimerStore {
-    Wheel(TimerWheel<TimerAction>),
-    #[cfg(any(test, feature = "legacy-sched"))]
-    Legacy {
-        heap: std::collections::BinaryHeap<legacy::TimerEntry>,
-        next_seq: u64,
-    },
-}
-
-impl TimerStore {
-    fn insert(&mut self, at: Time, action: TimerAction) {
-        match self {
-            TimerStore::Wheel(w) => {
-                w.insert(at, action);
-            }
-            #[cfg(any(test, feature = "legacy-sched"))]
-            TimerStore::Legacy { heap, next_seq } => {
-                let seq = *next_seq;
-                *next_seq += 1;
-                heap.push(legacy::TimerEntry { at, seq, action });
-            }
-        }
-    }
-
-    fn pop(&mut self) -> Option<(Time, TimerAction)> {
-        match self {
-            TimerStore::Wheel(w) => w.pop(),
-            #[cfg(any(test, feature = "legacy-sched"))]
-            TimerStore::Legacy { heap, .. } => heap.pop().map(|e| (e.at, e.action)),
-        }
-    }
-
-    fn next_deadline(&mut self) -> Option<Time> {
-        match self {
-            TimerStore::Wheel(w) => w.peek_deadline(),
-            #[cfg(any(test, feature = "legacy-sched"))]
-            TimerStore::Legacy { heap, .. } => heap.peek().map(|e| e.at),
-        }
-    }
-}
-
-#[cfg(any(test, feature = "legacy-sched"))]
-mod legacy {
-    use super::{Time, TimerAction};
-    use std::cmp::Ordering;
-
-    pub(super) struct TimerEntry {
-        pub at: Time,
-        pub seq: u64,
-        pub action: TimerAction,
-    }
-
-    impl PartialEq for TimerEntry {
-        fn eq(&self, other: &Self) -> bool {
-            self.at == other.at && self.seq == other.seq
-        }
-    }
-    impl Eq for TimerEntry {}
-    impl PartialOrd for TimerEntry {
-        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl Ord for TimerEntry {
-        fn cmp(&self, other: &Self) -> Ordering {
-            // Reversed: BinaryHeap is a max-heap, we want earliest (time, seq).
-            (other.at, other.seq).cmp(&(self.at, self.seq))
-        }
-    }
-}
-
-/// Scheduler selection for byte-identity testing. Only compiled for tests
-/// and the `legacy-sched` feature; release builds contain the wheel alone.
-#[cfg(any(test, feature = "legacy-sched"))]
-pub mod sched {
-    use std::cell::Cell;
-
-    thread_local! {
-        static USE_LEGACY: Cell<bool> = const { Cell::new(false) };
-    }
-
-    /// Makes every [`Sim`](super::Sim) subsequently created **on this
-    /// thread** use the legacy `BinaryHeap` scheduler instead of the timer
-    /// wheel. Both must produce byte-identical results; tests flip this to
-    /// prove it.
-    pub fn set_legacy_scheduler(on: bool) {
-        USE_LEGACY.with(|f| f.set(on));
-    }
-
-    /// Whether new simulators on this thread use the legacy scheduler.
-    pub fn legacy_scheduler() -> bool {
-        USE_LEGACY.with(|f| f.get())
-    }
-}
-
 /// Wake queue shared with `Waker`s. `Waker` must be `Send + Sync`, so the
 /// compiler cannot prove this stays on one thread — but the simulator *is*
 /// strictly single-threaded, so instead of an always-uncontended `Mutex` the
@@ -344,7 +243,7 @@ struct SimInner {
     /// Executor events processed: process polls + timer fires. Purely a
     /// function of the simulated program, so deterministic across runs.
     events: Cell<u64>,
-    timers: RefCell<TimerStore>,
+    timers: RefCell<TimerWheel<TimerAction>>,
     ready: Arc<ReadyQueue>,
     tasks: RefCell<TaskSlab>,
 }
@@ -395,25 +294,13 @@ impl Sim {
     /// clock was born, so a simulator started at `start` behaves exactly
     /// like one that idled from zero to `start`.
     pub fn new_at(start: Time) -> Self {
-        #[cfg(any(test, feature = "legacy-sched"))]
-        let timers = if sched::legacy_scheduler() {
-            TimerStore::Legacy {
-                heap: std::collections::BinaryHeap::new(),
-                next_seq: 0,
-            }
-        } else {
-            TimerStore::Wheel(TimerWheel::new())
-        };
-        #[cfg(not(any(test, feature = "legacy-sched")))]
-        let timers = TimerStore::Wheel(TimerWheel::new());
-
         Sim {
             inner: Rc::new(SimInner {
                 now: Cell::new(start),
                 trace: TraceSink::new(),
                 metrics: MetricsRegistry::new(),
                 events: Cell::new(0),
-                timers: RefCell::new(timers),
+                timers: RefCell::new(TimerWheel::new()),
                 ready: Arc::new(ReadyQueue::new()),
                 tasks: RefCell::new(TaskSlab::new()),
             }),
@@ -617,7 +504,7 @@ impl Sim {
     /// ([`crate::shard`]) reads this after each window to compute the next
     /// global safe horizon.
     pub fn next_deadline(&self) -> Option<Time> {
-        self.inner.timers.borrow_mut().next_deadline()
+        self.inner.timers.borrow_mut().peek_deadline()
     }
 
     /// `true` when at least one woken process awaits the next executor
@@ -651,9 +538,7 @@ impl Sim {
     ///
     /// # Errors
     ///
-    /// [`SnapshotError::NotQuiesced`] if work is still pending, or if the
-    /// simulator runs on the test-only legacy heap scheduler (which has no
-    /// snapshot representation).
+    /// [`SnapshotError::NotQuiesced`] if work is still pending.
     pub fn snapshot(&self) -> Result<Vec<u8>, SnapshotError> {
         if self.has_runnable() {
             return Err(SnapshotError::NotQuiesced("woken processes await polling"));
@@ -664,26 +549,17 @@ impl Sim {
         let mut w = SnapshotWriter::new();
         w.put_u64(self.now());
         w.put_u64(self.events());
-        match &*self.inner.timers.borrow() {
-            TimerStore::Wheel(wheel) => {
-                if !wheel.is_empty() {
-                    return Err(SnapshotError::NotQuiesced("timers are still pending"));
-                }
-                // Quiesced: only cancelled/free residue remains, so the
-                // payload encoder is provably never consulted.
-                wheel.snapshot_into(&mut w, |_| {
-                    Err(SnapshotError::NotQuiesced(
-                        "timer payloads are not serializable",
-                    ))
-                })?;
-            }
-            #[cfg(any(test, feature = "legacy-sched"))]
-            TimerStore::Legacy { .. } => {
-                return Err(SnapshotError::NotQuiesced(
-                    "legacy heap scheduler has no snapshot form",
-                ));
-            }
+        let wheel = self.inner.timers.borrow();
+        if !wheel.is_empty() {
+            return Err(SnapshotError::NotQuiesced("timers are still pending"));
         }
+        // Quiesced: only cancelled/free residue remains, so the
+        // payload encoder is provably never consulted.
+        wheel.snapshot_into(&mut w, |_| {
+            Err(SnapshotError::NotQuiesced(
+                "timer payloads are not serializable",
+            ))
+        })?;
         let tasks = self.inner.tasks.borrow();
         w.put_u64(tasks.slots.len() as u64);
         w.put_u32(tasks.free);
@@ -700,9 +576,6 @@ impl Sim {
     }
 
     /// Rebuilds a simulator from a [`Sim::snapshot`] artifact.
-    ///
-    /// The restored simulator always runs on the timer wheel, regardless of
-    /// any thread-local scheduler toggle.
     pub fn restore(bytes: &[u8]) -> Result<Sim, SnapshotError> {
         let mut r = SnapshotReader::new(bytes)?;
         let now = r.get_u64()?;
@@ -743,7 +616,7 @@ impl Sim {
                 trace: TraceSink::new(),
                 metrics,
                 events: Cell::new(events),
-                timers: RefCell::new(TimerStore::Wheel(wheel)),
+                timers: RefCell::new(wheel),
                 ready: Arc::new(ReadyQueue::new()),
                 tasks: RefCell::new(TaskSlab {
                     slots,
@@ -761,7 +634,7 @@ impl Sim {
             self.drain_ready();
             let fire = {
                 let mut timers = self.inner.timers.borrow_mut();
-                matches!(timers.next_deadline(), Some(at) if at <= limit)
+                matches!(timers.peek_deadline(), Some(at) if at <= limit)
             };
             if !fire {
                 break;
@@ -1007,32 +880,6 @@ mod tests {
         let e = run_once();
         assert!(e > 0, "polls and timer fires must be counted");
         assert_eq!(e, run_once(), "event count must be deterministic");
-    }
-
-    #[test]
-    fn legacy_and_wheel_schedulers_agree() {
-        fn scenario() -> (Time, Vec<u64>, u64) {
-            let sim = Sim::new();
-            let log: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
-            for i in 0..16u64 {
-                let s = sim.clone();
-                let log = log.clone();
-                sim.spawn(async move {
-                    s.sleep(ns(i * 37 % 23)).await;
-                    log.borrow_mut().push(i);
-                    s.sleep(us(i % 3)).await;
-                    log.borrow_mut().push(100 + i);
-                });
-            }
-            let t = sim.run_to_completion();
-            let l = log.borrow().clone();
-            (t, l, sim.events())
-        }
-        let wheel = scenario();
-        sched::set_legacy_scheduler(true);
-        let legacy = scenario();
-        sched::set_legacy_scheduler(false);
-        assert_eq!(wheel, legacy);
     }
 
     #[test]

@@ -34,9 +34,9 @@
 //!   `(arrival, source shard, per-edge seq)` order, and the parity rule fixes
 //!   which merge an envelope lands in (the one after the step that sent it,
 //!   whatever the thread timing), so a sharded run is bit-reproducible, and
-//!   `ExecMode::Serial` (the cfg-gated single-thread oracle, compiled like
-//!   `legacy-sched`) replays the exact same schedule for differential
-//!   testing.
+//!   `ExecMode::Serial` (the single-thread oracle, compiled only for tests
+//!   and the `serial-shards` feature) replays the exact same schedule for
+//!   differential testing.
 //! * `shards == 1` degenerates to today's executor: the runner builds one
 //!   `Sim` and calls [`Sim::run`]; no windows, no barriers, no queues.
 //!
@@ -392,7 +392,7 @@ pub enum ExecMode {
     /// Every shard on the calling thread, windows replayed round-robin in
     /// shard order: the differential oracle proving the threaded path adds
     /// no nondeterminism. Compiled only for tests and the `serial-shards`
-    /// feature, like the executor's `legacy-sched`.
+    /// feature.
     #[cfg(any(test, feature = "serial-shards"))]
     Serial,
 }

@@ -45,36 +45,6 @@ use std::collections::{BinaryHeap, VecDeque};
 use crate::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use crate::time::Time;
 
-/// Opt-in switch to the legacy level-by-level cascade stepper, compiled
-/// only for tests and the `legacy-skip` feature.
-///
-/// The production refill path idle-skips: it jumps the cursor straight to
-/// the earliest deadline of the next populated slot instead of cascading
-/// through intermediate levels. The legacy stepper is kept as a
-/// differential oracle (`tests/skip_differential.rs` replays identical
-/// streams through both and demands identical `(time, seq)` order). This
-/// mirrors the `sched` toggle for the pre-wheel heap scheduler: the choice
-/// is thread-local and captured once per wheel at construction time.
-#[cfg(any(test, feature = "legacy-skip"))]
-pub mod skip {
-    use std::cell::Cell;
-
-    thread_local! {
-        static LEGACY: Cell<bool> = const { Cell::new(false) };
-    }
-
-    /// Routes wheels subsequently created on this thread to the legacy
-    /// cascade stepper (`true`) or the idle-skip fast path (`false`).
-    pub fn set_legacy_stepper(on: bool) {
-        LEGACY.with(|l| l.set(on));
-    }
-
-    /// The current thread-local stepper choice.
-    pub fn legacy_stepper() -> bool {
-        LEGACY.with(|l| l.get())
-    }
-}
-
 /// Slot-index bits per level.
 const BITS: u32 = 6;
 /// Slots per level.
@@ -130,10 +100,6 @@ pub struct TimerWheel<T> {
     overflow: BinaryHeap<Reverse<(Time, u64, Idx)>>,
     /// Reusable sort buffer for slot drains.
     scratch: Vec<(u64, Idx)>,
-    /// Use the legacy cascade stepper instead of idle-skip (differential
-    /// oracle only; captured from the thread-local toggle at construction).
-    #[cfg(any(test, feature = "legacy-skip"))]
-    legacy_refill: bool,
 }
 
 impl<T> Default for TimerWheel<T> {
@@ -157,8 +123,6 @@ impl<T> TimerWheel<T> {
             pre: BinaryHeap::new(),
             overflow: BinaryHeap::new(),
             scratch: Vec::new(),
-            #[cfg(any(test, feature = "legacy-skip"))]
-            legacy_refill: skip::legacy_stepper(),
         }
     }
 
@@ -284,29 +248,6 @@ impl<T> TimerWheel<T> {
                 self.promote();
                 self.drain_slot_sorted(slot);
                 return true;
-            }
-            #[cfg(any(test, feature = "legacy-skip"))]
-            if self.legacy_refill {
-                // Legacy cascade stepper (differential oracle): advance to
-                // the slot's start and re-place its entries, which now land
-                // at a strictly lower level.
-                let shift = BITS * level as u32;
-                let base = self.elapsed & !((1u64 << (shift + BITS)) - 1);
-                let start = base | ((slot as u64) << shift);
-                debug_assert!(start > self.elapsed);
-                self.elapsed = start;
-                self.promote();
-                let mut head = self.take_slot(level, slot);
-                while head != NIL {
-                    let next = self.slab[head as usize].next;
-                    if self.slab[head as usize].cancelled {
-                        self.release(head);
-                    } else {
-                        self.place(head);
-                    }
-                    head = next;
-                }
-                continue;
             }
             // Idle-skip: this slot holds the earliest wheel entries (its
             // level-`k` population agrees with the cursor above block `k`
@@ -636,8 +577,6 @@ impl<T> TimerWheel<T> {
             pre,
             overflow,
             scratch: Vec::new(),
-            #[cfg(any(test, feature = "legacy-skip"))]
-            legacy_refill: skip::legacy_stepper(),
         })
     }
 }
@@ -836,23 +775,6 @@ mod tests {
         r.finish().unwrap();
         assert!(restored.is_empty());
         assert_eq!(restored.pop(), None);
-    }
-
-    #[test]
-    fn legacy_stepper_matches_idle_skip() {
-        // Deadlines spread across every level force multi-level hops.
-        let deadlines = [3u64, 100, 5_000, 300_000, 20_000_000, 1 << 33, HORIZON + 7];
-        let mut fast = TimerWheel::new();
-        skip::set_legacy_stepper(true);
-        let mut slow = TimerWheel::new();
-        skip::set_legacy_stepper(false);
-        assert!(!fast.legacy_refill);
-        assert!(slow.legacy_refill);
-        for (i, &at) in deadlines.iter().enumerate() {
-            fast.insert(at, i as u32);
-            slow.insert(at, i as u32);
-        }
-        assert_eq!(drain_all(&mut fast), drain_all(&mut slow));
     }
 
     #[test]

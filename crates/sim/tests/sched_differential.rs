@@ -1,11 +1,16 @@
 //! Differential test of the timer wheel against a reference scheduler.
 //!
-//! The oracle that licenses the executor's hot-path rewrite: a plain
-//! `BinaryHeap` popping strict `(time, seq)` minima is obviously correct, so
-//! the wheel must agree with it on *every* operation of a randomized
-//! schedule/cancel/advance stream — pop order, peeked deadlines, cancel
-//! results, and lengths. Streams come from `shrimp-testkit` choice sources,
-//! so failures replay and shrink deterministically.
+//! The one oracle for timer order: a plain `BinaryHeap` popping strict
+//! `(time, seq)` minima is obviously correct, so the wheel must agree with
+//! it on *every* operation of a randomized schedule/cancel/advance stream —
+//! pop order, peeked deadlines, cancel results, and lengths. That covers
+//! the wheel's idle-skip refill too: on sparse schedules a pop jumps the
+//! cursor across long runs of empty slots, and a jump past a pending
+//! deadline shows up as a pop or peek that disagrees with the heap. (A
+//! jump that stops short of the earliest deadline costs only time: the
+//! cascade finishes the walk.) Streams come from
+//! `shrimp-testkit` choice sources, so failures replay and shrink
+//! deterministically.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap};
@@ -71,17 +76,23 @@ impl RefSched {
 }
 
 /// Maps one `(selector, value)` choice pair to a deadline. The buckets pin
-/// every wheel region: same-slot, low levels, high levels, and the overflow
-/// heap (beyond the 2^36 ps horizon); small absolute deadlines late in a run
-/// also land behind the cursor, exercising the `pre` path.
+/// every wheel region: same-slot, low levels, sparse deadlines ~256 K ps
+/// apart (so pops idle-skip across empty slots on several levels), high
+/// levels, and the overflow heap (beyond the 2^36 ps horizon); small
+/// absolute deadlines late in a run also land behind the cursor,
+/// exercising the `pre` path.
 fn deadline(selector: u64, value: u64) -> u64 {
-    match selector % 4 {
+    match selector % 5 {
         0 => value % 64,
         1 => value % 4096,
-        2 => value % (1 << 36),
+        2 => (value % 1024) << 18,
+        3 => value % (1 << 36),
         _ => value % (1 << 40),
     }
 }
+
+/// Op codes: `op % 100` picks the operation, `op / 100` the deadline bucket.
+const OPS: u64 = 500;
 
 /// Runs one op stream through both schedulers, asserting agreement at every
 /// step. Returns the number of operations executed.
@@ -146,19 +157,38 @@ fn run_differential(ops: &[(u64, u64)]) -> usize {
     ops.len()
 }
 
-/// The headline oracle run: 3 independent choice streams of 8192 operations
-/// each (24k+ total, well past the 10k bar), covering every wheel region.
+/// The headline oracle run: 6 independent choice streams of 8192 operations
+/// each (49k total), covering every wheel region.
 #[test]
-fn wheel_matches_reference_over_24k_random_ops() {
+fn wheel_matches_reference_over_49k_random_ops() {
     let mut total = 0;
-    for seed in [0x5eed_0001u64, 0xdead_beef, 0x7777_1234] {
+    for seed in [
+        0x5eed_0001u64,
+        0xdead_beef,
+        0x7777_1234,
+        0x5eed_0002,
+        0xfeed_f00d,
+        0x1d1e_5c1b,
+    ] {
         let mut src = Source::record(seed);
         let ops: Vec<(u64, u64)> = (0..8192)
-            .map(|_| (src.draw_below(400), src.draw()))
+            .map(|_| (src.draw_below(OPS), src.draw()))
             .collect();
         total += run_differential(&ops);
     }
-    assert!(total >= 10_000, "ran only {total} ops");
+    assert!(total >= 49_000, "ran only {total} ops");
+}
+
+/// A deterministic worst case for the refill: lone timers 2^0 ..= 2^39 ps
+/// out, each popped before the next is inserted, so every pop idle-skips
+/// across the widest run of empty slots its level allows, up to and past
+/// the overflow horizon.
+#[test]
+fn lone_timers_across_maximal_gaps_agree() {
+    let ops: Vec<(u64, u64)> = (0..40)
+        .flat_map(|i| [(400, 1u64 << i), (50, 0)]) // insert (top bucket), then pop
+        .collect();
+    run_differential(&ops);
 }
 
 props! {
@@ -167,7 +197,7 @@ props! {
     /// Shrinkable version of the oracle: any small op stream keeps the wheel
     /// and the reference heap in lock-step.
     fn wheel_matches_reference(
-        ops in vec_of(zip(u64_in(0..400), any_u64()), 1..600),
+        ops in vec_of(zip(u64_in(0..OPS), any_u64()), 1..600),
     ) {
         let n = run_differential(&ops);
         prop_assert!(n == ops.len());
