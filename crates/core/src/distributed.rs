@@ -227,15 +227,34 @@ pub(crate) async fn finish_node(vmmc: &Vmmc, p: &DistributedParams, s: &NodeSetu
 
     // Checksum the receive buffer (node-local reads of a now-final buffer;
     // the scan is charged as a local copy).
-    let mut buf = vec![0u8; len];
-    vmmc.space().read(s.recv, &mut buf);
+    checksum_recv(
+        vmmc,
+        s.recv,
+        len,
+        p.seed ^ ((me as u64) << 32) ^ 0x5348_524d_5044_4953,
+    )
+    .await
+}
+
+/// Hashes the `len`-byte receive buffer at `recv` as it stands now, a page
+/// at a time, then charges the scan as a local copy.
+async fn checksum_recv(vmmc: &Vmmc, recv: Vaddr, len: usize, mut st: u64) -> u64 {
+    // The page buffer is scoped so the future does not carry it across
+    // the await.
+    let h = {
+        let mut page = [0u8; PAGE_SIZE];
+        let mut h = 0u64;
+        for off in (0..len).step_by(PAGE_SIZE) {
+            let chunk = &mut page[..PAGE_SIZE.min(len - off)];
+            vmmc.space().read(recv.add(off as u64), chunk);
+            for &b in chunk.iter() {
+                st ^= u64::from(b);
+                h = h.wrapping_add(splitmix64(&mut st));
+            }
+        }
+        h
+    };
     vmmc.local_copy(len).await;
-    let mut st = p.seed ^ ((me as u64) << 32) ^ 0x5348_524d_5044_4953;
-    let mut h = 0u64;
-    for &b in &buf {
-        st ^= u64::from(b);
-        h = h.wrapping_add(splitmix64(&mut st));
-    }
     h
 }
 
@@ -561,16 +580,13 @@ async fn run_chaos_node(
     }
     shared.halt.set(true);
 
-    let mut buf = vec![0u8; len];
-    vmmc.space().read(recv, &mut buf);
-    vmmc.local_copy(len).await;
-    let mut st = p.seed ^ ((me as u64) << 32) ^ 0x4348_414f_5344_4953;
-    let mut h = 0u64;
-    for &b in &buf {
-        st ^= u64::from(b);
-        h = h.wrapping_add(splitmix64(&mut st));
-    }
-    h
+    checksum_recv(
+        &vmmc,
+        recv,
+        len,
+        p.seed ^ ((me as u64) << 32) ^ 0x4348_414f_5344_4953,
+    )
+    .await
 }
 
 #[cfg(test)]

@@ -705,7 +705,10 @@ impl Vmmc {
     /// threshold interrupt).
     pub async fn store(&self, v: Vaddr, data: &[u8]) {
         let node = self.cluster.node(self.node);
-        let cfg = self.cluster.config().clone();
+        let (wb_word_cost, wt_word_cost) = {
+            let cfg = self.cluster.config();
+            (cfg.wb_store_word_cost, cfg.wt_store_word_cost)
+        };
         // Words per pacing batch: small enough for the FIFO threshold
         // interrupt to bite, large enough to bound event counts.
         const BATCH_WORDS: usize = 16;
@@ -716,7 +719,7 @@ impl Vmmc {
             let pa = node.space.translate(a);
             if node.mem.cache_mode_of(pa.page()) == CacheMode::WriteBack {
                 let words = in_page.div_ceil(WORD_BYTES) as u64;
-                node.cpu.compute(words * cfg.wb_store_word_cost).await;
+                node.cpu.compute(words * wb_word_cost).await;
                 node.space.store(a, &data[off..off + in_page]);
             } else {
                 // Write-through: word-granular, snooped, paced stores.
@@ -729,7 +732,7 @@ impl Vmmc {
                     }
                     let batch = (BATCH_WORDS * WORD_BYTES).min(in_page - w);
                     let words = batch.div_ceil(WORD_BYTES) as u64;
-                    let d = words * cfg.wt_store_word_cost;
+                    let d = words * wt_word_cost;
                     node.bus.occupy_reserve(self.sim(), d);
                     node.cpu.compute(d).await;
                     let mut x = 0usize;

@@ -172,8 +172,9 @@ struct Decoupled<P> {
     shard_map: Vec<usize>,
     /// Cross-shard channel to the peer backplanes.
     sender: ShardSender<Flit<P>>,
-    /// Last granted arrival per (src, dst) pair, for the no-overtake clamp.
-    last_arrival: RefCell<FastMap<(usize, usize), Time>>,
+    /// Last granted arrival per (src, dst) pair, for the no-overtake clamp,
+    /// at `src * n_nodes + dst`.
+    last_arrival: RefCell<Vec<Time>>,
     /// Per-destination reorder heaps (only owned destinations are used).
     heaps: RefCell<Vec<BinaryHeap<Reverse<HeapEntry<P>>>>>,
     /// Instant for which a drain of the node's heap is already scheduled.
@@ -293,7 +294,7 @@ impl<P: 'static> Network<P> {
             shard: sender.shard(),
             shard_map,
             sender,
-            last_arrival: RefCell::new(FastMap::default()),
+            last_arrival: RefCell::new(vec![0; n_nodes * n_nodes]),
             heaps: RefCell::new((0..n_nodes).map(|_| BinaryHeap::new()).collect()),
             drain_at: (0..n_nodes).map(|_| Cell::new(0)).collect(),
         };
@@ -552,7 +553,7 @@ impl<P: 'static> Network<P> {
         // requires.
         let arrival = {
             let mut last = d.last_arrival.borrow_mut();
-            let slot = last.entry((src.0, dst.0)).or_insert(0);
+            let slot = &mut last[src.0 * self.num_nodes() + dst.0];
             let granted = ideal.max(*slot + serialization);
             *slot = granted;
             granted

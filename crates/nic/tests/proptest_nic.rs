@@ -1,6 +1,7 @@
 //! Property tests for the network interface: arbitrary deliberate-update
 //! transfer schedules and automatic-update store patterns deliver exactly
-//! the written bytes, independent of combining and FIFO parameters.
+//! the written bytes, independent of combining and FIFO parameters; the
+//! run-length OPT proxy region answers like a per-index map.
 //!
 //! Ported from proptest to `shrimp-testkit`. Mapping:
 //! `ProptestConfig::with_cases(24)` → `cases = 24;`; 3-tuple strategies →
@@ -10,10 +11,12 @@
 
 use shrimp_mem::{AddressSpace, CacheMode, MemBus, NodeMem, Paddr, PAGE_SIZE};
 use shrimp_net::{Faultable, MeshConfig, Network, NodeId};
+use shrimp_nic::tables::{PageTables, PROXY_INDEX_BASE};
 use shrimp_nic::{DuRequest, IptEntry, Nic, NicConfig, OptEntry, Packet, ShrimpNetwork};
 use shrimp_sim::Sim;
 use shrimp_testkit::prop::*;
 use shrimp_testkit::{prop_assert, prop_assert_eq, props};
+use std::collections::BTreeMap;
 
 struct Rig {
     sim: Sim,
@@ -196,6 +199,103 @@ props! {
             let mut damaged = sealed.clone();
             damaged.corrupt(salt);
             prop_assert!(!damaged.checksum_ok(), "salt {salt:#x} went undetected");
+        }
+    }
+}
+
+props! {
+    cases = 96;
+
+    /// Random imports (pages set in order and out of order), single-entry
+    /// overwrites inside runs, clears that split runs, physical-page
+    /// entries and power cycles leave the OPT, whose proxy region is held
+    /// as runs, answering every lookup, the table image and the allocator
+    /// exactly like a per-index map.
+    fn opt_matches_per_index_model(
+        ops in vec_of(zip3(u8_in(0..20), u64_in(0..48), u64_in(0..64)), 1..60),
+    ) {
+        let t = PageTables::new();
+        let mut model: BTreeMap<u64, OptEntry> = BTreeMap::new();
+        let mut next = PROXY_INDEX_BASE;
+        let entry = |node: u64, page: u64| OptEntry {
+            dst_node: NodeId((node % 3) as usize),
+            dst_page: page,
+            au_enable: node.is_multiple_of(5),
+            combine: false,
+            interrupt: node.is_multiple_of(7),
+        };
+        for &(op, a, b) in &ops {
+            let index = PROXY_INDEX_BASE + a;
+            match op {
+                // An import: a fresh range, its pages set in order or
+                // (op 3) back to front.
+                0..=3 => {
+                    let n = b % 17 + 1;
+                    let base = t.alloc_proxy_range(n as usize);
+                    prop_assert_eq!(base, next);
+                    next += n;
+                    let mut order: Vec<u64> = (0..n).collect();
+                    if op == 3 {
+                        order.reverse();
+                    }
+                    for i in order {
+                        let e = entry(a, 1000 + a * 16 + i);
+                        t.opt_set(base + i, e);
+                        model.insert(base + i, e);
+                    }
+                }
+                // A single entry anywhere in the low slots. Neighbours
+                // with the same node continue each other's pages, so only
+                // the flags (bits of `b`) keep them apart.
+                4..=6 => {
+                    let e = OptEntry {
+                        dst_node: NodeId((b % 2) as usize),
+                        dst_page: 500 + a,
+                        au_enable: b & 2 != 0,
+                        combine: b & 4 != 0,
+                        interrupt: b & 8 != 0,
+                    };
+                    t.opt_set(index, e);
+                    model.insert(index, e);
+                }
+                // Rewrite an entry with itself, shifted by one page, or
+                // with one flag flipped.
+                7..=9 => {
+                    if let Some(&e) = model.get(&index) {
+                        let e = match b % 3 {
+                            0 => e,
+                            1 => OptEntry { dst_page: e.dst_page + 1, ..e },
+                            _ => OptEntry { combine: !e.combine, ..e },
+                        };
+                        t.opt_set(index, e);
+                        model.insert(index, e);
+                    }
+                }
+                10..=14 => {
+                    t.opt_clear(index);
+                    model.remove(&index);
+                }
+                15..=16 => {
+                    t.opt_set(a + 1, entry(b, b));
+                    model.insert(a + 1, entry(b, b));
+                }
+                17..=18 => {
+                    t.opt_clear(a + 1);
+                    model.remove(&(a + 1));
+                }
+                _ => {
+                    t.clear();
+                    model.clear();
+                    next = PROXY_INDEX_BASE;
+                }
+            }
+            prop_assert_eq!(t.next_proxy(), next);
+            let top = next.max(PROXY_INDEX_BASE + 48) + 2;
+            for i in (0..50).chain(PROXY_INDEX_BASE..top) {
+                prop_assert_eq!(t.opt_get(i), model.get(&i).copied(), "index {:#x}", i);
+            }
+            let image: Vec<(u64, OptEntry)> = model.iter().map(|(&i, &e)| (i, e)).collect();
+            prop_assert_eq!(t.opt_entries(), image);
         }
     }
 }

@@ -13,7 +13,7 @@
 //! Timers live in an indexed hierarchical [timer wheel](crate::wheel) and
 //! tasks in a slab with an intrusive free list, so steady-state scheduling
 //! performs no heap allocation: timer nodes and task slots are recycled, each
-//! task's [`Waker`] is created once at spawn and reused for every poll, and
+//! task's [`Waker`] is created once at spawn and lent to every poll, and
 //! the wake queue is a plain `VecDeque` guarded by a run-time owner-thread
 //! check instead of a `Mutex` (the simulator is single-threaded; a waker that
 //! crosses threads panics rather than corrupting the queue).
@@ -23,15 +23,15 @@ use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::task::{Context, Poll, Wake, Waker};
-use std::thread::ThreadId;
 
 use crate::metrics::MetricsRegistry;
 use crate::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use crate::time::Time;
 use crate::trace::TraceSink;
-use crate::wheel::TimerWheel;
+use crate::wheel::{TimerId, TimerWheel};
 
 type BoxFuture = Pin<Box<dyn Future<Output = ()>>>;
 
@@ -50,16 +50,35 @@ enum TimerAction {
 /// Wake queue shared with `Waker`s. `Waker` must be `Send + Sync`, so the
 /// compiler cannot prove this stays on one thread — but the simulator *is*
 /// strictly single-threaded, so instead of an always-uncontended `Mutex` the
-/// queue records its owner thread and asserts it on every access.
+/// queue records its owner thread's [`thread_token`] and asserts it on
+/// every push.
 ///
-/// Safety: the `UnsafeCell` is only touched after the owner check passes, so
-/// all access is serialized on the owner thread; a waker that migrates to
+/// Safety: the `UnsafeCell` is only touched on the owner thread. `pop` and
+/// `is_empty` are reached only through the `!Send` [`Sim`] that created the
+/// queue, so they run there by construction; `push`, the one method a
+/// `Waker` reaches, checks the owner first, so a waker that migrates to
 /// another thread panics before reaching the cell. Each method holds its
 /// mutable reference only for a single `VecDeque<u64>` operation, which
 /// cannot re-enter user code.
 struct ReadyQueue {
-    owner: ThreadId,
+    owner: u64,
     woken: UnsafeCell<VecDeque<TaskId>>,
+}
+
+/// A process-unique, nonzero id of the calling thread. Unlike
+/// `std::thread::current().id()` it needs no `Thread` handle (an `Arc`
+/// clone), so the owner check costs one thread-local read.
+fn thread_token() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    thread_local! {
+        static TOKEN: Cell<u64> = const { Cell::new(0) };
+    }
+    TOKEN.with(|t| {
+        if t.get() == 0 {
+            t.set(NEXT.fetch_add(1, Ordering::Relaxed));
+        }
+        t.get()
+    })
 }
 
 unsafe impl Send for ReadyQueue {}
@@ -68,32 +87,25 @@ unsafe impl Sync for ReadyQueue {}
 impl ReadyQueue {
     fn new() -> Self {
         ReadyQueue {
-            owner: std::thread::current().id(),
+            owner: thread_token(),
             woken: UnsafeCell::new(VecDeque::new()),
         }
     }
 
-    #[inline]
-    fn assert_owner(&self) {
+    fn push(&self, id: TaskId) {
         assert_eq!(
-            std::thread::current().id(),
+            thread_token(),
             self.owner,
             "Sim waker used from a foreign thread; the simulator is strictly single-threaded"
         );
-    }
-
-    fn push(&self, id: TaskId) {
-        self.assert_owner();
         unsafe { (*self.woken.get()).push_back(id) }
     }
 
     fn pop(&self) -> Option<TaskId> {
-        self.assert_owner();
         unsafe { (*self.woken.get()).pop_front() }
     }
 
     fn is_empty(&self) -> bool {
-        self.assert_owner();
         unsafe { (*self.woken.get()).is_empty() }
     }
 }
@@ -116,10 +128,8 @@ enum SlotState {
     Free {
         next: u32,
     },
-    Live {
-        fut: Option<BoxFuture>,
-        waker: Waker,
-    },
+    /// `None` while the task is being polled.
+    Live(Option<(BoxFuture, Waker)>),
 }
 
 struct TaskSlot {
@@ -160,7 +170,7 @@ impl TaskSlab {
             let idx = self.free;
             match self.slots[idx as usize].state {
                 SlotState::Free { next } => self.free = next,
-                SlotState::Live { .. } => unreachable!("live slot on free list"),
+                SlotState::Live(_) => unreachable!("live slot on free list"),
             }
             idx
         } else {
@@ -173,19 +183,16 @@ impl TaskSlab {
             idx
         };
         let id = task_id(idx, self.slots[idx as usize].gen);
-        // The task's one Waker, cloned (refcount bump only) for every poll.
+        // The task's one Waker, moved out of the slot for every poll.
         let waker = Waker::from(Arc::new(TaskWaker {
             id,
             ready: ready.clone(),
         }));
-        self.slots[idx as usize].state = SlotState::Live {
-            fut: Some(fut),
-            waker,
-        };
+        self.slots[idx as usize].state = SlotState::Live(Some((fut, waker)));
         id
     }
 
-    /// Takes the future (and a waker clone) out of a slot for polling, so the
+    /// Takes the future and its waker out of a slot for polling, so the
     /// slab is not borrowed while the process body runs (it may spawn/wake).
     /// `None` for stale or mid-poll wakes.
     fn begin_poll(&mut self, id: TaskId) -> Option<(BoxFuture, Waker)> {
@@ -195,17 +202,18 @@ impl TaskSlab {
             return None; // task completed; slot recycled
         }
         match &mut slot.state {
-            SlotState::Live { fut, waker } => fut.take().map(|f| (f, waker.clone())),
+            SlotState::Live(task) => task.take(),
             SlotState::Free { .. } => None,
         }
     }
 
-    fn finish_poll(&mut self, id: TaskId, fut: BoxFuture) {
+    /// Puts a still-pending task back after its poll.
+    fn finish_poll(&mut self, id: TaskId, task: (BoxFuture, Waker)) {
         let (idx, gen) = split_id(id);
         let slot = &mut self.slots[idx as usize];
         debug_assert_eq!(slot.gen, gen);
-        if let SlotState::Live { fut: f, .. } = &mut slot.state {
-            *f = Some(fut);
+        if let SlotState::Live(t) = &mut slot.state {
+            *t = Some(task);
         }
     }
 
@@ -214,10 +222,10 @@ impl TaskSlab {
     fn release_live(&mut self) -> Vec<BoxFuture> {
         let mut released = Vec::new();
         for idx in 0..self.slots.len() {
-            let SlotState::Live { fut, .. } = &mut self.slots[idx].state else {
+            let SlotState::Live(task) = &mut self.slots[idx].state else {
                 continue;
             };
-            let Some(fut) = fut.take() else {
+            let Some((fut, _)) = task.take() else {
                 continue; // mid-poll: the running task is not blocked
             };
             released.push(fut);
@@ -374,22 +382,29 @@ impl Sim {
         TaskHandle { state }
     }
 
-    /// Schedules `f` to run at absolute simulated time `at`.
+    /// Schedules `f` to run at absolute simulated time `at`; the returned
+    /// id can [`cancel`](Self::cancel) it.
     ///
     /// # Panics
     ///
     /// Panics if `at` is in the past.
-    pub fn schedule<F: FnOnce() + 'static>(&self, at: Time, f: F) {
+    pub fn schedule<F: FnOnce() + 'static>(&self, at: Time, f: F) -> TimerId {
         assert!(at >= self.now(), "schedule() into the past");
         self.inner
             .timers
             .borrow_mut()
-            .insert(at, TimerAction::Call(Box::new(f)));
+            .insert(at, TimerAction::Call(Box::new(f)))
     }
 
     /// Schedules `f` to run after `delay`.
-    pub fn schedule_in<F: FnOnce() + 'static>(&self, delay: Time, f: F) {
-        self.schedule(self.now() + delay, f);
+    pub fn schedule_in<F: FnOnce() + 'static>(&self, delay: Time, f: F) -> TimerId {
+        self.schedule(self.now() + delay, f)
+    }
+
+    /// Cancels a scheduled call: it never runs and is not counted as an
+    /// event. Returns `false` if it already ran or was already cancelled.
+    pub fn cancel(&self, id: TimerId) -> bool {
+        self.inner.timers.borrow_mut().cancel(id)
     }
 
     /// Returns a future that completes at absolute time `at` (immediately if
@@ -429,7 +444,7 @@ impl Sim {
             let mut cx = Context::from_waker(&waker);
             match fut.as_mut().poll(&mut cx) {
                 Poll::Ready(()) => self.inner.tasks.borrow_mut().complete(id),
-                Poll::Pending => self.inner.tasks.borrow_mut().finish_poll(id, fut),
+                Poll::Pending => self.inner.tasks.borrow_mut().finish_poll(id, (fut, waker)),
             }
         }
         any
@@ -567,7 +582,7 @@ impl Sim {
             w.put_u32(slot.gen);
             match slot.state {
                 SlotState::Free { next } => w.put_u32(next),
-                SlotState::Live { .. } => unreachable!("live task slot while live == 0"),
+                SlotState::Live(_) => unreachable!("live task slot while live == 0"),
             }
         }
         drop(tasks);
@@ -940,6 +955,21 @@ mod tests {
             sim2.snapshot().unwrap()
         };
         assert_eq!(sim.snapshot().unwrap(), cold);
+    }
+
+    #[test]
+    fn cancelled_call_never_runs_and_is_not_an_event() {
+        let sim = Sim::new();
+        let ran = Rc::new(Cell::new(0));
+        let r = ran.clone();
+        let gone = sim.schedule(ns(10), move || r.set(r.get() + 1));
+        let r = ran.clone();
+        let kept = sim.schedule(ns(20), move || r.set(r.get() + 10));
+        assert!(sim.cancel(gone));
+        assert!(!sim.cancel(gone), "a second cancel is a no-op");
+        assert_eq!(sim.run(), ns(20));
+        assert_eq!((ran.get(), sim.events()), (10, 1));
+        assert!(!sim.cancel(kept), "a call that ran cannot be cancelled");
     }
 
     #[test]

@@ -64,3 +64,4 @@ pub use snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 pub use sync::{Event, Gate, Resource, Semaphore};
 pub use time::Time;
 pub use trace::{Category, TraceEvent, TraceSink};
+pub use wheel::TimerId;
