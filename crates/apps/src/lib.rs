@@ -20,6 +20,10 @@
 //! implemented in both (selected by [`Mechanism`] / the SVM
 //! [`Protocol`](shrimp_svm::Protocol)), and versions are checked against
 //! each other for bit-identical numerical results.
+//!
+//! [`micro`] holds the §4.1–4.3 microbenchmarks (latency, bandwidth and
+//! send overhead on two nodes), and [`kv`] the replicated key-value
+//! service; neither is a Table 1 application.
 
 #![warn(missing_docs)]
 #![allow(clippy::needless_range_loop)] // index loops mirror the papers' pseudocode
@@ -27,6 +31,7 @@
 pub mod barnes;
 pub mod dfs;
 pub mod kv;
+pub mod micro;
 pub mod ocean;
 pub mod radix;
 pub mod render;

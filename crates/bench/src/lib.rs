@@ -1,60 +1,23 @@
-//! Experiment definitions shared by the `shrimp-harness` sweep runner and
-//! the bench targets that measure outside the matrix.
+//! The experiment matrix: every run of the paper's tables and figures,
+//! its microbenchmarks and the sensitivity studies beyond it.
 //!
-//! [`spec::matrix`] enumerates every run of the paper's tables and figures
-//! as a [`spec::RunSpec`]; the sweep runner executes them into
-//! `sweep.json`, and `shrimp-harness --report` renders the paper's
-//! figures and tables from that artifact. The remaining bench targets
-//! (`benches/*.rs`, `harness = false`) cover what the matrix does not:
-//! microbenchmarks, engine throughput and hardware ablations. Problem
-//! sizes default to scaled-down instances so `cargo bench` completes
-//! quickly; set `SHRIMP_FULL=1` for the paper's sizes (documented in
-//! `EXPERIMENTS.md`), and `SHRIMP_NODES=<n>` to override the 16-node
-//! default. Both are thin shims over the typed [`HarnessConfig`].
+//! [`spec::matrix`] enumerates the runs as [`spec::RunSpec`]s; the
+//! `shrimp-harness` sweep runner executes them into `sweep.json`, and
+//! `shrimp-harness --report` renders the paper's figures and tables from
+//! that artifact. The harness's `--smoke`/`--full` and `--nodes` flags
+//! choose the scale and the headline cluster size. The one bench target,
+//! `benches/engine_perf.rs`, times the simulator's own hot paths.
 
 #![warn(missing_docs)]
 
 pub mod spec;
 
-use shrimp_apps::dfs::DfsParams;
-use shrimp_apps::radix::RadixParams;
 use shrimp_sim::{time, Time};
-use shrimp_testkit::HarnessConfig;
 
 pub use spec::{
-    matrix, Knobs, KvMetrics, Observation, PerfSample, RunRecord, RunSpec, Scale, Shards, Variant,
+    matrix, Ablation, Knobs, KvMetrics, Observation, PerfSample, RunRecord, RunSpec, Scale, Shards,
+    Variant,
 };
-
-/// `true` when the process-global configuration asks for the paper's
-/// problem sizes (`SHRIMP_FULL=1`).
-pub fn full_scale() -> bool {
-    HarnessConfig::global().full_scale
-}
-
-/// Cluster size for the headline experiments (paper: 16).
-pub fn max_nodes() -> usize {
-    HarnessConfig::global().nodes
-}
-
-/// The scale selected by the process-global configuration (`Full` under
-/// `SHRIMP_FULL=1`, `Reduced` otherwise).
-pub fn global_scale() -> Scale {
-    if full_scale() {
-        Scale::Full
-    } else {
-        Scale::Reduced
-    }
-}
-
-/// Radix problem size at the global scale (paper: 2 M keys, 3 iters).
-pub fn radix_params() -> RadixParams {
-    spec::radix_params_at(global_scale(), 1)
-}
-
-/// DFS workload at the global scale.
-pub fn dfs_params() -> DfsParams {
-    spec::dfs_params_at(global_scale())
-}
 
 /// The applications of Table 1, with their default versions: AURC for the
 /// SVM applications and deliberate update for the rest (the configurations
@@ -100,6 +63,15 @@ pub enum App {
     /// it is absent from [`App::all`]; it builds its own sharded cluster
     /// per run.
     KvNodes,
+    /// §4.1/§4.2: one-way time of a one-word message, per mechanism
+    /// (`shrimp_apps::micro`). Not a Table 1 application.
+    MicroLatency,
+    /// §4.2: one-way time of a 16 KiB transfer, per mechanism; the
+    /// `"micro"` group runs AU with and without combining.
+    MicroBulk,
+    /// §4.3: CPU overhead of a 64-byte deliberate-update send; the
+    /// `"micro"` group runs it as built and with a syscall per send.
+    MicroSendOverhead,
 }
 
 impl App {
@@ -131,6 +103,9 @@ impl App {
             App::ClusterNodes => "Cluster-distributed",
             App::WarmClusterNodes => "Cluster-warm",
             App::KvNodes => "KV-replicated",
+            App::MicroLatency => "Latency-4B",
+            App::MicroBulk => "Bulk-16KiB",
+            App::MicroSendOverhead => "Send-64B",
         }
     }
 
@@ -141,7 +116,12 @@ impl App {
             App::RadixVmmc => "VMMC",
             App::BarnesNx | App::OceanNx => "NX",
             App::DfsSockets | App::RenderSockets => "Sockets",
-            App::ClusterNodes | App::WarmClusterNodes | App::KvNodes => "VMMC",
+            App::ClusterNodes
+            | App::WarmClusterNodes
+            | App::KvNodes
+            | App::MicroLatency
+            | App::MicroBulk
+            | App::MicroSendOverhead => "VMMC",
         }
     }
 
@@ -179,15 +159,20 @@ impl App {
                     p.groups, p.replication, p.keys, p.requests
                 )
             }
+            App::MicroLatency => format!("{} B", shrimp_apps::micro::WORD_BYTES),
+            App::MicroBulk => format!("{} B", shrimp_apps::micro::BULK_BYTES),
+            App::MicroSendOverhead => format!("{} B", shrimp_apps::micro::SEND_BYTES),
         }
     }
 
     /// Smallest node count this application runs on: 2 for Render, whose
-    /// controller and workers need separate nodes, 1 for every other one.
-    /// Table 1 reports each application's sequential time at this count.
+    /// controller and workers need separate nodes, and for the
+    /// microbenchmarks, which send from node 0 to node 1; 1 for every other
+    /// one. Table 1 reports each application's sequential time at this
+    /// count.
     pub fn min_nodes(&self) -> usize {
         match self {
-            App::RenderSockets => 2,
+            App::RenderSockets | App::MicroLatency | App::MicroBulk | App::MicroSendOverhead => 2,
             _ => 1,
         }
     }
@@ -221,20 +206,6 @@ pub fn format_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> Stri
         line(row);
     }
     out
-}
-
-/// Prints [`format_table`] to stdout.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    print!("{}", format_table(title, headers, rows));
-}
-
-/// Announces the scale of a bench run.
-pub fn announce(what: &str) {
-    println!(
-        "[shrimp-bench] {what} — scale: {} ({} nodes max); SHRIMP_FULL=1 for paper sizes",
-        if full_scale() { "PAPER" } else { "reduced" },
-        max_nodes()
-    );
 }
 
 #[cfg(test)]

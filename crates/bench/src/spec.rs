@@ -13,6 +13,7 @@
 use shrimp_apps::barnes::{run_barnes_nx, run_barnes_svm, BarnesParams};
 use shrimp_apps::dfs::{run_dfs, DfsParams};
 use shrimp_apps::kv::{run_kv, total_acked, total_verify_failures, KvParams};
+use shrimp_apps::micro::{run_latency, run_send_overhead, BULK_BYTES, SEND_BYTES, WORD_BYTES};
 use shrimp_apps::ocean::{run_ocean_nx, run_ocean_svm, OceanParams};
 use shrimp_apps::radix::{run_radix_svm, run_radix_vmmc, RadixParams};
 use shrimp_apps::render::{run_render, RenderParams};
@@ -22,6 +23,7 @@ use shrimp_core::{
     DesignConfig, DistributedParams, HeartbeatConfig, LaunchOutcome, RingBulk, WarmParams,
 };
 use shrimp_faults::{FaultScenario, FifoStall, LinkFault, NodeCrash, NodePause};
+use shrimp_net::MeshConfig;
 use shrimp_sim::{time, Category, MetricValue, MetricsSnapshot, Time, TraceEvent};
 use shrimp_sockets::SocketConfig;
 use shrimp_svm::Protocol;
@@ -38,10 +40,10 @@ pub enum Scale {
     /// Smallest sizes: every application in seconds, for CI and the
     /// harness determinism/regression gates.
     Smoke,
-    /// The default sweep and `cargo bench` sizes (minutes, same shapes as
-    /// the paper).
+    /// The default sweep sizes (about half a minute, same shapes as the
+    /// paper).
     Reduced,
-    /// The paper's problem sizes (`SHRIMP_FULL=1`).
+    /// The paper's problem sizes (`shrimp-harness --full`).
     Full,
 }
 
@@ -298,6 +300,58 @@ pub struct Knobs {
     pub reliability: bool,
     /// Chaos sweeps: the fault scenario injected into the run.
     pub faults: FaultScenario,
+    /// Sensitivity studies: one hardware parameter moved off its as-built
+    /// value.
+    pub ablation: Option<Ablation>,
+}
+
+/// A hardware parameter the design fixed, moved for the `ablation`
+/// group's sensitivity studies. Each variant writes one field of the
+/// design (or of its mesh).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Ablation {
+    /// Combining sub-page boundary in bytes (as built: 256).
+    CombineSubpage(usize),
+    /// EISA-bus DMA bandwidth in MB/s (as built: 30).
+    EisaMbps(u64),
+    /// Interrupt dispatch cost in µs (as built: 20).
+    InterruptCost(u64),
+    /// Mesh router hop latency in ns (as built: 40).
+    HopLatency(u64),
+}
+
+impl Ablation {
+    /// The combining study's sub-page sizes, as built included.
+    const SUBPAGE_BYTES: [usize; 5] = [64, 128, 256, 1024, 4096];
+    /// The I/O-bus study's DMA bandwidths, as built included.
+    const EISA_MBPS: [u64; 4] = [15, 30, 60, 120];
+    /// The interrupt study's dispatch costs, as built included.
+    const INTERRUPT_US: [u64; 4] = [5, 20, 50, 100];
+    /// The backplane study's hop latencies, as built included.
+    const HOP_NS: [u64; 4] = [40, 200, 1000, 5000];
+
+    fn apply(&self, cfg: &mut DesignConfig, nodes: usize) {
+        match *self {
+            Ablation::CombineSubpage(bytes) => cfg.nic.combine_subpage = bytes,
+            Ablation::EisaMbps(mbps) => cfg.nic.eisa_bytes_per_sec = mbps * 1_000_000,
+            Ablation::InterruptCost(us) => cfg.interrupt_cost = time::us(us),
+            Ablation::HopLatency(ns) => {
+                cfg.mesh = Some(MeshConfig {
+                    hop_latency: time::ns(ns),
+                    ..MeshConfig::for_nodes(nodes)
+                });
+            }
+        }
+    }
+
+    fn label(&self) -> String {
+        match self {
+            Ablation::CombineSubpage(bytes) => format!("subpage{bytes}"),
+            Ablation::EisaMbps(mbps) => format!("eisa{mbps}mbps"),
+            Ablation::InterruptCost(us) => format!("intrcost{us}us"),
+            Ablation::HopLatency(ns) => format!("hop{ns}ns"),
+        }
+    }
 }
 
 impl Knobs {
@@ -306,8 +360,9 @@ impl Knobs {
         Knobs::default()
     }
 
-    /// Applies the knobs to a design configuration.
-    pub fn apply(&self, cfg: &mut DesignConfig) {
+    /// Applies the knobs to the design configuration of a `nodes`-node
+    /// cluster.
+    pub fn apply(&self, cfg: &mut DesignConfig, nodes: usize) {
         cfg.syscall_send = self.syscall_send;
         cfg.interrupt_per_message = self.interrupt_per_message;
         if let Some(c) = self.combining {
@@ -327,6 +382,9 @@ impl Knobs {
         }
         cfg.reliability.enabled = self.reliability;
         cfg.faults = self.faults;
+        if let Some(ablation) = &self.ablation {
+            ablation.apply(cfg, nodes);
+        }
     }
 
     /// Stable label used in run ids ("as-built" when nothing is flipped).
@@ -354,6 +412,9 @@ impl Knobs {
         }
         if self.faults.is_active() {
             parts.push(self.faults.label());
+        }
+        if let Some(ablation) = &self.ablation {
+            parts.push(ablation.label());
         }
         if parts.is_empty() {
             "as-built".to_string()
@@ -479,8 +540,27 @@ impl RunSpec {
     /// The design configuration of this run.
     pub fn design_config(&self) -> DesignConfig {
         let mut cfg = DesignConfig::default();
-        self.knobs.apply(&mut cfg);
+        self.knobs.apply(&mut cfg, self.nodes);
         cfg
+    }
+
+    /// Two runs are the same configuration when they run the same
+    /// application version on the same machine, whatever their groups and
+    /// however their knobs spell the design: a knob that restates the
+    /// machine as built (combining on, a 256-byte sub-page) is no change.
+    pub fn same_config(&self, other: &RunSpec) -> bool {
+        let machine = |s: &RunSpec| {
+            let mut cfg = s.design_config();
+            cfg.mesh
+                .get_or_insert_with(|| MeshConfig::for_nodes(s.nodes));
+            cfg
+        };
+        self.app == other.app
+            && self.resolved_variant() == other.resolved_variant()
+            && self.nodes == other.nodes
+            && self.seed == other.seed
+            && self.shards == other.shards
+            && machine(self) == machine(other)
     }
 
     /// Runs the spec to completion on a fresh cluster and collects the
@@ -757,6 +837,12 @@ impl RunSpec {
             App::RenderSockets => {
                 run_render(cluster, &render_params_at(scale), self.socket_config())
             }
+            App::MicroLatency => run_latency(cluster, WORD_BYTES, self.mechanism()),
+            App::MicroBulk => run_latency(cluster, BULK_BYTES, self.mechanism()),
+            App::MicroSendOverhead => {
+                assert_eq!(self.variant, Variant::Default, "a send has one version");
+                run_send_overhead(cluster, SEND_BYTES)
+            }
             App::ClusterNodes | App::WarmClusterNodes | App::KvNodes => panic!(
                 "{} builds its own sharded cluster; execute the spec instead of run_on",
                 self.app.name()
@@ -774,9 +860,10 @@ impl RunSpec {
             (Variant::Default, App::BarnesSvm | App::OceanSvm | App::RadixSvm) => {
                 Variant::Protocol(self.protocol())
             }
-            (Variant::Default, App::RadixVmmc | App::BarnesNx | App::OceanNx) => {
-                Variant::Mechanism(self.mechanism())
-            }
+            (
+                Variant::Default,
+                App::RadixVmmc | App::BarnesNx | App::OceanNx | App::MicroLatency | App::MicroBulk,
+            ) => Variant::Mechanism(self.mechanism()),
             (variant, _) => variant,
         }
     }
@@ -1410,6 +1497,76 @@ pub fn matrix(scale: Scale, max_nodes: usize) -> Vec<RunSpec> {
         }
     }
 
+    // §4.1–4.3 microbenchmarks on two nodes, the same rows at every scale:
+    // one-word latency and 16 KiB transfer time per mechanism (AU bulk
+    // also without combining), and the overhead of a user-level DMA send
+    // against a syscall send.
+    let micro = |app| RunSpec::new("micro", app, 2, scale);
+    for app in [App::MicroLatency, App::MicroBulk] {
+        for m in [du, au] {
+            specs.push(micro(app).with_variant(m));
+        }
+    }
+    specs.push(micro(App::MicroBulk).with_variant(au).with_knobs(Knobs {
+        combining: Some(false),
+        ..Knobs::as_built()
+    }));
+    for syscall_send in [false, true] {
+        specs.push(micro(App::MicroSendOverhead).with_knobs(Knobs {
+            syscall_send,
+            ..Knobs::as_built()
+        }));
+    }
+
+    // Sensitivity studies beyond the paper. A point that restates the
+    // machine as built is no row of its own: the report reads it from the
+    // row the matrix already runs under that configuration.
+    for spec in ablation_points(scale, n) {
+        let twin = spec.clone().with_knobs(Knobs {
+            ablation: None,
+            ..spec.knobs
+        });
+        if !spec.same_config(&twin) {
+            specs.push(spec);
+        }
+    }
+
+    specs
+}
+
+/// Every point of the four sensitivity studies on `n` nodes, as-built
+/// points included, in study order: the combining sub-page on DFS forced
+/// onto AU; the I/O-bus DMA bandwidth under Radix-VMMC DU and AU; the
+/// interrupt cost under an interrupt per arrival (Radix-VMMC DU); and the
+/// router hop latency (Radix-VMMC DU).
+pub fn ablation_points(scale: Scale, n: usize) -> Vec<RunSpec> {
+    let du = Variant::Mechanism(Mechanism::DeliberateUpdate);
+    let au = Variant::Mechanism(Mechanism::AutomaticUpdate);
+    let point = |app, variant, ablation, interrupt_per_message| {
+        RunSpec::new("ablation", app, n, scale)
+            .with_variant(variant)
+            .with_knobs(Knobs {
+                interrupt_per_message,
+                ablation: Some(ablation),
+                ..Knobs::as_built()
+            })
+    };
+    let mut specs = Vec::new();
+    for bytes in Ablation::SUBPAGE_BYTES {
+        let ablation = Ablation::CombineSubpage(bytes);
+        specs.push(point(App::DfsSockets, Variant::ForcedAu, ablation, false));
+    }
+    for mbps in Ablation::EISA_MBPS {
+        for m in [du, au] {
+            specs.push(point(App::RadixVmmc, m, Ablation::EisaMbps(mbps), false));
+        }
+    }
+    for us in Ablation::INTERRUPT_US {
+        specs.push(point(App::RadixVmmc, du, Ablation::InterruptCost(us), true));
+    }
+    for ns in Ablation::HOP_NS {
+        specs.push(point(App::RadixVmmc, du, Ablation::HopLatency(ns), false));
+    }
     specs
 }
 
@@ -1457,6 +1614,8 @@ mod tests {
             "chaos-cluster",
             "warm",
             "kv",
+            "micro",
+            "ablation",
         ] {
             assert!(
                 specs.iter().any(|s| s.experiment == exp),
@@ -1499,6 +1658,43 @@ mod tests {
             );
         }
         assert_eq!(group("warm").len(), 3, "smoke warm group changed size");
+        assert_eq!(group("micro").len(), 7, "micro group changed size");
+        // Every study point but the five as-built ones (the EISA study's
+        // twice, DU and AU) is a row, and none repeats a configuration the
+        // matrix already runs.
+        let ablation = group("ablation");
+        assert_eq!(ablation.len(), ablation_points(Scale::Smoke, 4).len() - 5);
+        for row in &ablation {
+            let repeats: Vec<String> = specs
+                .iter()
+                .filter(|s| s.id() != row.id() && s.same_config(row))
+                .map(RunSpec::id)
+                .collect();
+            assert!(repeats.is_empty(), "{} repeats {repeats:?}", row.id());
+        }
+    }
+
+    /// The seven `micro` rows' times, pinned to the picosecond values the
+    /// bench target they replace measured, so that regenerating a baseline
+    /// cannot bless a changed measurement.
+    #[test]
+    fn micro_rows_reproduce_the_retired_bench_target() {
+        let expected = [
+            ("micro/latency-4b-du/p2/as-built", 6_306_668),
+            ("micro/latency-4b-au/p2/as-built", 2_720_001),
+            ("micro/bulk-16kib-du/p2/as-built", 790_126_670),
+            ("micro/bulk-16kib-au/p2/as-built", 907_613_335),
+            ("micro/bulk-16kib-au/p2/nocomb", 3_090_329_398),
+            ("micro/send-64b-default/p2/as-built", 800_000),
+            ("micro/send-64b-default/p2/syscall", 25_800_000),
+        ];
+        let rows = matrix(Scale::Smoke, 4);
+        let measured: Vec<(String, Time)> = rows
+            .iter()
+            .filter(|s| s.experiment == "micro")
+            .map(|s| (s.id(), s.execute().elapsed))
+            .collect();
+        assert_eq!(measured, expected.map(|(id, ps)| (id.to_string(), ps)));
     }
 
     #[test]

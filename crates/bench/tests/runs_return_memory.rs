@@ -76,9 +76,10 @@ static GLOBAL: Counting = Counting;
 const ALLOWANCE: isize = 16 * 1024;
 
 /// One smoke row per application — the 16-node Table 1 row of each paper
-/// application (`dfs-sockets` among them), the first warm-start row and
-/// the kv primary-crash row — plus the 16-node cluster row and the
-/// chaos-cluster crash and crash/restart rows at one and two shards.
+/// application (`dfs-sockets` among them), the first warm-start row, the
+/// kv primary-crash row and the first row of each microbenchmark — plus
+/// the 16-node cluster row and the chaos-cluster crash and crash/restart
+/// rows at one and two shards.
 fn rows() -> Vec<RunSpec> {
     let specs = matrix(Scale::Smoke, 16);
     let mut rows: Vec<RunSpec> = specs
@@ -98,6 +99,9 @@ fn rows() -> Vec<RunSpec> {
             .find(|s| s.app == App::KvNodes && s.knobs.faults.crash.is_some())
             .cloned(),
     );
+    for app in [App::MicroLatency, App::MicroBulk, App::MicroSendOverhead] {
+        rows.extend(specs.iter().find(|s| s.app == app).cloned());
+    }
     let launch_rows = specs.iter().filter(|s| {
         (s.experiment == "cluster" && s.nodes == 16)
             || (s.experiment == "chaos-cluster" && s.knobs.faults.crash.is_some())
@@ -120,7 +124,7 @@ fn rows() -> Vec<RunSpec> {
 #[test]
 fn finished_runs_return_their_memory() {
     let rows = rows();
-    assert_eq!(rows.len(), 16, "row selection changed");
+    assert_eq!(rows.len(), 19, "row selection changed");
     let mut growth: Vec<(String, isize)> = Vec::with_capacity(rows.len());
     for spec in &rows {
         for _ in 0..2 {

@@ -834,22 +834,6 @@ impl Cluster {
         &self.inner.net
     }
 
-    /// The mesh's minimum inter-node latency — the cross-shard lookahead a
-    /// sharded launch synchronizes with.
-    ///
-    /// Couplings tighter than the mesh pin a machine to **one shard**: the
-    /// contended transport's link `Resource`s are reserved synchronously
-    /// in global send order, so the classic [`ClusterBuilder::build`]
-    /// machine always runs single-`Sim`. A sharded launch has no shared
-    /// fabric state — the decoupled transport keeps per-(src, dst) clamp
-    /// state on the sender's shard, and a chaos run's [`FaultPlane`]
-    /// draws each edge's packet fates from a per-edge RNG stream consumed
-    /// in that edge's node-local send order — so only the mesh latency
-    /// bounds its windows.
-    pub fn coupling_lookahead(&self) -> Time {
-        self.inner.net.config().min_remote_latency()
-    }
-
     /// The run's fault plane (its stats report injections actually
     /// performed); `None` when the scenario is empty.
     pub fn fault_plane(&self) -> Option<&FaultPlane> {

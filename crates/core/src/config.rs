@@ -11,7 +11,7 @@ use shrimp_sim::{time, Time};
 /// [`DesignConfig::default`] is the SHRIMP machine as built and measured;
 /// every experiment in the paper corresponds to flipping one field (or one
 /// field of the embedded [`NicConfig`]).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DesignConfig {
     /// Network-interface hardware/firmware parameters.
     pub nic: NicConfig,
@@ -101,6 +101,21 @@ impl DesignConfig {
         if self.nic.du_queue_depth != base.nic.du_queue_depth {
             parts.push(format!("du-queue={}", self.nic.du_queue_depth));
         }
+        if self.nic.combine_subpage != base.nic.combine_subpage {
+            parts.push(format!("subpage={}B", self.nic.combine_subpage));
+        }
+        if self.nic.eisa_bytes_per_sec != base.nic.eisa_bytes_per_sec {
+            parts.push(format!("eisa={}B/s", self.nic.eisa_bytes_per_sec));
+        }
+        if self.interrupt_cost != base.interrupt_cost {
+            parts.push(format!(
+                "interrupt-cost={}ns",
+                self.interrupt_cost / time::ns(1)
+            ));
+        }
+        if let Some(mesh) = &self.mesh {
+            parts.push(format!("hop={}ns", mesh.hop_latency / time::ns(1)));
+        }
         if self.reliability.enabled {
             parts.push("reliable".to_string());
         }
@@ -143,6 +158,24 @@ mod tests {
         };
         c.nic.combining = false;
         assert_eq!(c.knob_summary(), "syscall-send,combining=false");
+    }
+
+    #[test]
+    fn knob_summary_names_ablated_parameters() {
+        let mut c = DesignConfig {
+            interrupt_cost: time::us(5),
+            mesh: Some(MeshConfig {
+                hop_latency: time::ns(200),
+                ..MeshConfig::for_nodes(4)
+            }),
+            ..DesignConfig::default()
+        };
+        c.nic.combine_subpage = 64;
+        c.nic.eisa_bytes_per_sec = 15_000_000;
+        assert_eq!(
+            c.knob_summary(),
+            "subpage=64B,eisa=15000000B/s,interrupt-cost=5000ns,hop=200ns"
+        );
     }
 
     #[test]

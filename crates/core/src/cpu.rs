@@ -106,11 +106,6 @@ impl Cpu {
         self.inner.sim.sleep(d).await;
     }
 
-    /// `true` while the application process is inside [`Cpu::compute`].
-    pub fn is_computing(&self) -> bool {
-        self.inner.computing_end.get().is_some()
-    }
-
     /// Total application compute time requested so far.
     pub fn total_compute(&self) -> Time {
         self.inner.total_compute.get()

@@ -72,7 +72,6 @@ pub struct RingSender {
     write_pos: Cell<u64>,
     peer_cursor: Vaddr,
     next_seq: Cell<u64>,
-    frames: Cell<u64>,
     bytes: Cell<u64>,
 }
 
@@ -86,7 +85,6 @@ pub struct RingReceiver {
     read_pos: Cell<u64>,
     cursor_out: Vaddr,
     next_seq: Cell<u64>,
-    frames: Cell<u64>,
 }
 
 /// Builds a ring carrying frames from `producer` to `consumer`.
@@ -138,7 +136,6 @@ pub fn connect_ring(
             write_pos: Cell::new(0),
             peer_cursor: cursor_page,
             next_seq: Cell::new(1),
-            frames: Cell::new(0),
             bytes: Cell::new(0),
         },
         RingReceiver {
@@ -149,7 +146,6 @@ pub fn connect_ring(
             read_pos: Cell::new(0),
             cursor_out,
             next_seq: Cell::new(1),
-            frames: Cell::new(0),
         },
     )
 }
@@ -159,11 +155,6 @@ impl RingSender {
     /// the ring so flow control can always make progress).
     pub fn max_payload(&self) -> usize {
         self.capacity / 2 - FRAME_HDR - FRAME_TRL
-    }
-
-    /// Frames sent.
-    pub fn frames_sent(&self) -> u64 {
-        self.frames.get()
     }
 
     /// Payload bytes sent.
@@ -212,7 +203,6 @@ impl RingSender {
 
         let seq = self.next_seq.get();
         self.next_seq.set(seq + 1);
-        self.frames.set(self.frames.get() + 1);
         self.bytes.set(self.bytes.get() + data.len() as u64);
 
         let mut frame = Vec::with_capacity(fl);
@@ -271,11 +261,6 @@ impl RingReceiver {
         self.export
     }
 
-    /// Frames received.
-    pub fn frames_received(&self) -> u64 {
-        self.frames.get()
-    }
-
     fn at(&self, off: usize) -> Vaddr {
         self.ring.add((off % self.capacity) as u64)
     }
@@ -316,7 +301,6 @@ impl RingReceiver {
         }
         self.read_pos.set(self.read_pos.get() + fl as u64);
         self.next_seq.set(seq + 1);
-        self.frames.set(self.frames.get() + 1);
         Some(RingFrame { tag, data })
     }
 

@@ -67,9 +67,10 @@ FLAGS:
                       --filter and don't gate the output against a
                       baseline recorded without it
   --list              print the matrix's run ids and exit
-  --report <PATH>     run nothing: render Fig 3, Fig 4, Tables 1-4 and
-                      §4.5 from the sweep artifact at PATH and check the
-                      paper's shape bands (none on a smoke artifact)
+  --report <PATH>     run nothing: render §4.1-4.3, Fig 3, Fig 4, Tables
+                      1-4, §4.5 and the ablation studies from the sweep
+                      artifact at PATH and check the shape bands (none on
+                      a smoke artifact)
 
 EXIT STATUS:
   0  sweep completed, gate passed (or not applicable);

@@ -2,9 +2,10 @@
 //! and checked against the shape the reproduction claims.
 //!
 //! `shrimp-harness --report <sweep.json>` reads the rows of one sweep and
-//! prints Figure 3, both halves of Figure 4, Tables 1–4 and the three
-//! §4.5 studies. It runs nothing: every number comes from a row, so the
-//! printed tables and the gated artifact cannot disagree.
+//! prints the §4.1–4.3 microbenchmarks, Figure 3, both halves of Figure
+//! 4, Tables 1–4, the three §4.5 studies and the four sensitivity studies
+//! beyond the paper. It runs nothing: every number comes from a row, so
+//! the printed tables and the gated artifact cannot disagree.
 //!
 //! Each claim EXPERIMENTS.md makes about the paper's *shape* — who wins,
 //! by roughly what factor, where the crossovers fall — is one [`Band`].
@@ -15,17 +16,20 @@
 //! A row is found by configuration, not by id text. A changed row (a
 //! syscall per send, an interrupt per arrival) is divided by its as-built
 //! twin: the row with the same application, resolved variant
-//! ([`RunSpec::resolved_variant`]), node count and seed, whatever its
-//! experiment group. An artifact that cannot answer — unreadable, missing
-//! a needed row, or holding a failed one — is a [`ReportError`] naming
-//! the row, never a panic and never a silent zero.
+//! ([`RunSpec::resolved_variant`]), node count, seed and machine design,
+//! whatever its experiment group ([`RunSpec::same_config`]). An artifact
+//! that cannot answer — unreadable, missing a needed row, or holding a
+//! failed one — is a [`ReportError`] naming the row, never a panic and
+//! never a silent zero.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
 
+use shrimp_apps::micro::{BULK_BYTES, WORD_BYTES};
 use shrimp_apps::Mechanism;
-use shrimp_bench::{format_table, matrix, secs, App, Knobs, RunSpec, Scale, Variant};
+use shrimp_bench::spec::ablation_points;
+use shrimp_bench::{format_table, matrix, secs, Ablation, App, Knobs, RunSpec, Scale, Variant};
 use shrimp_svm::Protocol;
 
 use crate::json::{self, Json};
@@ -129,6 +133,7 @@ pub fn build(doc: &Json) -> Result<Report, ReportError> {
         text: String::new(),
         bands: Vec::new(),
     };
+    b.micro()?;
     b.fig3()?;
     b.fig4_left()?;
     b.fig4_right()?;
@@ -139,6 +144,7 @@ pub fn build(doc: &Json) -> Result<Report, ReportError> {
     b.combining()?;
     b.fifo()?;
     b.du_queue()?;
+    b.ablation()?;
     Ok(Report {
         scale: b.sweep.scale,
         text: b.text,
@@ -212,7 +218,7 @@ impl<'a> Sweep<'a> {
     /// The metrics of `wanted`'s configuration: its own row if present,
     /// else the first matrix row run under the same configuration.
     fn metrics(&self, wanted: &RunSpec) -> Result<&'a Json, ReportError> {
-        let twins = self.specs.iter().filter(|s| same_config(s, wanted));
+        let twins = self.specs.iter().filter(|s| s.same_config(wanted));
         let ids: Vec<String> = std::iter::once(wanted)
             .chain(twins)
             .map(RunSpec::id)
@@ -266,17 +272,6 @@ impl<'a> Sweep<'a> {
     }
 }
 
-/// Two runs are the same configuration when they run the same
-/// application version on the same machine, whatever their groups.
-fn same_config(a: &RunSpec, b: &RunSpec) -> bool {
-    a.app == b.app
-        && a.resolved_variant() == b.resolved_variant()
-        && a.nodes == b.nodes
-        && a.knobs == b.knobs
-        && a.seed == b.seed
-        && a.shards == b.shards
-}
-
 struct Builder<'a> {
     sweep: Sweep<'a>,
     text: String,
@@ -328,6 +323,29 @@ fn times(v: f64) -> String {
     format!("{v:.2}x")
 }
 
+fn micros(ps: f64) -> String {
+    format!("{:.2} us", ps / 1e6)
+}
+
+/// Bandwidth in MB/s of `bytes` moved in `ps` picoseconds.
+fn mbps(bytes: usize, ps: f64) -> f64 {
+    bytes as f64 * 1e6 / ps
+}
+
+/// `true` when every value is above the one before it.
+fn rising(values: &[f64]) -> bool {
+    values.windows(2).all(|w| w[1] > w[0])
+}
+
+/// `(point, value)` pairs in study order: `15 MB/s 1.23x, 30 MB/s 1.31x`.
+fn series(points: &[(u64, f64)], unit: &str, fmt: impl Fn(f64) -> String) -> String {
+    let parts: Vec<String> = points
+        .iter()
+        .map(|&(p, v)| format!("{p} {unit} {}", fmt(v)))
+        .collect();
+    parts.join(", ")
+}
+
 /// `App (VARIANT)` for rows whose version matters.
 fn versioned(spec: &RunSpec) -> String {
     format!(
@@ -352,6 +370,68 @@ impl Builder<'_> {
 
     fn table(&mut self, title: &str, headers: &[&str], rows: &[Vec<String>]) {
         self.text.push_str(&format_table(title, headers, rows));
+    }
+
+    fn micro(&mut self) -> Result<(), ReportError> {
+        const S: &str = "§4.1–4.3";
+        // (measurement, paper value) of each `micro` row, in matrix order.
+        const LINES: [(&str, &str); 7] = [
+            ("One-word latency, DU", "~6 us"),
+            ("One-word latency, AU", "3.71 us"),
+            ("16 KiB transfer, DU", "-"),
+            ("16 KiB transfer, AU", "-"),
+            ("16 KiB transfer, AU no combining", "-"),
+            ("64 B send overhead, UDMA", "< 2 us"),
+            ("64 B send overhead, syscall", "tens of us"),
+        ];
+        let mut t = [0.0; 7];
+        let mut rows = Vec::new();
+        for (i, ((label, paper), spec)) in LINES.iter().zip(self.sweep.group("micro")).enumerate() {
+            t[i] = self.sweep.elapsed(&spec)?;
+            let bytes = match spec.app {
+                App::MicroLatency => Some(WORD_BYTES),
+                App::MicroBulk => Some(BULK_BYTES),
+                _ => None,
+            };
+            rows.push(vec![
+                label.to_string(),
+                format!("{:.2}", t[i] / 1e6),
+                bytes.map_or("-".to_string(), |b| format!("{:.1}", mbps(b, t[i]))),
+                paper.to_string(),
+            ]);
+        }
+        self.table(
+            "§4.1–4.3: microbenchmarks (2 nodes)",
+            &["Measurement", "Time (us)", "MB/s", "Paper"],
+            &rows,
+        );
+        let [du_word, au_word, _, au_bulk, nocomb_bulk, udma, sys] = t;
+        self.band(
+            S,
+            "AU one-word latency is below DU's",
+            format!("AU {} vs DU {}", micros(au_word), micros(du_word)),
+            au_word < du_word,
+        );
+        self.band(
+            S,
+            "a user-level DMA send costs under 2 us",
+            micros(udma),
+            udma < 2e6,
+        );
+        self.band(
+            S,
+            "a syscall send costs at least 10x a user-level DMA send",
+            times(sys / udma),
+            sys >= 10.0 * udma,
+        );
+        let (comb_bw, nocomb_bw) = (mbps(BULK_BYTES, au_bulk), mbps(BULK_BYTES, nocomb_bulk));
+        self.band(
+            S,
+            "AU bulk bandwidth without combining is under half of it with combining",
+            format!("{nocomb_bw:.1} vs {comb_bw:.1} MB/s"),
+            nocomb_bw < comb_bw / 2.0,
+        );
+        Ok(())
     }
 
     fn fig3(&mut self) -> Result<(), ReportError> {
@@ -776,14 +856,125 @@ impl Builder<'_> {
         );
         Ok(())
     }
+
+    /// The four sensitivity studies. Each as-built point is read from the
+    /// row the matrix runs under that configuration.
+    fn ablation(&mut self) -> Result<(), ReportError> {
+        const S: &str = "Ablation";
+        let n = self.sweep.nodes;
+        let points = ablation_points(self.sweep.scale, n);
+        let study = |f: fn(Ablation) -> Option<u64>| -> Vec<(u64, RunSpec)> {
+            points
+                .iter()
+                .filter_map(|s| Some((f(s.knobs.ablation?)?, s.clone())))
+                .collect()
+        };
+
+        let mut rows = Vec::new();
+        for (bytes, spec) in study(|a| match a {
+            Ablation::CombineSubpage(b) => Some(b as u64),
+            _ => None,
+        }) {
+            rows.push(vec![
+                bytes.to_string(),
+                secs(self.sweep.elapsed(&spec)? as u64),
+            ]);
+        }
+        self.table(
+            &format!("Ablation: combining sub-page size vs DFS (forced AU) time ({n} nodes)"),
+            &["Sub-page (bytes)", "Time (s)"],
+            &rows,
+        );
+
+        let mut rows = Vec::new();
+        let mut advantage = Vec::new();
+        for pair in study(|a| match a {
+            Ablation::EisaMbps(m) => Some(m),
+            _ => None,
+        })
+        .chunks_exact(2)
+        {
+            let (du, au) = (
+                self.sweep.elapsed(&pair[0].1)?,
+                self.sweep.elapsed(&pair[1].1)?,
+            );
+            advantage.push((pair[0].0, du / au));
+            rows.push(vec![
+                pair[0].0.to_string(),
+                secs(du as u64),
+                secs(au as u64),
+                times(du / au),
+            ]);
+        }
+        self.table(
+            &format!("Ablation: I/O-bus DMA bandwidth vs Radix-VMMC DU/AU ({n} nodes)"),
+            &["DMA MB/s", "DU (s)", "AU (s)", "AU advantage"],
+            &rows,
+        );
+        let values: Vec<f64> = advantage.iter().map(|&(_, v)| v).collect();
+        self.band(
+            S,
+            "the AU advantage on Radix-VMMC rises with I/O-bus bandwidth",
+            series(&advantage, "MB/s", times),
+            rising(&values),
+        );
+
+        let interrupts = study(|a| match a {
+            Ablation::InterruptCost(us) => Some(us),
+            _ => None,
+        });
+        let mut rows = Vec::new();
+        let mut slowdown = Vec::new();
+        if let Some((_, first)) = interrupts.first() {
+            let twin = first.clone().with_knobs(Knobs::as_built());
+            let base = self.sweep.elapsed(&twin)?;
+            for (us, spec) in &interrupts {
+                let t = self.sweep.elapsed(spec)?;
+                slowdown.push((*us, (t / base - 1.0) * 100.0));
+                rows.push(vec![us.to_string(), secs(t as u64), change(t / base)]);
+            }
+        }
+        self.table(
+            &format!(
+                "Ablation: interrupt cost vs forced-interrupt slowdown (Radix-VMMC, {n} nodes)"
+            ),
+            &["Interrupt cost (us)", "Time (s)", "Slowdown"],
+            &rows,
+        );
+        let values: Vec<f64> = slowdown.iter().map(|&(_, v)| v).collect();
+        self.band(
+            S,
+            "the forced-interrupt slowdown rises with interrupt cost",
+            series(&slowdown, "us", pct),
+            rising(&values),
+        );
+
+        let mut rows = Vec::new();
+        for (ns, spec) in study(|a| match a {
+            Ablation::HopLatency(ns) => Some(ns),
+            _ => None,
+        }) {
+            rows.push(vec![
+                ns.to_string(),
+                secs(self.sweep.elapsed(&spec)? as u64),
+            ]);
+        }
+        self.table(
+            &format!("Ablation: router hop latency vs Radix-VMMC (DU) time ({n} nodes)"),
+            &["Hop latency (ns)", "Time (s)"],
+            &rows,
+        );
+        Ok(())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The paper groups the report reads.
-    const GROUPS: [&str; 9] = [
+    /// The groups the report reads.
+    const GROUPS: [&str; 11] = [
+        "micro",
         "fig3",
         "fig4-svm-au",
         "fig4-du-au",
@@ -793,12 +984,24 @@ mod tests {
         "combining",
         "fifo",
         "du-queue",
+        "ablation",
     ];
 
     /// A made-up but paper-shaped time for `spec`: per-application
     /// speedup curves `p^e`, version and knob factors chosen so every
     /// band holds with margin.
     fn synthetic_elapsed(spec: &RunSpec) -> u64 {
+        let k = &spec.knobs;
+        let au = spec.resolved_variant() == Variant::Mechanism(Mechanism::AutomaticUpdate);
+        match spec.app {
+            App::MicroLatency => return if au { 3_000_000 } else { 6_000_000 },
+            App::MicroBulk if !au => return 800_000_000,
+            App::MicroBulk if k.combining == Some(false) => return 3_000_000_000,
+            App::MicroBulk => return 900_000_000,
+            App::MicroSendOverhead if k.syscall_send => return 26_000_000,
+            App::MicroSendOverhead => return 800_000,
+            _ => {}
+        }
         let exponent = match spec.app {
             App::OceanNx => 0.8,
             App::BarnesNx => 0.6,
@@ -814,7 +1017,10 @@ mod tests {
             (_, Variant::Protocol(Protocol::Hlrc | Protocol::HlrcAu)) => 1.2,
             _ => 1.0,
         };
-        let k = &spec.knobs;
+        if let Some(Ablation::EisaMbps(mbps)) = k.ablation {
+            // A faster I/O bus helps AU more than DU.
+            t *= (30.0 / mbps as f64).powf(if au { 0.5 } else { 0.3 });
+        }
         if k.syscall_send {
             t *= match spec.app {
                 App::BarnesNx => 1.5,
@@ -823,11 +1029,16 @@ mod tests {
             };
         }
         if k.interrupt_per_message {
-            t *= if spec.app == App::RadixVmmc {
-                1.005
-            } else {
-                1.05
+            let cost_us = match k.ablation {
+                Some(Ablation::InterruptCost(us)) => us as f64,
+                _ => 20.0,
             };
+            let at_20us = if spec.app == App::RadixVmmc {
+                0.005
+            } else {
+                0.05
+            };
+            t *= 1.0 + at_20us * cost_us / 20.0;
         }
         if k.combining == Some(false) && spec.app == App::DfsSockets {
             t *= 2.0;
@@ -863,7 +1074,8 @@ mod tests {
         json::parse(&text).expect("the test document is valid JSON")
     }
 
-    const SECTIONS: [&str; 10] = [
+    const SECTIONS: [&str; 12] = [
+        "§4.1–4.3",
         "Figure 3",
         "Figure 4 (left)",
         "Figure 4 (right)",
@@ -874,6 +1086,7 @@ mod tests {
         "§4.5.1",
         "§4.5.2",
         "§4.5.3",
+        "Ablation",
     ];
 
     #[test]
@@ -889,9 +1102,55 @@ mod tests {
                 "{section} checks no band"
             );
         }
-        assert_eq!(report.bands.len(), 18);
+        assert_eq!(report.bands.len(), 24);
         assert!(report.broken().is_empty(), "{}", report.render_bands());
-        assert!(report.render_bands().contains("18 bands checked, 0 broken"));
+        assert!(report.render_bands().contains("24 bands checked, 0 broken"));
+    }
+
+    /// Builds a reduced document with `edit` applied, and checks that the
+    /// bands it breaks are exactly the ones whose claim starts with `claim`.
+    fn breaks_only(edit: impl Fn(&RunSpec, String) -> Option<String>, claim: &str) {
+        let report = build(&document(Scale::Reduced, edit)).unwrap();
+        let broken = report.broken();
+        assert!(!broken.is_empty(), "the edit broke nothing");
+        assert!(
+            broken.iter().all(|b| b.claim.starts_with(claim)),
+            "{}",
+            report.render_bands()
+        );
+    }
+
+    #[test]
+    fn au_latency_not_below_du_breaks_only_its_micro_band() {
+        let du = RunSpec::new("micro", App::MicroLatency, 2, Scale::Reduced)
+            .with_variant(Variant::Mechanism(Mechanism::DeliberateUpdate));
+        let au = du
+            .clone()
+            .with_variant(Variant::Mechanism(Mechanism::AutomaticUpdate));
+        let edit = |s: &RunSpec, text| {
+            Some(if *s == au {
+                row(s, "ok", synthetic_elapsed(&du))
+            } else {
+                text
+            })
+        };
+        breaks_only(edit, "AU one-word latency is below DU's");
+    }
+
+    #[test]
+    fn a_flat_eisa_series_breaks_only_its_ablation_band() {
+        // Every EISA point runs in its as-built time, so the AU advantage
+        // is the same at every bandwidth.
+        let edit = |s: &RunSpec, text| {
+            Some(match s.knobs.ablation {
+                Some(Ablation::EisaMbps(_)) => {
+                    let built = s.clone().with_knobs(Knobs::as_built());
+                    row(s, "ok", synthetic_elapsed(&built))
+                }
+                _ => text,
+            })
+        };
+        breaks_only(edit, "the AU advantage on Radix-VMMC rises");
     }
 
     #[test]

@@ -9,7 +9,7 @@ use std::rc::Rc;
 
 use shrimp_sim::FastMap;
 
-use crate::addr::{page_chunks, Paddr, Vaddr, PAGE_SIZE};
+use crate::addr::{page_chunks, Paddr, Vaddr};
 use crate::node::NodeMem;
 
 struct SpaceInner {
@@ -74,11 +74,6 @@ impl AddressSpace {
             table.insert(vfirst + i, pfirst + i);
         }
         Vaddr::from_parts(vfirst, 0)
-    }
-
-    /// Allocates enough pages to hold `bytes` bytes.
-    pub fn alloc_bytes(&self, bytes: usize) -> Vaddr {
-        self.alloc(bytes.div_ceil(PAGE_SIZE).max(1))
     }
 
     /// Translates a virtual address to its physical address.
@@ -178,6 +173,7 @@ impl AddressSpace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::addr::PAGE_SIZE;
 
     #[test]
     fn alloc_translate_roundtrip() {

@@ -39,7 +39,7 @@ impl std::fmt::Display for NodeId {
 }
 
 /// Mesh geometry and timing parameters.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MeshConfig {
     /// Routers per row.
     pub width: usize,

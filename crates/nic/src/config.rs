@@ -7,7 +7,7 @@ use shrimp_sim::{time, Time};
 ///
 /// The defaults ([`NicConfig::shrimp_default`]) model the machine as built;
 /// each §4 experiment flips exactly one field.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NicConfig {
     /// EISA-bus DMA bandwidth (both DMA directions share the I/O bus).
     /// EISA burst transfers peak at ~33 MB/s; SHRIMP measured slightly less.

@@ -248,11 +248,6 @@ impl PageTables {
         self.ipt.borrow_mut().insert(page, entry);
     }
 
-    /// Removes an IPT entry.
-    pub fn ipt_clear(&self, page: u64) {
-        self.ipt.borrow_mut().remove(&page);
-    }
-
     /// Looks up an IPT entry.
     pub fn ipt_get(&self, page: u64) -> Option<IptEntry> {
         self.ipt.borrow().get(&page).copied()

@@ -248,11 +248,6 @@ impl Socket {
         self.inner.tx.send_frame_zero_copy(TAG_BLOCK, data).await;
     }
 
-    /// Largest block [`Socket::write_block`] accepts.
-    pub fn max_block(&self) -> usize {
-        self.inner.tx.max_payload()
-    }
-
     /// Signals end-of-stream; subsequent reads at the peer return 0 once
     /// buffered data is drained.
     pub async fn shutdown(&self) {

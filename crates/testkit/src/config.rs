@@ -1,18 +1,20 @@
 //! The typed harness configuration.
 //!
-//! Every knob the test and experiment infrastructure used to read from
+//! Every knob the property engine and the bench harness read from
 //! `SHRIMP_*` environment variables lives here as a plain field on
 //! [`HarnessConfig`]. Code paths take a `&HarnessConfig` (or fall back to
-//! [`HarnessConfig::global`]), so a driver — notably the `shrimp-harness`
-//! sweep runner, whose worker threads must not mutate the process
-//! environment — can configure runs programmatically with a builder:
+//! [`HarnessConfig::global`]), so a caller can configure them
+//! programmatically with a builder:
 //!
 //! ```
 //! use shrimp_testkit::HarnessConfig;
-//! let cfg = HarnessConfig::new().with_full_scale(true).with_nodes(8);
-//! assert!(cfg.full_scale);
-//! assert_eq!(cfg.nodes, 8);
+//! let cfg = HarnessConfig::new().with_prop_cases(8).with_bench_iters(3);
+//! assert_eq!(cfg.prop_case_count(48), 8);
+//! assert_eq!(cfg.bench_iters, 3);
 //! ```
+//!
+//! Experiment scale is not here: the `shrimp-harness` sweep runner's
+//! `--smoke`/`--full` and `--nodes` flags are the one way to set it.
 //!
 //! The environment variables remain supported as a thin compatibility
 //! shim: [`HarnessConfig::from_env`] parses them all, and
@@ -25,8 +27,6 @@ use std::sync::OnceLock;
 ///
 /// | Field | Env shim | Default |
 /// |---|---|---|
-/// | `full_scale` | `SHRIMP_FULL=1` | `false` |
-/// | `nodes` | `SHRIMP_NODES` | 16 |
 /// | `prop_cases` | `SHRIMP_PROP_CASES` | `None` (use declared count) |
 /// | `prop_seed` | `SHRIMP_PROP_SEED` | `None` (0) |
 /// | `bench_iters` | `SHRIMP_BENCH_ITERS` | 10 |
@@ -35,10 +35,6 @@ use std::sync::OnceLock;
 /// | `bench_dir` | `SHRIMP_BENCH_DIR` | `None` (nearest `results/`) |
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HarnessConfig {
-    /// Run experiments at the paper's problem sizes.
-    pub full_scale: bool,
-    /// Cluster size for the headline experiments (paper: 16).
-    pub nodes: usize,
     /// Property-test case count override (`None`: each suite's declared count).
     pub prop_cases: Option<u32>,
     /// Extra seed perturbation for property tests.
@@ -63,8 +59,6 @@ impl HarnessConfig {
     /// The defaults, with no environment involved.
     pub fn new() -> Self {
         HarnessConfig {
-            full_scale: false,
-            nodes: 16,
             prop_cases: None,
             prop_seed: None,
             bench_iters: 10,
@@ -79,8 +73,6 @@ impl HarnessConfig {
     /// (unparsable values fall back to the default, as before).
     pub fn from_env() -> Self {
         HarnessConfig {
-            full_scale: std::env::var("SHRIMP_FULL").is_ok_and(|v| v == "1"),
-            nodes: env_parse("SHRIMP_NODES").unwrap_or(16),
             prop_cases: env_parse("SHRIMP_PROP_CASES"),
             prop_seed: env_parse("SHRIMP_PROP_SEED"),
             bench_iters: env_parse("SHRIMP_BENCH_ITERS").unwrap_or(10),
@@ -103,18 +95,6 @@ impl HarnessConfig {
     /// `declared` cases.
     pub fn prop_case_count(&self, declared: u32) -> u32 {
         self.prop_cases.unwrap_or(declared)
-    }
-
-    /// Builder: paper-scale problem sizes.
-    pub fn with_full_scale(mut self, full: bool) -> Self {
-        self.full_scale = full;
-        self
-    }
-
-    /// Builder: cluster size.
-    pub fn with_nodes(mut self, nodes: usize) -> Self {
-        self.nodes = nodes;
-        self
     }
 
     /// Builder: property-test case count override.
@@ -146,12 +126,6 @@ impl HarnessConfig {
         self.bench_json = json;
         self
     }
-
-    /// Builder: bench JSON output directory.
-    pub fn with_bench_dir(mut self, dir: PathBuf) -> Self {
-        self.bench_dir = Some(dir);
-        self
-    }
 }
 
 fn env_parse<T: std::str::FromStr>(name: &str) -> Option<T> {
@@ -165,8 +139,6 @@ mod tests {
     #[test]
     fn defaults_match_documented_values() {
         let c = HarnessConfig::new();
-        assert!(!c.full_scale);
-        assert_eq!(c.nodes, 16);
         assert_eq!(c.bench_iters, 10);
         assert_eq!(c.bench_warmup, 3);
         assert!(c.bench_json);
@@ -176,15 +148,11 @@ mod tests {
     #[test]
     fn builder_overrides_compose() {
         let c = HarnessConfig::new()
-            .with_full_scale(true)
-            .with_nodes(4)
             .with_prop_cases(7)
             .with_prop_seed(99)
             .with_bench_iters(0) // clamps to 1
             .with_bench_warmup(0)
             .with_bench_json(false);
-        assert!(c.full_scale);
-        assert_eq!(c.nodes, 4);
         assert_eq!(c.prop_case_count(48), 7);
         assert_eq!(c.prop_seed, Some(99));
         assert_eq!(c.bench_iters, 1);
@@ -197,12 +165,6 @@ mod tests {
         // CI never exports SHRIMP_* for unit tests; when some are set by a
         // user we only check the ones that are not.
         let env = HarnessConfig::from_env();
-        if std::env::var("SHRIMP_FULL").is_err() {
-            assert!(!env.full_scale);
-        }
-        if std::env::var("SHRIMP_NODES").is_err() {
-            assert_eq!(env.nodes, 16);
-        }
         if std::env::var("SHRIMP_PROP_CASES").is_err() {
             assert_eq!(env.prop_cases, None);
         }

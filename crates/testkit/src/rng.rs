@@ -92,11 +92,6 @@ impl DetRng {
         (self.gen_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Returns `true` with probability `p` (clamped to `[0, 1]`).
-    pub fn gen_bool(&mut self, p: f64) -> bool {
-        self.gen_f64() < p
-    }
-
     /// Samples uniformly from a half-open range, e.g.
     /// `rng.gen_range(0u64..100)` or `rng.gen_range(-1.0..1.0)`.
     ///

@@ -17,8 +17,6 @@
 //! * [`nx`] — NX-compatible message passing
 //! * [`sockets`] — stream sockets over VMMC
 //! * [`svm`] — shared virtual memory (HLRC, HLRC-AU, AURC)
-//! * [`rpc`] — remote procedure call (Sun-RPC-compatible + fast path)
-//! * [`bsp`] — bulk-synchronous parallel with zero-cost synchronization
 //! * [`apps`] — the eight workloads of the study
 //!
 //! ## Quickstart
@@ -34,13 +32,11 @@
 //! ```
 
 pub use shrimp_apps as apps;
-pub use shrimp_bsp as bsp;
 pub use shrimp_core as vmmc;
 pub use shrimp_mem as mem;
 pub use shrimp_net as net;
 pub use shrimp_nic as nic;
 pub use shrimp_nx as nx;
-pub use shrimp_rpc as rpc;
 pub use shrimp_sim as sim;
 pub use shrimp_sockets as sockets;
 pub use shrimp_svm as svm;
