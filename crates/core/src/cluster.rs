@@ -931,6 +931,8 @@ impl Cluster {
             state.ipt,
             "node {node}: replayed IPT image diverged from the checkpoint"
         );
+        // A captured zero page written back into a page the preamble never
+        // wrote is a no-op, so it stays unmaterialized.
         for (page, data) in &state.pages {
             n.mem.write_raw(Paddr::from_parts(*page, 0), data);
         }

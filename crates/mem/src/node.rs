@@ -24,11 +24,19 @@ pub enum CacheMode {
 
 type SnoopFn = Box<dyn Fn(Paddr, &[u8])>;
 
+/// One physical page: its bytes (boxed on the first write that is not all
+/// zeros; a page never written reads as zeros), cache mode and pin count.
+#[derive(Default)]
+struct Frame {
+    bytes: Option<Box<[u8; PAGE_SIZE]>>,
+    mode: CacheMode,
+    pins: u32,
+}
+
 struct NodeMemInner {
-    pages: RefCell<FastMap<u64, Box<[u8; PAGE_SIZE]>>>,
-    cache_modes: RefCell<FastMap<u64, CacheMode>>,
-    pinned: RefCell<FastMap<u64, u32>>, // pin counts
-    next_phys_page: RefCell<u64>,
+    /// Indexed by physical page number; index 0 is the reserved null page,
+    /// and `frames.len()` is the allocator cursor.
+    frames: RefCell<Vec<Frame>>,
     snoop: RefCell<Option<SnoopFn>>,
     write_gates: RefCell<FastMap<u64, Gate>>,
     any_write_gate: Gate,
@@ -37,7 +45,8 @@ struct NodeMemInner {
 /// One node's physical memory. Cheap to clone (shared handle).
 ///
 /// All byte contents are real: data sent through the simulated NIC lands
-/// here and can be compared against what the sender wrote.
+/// here and can be compared against what the sender wrote. A page's 4 KiB
+/// are allocated only when something non-zero is first written to it.
 #[derive(Clone)]
 pub struct NodeMem {
     inner: Rc<NodeMemInner>,
@@ -52,7 +61,7 @@ impl Default for NodeMem {
 impl std::fmt::Debug for NodeMem {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NodeMem")
-            .field("allocated_pages", &self.inner.pages.borrow().len())
+            .field("allocated_pages", &self.allocated_pages())
             .finish()
     }
 }
@@ -62,10 +71,7 @@ impl NodeMem {
     pub fn new() -> Self {
         NodeMem {
             inner: Rc::new(NodeMemInner {
-                pages: RefCell::new(FastMap::default()),
-                cache_modes: RefCell::new(FastMap::default()),
-                pinned: RefCell::new(FastMap::default()),
-                next_phys_page: RefCell::new(1), // page 0 reserved (null)
+                frames: RefCell::new(vec![Frame::default()]), // page 0 reserved (null)
                 snoop: RefCell::new(None),
                 write_gates: RefCell::new(FastMap::default()),
                 any_write_gate: Gate::new(),
@@ -81,28 +87,21 @@ impl NodeMem {
     /// (the Xpress-bus board, parked pollers on other tasks), not volatile
     /// contents.
     pub fn reset(&self) {
-        self.inner.pages.borrow_mut().clear();
-        self.inner.cache_modes.borrow_mut().clear();
-        self.inner.pinned.borrow_mut().clear();
-        *self.inner.next_phys_page.borrow_mut() = 1;
+        self.inner.frames.borrow_mut().truncate(1);
     }
 
     /// Allocates `npages` fresh, zeroed, contiguous physical pages and
     /// returns the first page number.
     pub fn alloc_pages(&self, npages: usize) -> u64 {
-        let mut next = self.inner.next_phys_page.borrow_mut();
-        let first = *next;
-        *next += npages as u64;
-        let mut pages = self.inner.pages.borrow_mut();
-        for p in first..first + npages as u64 {
-            pages.insert(p, Box::new([0u8; PAGE_SIZE]));
-        }
-        first
+        let mut frames = self.inner.frames.borrow_mut();
+        let first = frames.len();
+        frames.resize_with(first + npages, Frame::default);
+        first as u64
     }
 
     /// Number of allocated physical pages.
     pub fn allocated_pages(&self) -> usize {
-        self.inner.pages.borrow().len()
+        self.inner.frames.borrow().len() - 1
     }
 
     /// The next physical page number the allocator will hand out.
@@ -111,25 +110,32 @@ impl NodeMem {
     /// restored node re-runs its allocation preamble, so a cursor mismatch
     /// means the replayed layout diverged from the captured one.
     pub fn next_phys_page(&self) -> u64 {
-        *self.inner.next_phys_page.borrow()
+        self.inner.frames.borrow().len() as u64
     }
 
-    /// Every allocated page's number and contents, sorted by page number —
-    /// the deterministic memory image a checkpoint stores.
+    /// Every allocated page's number and contents (pages never written
+    /// included, as zeros), in page order — the deterministic memory image
+    /// a checkpoint stores.
     pub fn dump_pages(&self) -> Vec<(u64, Vec<u8>)> {
-        let pages = self.inner.pages.borrow();
-        let mut out: Vec<(u64, Vec<u8>)> =
-            pages.iter().map(|(&p, data)| (p, data.to_vec())).collect();
-        out.sort_unstable_by_key(|&(p, _)| p);
-        out
+        let frames = self.inner.frames.borrow();
+        (1..frames.len())
+            .map(|p| {
+                let data = match &frames[p].bytes {
+                    Some(bytes) => bytes.to_vec(),
+                    None => vec![0; PAGE_SIZE],
+                };
+                (p as u64, data)
+            })
+            .collect()
     }
 
-    fn with_page<R>(&self, page: u64, f: impl FnOnce(&mut [u8; PAGE_SIZE]) -> R) -> R {
-        let mut pages = self.inner.pages.borrow_mut();
-        let p = pages
-            .get_mut(&page)
-            .unwrap_or_else(|| panic!("access to unallocated physical page {page}"));
-        f(p)
+    fn with_frame<R>(&self, page: u64, f: impl FnOnce(&mut Frame) -> R) -> R {
+        let mut frames = self.inner.frames.borrow_mut();
+        let frame = match usize::try_from(page) {
+            Ok(i) if i != 0 => frames.get_mut(i),
+            _ => None,
+        };
+        f(frame.unwrap_or_else(|| panic!("access to unallocated physical page {page}")))
     }
 
     /// Reads `buf.len()` bytes starting at `addr` (may cross pages).
@@ -140,8 +146,10 @@ impl NodeMem {
     pub fn read(&self, addr: Paddr, buf: &mut [u8]) {
         let mut done = 0;
         for (page, offset, len) in page_chunks(addr.0, buf.len()) {
-            self.with_page(page, |p| {
-                buf[done..done + len].copy_from_slice(&p[offset..offset + len]);
+            let out = &mut buf[done..done + len];
+            self.with_frame(page, |frame| match &frame.bytes {
+                Some(bytes) => out.copy_from_slice(&bytes[offset..offset + len]),
+                None => out.fill(0),
             });
             done += len;
         }
@@ -149,11 +157,21 @@ impl NodeMem {
 
     /// Writes bytes starting at `addr` without snooping or watcher
     /// notification — raw backdoor used for workload initialization.
+    ///
+    /// Writing zeros into a page never written is a no-op: the page
+    /// already reads as zeros, so its bytes stay unallocated.
     pub fn write_raw(&self, addr: Paddr, data: &[u8]) {
         let mut done = 0;
         for (page, offset, len) in page_chunks(addr.0, data.len()) {
-            self.with_page(page, |p| {
-                p[offset..offset + len].copy_from_slice(&data[done..done + len]);
+            let src = &data[done..done + len];
+            self.with_frame(page, |frame| {
+                if frame.bytes.is_none() && src.iter().all(|&b| b == 0) {
+                    return;
+                }
+                let bytes = frame
+                    .bytes
+                    .get_or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
+                bytes[offset..offset + len].copy_from_slice(src);
             });
             done += len;
         }
@@ -213,43 +231,55 @@ impl NodeMem {
     }
 
     /// Sets the caching policy of a physical page.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the page is unallocated.
     pub fn set_cache_mode(&self, page: u64, mode: CacheMode) {
-        self.inner.cache_modes.borrow_mut().insert(page, mode);
+        self.with_frame(page, |frame| frame.mode = mode);
     }
 
-    /// Caching policy of a physical page (default [`CacheMode::WriteBack`]).
+    /// Caching policy of a physical page (default [`CacheMode::WriteBack`],
+    /// also for a page not allocated).
     pub fn cache_mode_of(&self, page: u64) -> CacheMode {
-        self.inner
-            .cache_modes
-            .borrow()
-            .get(&page)
-            .copied()
-            .unwrap_or_default()
+        self.frame_field(page, |frame| frame.mode)
     }
 
     /// Pins a page (prevents replacement; export pins receive-buffer pages).
     /// Pins nest.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the page is unallocated.
     pub fn pin(&self, page: u64) {
-        *self.inner.pinned.borrow_mut().entry(page).or_insert(0) += 1;
+        self.with_frame(page, |frame| frame.pins += 1);
     }
 
     /// Releases one pin of a page.
     ///
     /// # Panics
     ///
-    /// Panics if the page is not pinned.
+    /// Panics if the page is unallocated or not pinned.
     pub fn unpin(&self, page: u64) {
-        let mut pinned = self.inner.pinned.borrow_mut();
-        let c = pinned.get_mut(&page).expect("unpin of unpinned page");
-        *c -= 1;
-        if *c == 0 {
-            pinned.remove(&page);
-        }
+        self.with_frame(page, |frame| {
+            frame.pins = frame.pins.checked_sub(1).expect("unpin of unpinned page");
+        });
     }
 
-    /// `true` if the page is currently pinned.
+    /// `true` if the page is currently pinned (`false` for a page not
+    /// allocated).
     pub fn is_pinned(&self, page: u64) -> bool {
-        self.inner.pinned.borrow().contains_key(&page)
+        self.frame_field(page, |frame| frame.pins > 0)
+    }
+
+    /// `f` of the page's frame, or of an empty frame if the page is not
+    /// allocated.
+    fn frame_field<R>(&self, page: u64, f: impl FnOnce(&Frame) -> R) -> R {
+        let frames = self.inner.frames.borrow();
+        match usize::try_from(page).ok().and_then(|i| frames.get(i)) {
+            Some(frame) => f(frame),
+            None => f(&Frame::default()),
+        }
     }
 
     // Typed helpers -------------------------------------------------------
@@ -304,6 +334,49 @@ mod tests {
         let m = NodeMem::new();
         let mut b = [0u8; 1];
         m.read(Paddr(123 << 12), &mut b);
+    }
+
+    #[test]
+    #[should_panic(expected = "access to unallocated physical page 0")]
+    fn null_page_access_panics() {
+        let m = NodeMem::new();
+        m.alloc_pages(1);
+        m.write_raw(Paddr(0), &[1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "access to unallocated physical page 2")]
+    fn pin_past_the_allocator_cursor_panics() {
+        let m = NodeMem::new();
+        m.alloc_pages(1);
+        m.pin(m.next_phys_page());
+    }
+
+    #[test]
+    #[should_panic(expected = "access to unallocated physical page")]
+    fn cache_mode_of_a_freed_page_cannot_be_set() {
+        let m = NodeMem::new();
+        let p = m.alloc_pages(1);
+        m.reset();
+        assert_eq!(m.cache_mode_of(p), CacheMode::WriteBack);
+        m.set_cache_mode(p, CacheMode::WriteThrough);
+    }
+
+    #[test]
+    fn zero_write_into_an_unwritten_page_is_a_noop_that_still_snoops() {
+        let m = NodeMem::new();
+        let p = m.alloc_pages(1);
+        let seen = Rc::new(RefCell::new(0usize));
+        let s = seen.clone();
+        m.set_snoop(move |_, _| *s.borrow_mut() += 1);
+        m.set_cache_mode(p, CacheMode::WriteThrough);
+        m.cpu_store(Paddr::from_parts(p, 8), &[0; 4]);
+        assert_eq!(*seen.borrow(), 1);
+        assert!(m.inner.frames.borrow()[p as usize].bytes.is_none());
+        // Once written, zeros overwrite real bytes.
+        m.write_raw(Paddr::from_parts(p, 8), &[7; 4]);
+        m.write_raw(Paddr::from_parts(p, 9), &[0; 2]);
+        assert_eq!(m.read_u32(Paddr::from_parts(p, 8)), 0x0700_0007);
     }
 
     #[test]

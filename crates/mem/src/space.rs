@@ -7,15 +7,18 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use shrimp_sim::FastMap;
-
 use crate::addr::{page_chunks, Paddr, Vaddr};
 use crate::node::NodeMem;
 
+/// The first virtual page [`AddressSpace::alloc`] hands out; the pages
+/// below it are a guard gap at virtual 0.
+const FIRST_VIRT_PAGE: u64 = 16;
+
 struct SpaceInner {
     mem: NodeMem,
-    table: RefCell<FastMap<u64, u64>>, // virt page -> phys page
-    next_virt_page: RefCell<u64>,
+    /// Physical page of virtual page `FIRST_VIRT_PAGE + i` at index `i`;
+    /// `alloc` maps virtual pages contiguously, so the table has no holes.
+    table: RefCell<Vec<u64>>,
 }
 
 /// A process's virtual address space on one node. Cheap to clone.
@@ -38,9 +41,7 @@ impl AddressSpace {
         AddressSpace {
             inner: Rc::new(SpaceInner {
                 mem,
-                table: RefCell::new(FastMap::default()),
-                // Leave a guard gap at virtual 0.
-                next_virt_page: RefCell::new(16),
+                table: RefCell::new(Vec::new()),
             }),
         }
     }
@@ -55,24 +56,16 @@ impl AddressSpace {
     /// the same virtual (and, after [`NodeMem::reset`], physical) pages.
     pub fn reset(&self) {
         self.inner.table.borrow_mut().clear();
-        *self.inner.next_virt_page.borrow_mut() = 16;
     }
 
     /// Allocates and maps `npages` fresh pages of zeroed memory; returns the
     /// (page-aligned) base virtual address.
     pub fn alloc(&self, npages: usize) -> Vaddr {
         assert!(npages > 0, "alloc of zero pages");
-        let vfirst = {
-            let mut next = self.inner.next_virt_page.borrow_mut();
-            let v = *next;
-            *next += npages as u64;
-            v
-        };
         let pfirst = self.inner.mem.alloc_pages(npages);
         let mut table = self.inner.table.borrow_mut();
-        for i in 0..npages as u64 {
-            table.insert(vfirst + i, pfirst + i);
-        }
+        let vfirst = FIRST_VIRT_PAGE + table.len() as u64;
+        table.extend(pfirst..pfirst + npages as u64);
         Vaddr::from_parts(vfirst, 0)
     }
 
@@ -83,20 +76,16 @@ impl AddressSpace {
     /// Panics on an unmapped virtual page (a "segfault" is a bug in the
     /// simulated software stack, not a modeled condition).
     pub fn translate(&self, v: Vaddr) -> Paddr {
-        let table = self.inner.table.borrow();
-        let phys = table
-            .get(&v.page())
-            .unwrap_or_else(|| panic!("unmapped virtual page {:#x}", v.page()));
-        Paddr::from_parts(*phys, v.offset())
+        Paddr::from_parts(self.phys_page(v.page()), v.offset())
     }
 
     /// Physical page backing a virtual page.
     pub fn phys_page(&self, vpage: u64) -> u64 {
-        *self
-            .inner
-            .table
-            .borrow()
-            .get(&vpage)
+        let table = self.inner.table.borrow();
+        vpage
+            .checked_sub(FIRST_VIRT_PAGE)
+            .and_then(|i| table.get(usize::try_from(i).ok()?))
+            .copied()
             .unwrap_or_else(|| panic!("unmapped virtual page {vpage:#x}"))
     }
 
