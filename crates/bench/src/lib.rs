@@ -5,8 +5,8 @@
 //! `shrimp-harness` sweep runner executes them into `sweep.json`, and
 //! `shrimp-harness --report` renders the paper's figures and tables from
 //! that artifact. The harness's `--smoke`/`--full` and `--nodes` flags
-//! choose the scale and the headline cluster size. The one bench target,
-//! `benches/engine_perf.rs`, times the simulator's own hot paths.
+//! choose the scale and the headline cluster size. Host-side timing of the
+//! simulator's own layers lives in the separate `perfbench` package.
 
 #![warn(missing_docs)]
 

@@ -17,9 +17,12 @@
 //! the checkpoint's program and the resuming one fails loudly instead of
 //! corrupting the run.
 //!
-//! Artifacts use the `shrimp_sim::snapshot` codec (same magic and format
-//! version as `Sim` snapshots).
+//! Artifacts use the `shrimp_sim::snapshot` codec. Decoding checks the
+//! memory image's shape — pages `1..next_phys_page`, in order, each
+//! `PAGE_SIZE` bytes, exactly what capture writes — so an edited artifact
+//! fails with [`SnapshotError::Corrupt`] before any run starts.
 
+use shrimp_mem::PAGE_SIZE;
 use shrimp_net::NodeId;
 use shrimp_nic::{IptEntry, OptEntry};
 use shrimp_sim::{SnapshotError, SnapshotReader, SnapshotWriter, Time};
@@ -30,7 +33,8 @@ use shrimp_sim::{SnapshotError, SnapshotReader, SnapshotWriter, Time};
 pub struct NodeState {
     /// Global node id this state belongs to.
     pub node: usize,
-    /// Every allocated physical page and its contents, sorted by page.
+    /// Every allocated physical page, `1..next_phys_page` in order, with
+    /// its `PAGE_SIZE` bytes.
     pub pages: Vec<(u64, Vec<u8>)>,
     /// The memory allocator cursor (verified, not restored — the resuming
     /// preamble must replay the identical allocation sequence).
@@ -79,11 +83,27 @@ impl NodeState {
         let node = r.get_u64()? as usize;
         let npages = r.get_len()?;
         let mut pages = Vec::with_capacity(npages);
-        for _ in 0..npages {
+        for want in 1..=npages as u64 {
             let page = r.get_u64()?;
-            pages.push((page, r.get_bytes()?.to_vec()));
+            let data = r.get_bytes()?;
+            if page != want {
+                return Err(SnapshotError::Corrupt(
+                    "checkpoint pages are not 1..next_phys_page in order",
+                ));
+            }
+            if data.len() != PAGE_SIZE {
+                return Err(SnapshotError::Corrupt(
+                    "checkpoint page is not PAGE_SIZE bytes",
+                ));
+            }
+            pages.push((page, data.to_vec()));
         }
         let next_phys_page = r.get_u64()?;
+        if next_phys_page != npages as u64 + 1 {
+            return Err(SnapshotError::Corrupt(
+                "checkpoint page count disagrees with the page allocator cursor",
+            ));
+        }
         let nic_seq = r.get_u64()?;
         let next_proxy = r.get_u64()?;
         let nopt = r.get_len()?;
@@ -218,8 +238,8 @@ mod tests {
     fn sample() -> ClusterCheckpoint {
         let node = |i: usize| NodeState {
             node: i,
-            pages: vec![(0, vec![i as u8; 8]), (1, vec![0xAA; 4])],
-            next_phys_page: 2,
+            pages: vec![(1, vec![i as u8; PAGE_SIZE]), (2, vec![0xAA; PAGE_SIZE])],
+            next_phys_page: 3,
             nic_seq: 5 + i as u64,
             next_proxy: shrimp_nic::tables::PROXY_INDEX_BASE + 3,
             opt: vec![(
@@ -272,6 +292,25 @@ mod tests {
             ClusterCheckpoint::decode(&ck.encode()),
             Err(SnapshotError::Corrupt(_))
         ));
+    }
+
+    #[test]
+    fn rejects_page_lists_capture_never_writes() {
+        let decodes_corrupt = |edit: fn(&mut NodeState)| {
+            let mut ck = sample();
+            edit(&mut ck.nodes[1]);
+            matches!(
+                ClusterCheckpoint::decode(&ck.encode()),
+                Err(SnapshotError::Corrupt(_))
+            )
+        };
+        assert!(
+            decodes_corrupt(|n| n.pages[1].0 += 1_000),
+            "page past the cursor"
+        );
+        assert!(decodes_corrupt(|n| n.pages[1].1.truncate(8)), "short page");
+        assert!(decodes_corrupt(|n| n.pages.swap(0, 1)), "swapped order");
+        assert!(decodes_corrupt(|n| drop(n.pages.pop())), "missing page");
     }
 
     #[test]

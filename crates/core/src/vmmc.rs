@@ -971,6 +971,44 @@ mod tests {
     }
 
     #[test]
+    fn unbind_stops_automatic_update() {
+        let (cluster, a, b) = two_nodes();
+        let recv = b.space().alloc(1);
+        let export = b.export(recv, PAGE_SIZE);
+        let proxy = a.import(export);
+        let local = a.space().alloc(1);
+        let a2 = a.clone();
+        let b2 = b.clone();
+        let h = cluster.sim().spawn(async move {
+            let au_packets = || a2.cluster().nic(0).counters().au_packets.get();
+            let settle = time::us(100);
+            a2.bind(local, &proxy, 0, PAGE_SIZE, false, false);
+            a2.store_u64(local, 11).await;
+            a2.sim().sleep(settle).await;
+            let bound = au_packets();
+            assert!(bound >= 1, "bound store sent no AU packet");
+            assert_eq!(b2.space().read_u64(recv), 11);
+
+            a2.unbind(local, PAGE_SIZE);
+            a2.store_u64(local, 22).await;
+            a2.sim().sleep(settle).await;
+            assert_eq!(au_packets(), bound, "unbound store sent an AU packet");
+            assert_eq!(b2.space().read_u64(recv), 11, "unbound store landed");
+            assert_eq!(a2.space().read_u64(local), 22);
+
+            // A combined store still pending in the NIC when the binding
+            // goes away is launched by the combine timeout.
+            a2.bind(local, &proxy, 0, PAGE_SIZE, true, false);
+            a2.store_u64(local.add(8), 33).await;
+            a2.unbind(local, PAGE_SIZE);
+            a2.sim().sleep(settle).await;
+            assert_eq!(au_packets(), bound + 1);
+            assert_eq!(b2.space().read_u64(recv.add(8)), 33);
+        });
+        cluster.run_until_complete(vec![h]);
+    }
+
+    #[test]
     fn au_stores_cost_more_than_unbound_stores() {
         let (cluster, a, b) = two_nodes();
         let recv = b.space().alloc(1);

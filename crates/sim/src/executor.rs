@@ -28,7 +28,6 @@ use std::sync::Arc;
 use std::task::{Context, Poll, Wake, Waker};
 
 use crate::metrics::MetricsRegistry;
-use crate::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use crate::time::Time;
 use crate::trace::TraceSink;
 use crate::wheel::{TimerId, TimerWheel};
@@ -528,120 +527,6 @@ impl Sim {
         !self.inner.ready.is_empty()
     }
 
-    /// `true` when nothing pends: no runnable process, no live process, no
-    /// timer. This is the state [`Sim::snapshot`] requires.
-    pub fn is_quiesced(&self) -> bool {
-        !self.has_runnable() && self.live_tasks() == 0 && self.next_deadline().is_none()
-    }
-
-    /// Serializes a quiesced simulator into a versioned binary artifact.
-    ///
-    /// A simulator is quiesced when no process is runnable, no process is
-    /// alive, and no timer pends — i.e. [`Sim::run`] has returned and every
-    /// process completed. Only then is the full state expressible as plain
-    /// data: pending timers hold wakers and closures, which cannot cross a
-    /// serialization boundary. The artifact still captures the *structural*
-    /// residue future behavior depends on — the clock, the event counter,
-    /// the timer wheel's cursor, sequence counter and slab generations (so
-    /// recycled timer ids stay inert after a restore), task-slot
-    /// generations and free-list order, and the metrics registry — so a
-    /// [`Sim::restore`]d simulator continues byte-identically to the
-    /// original.
-    ///
-    /// The trace sink is not captured; a restored simulator starts with a
-    /// fresh, disabled sink.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::NotQuiesced`] if work is still pending.
-    pub fn snapshot(&self) -> Result<Vec<u8>, SnapshotError> {
-        if self.has_runnable() {
-            return Err(SnapshotError::NotQuiesced("woken processes await polling"));
-        }
-        if self.live_tasks() != 0 {
-            return Err(SnapshotError::NotQuiesced("processes are still alive"));
-        }
-        let mut w = SnapshotWriter::new();
-        w.put_u64(self.now());
-        w.put_u64(self.events());
-        let wheel = self.inner.timers.borrow();
-        if !wheel.is_empty() {
-            return Err(SnapshotError::NotQuiesced("timers are still pending"));
-        }
-        // Quiesced: only cancelled/free residue remains, so the
-        // payload encoder is provably never consulted.
-        wheel.snapshot_into(&mut w, |_| {
-            Err(SnapshotError::NotQuiesced(
-                "timer payloads are not serializable",
-            ))
-        })?;
-        let tasks = self.inner.tasks.borrow();
-        w.put_u64(tasks.slots.len() as u64);
-        w.put_u32(tasks.free);
-        for slot in &tasks.slots {
-            w.put_u32(slot.gen);
-            match slot.state {
-                SlotState::Free { next } => w.put_u32(next),
-                SlotState::Live(_) => unreachable!("live task slot while live == 0"),
-            }
-        }
-        drop(tasks);
-        self.inner.metrics.snapshot_into(&mut w);
-        Ok(w.finish())
-    }
-
-    /// Rebuilds a simulator from a [`Sim::snapshot`] artifact.
-    pub fn restore(bytes: &[u8]) -> Result<Sim, SnapshotError> {
-        let mut r = SnapshotReader::new(bytes)?;
-        let now = r.get_u64()?;
-        let events = r.get_u64()?;
-        let wheel = TimerWheel::restore_from(&mut r, |_| {
-            Err(SnapshotError::Corrupt(
-                "quiesced snapshot holds a live timer payload",
-            ))
-        })?;
-        let slots_len = r.get_len()?;
-        if slots_len >= NO_SLOT as usize {
-            return Err(SnapshotError::Corrupt(
-                "task slab length exceeds index space",
-            ));
-        }
-        let valid = |idx: u32| idx == NO_SLOT || (idx as usize) < slots_len;
-        let free = r.get_u32()?;
-        if !valid(free) {
-            return Err(SnapshotError::Corrupt("task free-list head out of bounds"));
-        }
-        let mut slots = Vec::with_capacity(slots_len);
-        for _ in 0..slots_len {
-            let gen = r.get_u32()?;
-            let next = r.get_u32()?;
-            if !valid(next) {
-                return Err(SnapshotError::Corrupt("task free-list link out of bounds"));
-            }
-            slots.push(TaskSlot {
-                gen,
-                state: SlotState::Free { next },
-            });
-        }
-        let metrics = MetricsRegistry::restore_from(&mut r)?;
-        r.finish()?;
-        Ok(Sim {
-            inner: Rc::new(SimInner {
-                now: Cell::new(now),
-                trace: TraceSink::new(),
-                metrics,
-                events: Cell::new(events),
-                timers: RefCell::new(wheel),
-                ready: Arc::new(ReadyQueue::new()),
-                tasks: RefCell::new(TaskSlab {
-                    slots,
-                    free,
-                    live: 0,
-                }),
-            }),
-        })
-    }
-
     /// Runs until simulated time would exceed `limit`; events at exactly
     /// `limit` still fire. Returns the final time (`<= limit`).
     pub fn run_for(&self, limit: Time) -> Time {
@@ -904,57 +789,6 @@ mod tests {
         let s = sim.clone();
         sim.spawn(async move { s.sleep(us(5)).await });
         assert_eq!(sim.run_to_completion(), us(105));
-    }
-
-    #[test]
-    fn snapshot_requires_quiescence() {
-        let sim = Sim::new();
-        let s = sim.clone();
-        sim.spawn(async move { s.sleep(us(1)).await });
-        assert!(matches!(sim.snapshot(), Err(SnapshotError::NotQuiesced(_))));
-        sim.run_to_completion();
-        assert!(sim.is_quiesced());
-        sim.snapshot().unwrap();
-    }
-
-    #[test]
-    fn restored_sim_continues_byte_identically() {
-        fn batch(sim: &Sim, rounds: std::ops::Range<u64>, log: Rc<RefCell<Vec<(Time, u64)>>>) {
-            for i in rounds {
-                let s = sim.clone();
-                let log = log.clone();
-                sim.spawn(async move {
-                    s.sleep(ns(i * 37 % 23 + 1)).await;
-                    log.borrow_mut().push((s.now(), i));
-                });
-            }
-            sim.run_to_completion();
-        }
-        // Uninterrupted run: two batches back to back.
-        let log_a: Rc<RefCell<Vec<(Time, u64)>>> = Rc::new(RefCell::new(Vec::new()));
-        let sim = Sim::new();
-        batch(&sim, 0..8, log_a.clone());
-        batch(&sim, 8..16, log_a.clone());
-        let final_a = (sim.now(), sim.events());
-        // Interrupted run: snapshot between the batches, restore, continue.
-        let log_b: Rc<RefCell<Vec<(Time, u64)>>> = Rc::new(RefCell::new(Vec::new()));
-        let sim = Sim::new();
-        batch(&sim, 0..8, log_b.clone());
-        let bytes = sim.snapshot().unwrap();
-        let sim = Sim::restore(&bytes).unwrap();
-        batch(&sim, 8..16, log_b.clone());
-        assert_eq!((sim.now(), sim.events()), final_a);
-        assert_eq!(*log_a.borrow(), *log_b.borrow());
-        // The restored simulator re-snapshots to the same final state as
-        // the uninterrupted one.
-        let cold = {
-            let sim2 = Sim::new();
-            let log: Rc<RefCell<Vec<(Time, u64)>>> = Rc::new(RefCell::new(Vec::new()));
-            batch(&sim2, 0..8, log.clone());
-            batch(&sim2, 8..16, log.clone());
-            sim2.snapshot().unwrap()
-        };
-        assert_eq!(sim.snapshot().unwrap(), cold);
     }
 
     #[test]

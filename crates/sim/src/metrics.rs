@@ -22,7 +22,6 @@ use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use crate::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use crate::trace::Category;
 
 /// Number of histogram buckets: one per possible `u64` bit length (0..=64).
@@ -225,131 +224,6 @@ impl MetricsRegistry {
             })
             .collect();
         MetricsSnapshot { samples }
-    }
-
-    /// Serializes the registry — enabled flag plus every instrument's full
-    /// state (histograms untrimmed) — into a [`Sim`](crate::Sim) snapshot
-    /// artifact. Instruments are written in the map's `(Category, name)`
-    /// order, so equal registries always encode to equal bytes.
-    pub(crate) fn snapshot_into(&self, w: &mut SnapshotWriter) {
-        w.put_bool(self.inner.enabled.get());
-        let map = self.inner.map.borrow();
-        w.put_u64(map.len() as u64);
-        for (&(category, name), inst) in map.iter() {
-            w.put_u8(category_code(category));
-            w.put_str(name);
-            match inst {
-                &Instrument::Counter(v) => {
-                    w.put_u8(0);
-                    w.put_u64(v);
-                }
-                &Instrument::Gauge { last, max } => {
-                    w.put_u8(1);
-                    w.put_u64(last);
-                    w.put_u64(max);
-                }
-                Instrument::Histogram(h) => {
-                    w.put_u8(2);
-                    w.put_u64(h.count);
-                    w.put_u64(h.sum);
-                    w.put_u64(h.min);
-                    w.put_u64(h.max);
-                    for &b in &h.buckets {
-                        w.put_u64(b);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Rebuilds a registry serialized by `snapshot_into`.
-    ///
-    /// Instrument keys are `&'static str` at rest; restored names are
-    /// interned in a process-global table (bounded by the number of
-    /// distinct metric names ever restored), so repeated restores do not
-    /// accumulate memory.
-    pub(crate) fn restore_from(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let registry = MetricsRegistry::new();
-        registry.inner.enabled.set(r.get_bool()?);
-        let n = r.get_len()?;
-        let mut map = registry.inner.map.borrow_mut();
-        for _ in 0..n {
-            let category = category_from_code(r.get_u8()?)?;
-            let name = intern(r.get_str()?);
-            let inst = match r.get_u8()? {
-                0 => Instrument::Counter(r.get_u64()?),
-                1 => Instrument::Gauge {
-                    last: r.get_u64()?,
-                    max: r.get_u64()?,
-                },
-                2 => {
-                    let mut h = Hist::new();
-                    h.count = r.get_u64()?;
-                    h.sum = r.get_u64()?;
-                    h.min = r.get_u64()?;
-                    h.max = r.get_u64()?;
-                    for b in h.buckets.iter_mut() {
-                        *b = r.get_u64()?;
-                    }
-                    Instrument::Histogram(Box::new(h))
-                }
-                _ => return Err(SnapshotError::Corrupt("unknown instrument kind")),
-            };
-            if map.insert((category, name), inst).is_some() {
-                return Err(SnapshotError::Corrupt("duplicate instrument key"));
-            }
-        }
-        drop(map);
-        Ok(registry)
-    }
-}
-
-/// Stable wire code for a [`Category`]; part of the snapshot format, so it
-/// must never be renumbered (append-only).
-fn category_code(c: Category) -> u8 {
-    match c {
-        Category::Nic => 0,
-        Category::Net => 1,
-        Category::Mem => 2,
-        Category::Svm => 3,
-        Category::Core => 4,
-        Category::Nx => 5,
-        Category::Sockets => 6,
-        Category::App => 7,
-        Category::Other => 8,
-    }
-}
-
-fn category_from_code(code: u8) -> Result<Category, SnapshotError> {
-    Ok(match code {
-        0 => Category::Nic,
-        1 => Category::Net,
-        2 => Category::Mem,
-        3 => Category::Svm,
-        4 => Category::Core,
-        5 => Category::Nx,
-        6 => Category::Sockets,
-        7 => Category::App,
-        8 => Category::Other,
-        _ => return Err(SnapshotError::Corrupt("unknown metric category code")),
-    })
-}
-
-/// Interns a restored metric name. The table lives for the process and is
-/// bounded by the set of distinct names, matching the `&'static str` keys
-/// compiled-in call sites use.
-fn intern(name: &str) -> &'static str {
-    use std::collections::BTreeSet;
-    use std::sync::Mutex;
-    static TABLE: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
-    let mut table = TABLE.lock().unwrap();
-    match table.get(name) {
-        Some(&s) => s,
-        None => {
-            let s: &'static str = Box::leak(name.to_owned().into_boxed_str());
-            table.insert(s);
-            s
-        }
     }
 }
 
@@ -621,28 +495,6 @@ mod tests {
                 (Category::Svm, "b"),
             ]
         );
-    }
-
-    #[test]
-    fn registry_snapshot_round_trips_byte_identically() {
-        let m = MetricsRegistry::new();
-        m.enable();
-        m.counter_add(Category::Nic, "pkts", 7);
-        m.gauge_set(Category::Mem, "depth", 3);
-        m.observe(Category::Svm, "lat_ps", 1000);
-        m.observe(Category::Svm, "lat_ps", 2);
-        let mut w = SnapshotWriter::new();
-        m.snapshot_into(&mut w);
-        let bytes = w.finish();
-        let mut r = SnapshotReader::new(&bytes).unwrap();
-        let restored = MetricsRegistry::restore_from(&mut r).unwrap();
-        r.finish().unwrap();
-        assert!(restored.enabled());
-        assert_eq!(restored.snapshot(), m.snapshot());
-        // Re-encoding the restored registry reproduces the artifact.
-        let mut w2 = SnapshotWriter::new();
-        restored.snapshot_into(&mut w2);
-        assert_eq!(w2.finish(), bytes);
     }
 
     #[test]

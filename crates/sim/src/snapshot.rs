@@ -1,10 +1,11 @@
 //! Versioned binary snapshot codec for deterministic checkpoint/restore.
 //!
-//! Every checkpoint artifact in the workspace — a quiesced [`crate::Sim`],
-//! a generic timer-wheel dump, or a cluster-level warm-start checkpoint —
-//! is framed by this module: an 8-byte magic (`SHRIMPCK`), a `u32` format
-//! version, then a flat little-endian stream of primitive fields written
-//! through [`SnapshotWriter`] and read back through [`SnapshotReader`].
+//! The workspace's one checkpoint artifact, the cluster-level warm-start
+//! checkpoint (`shrimp_core::checkpoint`), is framed by this module, and so
+//! is the warm-start tag it carries: an 8-byte magic (`SHRIMPCK`), a `u32`
+//! format version, then a flat little-endian stream of primitive fields
+//! written through [`SnapshotWriter`] and read back through
+//! [`SnapshotReader`].
 //!
 //! The format is deliberately boring: fixed-width integers, `u64`
 //! length-prefixed byte strings, no alignment, no compression. Byte
@@ -32,7 +33,7 @@ pub const MAGIC: [u8; 8] = *b"SHRIMPCK";
 /// readers reject artifacts from other versions rather than guessing.
 pub const VERSION: u32 = 1;
 
-/// A decoding or quiescence failure on the snapshot plane.
+/// A decoding failure on the snapshot plane.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnapshotError {
     /// The artifact does not start with [`MAGIC`].
@@ -48,8 +49,6 @@ pub enum SnapshotError {
     },
     /// A field decoded to a value that violates a structural invariant.
     Corrupt(&'static str),
-    /// The simulation was not at a quiesce point when a snapshot was taken.
-    NotQuiesced(&'static str),
     /// The checkpoint was produced by an incompatible run configuration.
     FingerprintMismatch,
 }
@@ -71,9 +70,6 @@ impl fmt::Display for SnapshotError {
                 )
             }
             SnapshotError::Corrupt(what) => write!(f, "snapshot corrupt: {what}"),
-            SnapshotError::NotQuiesced(what) => {
-                write!(f, "simulation not quiesced for snapshot: {what}")
-            }
             SnapshotError::FingerprintMismatch => {
                 write!(
                     f,
@@ -103,14 +99,13 @@ impl SnapshotWriter {
         w
     }
 
-    /// Writes one byte.
-    pub fn put_u8(&mut self, v: u8) {
+    fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
     /// Writes a `bool` as one byte (0 or 1).
     pub fn put_bool(&mut self, v: bool) {
-        self.buf.push(v as u8);
+        self.put_u8(v as u8);
     }
 
     /// Writes a `u32` little-endian.
@@ -181,8 +176,7 @@ impl<'a> SnapshotReader<'a> {
         Ok(s)
     }
 
-    /// Reads one byte.
-    pub fn get_u8(&mut self) -> Result<u8, SnapshotError> {
+    fn get_u8(&mut self) -> Result<u8, SnapshotError> {
         Ok(self.take(1)?[0])
     }
 
@@ -225,12 +219,6 @@ impl<'a> SnapshotReader<'a> {
         self.take(n)
     }
 
-    /// Reads a `u64`-length-prefixed UTF-8 string.
-    pub fn get_str(&mut self) -> Result<&'a str, SnapshotError> {
-        std::str::from_utf8(self.get_bytes()?)
-            .map_err(|_| SnapshotError::Corrupt("string field is not UTF-8"))
-    }
-
     /// Asserts the whole artifact was consumed.
     pub fn finish(self) -> Result<(), SnapshotError> {
         if self.pos != self.buf.len() {
@@ -261,7 +249,7 @@ mod tests {
         assert_eq!(r.get_u32().unwrap(), 0xdead_beef);
         assert_eq!(r.get_u64().unwrap(), u64::MAX - 1);
         assert_eq!(r.get_bytes().unwrap(), b"payload");
-        assert_eq!(r.get_str().unwrap(), "name");
+        assert_eq!(r.get_bytes().unwrap(), b"name");
         r.finish().unwrap();
     }
 

@@ -42,7 +42,6 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-use crate::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use crate::time::Time;
 
 /// Slot-index bits per level.
@@ -404,183 +403,6 @@ impl<T> TimerWheel<T> {
     }
 }
 
-impl<T> TimerWheel<T> {
-    /// Serializes the wheel's complete structure — cursor, sequence
-    /// counter, generation-tagged slab (including the free list), slot
-    /// chains, occupancy bitmaps, drained-slot queue, pre-heap and
-    /// overflow heap — so that [`TimerWheel::restore_from`] rebuilds a
-    /// wheel whose future behavior (pop order, recycled slot indices,
-    /// generation tags handed to new timers) is byte-identical to the
-    /// original's.
-    ///
-    /// `encode` turns a live payload into bytes; it is only invoked for
-    /// pending, non-cancelled entries. Cancelled entries are serialized
-    /// without their payload — the wheel never reads a cancelled payload,
-    /// it only drops it — which lets a caller snapshot a wheel holding
-    /// unserializable residue (e.g. cancelled wakers) with an `encode`
-    /// that always fails.
-    ///
-    /// The two heaps are written as ascending-sorted vectors: their
-    /// `(deadline, seq, index)` keys are unique, so heap pop order depends
-    /// only on the key set and the serialized artifact is independent of
-    /// the heaps' internal layout.
-    pub fn snapshot_into(
-        &self,
-        w: &mut SnapshotWriter,
-        mut encode: impl FnMut(&T) -> Result<Vec<u8>, SnapshotError>,
-    ) -> Result<(), SnapshotError> {
-        w.put_u64(self.elapsed);
-        w.put_u64(self.next_seq);
-        w.put_u64(self.live as u64);
-        w.put_u32(self.free);
-        w.put_u64(self.slab.len() as u64);
-        for node in &self.slab {
-            w.put_u64(node.at);
-            w.put_u64(node.seq);
-            w.put_u32(node.gen);
-            w.put_u32(node.next);
-            w.put_bool(node.cancelled);
-            match &node.payload {
-                Some(p) if !node.cancelled => {
-                    w.put_bool(true);
-                    w.put_bytes(&encode(p)?);
-                }
-                _ => w.put_bool(false),
-            }
-        }
-        for level in 0..LEVELS {
-            for slot in 0..SLOTS {
-                w.put_u32(self.slots[level][slot]);
-            }
-        }
-        for level in 0..LEVELS {
-            w.put_u64(self.occupied[level]);
-        }
-        w.put_u64(self.current.len() as u64);
-        for &idx in &self.current {
-            w.put_u32(idx);
-        }
-        for heap in [&self.pre, &self.overflow] {
-            let mut keys: Vec<(Time, u64, Idx)> = heap.iter().map(|&Reverse(k)| k).collect();
-            keys.sort_unstable();
-            w.put_u64(keys.len() as u64);
-            for (at, seq, idx) in keys {
-                w.put_u64(at);
-                w.put_u64(seq);
-                w.put_u32(idx);
-            }
-        }
-        Ok(())
-    }
-
-    /// Rebuilds a wheel serialized by [`TimerWheel::snapshot_into`].
-    ///
-    /// `decode` inverts the snapshot's `encode`; it runs once per pending
-    /// entry. Structural invariants (index bounds, live count vs. payload
-    /// count) are validated and violations surface as
-    /// [`SnapshotError::Corrupt`].
-    pub fn restore_from(
-        r: &mut SnapshotReader<'_>,
-        mut decode: impl FnMut(&[u8]) -> Result<T, SnapshotError>,
-    ) -> Result<TimerWheel<T>, SnapshotError> {
-        let elapsed = r.get_u64()?;
-        let next_seq = r.get_u64()?;
-        let live = r.get_u64()? as usize;
-        let free = r.get_u32()?;
-        let slab_len = r.get_len()?;
-        if slab_len >= NIL as usize {
-            return Err(SnapshotError::Corrupt(
-                "timer slab length exceeds index space",
-            ));
-        }
-        let valid = |idx: Idx| idx == NIL || (idx as usize) < slab_len;
-        if !valid(free) {
-            return Err(SnapshotError::Corrupt("free-list head out of bounds"));
-        }
-        let mut slab = Vec::with_capacity(slab_len);
-        let mut payloads = 0usize;
-        for _ in 0..slab_len {
-            let at = r.get_u64()?;
-            let seq = r.get_u64()?;
-            let gen = r.get_u32()?;
-            let next = r.get_u32()?;
-            if !valid(next) {
-                return Err(SnapshotError::Corrupt("node link out of bounds"));
-            }
-            let cancelled = r.get_bool()?;
-            let payload = if r.get_bool()? {
-                payloads += 1;
-                Some(decode(r.get_bytes()?)?)
-            } else {
-                None
-            };
-            slab.push(Node {
-                at,
-                seq,
-                gen,
-                next,
-                cancelled,
-                payload,
-            });
-        }
-        if payloads != live {
-            return Err(SnapshotError::Corrupt(
-                "live count disagrees with payload count",
-            ));
-        }
-        let mut slots = [[NIL; SLOTS]; LEVELS];
-        for level in slots.iter_mut() {
-            for slot in level.iter_mut() {
-                *slot = r.get_u32()?;
-                if !valid(*slot) {
-                    return Err(SnapshotError::Corrupt("slot head out of bounds"));
-                }
-            }
-        }
-        let mut occupied = [0u64; LEVELS];
-        for bits in occupied.iter_mut() {
-            *bits = r.get_u64()?;
-        }
-        let current_len = r.get_len()?;
-        let mut current = VecDeque::with_capacity(current_len);
-        for _ in 0..current_len {
-            let idx = r.get_u32()?;
-            if idx == NIL || !valid(idx) {
-                return Err(SnapshotError::Corrupt("current-queue index out of bounds"));
-            }
-            current.push_back(idx);
-        }
-        let mut heaps: [BinaryHeap<Reverse<(Time, u64, Idx)>>; 2] =
-            [BinaryHeap::new(), BinaryHeap::new()];
-        for heap in heaps.iter_mut() {
-            let n = r.get_len()?;
-            for _ in 0..n {
-                let at = r.get_u64()?;
-                let seq = r.get_u64()?;
-                let idx = r.get_u32()?;
-                if idx == NIL || !valid(idx) {
-                    return Err(SnapshotError::Corrupt("heap index out of bounds"));
-                }
-                heap.push(Reverse((at, seq, idx)));
-            }
-        }
-        let [pre, overflow] = heaps;
-        Ok(TimerWheel {
-            elapsed,
-            next_seq,
-            live,
-            slots,
-            occupied,
-            slab,
-            free,
-            current,
-            pre,
-            overflow,
-            scratch: Vec::new(),
-        })
-    }
-}
-
 impl<T> std::fmt::Debug for TimerWheel<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TimerWheel")
@@ -621,23 +443,29 @@ mod tests {
     #[test]
     fn spans_levels_and_overflow() {
         let mut w = TimerWheel::new();
-        // One deadline per level plus two past the horizon.
+        // One deadline per level, one just inside the horizon and four past
+        // it, two of them equal.
         let deadlines = [
+            HORIZON + 5,
             3u64,
             100,
             5_000,
             300_000,
             20_000_000,
             1 << 33,
+            HORIZON - 1,
             HORIZON + 7,
             1 << 40,
+            HORIZON + 5,
         ];
         for (i, &at) in deadlines.iter().enumerate() {
             w.insert(at, i as u32);
         }
-        let popped = drain_all(&mut w);
-        let times: Vec<Time> = popped.iter().map(|&(t, _)| t).collect();
-        assert_eq!(times, deadlines.to_vec());
+        // Tags follow insertion order, so `(time, tag)` order is
+        // `(time, seq)` order.
+        let mut want: Vec<(Time, u32)> = (0u32..).zip(deadlines).map(|(i, at)| (at, i)).collect();
+        want.sort_unstable();
+        assert_eq!(drain_all(&mut w), want);
     }
 
     #[test]
@@ -671,13 +499,18 @@ mod tests {
     #[test]
     fn stale_id_on_recycled_slot_is_inert() {
         let mut w = TimerWheel::new();
-        let a = w.insert(5, 0);
+        let fired = w.insert(5, 0);
+        let cancelled = w.insert(7, 1);
+        assert!(w.cancel(cancelled));
         assert_eq!(w.pop(), Some((5, 0)));
-        // The slab slot is recycled for a fresh timer; the stale id must
-        // not cancel it.
-        let _b = w.insert(6, 1);
-        assert!(!w.cancel(a));
-        assert_eq!(w.pop(), Some((6, 1)));
+        assert_eq!(w.pop(), None, "popping sweeps the cancelled residue");
+        // Both slab slots are recycled for fresh timers; neither stale id
+        // may act on them.
+        let fresh = [w.insert(6, 2), w.insert(8, 3)];
+        assert!(!fresh.contains(&fired) && !fresh.contains(&cancelled));
+        assert!(!w.cancel(fired));
+        assert!(!w.cancel(cancelled));
+        assert_eq!(drain_all(&mut w), vec![(6, 2), (8, 3)]);
     }
 
     #[test]
@@ -686,9 +519,10 @@ mod tests {
         // Peeking a far deadline advances the cursor internally.
         w.insert(1_000_000, 0);
         assert_eq!(w.peek_deadline(), Some(1_000_000));
-        // An earlier insert (legal: simulated time has not moved) must
-        // still fire first.
+        // An earlier insert (legal: simulated time has not moved) lands
+        // behind the cursor, in the pre heap, and must still fire first.
         w.insert(10, 1);
+        assert_eq!(w.pre.len(), 1);
         assert_eq!(w.peek_deadline(), Some(10));
         assert_eq!(drain_all(&mut w), vec![(10, 1), (1_000_000, 0)]);
     }
@@ -704,77 +538,6 @@ mod tests {
         w.insert(10, 2);
         assert_eq!(w.pop(), Some((10, 1)));
         assert_eq!(w.pop(), Some((10, 2)));
-    }
-
-    fn snap(w: &TimerWheel<u32>) -> Vec<u8> {
-        let mut sw = crate::snapshot::SnapshotWriter::new();
-        w.snapshot_into(&mut sw, |&v| Ok(v.to_le_bytes().to_vec()))
-            .unwrap();
-        sw.finish()
-    }
-
-    fn restore(bytes: &[u8]) -> TimerWheel<u32> {
-        let mut r = crate::snapshot::SnapshotReader::new(bytes).unwrap();
-        let w = TimerWheel::restore_from(&mut r, |b| {
-            let b: [u8; 4] = b
-                .try_into()
-                .map_err(|_| crate::snapshot::SnapshotError::Corrupt("payload width"))?;
-            Ok(u32::from_le_bytes(b))
-        })
-        .unwrap();
-        r.finish().unwrap();
-        w
-    }
-
-    #[test]
-    fn snapshot_mid_drain_resumes_identically() {
-        let mut w = TimerWheel::new();
-        for (at, tag) in [(10u64, 0u32), (10, 1), (5_000, 2), (HORIZON + 3, 3)] {
-            w.insert(at, tag);
-        }
-        let mut reference = TimerWheel::new();
-        for (at, tag) in [(10u64, 0u32), (10, 1), (5_000, 2), (HORIZON + 3, 3)] {
-            reference.insert(at, tag);
-        }
-        // Pop one entry so the snapshot captures a half-drained `current`
-        // queue and a recycled slab slot.
-        assert_eq!(w.pop(), Some((10, 0)));
-        assert_eq!(reference.pop(), Some((10, 0)));
-        let mut restored = restore(&snap(&w));
-        assert_eq!(drain_all(&mut restored), drain_all(&mut reference));
-        // Fresh inserts after restore reuse the same recycled slots and
-        // sequence numbers as the original would have.
-        restored.insert(7, 9);
-        reference.insert(7, 9);
-        assert_eq!(drain_all(&mut restored), drain_all(&mut reference));
-    }
-
-    #[test]
-    fn snapshot_skips_cancelled_payloads() {
-        let mut w: TimerWheel<u32> = TimerWheel::new();
-        let id = w.insert(10, 0);
-        w.cancel(id);
-        assert!(w.is_empty());
-        // Only cancelled residue remains, so an encoder that always fails
-        // must never be consulted.
-        let mut sw = crate::snapshot::SnapshotWriter::new();
-        w.snapshot_into(&mut sw, |_| {
-            Err(crate::snapshot::SnapshotError::NotQuiesced(
-                "unserializable",
-            ))
-        })
-        .unwrap();
-        let bytes = sw.finish();
-        let mut r = crate::snapshot::SnapshotReader::new(&bytes).unwrap();
-        let mut restored: TimerWheel<u32> = TimerWheel::restore_from(&mut r, |_| {
-            Err(crate::snapshot::SnapshotError::Corrupt(
-                "no payloads expected",
-            ))
-        })
-        .unwrap();
-        r.finish().unwrap();
-        assert!(restored.is_empty());
-        assert_eq!(restored.pop(), None);
     }
 
     #[test]

@@ -1,16 +1,15 @@
 //! The typed harness configuration.
 //!
-//! Every knob the property engine and the bench harness read from
-//! `SHRIMP_*` environment variables lives here as a plain field on
-//! [`HarnessConfig`]. Code paths take a `&HarnessConfig` (or fall back to
-//! [`HarnessConfig::global`]), so a caller can configure them
-//! programmatically with a builder:
+//! Every knob the property engine reads from `SHRIMP_*` environment
+//! variables lives here as a plain field on [`HarnessConfig`]. Code paths
+//! take a `&HarnessConfig` (or fall back to [`HarnessConfig::global`]), so
+//! a caller can configure them programmatically with a builder:
 //!
 //! ```
 //! use shrimp_testkit::HarnessConfig;
-//! let cfg = HarnessConfig::new().with_prop_cases(8).with_bench_iters(3);
+//! let cfg = HarnessConfig::new().with_prop_cases(8).with_prop_seed(3);
 //! assert_eq!(cfg.prop_case_count(48), 8);
-//! assert_eq!(cfg.bench_iters, 3);
+//! assert_eq!(cfg.prop_seed, Some(3));
 //! ```
 //!
 //! Experiment scale is not here: the `shrimp-harness` sweep runner's
@@ -20,7 +19,6 @@
 //! shim: [`HarnessConfig::from_env`] parses them all, and
 //! [`HarnessConfig::global`] does so exactly once per process.
 
-use std::path::PathBuf;
 use std::sync::OnceLock;
 
 /// All harness knobs, parsed once at entry.
@@ -29,24 +27,12 @@ use std::sync::OnceLock;
 /// |---|---|---|
 /// | `prop_cases` | `SHRIMP_PROP_CASES` | `None` (use declared count) |
 /// | `prop_seed` | `SHRIMP_PROP_SEED` | `None` (0) |
-/// | `bench_iters` | `SHRIMP_BENCH_ITERS` | 10 |
-/// | `bench_warmup` | `SHRIMP_BENCH_WARMUP` | 3 |
-/// | `bench_json` | `SHRIMP_BENCH_JSON=0` disables | `true` |
-/// | `bench_dir` | `SHRIMP_BENCH_DIR` | `None` (nearest `results/`) |
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HarnessConfig {
     /// Property-test case count override (`None`: each suite's declared count).
     pub prop_cases: Option<u32>,
     /// Extra seed perturbation for property tests.
     pub prop_seed: Option<u64>,
-    /// Timed iterations per benchmark.
-    pub bench_iters: u32,
-    /// Warmup iterations per benchmark.
-    pub bench_warmup: u32,
-    /// Write the per-suite JSON artifact from bench harnesses.
-    pub bench_json: bool,
-    /// Bench JSON output directory (`None`: nearest `results/`).
-    pub bench_dir: Option<PathBuf>,
 }
 
 impl Default for HarnessConfig {
@@ -61,10 +47,6 @@ impl HarnessConfig {
         HarnessConfig {
             prop_cases: None,
             prop_seed: None,
-            bench_iters: 10,
-            bench_warmup: 3,
-            bench_json: true,
-            bench_dir: None,
         }
     }
 
@@ -75,12 +57,6 @@ impl HarnessConfig {
         HarnessConfig {
             prop_cases: env_parse("SHRIMP_PROP_CASES"),
             prop_seed: env_parse("SHRIMP_PROP_SEED"),
-            bench_iters: env_parse("SHRIMP_BENCH_ITERS").unwrap_or(10),
-            bench_warmup: env_parse("SHRIMP_BENCH_WARMUP").unwrap_or(3),
-            bench_json: std::env::var("SHRIMP_BENCH_JSON")
-                .map(|v| v != "0")
-                .unwrap_or(true),
-            bench_dir: std::env::var("SHRIMP_BENCH_DIR").ok().map(PathBuf::from),
         }
     }
 
@@ -108,24 +84,6 @@ impl HarnessConfig {
         self.prop_seed = Some(seed);
         self
     }
-
-    /// Builder: timed bench iterations.
-    pub fn with_bench_iters(mut self, iters: u32) -> Self {
-        self.bench_iters = iters.max(1);
-        self
-    }
-
-    /// Builder: bench warmup iterations.
-    pub fn with_bench_warmup(mut self, warmup: u32) -> Self {
-        self.bench_warmup = warmup;
-        self
-    }
-
-    /// Builder: bench JSON artifact on/off.
-    pub fn with_bench_json(mut self, json: bool) -> Self {
-        self.bench_json = json;
-        self
-    }
 }
 
 fn env_parse<T: std::str::FromStr>(name: &str) -> Option<T> {
@@ -139,25 +97,15 @@ mod tests {
     #[test]
     fn defaults_match_documented_values() {
         let c = HarnessConfig::new();
-        assert_eq!(c.bench_iters, 10);
-        assert_eq!(c.bench_warmup, 3);
-        assert!(c.bench_json);
+        assert_eq!(c.prop_seed, None);
         assert_eq!(c.prop_case_count(48), 48);
     }
 
     #[test]
     fn builder_overrides_compose() {
-        let c = HarnessConfig::new()
-            .with_prop_cases(7)
-            .with_prop_seed(99)
-            .with_bench_iters(0) // clamps to 1
-            .with_bench_warmup(0)
-            .with_bench_json(false);
+        let c = HarnessConfig::new().with_prop_cases(7).with_prop_seed(99);
         assert_eq!(c.prop_case_count(48), 7);
         assert_eq!(c.prop_seed, Some(99));
-        assert_eq!(c.bench_iters, 1);
-        assert_eq!(c.bench_warmup, 0);
-        assert!(!c.bench_json);
     }
 
     #[test]

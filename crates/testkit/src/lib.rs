@@ -3,10 +3,9 @@
 //! The whole methodology of the reproduction is deterministic what-if
 //! replay: rerun the same workload with one design knob changed and compare
 //! schedules. That only holds if the repository is self-contained — every
-//! byte of randomness, every property-test case, and every benchmark number
-//! must be derivable from `(experiment, seed)` with no external crates in
-//! the loop. This crate is the workspace's only test/bench substrate and
-//! has **zero dependencies**:
+//! byte of randomness and every property-test case must be derivable from
+//! `(experiment, seed)` with no external crates in the loop. This crate is
+//! the workspace's only test substrate and has **zero dependencies**:
 //!
 //! * [`config`] — the typed [`HarnessConfig`]: every knob the
 //!   infrastructure once read from `SHRIMP_*` environment variables,
@@ -16,17 +15,12 @@
 //! * [`prop`] — a minimal property-testing engine: generator combinators,
 //!   a seeded case runner, and iterative choice-stream shrinking, driven by
 //!   the [`props!`] macro. Case counts are tunable via `SHRIMP_PROP_CASES`.
-//! * [`mod@bench`] — a statistics-reporting benchmark harness (`harness =
-//!   false` targets): warmup, min/median/p95/max over wall-clock samples,
-//!   and machine-readable JSON written next to the human tables in
-//!   `results/`.
 //! * [`sample`] — deterministic workload samplers (Zipf key popularity,
 //!   open-loop Poisson arrivals) built on [`rng::DetRng`] with no libm in
 //!   the loop, for bit-reproducible load generation.
 
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod config;
 pub mod prop;
 pub mod rng;
