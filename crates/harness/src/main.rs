@@ -56,9 +56,11 @@ FLAGS:
                       artifact to PATH after the sweep
   --checkpoint-in <PATH>
                       warm-start rows resume from the checkpoint at PATH
-                      instead of re-running their warmup phase; a
-                      fingerprint mismatch fails the row. Other rows are
-                      unaffected, and sweep.json stays byte-identical
+                      instead of re-running their warmup phase; an
+                      artifact that does not decode exits 2 before any row
+                      runs, a fingerprint mismatch fails the row. Other
+                      rows are unaffected, and sweep.json stays
+                      byte-identical
   --trace-out <PATH>  run with tracing + metrics enabled and export each
                       run's timeline as Chrome trace_event JSON (open in
                       chrome://tracing or ui.perfetto.dev); with several
@@ -253,7 +255,15 @@ fn main() -> ExitCode {
 
     let checkpoint_in = match &cli.checkpoint_in {
         Some(path) => match std::fs::read(path) {
-            Ok(bytes) => Some(std::sync::Arc::new(bytes)),
+            // An artifact that does not decode is refused here, once,
+            // before any row runs.
+            Ok(bytes) => match shrimp_core::ClusterCheckpoint::decode(&bytes) {
+                Ok(_) => Some(std::sync::Arc::new(bytes)),
+                Err(e) => {
+                    eprintln!("error: checkpoint {}: {e}", path.display());
+                    return ExitCode::from(2);
+                }
+            },
             Err(e) => {
                 eprintln!("error: reading checkpoint {}: {e}", path.display());
                 return ExitCode::from(2);

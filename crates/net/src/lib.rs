@@ -8,10 +8,11 @@
 //! # Model
 //!
 //! Packets are routed dimension-order (X then Y — oblivious). Each directed
-//! link, plus each node's injection and ejection channel, is a
-//! [`Resource`](shrimp_sim::Resource) with a FIFO reservation discipline, so
-//! many-to-one traffic patterns produce the ejection-channel contention the
-//! paper describes in §4.5.2. Wormhole pipelining is approximated at packet
+//! link, plus each node's injection and ejection channel, is a channel with
+//! a FIFO reservation discipline (a busy-until time: a packet starts when
+//! both its head and the channel are free), so many-to-one traffic
+//! patterns produce the ejection-channel contention the paper describes in
+//! §4.5.2. Wormhole pipelining is approximated at packet
 //! granularity (virtual cut-through with elastic buffering): the head pays
 //! one routing delay per hop and each channel is occupied for the packet's
 //! serialization time. This reproduces latency/bandwidth/contention trends

@@ -3,12 +3,11 @@
 use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 use shrimp_faults::{FaultPlane, PacketFate, ShrimpError};
 use shrimp_sim::shard::ShardSender;
-use shrimp_sim::sync::Resource;
-use shrimp_sim::{time, FastMap, Queue, Sim, Time};
+use shrimp_sim::{time, HandlerId, Queue, Sim, Time, TimerHandler};
 
 use crate::stats::NetStats;
 
@@ -155,7 +154,7 @@ impl<P> Ord for HeapEntry<P> {
 
 /// State of the **decoupled** transport used by sharded runs.
 ///
-/// The contended model books shared `Resource`s (links, inject/eject
+/// The contended model books shared channels (links, inject/eject
 /// channels) — zero-lookahead state that cannot be split across shards. The
 /// decoupled model drops contention entirely: every packet pays its
 /// uncongested [`MeshConfig::point_latency`], with a per-`(src, dst)` pair
@@ -181,28 +180,108 @@ struct Decoupled<P> {
     drain_at: Vec<Cell<Time>>,
 }
 
+/// Busy-until times of the contended transport's channels, in one flat
+/// `Vec`: per node an injection, an ejection and a loopback channel, then
+/// per router its 4 outgoing links. A channel serves packets in booking
+/// order, one serialization time each, so a packet whose head reaches a
+/// busy channel waits for it — and later packets wait behind it.
 struct Channels {
-    // Directed router-to-router links.
-    links: FastMap<(usize, usize), Resource>,
-    // Node-to-router and router-to-node channels.
-    inject: Vec<Resource>,
-    eject: Vec<Resource>,
-    // NIC-internal loopback path (src == dst), serialized like any channel
-    // so later packets cannot overtake earlier ones.
-    loopback: Vec<Resource>,
+    busy: Vec<Time>,
+    nodes: usize,
+    width: usize,
+}
+
+impl Channels {
+    fn new(nodes: usize, routers: usize, width: usize) -> Self {
+        Channels {
+            busy: vec![0; 3 * nodes + 4 * routers],
+            nodes,
+            width,
+        }
+    }
+
+    fn inject(&self, node: NodeId) -> usize {
+        node.0
+    }
+
+    fn eject(&self, node: NodeId) -> usize {
+        self.nodes + node.0
+    }
+
+    fn loopback(&self, node: NodeId) -> usize {
+        2 * self.nodes + node.0
+    }
+
+    /// The link from router `from` to its mesh neighbour `to`.
+    fn link(&self, from: usize, to: usize) -> usize {
+        let dir = if to == from + self.width {
+            0
+        } else if to + self.width == from {
+            1
+        } else if to == from + 1 {
+            2
+        } else {
+            debug_assert_eq!(to + 1, from, "routers {from} and {to} are not adjacent");
+            3
+        };
+        3 * self.nodes + 4 * from + dir
+    }
+
+    /// Books channel `ch` for `duration` from `earliest` or from when it
+    /// frees, whichever is later; returns the start.
+    fn book(&mut self, ch: usize, earliest: Time, duration: Time) -> Time {
+        let start = self.busy[ch].max(earliest);
+        self.busy[ch] = start + duration;
+        start
+    }
+}
+
+/// Contended-mesh packets waiting for their arrival timer, which carries
+/// the packet's slot here as its token: no allocation per packet.
+struct InFlight<P> {
+    /// `(destination node, packet)` per slot; `None` when free.
+    slots: Vec<Option<(usize, P)>>,
+    free: Vec<usize>,
+}
+
+impl<P> InFlight<P> {
+    fn new() -> Self {
+        InFlight {
+            slots: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    fn insert(&mut self, dst: usize, packet: P) -> u32 {
+        let slot = match self.free.pop() {
+            Some(slot) => slot,
+            None => {
+                self.slots.push(None);
+                self.slots.len() - 1
+            }
+        };
+        self.slots[slot] = Some((dst, packet));
+        u32::try_from(slot).expect("too many packets in flight")
+    }
+
+    fn take(&mut self, token: u32) -> (usize, P) {
+        let packet = self.slots[token as usize].take().expect("packet in flight");
+        self.free.push(token as usize);
+        packet
+    }
 }
 
 struct NetworkInner<P> {
     sim: Sim,
     cfg: MeshConfig,
     channels: RefCell<Channels>,
+    in_flight: RefCell<InFlight<P>>,
+    /// This network as the handler of its arrival timers.
+    arrival: HandlerId,
     ingress: Vec<Queue<P>>,
     stats: NetStats,
     // Installed only for chaos runs; `None` is the zero-overhead fast path.
     faults: RefCell<Option<FaultPlane>>,
-    // Reused by every fault-free `send` so routing allocates nothing per
-    // packet in steady state.
-    route_scratch: RefCell<Vec<usize>>,
     // `Some` on a sharded backplane: the decoupled fixed-latency transport
     // replaces the contended one wholesale. `Rc` so delivery closures can
     // capture the transport itself rather than re-proving its presence at
@@ -245,21 +324,16 @@ impl<P: 'static> Network<P> {
             "{n_nodes} nodes exceed mesh capacity {}",
             cfg.capacity()
         );
-        let channels = Channels {
-            links: FastMap::default(),
-            inject: (0..n_nodes).map(|_| Resource::new()).collect(),
-            eject: (0..n_nodes).map(|_| Resource::new()).collect(),
-            loopback: (0..n_nodes).map(|_| Resource::new()).collect(),
-        };
         Network {
-            inner: Rc::new(NetworkInner {
+            inner: Rc::new_cyclic(|me: &Weak<NetworkInner<P>>| NetworkInner {
+                arrival: sim.register_handler(me.clone()),
                 sim,
+                channels: RefCell::new(Channels::new(n_nodes, cfg.capacity(), cfg.width)),
+                in_flight: RefCell::new(InFlight::new()),
                 cfg,
-                channels: RefCell::new(channels),
                 ingress: (0..n_nodes).map(|_| Queue::new()).collect(),
                 stats: NetStats::new(),
                 faults: RefCell::new(None),
-                route_scratch: RefCell::new(Vec::new()),
                 decoupled: None,
             }),
         }
@@ -299,19 +373,16 @@ impl<P: 'static> Network<P> {
             drain_at: (0..n_nodes).map(|_| Cell::new(0)).collect(),
         };
         Network {
-            inner: Rc::new(NetworkInner {
+            inner: Rc::new_cyclic(|me: &Weak<NetworkInner<P>>| NetworkInner {
+                arrival: sim.register_handler(me.clone()),
                 sim,
+                // The decoupled transport books no channel.
+                channels: RefCell::new(Channels::new(0, 0, cfg.width)),
+                in_flight: RefCell::new(InFlight::new()),
                 cfg,
-                channels: RefCell::new(Channels {
-                    links: FastMap::default(),
-                    inject: Vec::new(),
-                    eject: Vec::new(),
-                    loopback: Vec::new(),
-                }),
                 ingress: (0..n_nodes).map(|_| Queue::new()).collect(),
                 stats: NetStats::new(),
                 faults: RefCell::new(None),
-                route_scratch: RefCell::new(Vec::new()),
                 decoupled: Some(Rc::new(decoupled)),
             }),
         }
@@ -348,26 +419,27 @@ impl<P: 'static> Network<P> {
     /// Router index sequence for the dimension-order (X then Y) route from
     /// `src` to `dst`, inclusive of both endpoints.
     pub fn route(&self, src: NodeId, dst: NodeId) -> Vec<usize> {
-        let mut path = Vec::new();
-        self.route_into(src, dst, &mut path);
+        let mut path = vec![src.0];
+        self.walk_route(src, dst, |_, to| path.push(to));
         path
     }
 
-    /// [`Network::route`] into a caller-provided buffer (cleared first), so
-    /// the hot send path can reuse one allocation across packets.
-    fn route_into(&self, src: NodeId, dst: NodeId, path: &mut Vec<usize>) {
-        path.clear();
-        let cfg = &self.inner.cfg;
-        let (mut x, mut y) = cfg.coords(src);
-        let (dx, dy) = cfg.coords(dst);
-        path.push(y * cfg.width + x);
+    /// Calls `step(from, to)` for each router-to-router hop of the
+    /// dimension-order route, in order, without building the path.
+    fn walk_route(&self, src: NodeId, dst: NodeId, mut step: impl FnMut(usize, usize)) {
+        let w = self.inner.cfg.width;
+        let (mut x, mut y) = self.inner.cfg.coords(src);
+        let (dx, dy) = self.inner.cfg.coords(dst);
+        let mut at = src.0;
         while x != dx {
             x = if dx > x { x + 1 } else { x - 1 };
-            path.push(y * cfg.width + x);
+            step(at, y * w + x);
+            at = y * w + x;
         }
         while y != dy {
             y = if dy > y { y + 1 } else { y - 1 };
-            path.push(y * cfg.width + x);
+            step(at, y * w + x);
+            at = y * w + x;
         }
     }
 
@@ -397,10 +469,9 @@ impl<P: 'static> Network<P> {
         let plane = self.inner.faults.borrow().clone();
 
         let (arrival, fate, salt) = if src == dst {
-            let channels = self.inner.channels.borrow();
-            let start = reserve_from(
-                &channels.loopback[src.0],
-                sim,
+            let channels = &mut *self.inner.channels.borrow_mut();
+            let start = channels.book(
+                channels.loopback(src),
                 sim.now() + cfg.transceiver_latency,
                 serialization,
             );
@@ -411,43 +482,34 @@ impl<P: 'static> Network<P> {
                 0,
             )
         } else {
-            let detour;
-            let mut scratch = self.inner.route_scratch.borrow_mut();
-            let path: &[usize] = match &plane {
+            // A failed link sends the packet along the detour, known before
+            // any channel is booked; otherwise the route is walked in place.
+            let detour = match &plane {
                 Some(p) if p.has_link_faults() => match self.route_avoiding(src, dst, p) {
-                    Some(path) => {
-                        detour = path;
-                        &detour
-                    }
+                    Some(path) => Some(path),
                     None => {
                         p.record_link_reject();
                         return sim.now();
                     }
                 },
-                _ => {
-                    self.route_into(src, dst, &mut scratch);
-                    &scratch
-                }
+                _ => None,
             };
-            let hops = path.len() as u64 - 1;
-            let mut channels = self.inner.channels.borrow_mut();
-            let mut head = sim.now() + cfg.transceiver_latency;
-            let ideal_start = head;
-            // Injection channel.
-            head = reserve_from(&channels.inject[src.0], sim, head, serialization);
-            // Router-to-router links.
-            for w in path.windows(2) {
-                let key = (w[0], w[1]);
-                let link = channels.links.entry(key).or_default().clone();
-                head = reserve_from(&link, sim, head + cfg.hop_latency, serialization);
+            let mut guard = self.inner.channels.borrow_mut();
+            let channels = &mut *guard;
+            let ideal_start = sim.now() + cfg.transceiver_latency;
+            let mut head = channels.book(channels.inject(src), ideal_start, serialization);
+            let mut hops = 0;
+            let mut hop = |channels: &mut Channels, from: usize, to: usize| {
+                let link = channels.link(from, to);
+                head = channels.book(link, head + cfg.hop_latency, serialization);
+                hops += 1;
+            };
+            match &detour {
+                Some(path) => path.windows(2).for_each(|w| hop(channels, w[0], w[1])),
+                None => self.walk_route(src, dst, |from, to| hop(channels, from, to)),
             }
-            // Ejection channel.
-            head = reserve_from(
-                &channels.eject[dst.0],
-                sim,
-                head + cfg.hop_latency,
-                serialization,
-            );
+            head = channels.book(channels.eject(dst), head + cfg.hop_latency, serialization);
+            drop(guard);
             let waited = head - (ideal_start + (hops + 1) * cfg.hop_latency);
             self.inner.stats.record_packet(wire_bytes, hops, waited);
             let metrics = sim.metrics();
@@ -479,7 +541,6 @@ impl<P: 'static> Network<P> {
             (head + serialization + cfg.transceiver_latency, fate, salt)
         };
 
-        let ingress = self.inner.ingress[dst.0].clone();
         match fate {
             PacketFate::Drop => {}
             PacketFate::Deliver | PacketFate::Corrupt | PacketFate::Duplicate => {
@@ -488,14 +549,20 @@ impl<P: 'static> Network<P> {
                     packet.corrupt(salt);
                 }
                 if fate == PacketFate::Duplicate {
-                    let dup = packet.clone();
-                    let twice = ingress.clone();
-                    sim.schedule(arrival, move || twice.send(dup));
+                    self.arrive_at(arrival, dst, packet.clone());
                 }
-                sim.schedule(arrival, move || ingress.send(packet));
+                self.arrive_at(arrival, dst, packet);
             }
         }
         arrival
+    }
+
+    /// Pushes `packet` onto `dst`'s ingress queue at `at` (contended path).
+    fn arrive_at(&self, at: Time, dst: NodeId, packet: P) {
+        let token = self.inner.in_flight.borrow_mut().insert(dst.0, packet);
+        self.inner
+            .sim
+            .schedule_handler(at, self.inner.arrival, token);
     }
 
     /// The decoupled send path (see `Decoupled`): uncongested point
@@ -783,6 +850,15 @@ impl<P: 'static> Network<P> {
     }
 }
 
+impl<P: 'static> TimerHandler for NetworkInner<P> {
+    /// A contended-mesh arrival: the packet in slot `token` reaches its
+    /// destination's ingress queue.
+    fn fire(self: Rc<Self>, token: u32) {
+        let (dst, packet) = self.in_flight.borrow_mut().take(token);
+        self.ingress[dst].send(packet);
+    }
+}
+
 /// Draws the packet fate and, for a corrupt fate, the corruption salt in one
 /// step. Pairing the two draws on the same `Option` match removes the old
 /// `.expect("corrupt fate without plane")` delivery-path panics: with no
@@ -800,25 +876,6 @@ fn fate_and_salt(plane: Option<&FaultPlane>, src: NodeId, dst: NodeId) -> (Packe
             };
             (fate, salt)
         }
-    }
-}
-
-/// Books `duration` on `r` starting no earlier than `earliest`; returns the
-/// actual start time (>= earliest; later if the channel is busy).
-fn reserve_from(r: &Resource, sim: &Sim, earliest: Time, duration: Time) -> Time {
-    // The Resource reserves from max(now, busy_until); we additionally need
-    // the head-arrival constraint, which we encode by taking the max with
-    // `earliest` and re-booking any gap.
-    let (start, _end) = r.reserve(sim, duration);
-    if start >= earliest {
-        start
-    } else {
-        // The channel was free before the head arrives; push the booking.
-        // A second reservation models the idle gap; since the resource is
-        // FIFO this keeps later packets behind this one.
-        let (s2, _) = r.reserve(sim, earliest - start);
-        let _ = s2;
-        earliest
     }
 }
 

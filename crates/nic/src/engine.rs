@@ -4,13 +4,15 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 use shrimp_faults::{FaultPlane, ShrimpError};
 use shrimp_mem::{MemBus, NodeMem, Paddr, PAGE_SIZE};
 use shrimp_net::NodeId;
 use shrimp_sim::sync::Resource;
-use shrimp_sim::{time, trace_event, Event, Gate, Queue, Semaphore, Sim, Time, TimerId};
+use shrimp_sim::{
+    time, trace_event, Event, Gate, HandlerId, Queue, Semaphore, Sim, Time, TimerHandler, TimerId,
+};
 
 use crate::config::NicConfig;
 use crate::counters::NicCounters;
@@ -98,6 +100,8 @@ struct NicInner {
     du_slots: Semaphore,
     // Automatic update.
     pending_au: RefCell<Option<PendingAu>>,
+    /// This board as the handler of its combine timeouts.
+    combine_timeout: HandlerId,
     au_fifo: Queue<Packet>,
     fifo_bytes: Cell<usize>,
     au_blocked: Cell<bool>,
@@ -131,6 +135,19 @@ pub struct Nic {
     inner: Rc<NicInner>,
 }
 
+/// A combine timeout: launches the pending combined packet. Every other
+/// taker of the pending packet cancels the timeout, so when it fires the
+/// packet is still the one it was booked for.
+impl TimerHandler for NicInner {
+    fn fire(self: Rc<Self>, _token: u32) {
+        let nic = Nic { inner: self };
+        let p = nic.inner.pending_au.borrow_mut().take();
+        if let Some(p) = p {
+            nic.emit_au_packet(p);
+        }
+    }
+}
+
 impl std::fmt::Debug for Nic {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Nic")
@@ -157,7 +174,8 @@ impl Nic {
             "FIFO threshold above capacity"
         );
         let nic = Nic {
-            inner: Rc::new(NicInner {
+            inner: Rc::new_cyclic(|board: &Weak<NicInner>| NicInner {
+                combine_timeout: sim.register_handler(board.clone()),
                 sim,
                 node,
                 du_slots: Semaphore::new(cfg.du_queue_depth),
@@ -558,19 +576,13 @@ impl Nic {
             if let Some(p) = self.take_pending_au() {
                 self.emit_au_packet(p);
             }
-            // Launch on timeout even if no further store arrives. Every
-            // other taker of the pending packet cancels this timer, so
-            // when it fires the packet is still the one it was set for.
-            let nic = self.clone();
-            let timeout = self
-                .inner
-                .sim
-                .schedule_in(self.inner.cfg.combine_timeout, move || {
-                    let p = nic.inner.pending_au.borrow_mut().take();
-                    if let Some(p) = p {
-                        nic.emit_au_packet(p);
-                    }
-                });
+            // Launch on timeout even if no further store arrives.
+            let sim = &self.inner.sim;
+            let timeout = sim.schedule_handler(
+                sim.now() + self.inner.cfg.combine_timeout,
+                self.inner.combine_timeout,
+                0,
+            );
             *self.inner.pending_au.borrow_mut() = Some(PendingAu {
                 dst_node: entry.dst_node,
                 dst_page: entry.dst_page,

@@ -17,12 +17,19 @@
 //! the wake queue is a plain `VecDeque` guarded by a run-time owner-thread
 //! check instead of a `Mutex` (the simulator is single-threaded; a waker that
 //! crosses threads panics rather than corrupting the queue).
+//!
+//! A [`Sleep`] polled with its own task's waker — the common case — stores
+//! that task's id in the timer instead of a clone of the waker, and the
+//! fire polls that task next: no reference-count traffic, no owner-thread
+//! check and no trip through the wake queue per sleep. A waker from
+//! anywhere else (a combinator's own, say) is stored and woken as before.
 
 use std::cell::{Cell, RefCell, UnsafeCell};
 use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
-use std::rc::Rc;
+use std::ptr::NonNull;
+use std::rc::{Rc, Weak};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::task::{Context, Poll, Wake, Waker};
@@ -42,9 +49,39 @@ pub type TaskId = u64;
 
 /// What a timer does when it fires.
 enum TimerAction {
+    /// Makes this task runnable; see [`Sim::register_timer_wake`].
+    WakeTask(TaskId),
     Wake(Waker),
     Call(Box<dyn FnOnce()>),
+    Handler(Booking),
 }
+
+/// A [`TimerAction::Handler`] firing: the handler and its token.
+///
+/// Aligned to 8 so that it sits beside the enum tag rather than in the
+/// tag's padding: there it made every move of a [`TimerAction`] copy a
+/// word that straddles two narrower stores, a store-forwarding stall on
+/// every timer of every kind.
+#[derive(Clone, Copy)]
+#[repr(align(8))]
+struct Booking {
+    handler: HandlerId,
+    token: u32,
+}
+
+/// A timer callback shared by many timers. It is registered once with
+/// [`Sim::register_handler`]; each [`Sim::schedule_handler`] then books
+/// one firing with a token of the caller's choosing. Unlike
+/// [`Sim::schedule`], booking allocates nothing, which is why the
+/// per-packet paths use it.
+pub trait TimerHandler {
+    /// Runs the timer that was booked with `token`.
+    fn fire(self: Rc<Self>, token: u32);
+}
+
+/// Names a [`TimerHandler`] registered with one [`Sim`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HandlerId(u32);
 
 /// Wake queue shared with `Waker`s. `Waker` must be `Send + Sync`, so the
 /// compiler cannot prove this stays on one thread — but the simulator *is*
@@ -123,12 +160,23 @@ impl Wake for TaskWaker {
     }
 }
 
+/// A live task: its future and its one `Waker`, boxed so that both keep
+/// their address while the slab grows during the task's own poll.
+struct Task {
+    fut: BoxFuture,
+    waker: Waker,
+}
+
 enum SlotState {
     Free {
         next: u32,
     },
-    /// `None` while the task is being polled.
-    Live(Option<(BoxFuture, Waker)>),
+    /// Owns the `Box<Task>` behind `task` (see [`TaskSlab::insert`]).
+    /// `polling` while `drain_ready` holds the task.
+    Live {
+        task: NonNull<Task>,
+        polling: bool,
+    },
 }
 
 struct TaskSlot {
@@ -169,7 +217,7 @@ impl TaskSlab {
             let idx = self.free;
             match self.slots[idx as usize].state {
                 SlotState::Free { next } => self.free = next,
-                SlotState::Live(_) => unreachable!("live slot on free list"),
+                SlotState::Live { .. } => unreachable!("live slot on free list"),
             }
             idx
         } else {
@@ -182,64 +230,87 @@ impl TaskSlab {
             idx
         };
         let id = task_id(idx, self.slots[idx as usize].gen);
-        // The task's one Waker, moved out of the slot for every poll.
+        // The task's one Waker, lent to every poll.
         let waker = Waker::from(Arc::new(TaskWaker {
             id,
             ready: ready.clone(),
         }));
-        self.slots[idx as usize].state = SlotState::Live(Some((fut, waker)));
+        let task = NonNull::from(Box::leak(Box::new(Task { fut, waker })));
+        self.slots[idx as usize].state = SlotState::Live {
+            task,
+            polling: false,
+        };
         id
     }
 
-    /// Takes the future and its waker out of a slot for polling, so the
-    /// slab is not borrowed while the process body runs (it may spawn/wake).
-    /// `None` for stale or mid-poll wakes.
-    fn begin_poll(&mut self, id: TaskId) -> Option<(BoxFuture, Waker)> {
+    /// Marks a task as being polled and returns it, so the process body can
+    /// run without the slab borrowed (it may spawn or wake). `None` for
+    /// stale or mid-poll wakes.
+    fn begin_poll(&mut self, id: TaskId) -> Option<NonNull<Task>> {
         let (idx, gen) = split_id(id);
         let slot = self.slots.get_mut(idx as usize)?;
         if slot.gen != gen {
             return None; // task completed; slot recycled
         }
         match &mut slot.state {
-            SlotState::Live(task) => task.take(),
-            SlotState::Free { .. } => None,
+            SlotState::Live { task, polling } if !*polling => {
+                *polling = true;
+                Some(*task)
+            }
+            _ => None,
         }
     }
 
-    /// Puts a still-pending task back after its poll.
-    fn finish_poll(&mut self, id: TaskId, task: (BoxFuture, Waker)) {
+    /// Ends the poll of a still-pending task.
+    fn finish_poll(&mut self, id: TaskId) {
         let (idx, gen) = split_id(id);
         let slot = &mut self.slots[idx as usize];
         debug_assert_eq!(slot.gen, gen);
-        if let SlotState::Live(t) = &mut slot.state {
-            *t = Some(task);
+        if let SlotState::Live { polling, .. } = &mut slot.state {
+            *polling = false;
         }
     }
 
-    /// Takes the future out of every live slot not being polled and frees
-    /// the slot; stale wakes for these tasks stay inert.
-    fn release_live(&mut self) -> Vec<BoxFuture> {
+    /// Takes every live task not being polled out of the slab and frees its
+    /// slot; stale wakes for these tasks stay inert.
+    fn release_live(&mut self) -> Vec<Task> {
         let mut released = Vec::new();
         for idx in 0..self.slots.len() {
-            let SlotState::Live(task) = &mut self.slots[idx].state else {
-                continue;
-            };
-            let Some((fut, _)) = task.take() else {
-                continue; // mid-poll: the running task is not blocked
-            };
-            released.push(fut);
-            self.complete(task_id(idx as u32, self.slots[idx].gen));
+            if let SlotState::Live { polling: false, .. } = self.slots[idx].state {
+                // The running task is not blocked, so only idle ones go.
+                released.push(*self.complete(task_id(idx as u32, self.slots[idx].gen)));
+            }
         }
         released
     }
 
-    fn complete(&mut self, id: TaskId) {
+    /// Frees a task's slot and hands its box back, for the caller to drop
+    /// once the slab is no longer borrowed.
+    fn complete(&mut self, id: TaskId) -> Box<Task> {
         let (idx, _) = split_id(id);
         let slot = &mut self.slots[idx as usize];
         slot.gen = slot.gen.wrapping_add(1);
-        slot.state = SlotState::Free { next: self.free };
+        let state = std::mem::replace(&mut slot.state, SlotState::Free { next: self.free });
         self.free = idx;
         self.live -= 1;
+        let SlotState::Live { task, .. } = state else {
+            unreachable!("completed a free slot")
+        };
+        // SAFETY: `task` came from `Box::leak` in `insert` and its slot, the
+        // box's only owner, was just freed, so nothing else refers to it.
+        unsafe { Box::from_raw(task.as_ptr()) }
+    }
+}
+
+impl Drop for TaskSlab {
+    fn drop(&mut self) {
+        for slot in &mut self.slots {
+            if let SlotState::Live { task, .. } = slot.state {
+                slot.state = SlotState::Free { next: NO_SLOT };
+                // SAFETY: as in `complete`; a dropped slab polls nothing.
+                drop(unsafe { Box::from_raw(task.as_ptr()) });
+            }
+        }
     }
 }
 
@@ -253,6 +324,20 @@ struct SimInner {
     timers: RefCell<TimerWheel<TimerAction>>,
     ready: Arc<ReadyQueue>,
     tasks: RefCell<TaskSlab>,
+    /// Registered timer handlers, indexed by [`HandlerId`].
+    handlers: RefCell<Vec<Weak<dyn TimerHandler>>>,
+    /// The task `drain_ready` is polling and its waker's data pointer, so
+    /// a timer registered with that waker can name the task instead.
+    polling: Cell<Option<(TaskId, *const ())>>,
+}
+
+/// Clears [`SimInner::polling`] when a poll ends, by return or by unwind.
+struct PollingGuard<'a>(&'a Cell<Option<(TaskId, *const ())>>);
+
+impl Drop for PollingGuard<'_> {
+    fn drop(&mut self) {
+        self.0.set(None);
+    }
 }
 
 /// Handle to the simulator. Cheap to clone; every simulated component and
@@ -310,6 +395,8 @@ impl Sim {
                 timers: RefCell::new(TimerWheel::new()),
                 ready: Arc::new(ReadyQueue::new()),
                 tasks: RefCell::new(TaskSlab::new()),
+                handlers: RefCell::new(Vec::new()),
+                polling: Cell::new(None),
             }),
         }
     }
@@ -400,6 +487,31 @@ impl Sim {
         self.schedule(self.now() + delay, f)
     }
 
+    /// Registers a timer handler. The simulator holds it weakly, so a
+    /// handler may own a clone of this `Sim`; a firing booked for a
+    /// handler that has since been dropped does nothing.
+    pub fn register_handler(&self, handler: Weak<dyn TimerHandler>) -> HandlerId {
+        let mut handlers = self.inner.handlers.borrow_mut();
+        handlers.push(handler);
+        HandlerId(u32::try_from(handlers.len() - 1).expect("timer handler registry exhausted"))
+    }
+
+    /// Schedules `handler`'s [`TimerHandler::fire`] with `token` at
+    /// absolute simulated time `at`, ordered exactly like a
+    /// [`Sim::schedule`] call made at this point; the returned id can
+    /// [`cancel`](Self::cancel) it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is in the past.
+    pub fn schedule_handler(&self, at: Time, handler: HandlerId, token: u32) -> TimerId {
+        assert!(at >= self.now(), "schedule() into the past");
+        self.inner
+            .timers
+            .borrow_mut()
+            .insert(at, TimerAction::Handler(Booking { handler, token }))
+    }
+
     /// Cancels a scheduled call: it never runs and is not counted as an
     /// event. Returns `false` if it already ran or was already cancelled.
     pub fn cancel(&self, id: TimerId) -> bool {
@@ -421,42 +533,73 @@ impl Sim {
         self.sleep_until(self.now() + duration)
     }
 
-    fn register_timer_wake(&self, at: Time, waker: Waker) {
-        self.inner
-            .timers
-            .borrow_mut()
-            .insert(at, TimerAction::Wake(waker));
+    /// Schedules a wake of `waker` at `at`. The waker of the task being
+    /// polled is recorded as its [`TaskId`]; any other waker is cloned.
+    fn register_timer_wake(&self, at: Time, waker: &Waker) {
+        let action = match self.inner.polling.get() {
+            Some((id, data)) if data == waker.data() => TimerAction::WakeTask(id),
+            _ => TimerAction::Wake(waker.clone()),
+        };
+        self.inner.timers.borrow_mut().insert(at, action);
     }
 
-    /// Polls every woken process in wake order. Returns `true` if any process
-    /// was polled.
-    fn drain_ready(&self) -> bool {
+    /// Polls `first`, then every woken process in wake order. Returns `true`
+    /// if any process was polled.
+    fn drain_ready(&self, first: Option<TaskId>) -> bool {
         let mut any = false;
-        while let Some(id) = self.inner.ready.pop() {
-            // Take the future out of its slot so the slab is not borrowed
-            // while the process body runs.
-            let Some((mut fut, waker)) = self.inner.tasks.borrow_mut().begin_poll(id) else {
+        let mut first = first;
+        while let Some(id) = first.take().or_else(|| self.inner.ready.pop()) {
+            // Mark the task as polled and release the slab borrow: the
+            // process body may spawn or wake.
+            let Some(task) = self.inner.tasks.borrow_mut().begin_poll(id) else {
                 continue; // completed or duplicate wake
             };
             any = true;
             self.bump_events();
-            let mut cx = Context::from_waker(&waker);
-            match fut.as_mut().poll(&mut cx) {
-                Poll::Ready(()) => self.inner.tasks.borrow_mut().complete(id),
-                Poll::Pending => self.inner.tasks.borrow_mut().finish_poll(id, (fut, waker)),
+            // SAFETY: the box stays put and alive until `complete` frees
+            // it, which happens only below, after the poll, or through
+            // `release_live`, which skips polled tasks. `polling` keeps any
+            // other `begin_poll` from handing the same task out meanwhile,
+            // so this is the only reference to it.
+            let Task { fut, waker } = unsafe { &mut *task.as_ptr() };
+            let polled = {
+                self.inner.polling.set(Some((id, waker.data())));
+                let _clear = PollingGuard(&self.inner.polling);
+                fut.as_mut().poll(&mut Context::from_waker(waker))
+            };
+            match polled {
+                Poll::Ready(()) => {
+                    let done = self.inner.tasks.borrow_mut().complete(id);
+                    drop(done);
+                }
+                Poll::Pending => self.inner.tasks.borrow_mut().finish_poll(id),
             }
         }
         any
     }
 
-    fn fire(&self, at: Time, action: TimerAction) {
+    /// Fires one timer. A task-id wake is returned rather than queued: the
+    /// ready queue is empty whenever a timer fires, so polling the task
+    /// first is the order queueing it would give.
+    fn fire(&self, at: Time, action: TimerAction) -> Option<TaskId> {
         debug_assert!(at >= self.inner.now.get());
+        debug_assert!(self.inner.ready.is_empty());
         self.inner.now.set(at);
         self.bump_events();
         match action {
+            // A stale id (the task finished first) is dropped by
+            // `begin_poll`, exactly like a stale waker's wake.
+            TimerAction::WakeTask(id) => return Some(id),
             TimerAction::Wake(w) => w.wake(),
             TimerAction::Call(f) => f(),
+            TimerAction::Handler(Booking { handler, token }) => {
+                let handler = self.inner.handlers.borrow()[handler.0 as usize].upgrade();
+                if let Some(handler) = handler {
+                    handler.fire(token);
+                }
+            }
         }
+        None
     }
 
     /// Runs the simulation until no process is runnable and no timer is
@@ -466,11 +609,12 @@ impl Sim {
     /// (deadlocked or awaiting an event nobody will produce); callers that
     /// consider this a bug should use [`Sim::run_to_completion`].
     pub fn run(&self) -> Time {
+        let mut woken = None;
         loop {
-            self.drain_ready();
+            self.drain_ready(woken);
             let entry = self.inner.timers.borrow_mut().pop();
             match entry {
-                Some((at, action)) => self.fire(at, action),
+                Some((at, action)) => woken = self.fire(at, action),
                 None => break,
             }
         }
@@ -530,8 +674,9 @@ impl Sim {
     /// Runs until simulated time would exceed `limit`; events at exactly
     /// `limit` still fire. Returns the final time (`<= limit`).
     pub fn run_for(&self, limit: Time) -> Time {
+        let mut woken = None;
         loop {
-            self.drain_ready();
+            self.drain_ready(woken);
             let fire = {
                 let mut timers = self.inner.timers.borrow_mut();
                 matches!(timers.peek_deadline(), Some(at) if at <= limit)
@@ -540,7 +685,7 @@ impl Sim {
                 break;
             }
             let (at, action) = self.inner.timers.borrow_mut().pop().unwrap();
-            self.fire(at, action);
+            woken = self.fire(at, action);
         }
         self.inner.now.get()
     }
@@ -563,7 +708,7 @@ impl Future for Sleep {
         if !self.registered {
             self.registered = true;
             let at = self.at;
-            self.sim.register_timer_wake(at, cx.waker().clone());
+            self.sim.register_timer_wake(at, cx.waker());
         }
         Poll::Pending
     }
@@ -804,6 +949,129 @@ mod tests {
         assert_eq!(sim.run(), ns(20));
         assert_eq!((ran.get(), sim.events()), (10, 1));
         assert!(!sim.cancel(kept), "a call that ran cannot be cancelled");
+    }
+
+    /// Wakes `inner` and records that it did: a waker of its own that a
+    /// combinator lends to what it polls.
+    struct Relay {
+        inner: Waker,
+        used: std::sync::atomic::AtomicBool,
+    }
+
+    impl Wake for Relay {
+        fn wake(self: Arc<Self>) {
+            self.wake_by_ref();
+        }
+        fn wake_by_ref(self: &Arc<Self>) {
+            self.used.store(true, Ordering::Relaxed);
+            self.inner.wake_by_ref();
+        }
+    }
+
+    #[test]
+    fn sleep_under_a_combinator_waker_still_wakes_its_task() {
+        let sim = Sim::new();
+        let s = sim.clone();
+        let used = Rc::new(Cell::new(false));
+        let u = used.clone();
+        let h = sim.spawn(async move {
+            // A hand-rolled join of one sleep that polls it with its own
+            // waker, so the timer cannot name the task and keeps the waker.
+            let mut sleep = Box::pin(s.sleep(ns(10)));
+            let mut relay: Option<Arc<Relay>> = None;
+            std::future::poll_fn(|cx| {
+                let r = relay.get_or_insert_with(|| {
+                    Arc::new(Relay {
+                        inner: cx.waker().clone(),
+                        used: Default::default(),
+                    })
+                });
+                u.set(r.used.load(Ordering::Relaxed));
+                let waker = Waker::from(r.clone());
+                sleep.as_mut().poll(&mut Context::from_waker(&waker))
+            })
+            .await;
+            s.now()
+        });
+        assert_eq!(sim.run_to_completion(), ns(10));
+        assert_eq!(h.try_take(), Some(ns(10)));
+        assert!(
+            used.get(),
+            "the timer did not wake through the combinator's waker"
+        );
+    }
+
+    #[test]
+    fn task_id_wake_of_a_finished_task_is_inert_and_counted() {
+        let sim = Sim::new();
+        let (tx, rx) = crate::queue::unbounded::<u8>();
+        let s = sim.clone();
+        sim.spawn(async move {
+            // Polled with the task's own waker: a task-id timer at 10 ns.
+            let mut sleep = Box::pin(s.sleep(ns(10)));
+            let mut recv = Box::pin(rx.recv());
+            std::future::poll_fn(|cx| {
+                assert!(sleep.as_mut().poll(cx).is_pending());
+                recv.as_mut().poll(cx).map(|_| ())
+            })
+            .await;
+        });
+        sim.schedule(ns(1), move || tx.send(1));
+        // A second task takes the finished task's slot before the timer.
+        let polls = Rc::new(Cell::new(0));
+        let (s, p) = (sim.clone(), polls.clone());
+        sim.schedule(ns(2), move || {
+            s.spawn(async move {
+                p.set(p.get() + 1);
+                std::future::pending::<()>().await;
+            });
+        });
+        assert_eq!(sim.run(), ns(10));
+        assert_eq!(polls.get(), 1, "the stale timer polled the slot's new task");
+        assert_eq!(sim.inner.tasks.borrow().slots.len(), 1);
+        // Polls at 0 and 1 ns, the calls at 1 and 2 ns, the new task's
+        // first poll, and the inert fire at 10 ns.
+        assert_eq!(sim.events(), 6);
+    }
+
+    /// Logs each firing's token.
+    struct Logger(RefCell<Vec<u32>>);
+
+    impl TimerHandler for Logger {
+        fn fire(self: Rc<Self>, token: u32) {
+            self.0.borrow_mut().push(token);
+        }
+    }
+
+    #[test]
+    fn handler_timers_order_and_cancel_like_calls() {
+        let sim = Sim::new();
+        let logger = Rc::new(Logger(RefCell::new(Vec::new())));
+        let weak: Weak<Logger> = Rc::downgrade(&logger);
+        let id = sim.register_handler(weak);
+        // Handler firings and calls share one (time, seq) order.
+        sim.schedule_handler(ns(20), id, 1);
+        let l = logger.clone();
+        sim.schedule(ns(10), move || l.0.borrow_mut().push(100));
+        let gone = sim.schedule_handler(ns(10), id, 2);
+        sim.schedule_handler(ns(10), id, 3);
+        assert!(sim.cancel(gone));
+        assert_eq!(sim.run(), ns(20));
+        assert_eq!(*logger.0.borrow(), vec![100, 3, 1]);
+        assert_eq!(sim.events(), 3);
+    }
+
+    #[test]
+    fn a_dropped_handler_fires_nothing_but_still_counts() {
+        let sim = Sim::new();
+        let logger = Rc::new(Logger(RefCell::new(Vec::new())));
+        let weak: Weak<Logger> = Rc::downgrade(&logger);
+        let id = sim.register_handler(weak.clone());
+        sim.schedule_handler(ns(5), id, 7);
+        drop(logger);
+        assert_eq!(sim.run(), ns(5));
+        assert_eq!(sim.events(), 1);
+        assert!(weak.upgrade().is_none());
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub mod time;
 pub mod trace;
 pub mod wheel;
 
-pub use executor::{Sim, TaskHandle};
+pub use executor::{HandlerId, Sim, TaskHandle, TimerHandler};
 pub use fastmap::{FastMap, FastSet};
 pub use metrics::{HistogramSnapshot, MetricSample, MetricValue, MetricsRegistry, MetricsSnapshot};
 pub use queue::{unbounded, Queue, QueueReceiver, QueueSender};

@@ -139,59 +139,74 @@ impl MetricsRegistry {
     }
 
     /// `true` while recording.
+    #[inline]
     pub fn enabled(&self) -> bool {
         self.inner.enabled.get()
     }
 
+    // The three instrument methods inline their disabled check into the
+    // caller (the hot paths call them on every packet) and keep the
+    // recording body out of line.
+
     /// Adds `v` to the counter `(category, name)` (no-op when disabled).
+    #[inline]
     pub fn counter_add(&self, category: Category, name: &'static str, v: u64) {
-        if !self.inner.enabled.get() {
-            return;
-        }
-        let mut map = self.inner.map.borrow_mut();
-        match map
-            .entry((category, name))
-            .or_insert(Instrument::Counter(0))
-        {
-            Instrument::Counter(c) => *c = c.saturating_add(v),
-            other => panic!("metric {category}/{name} is not a counter: {other:?}"),
+        if self.enabled() {
+            let empty = || Instrument::Counter(0);
+            self.record(category, name, empty, |inst| match inst {
+                Instrument::Counter(c) => *c = c.saturating_add(v),
+                other => panic!("metric {category}/{name} is not a counter: {other:?}"),
+            });
         }
     }
 
     /// Sets the gauge `(category, name)` to `v`, tracking its high-water
     /// mark (no-op when disabled).
+    #[inline]
     pub fn gauge_set(&self, category: Category, name: &'static str, v: u64) {
-        if !self.inner.enabled.get() {
-            return;
-        }
-        let mut map = self.inner.map.borrow_mut();
-        match map
-            .entry((category, name))
-            .or_insert(Instrument::Gauge { last: 0, max: 0 })
-        {
-            Instrument::Gauge { last, max } => {
-                *last = v;
-                *max = (*max).max(v);
-            }
-            other => panic!("metric {category}/{name} is not a gauge: {other:?}"),
+        if self.enabled() {
+            let empty = || Instrument::Gauge { last: 0, max: 0 };
+            self.record(category, name, empty, |inst| match inst {
+                Instrument::Gauge { last, max } => {
+                    *last = v;
+                    *max = (*max).max(v);
+                }
+                other => panic!("metric {category}/{name} is not a gauge: {other:?}"),
+            });
         }
     }
 
     /// Records `v` into the histogram `(category, name)` (no-op when
     /// disabled). Values are simulated quantities — latencies in
     /// picoseconds, depths, byte counts — never host time.
+    #[inline]
     pub fn observe(&self, category: Category, name: &'static str, v: u64) {
-        if !self.inner.enabled.get() {
-            return;
+        if self.enabled() {
+            let empty = || Instrument::Histogram(Box::new(Hist::new()));
+            self.record(category, name, empty, |inst| match inst {
+                Instrument::Histogram(h) => h.observe(v),
+                other => panic!("metric {category}/{name} is not a histogram: {other:?}"),
+            });
         }
-        let mut map = self.inner.map.borrow_mut();
-        match map
-            .entry((category, name))
-            .or_insert_with(|| Instrument::Histogram(Box::new(Hist::new())))
-        {
-            Instrument::Histogram(h) => h.observe(v),
-            other => panic!("metric {category}/{name} is not a histogram: {other:?}"),
-        }
+    }
+
+    /// Applies `update` to the instrument `(category, name)`, inserting
+    /// `empty()` first if it is new.
+    #[inline(never)]
+    fn record(
+        &self,
+        category: Category,
+        name: &'static str,
+        empty: impl FnOnce() -> Instrument,
+        update: impl FnOnce(&mut Instrument),
+    ) {
+        update(
+            self.inner
+                .map
+                .borrow_mut()
+                .entry((category, name))
+                .or_insert_with(empty),
+        );
     }
 
     /// Snapshots every instrument in deterministic `(Category, name)`

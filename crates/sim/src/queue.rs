@@ -16,33 +16,47 @@ use std::task::{Context, Poll, Waker};
 /// with no heap allocation; only genuinely contended queues promote to a
 /// `Vec`, whose allocation is then kept and reused across wake cycles.
 /// Wake order is FIFO (registration order) in all cases.
+///
+/// A lone waiter's waker is woken by reference and kept as `Idle`, so the
+/// same receiver parking again (the steady state of every engine loop)
+/// reuses it instead of cloning — no reference-count traffic per message.
 enum Waiters {
     Empty,
+    /// No waiter; the last lone waiter's waker, kept for reuse.
+    Idle(Waker),
     One(Waker),
     Many(Vec<Waker>),
 }
 
 impl Waiters {
-    fn push(&mut self, w: Waker) {
+    fn push(&mut self, w: &Waker) {
         match self {
-            Waiters::Empty => *self = Waiters::One(w),
+            Waiters::Empty => *self = Waiters::One(w.clone()),
+            Waiters::Idle(_) => {
+                let Waiters::Idle(spare) = std::mem::replace(self, Waiters::Empty) else {
+                    unreachable!()
+                };
+                *self = Waiters::One(if spare.will_wake(w) { spare } else { w.clone() });
+            }
             Waiters::One(_) => {
                 let Waiters::One(first) = std::mem::replace(self, Waiters::Empty) else {
                     unreachable!()
                 };
-                *self = Waiters::Many(vec![first, w]);
+                *self = Waiters::Many(vec![first, w.clone()]);
             }
-            Waiters::Many(v) => v.push(w),
+            Waiters::Many(v) => v.push(w.clone()),
         }
     }
 
     fn wake_all(&mut self) {
         match self {
-            Waiters::Empty => {}
+            Waiters::Empty | Waiters::Idle(_) => {}
             Waiters::One(_) => {
-                if let Waiters::One(w) = std::mem::replace(self, Waiters::Empty) {
-                    w.wake();
-                }
+                let Waiters::One(w) = std::mem::replace(self, Waiters::Empty) else {
+                    unreachable!()
+                };
+                w.wake_by_ref();
+                *self = Waiters::Idle(w);
             }
             // Drain in registration order; the Vec's capacity is retained so
             // a contended queue allocates once, not per wake cycle.
@@ -163,7 +177,7 @@ impl<T> Future for Recv<T> {
         if inner.closed {
             return Poll::Ready(None);
         }
-        inner.recv_waiters.push(cx.waker().clone());
+        inner.recv_waiters.push(cx.waker());
         Poll::Pending
     }
 }

@@ -102,12 +102,19 @@ pub const fn cycles(n: u64, hz: u64) -> Time {
 /// assert_eq!(transfer(200, 200_000_000), shrimp_sim::time::us(1));
 /// ```
 pub const fn transfer(bytes: u64, bytes_per_sec: u64) -> Time {
-    ((bytes as u128 * PS_PER_S as u128).div_ceil(bytes_per_sec as u128)) as Time
+    // Every packet pays this, so divide in `u64` whenever the product
+    // fits and widen to `u128` only beyond that (same quotient either way).
+    match bytes.checked_mul(PS_PER_S) {
+        Some(ps) => ps.div_ceil(bytes_per_sec),
+        None => ((bytes as u128 * PS_PER_S as u128).div_ceil(bytes_per_sec as u128)) as Time,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use shrimp_testkit::prop::{any_u64, one_of, u64_in};
+    use shrimp_testkit::{prop_assert_eq, props};
 
     #[test]
     fn unit_conversions_compose() {
@@ -136,6 +143,48 @@ mod tests {
     fn to_secs_roundtrip() {
         assert!((to_secs(s(14)) - 14.0).abs() < 1e-12);
         assert!((to_us(us(7)) - 7.0).abs() < 1e-12);
+    }
+
+    /// The `u128` formula `transfer` narrows to `u64` when it can.
+    fn transfer_wide(bytes: u64, bytes_per_sec: u64) -> u128 {
+        (bytes as u128 * PS_PER_S as u128).div_ceil(bytes_per_sec as u128)
+    }
+
+    #[test]
+    fn transfer_matches_the_wide_formula_across_the_narrow_boundary() {
+        let b = NARROW_MAX;
+        // Rates that keep the result inside `u64` for every byte count here.
+        for rate in [PS_PER_S, 200_000_000_000, 1 << 40, u64::MAX / 3, u64::MAX] {
+            for bytes in [b - 1, b, b + 1] {
+                assert_eq!(
+                    transfer(bytes, rate) as u128,
+                    transfer_wide(bytes, rate),
+                    "{bytes} B at {rate} B/s"
+                );
+            }
+        }
+    }
+
+    const NARROW_MAX: u64 = u64::MAX / PS_PER_S;
+
+    props! {
+        cases = 256;
+
+        /// Random byte counts on both sides of the boundary and random
+        /// rates: the result equals the `u128` formula whenever it fits.
+        fn transfer_matches_the_wide_formula(
+            bytes in one_of(vec![
+                u64_in(0..1 << 20),
+                u64_in(NARROW_MAX - 4096..NARROW_MAX + 4096),
+                any_u64(),
+            ]),
+            rate in u64_in(1..u64::MAX),
+        ) {
+            let wide = transfer_wide(bytes, rate);
+            if wide <= u64::MAX as u128 {
+                prop_assert_eq!(transfer(bytes, rate) as u128, wide);
+            }
+        }
     }
 
     #[test]

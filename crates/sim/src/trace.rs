@@ -143,6 +143,7 @@ impl TraceSink {
     }
 
     /// `true` while recording. Call sites use this to skip formatting work.
+    #[inline]
     pub fn enabled(&self) -> bool {
         self.inner.borrow().enabled
     }

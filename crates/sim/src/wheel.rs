@@ -57,6 +57,12 @@ const HORIZON: u64 = 1 << (BITS * LEVELS as u32);
 type Idx = u32;
 const NIL: Idx = u32::MAX;
 
+/// Where [`TimerWheel::settle`] found the next live entry.
+enum Head {
+    Pre,
+    Current,
+}
+
 /// Handle to a pending timer, for [`TimerWheel::cancel`].
 ///
 /// Ids are generation-tagged: cancelling after the timer fired (or after a
@@ -171,20 +177,13 @@ impl<T> TimerWheel<T> {
     /// Removes and returns the earliest pending timer as `(deadline,
     /// payload)`; ties on the deadline fire in insertion order.
     pub fn pop(&mut self) -> Option<(Time, T)> {
-        self.settle()?;
-        // `settle` guarantees the head of `pre` or `current` is live.
-        if let Some(&Reverse((at, _seq, idx))) = self.pre.peek() {
-            self.pre.pop();
-            let payload = self.slab[idx as usize].payload.take().expect("live node");
-            self.release(idx);
-            self.live -= 1;
-            return Some((at, payload));
-        }
-        let idx = self.current.pop_front().expect("settle found an entry");
-        let node = &mut self.slab[idx as usize];
-        let at = node.at;
-        let payload = node.payload.take().expect("live node");
-        self.release(idx);
+        let (at, head) = self.settle()?;
+        let idx = match head {
+            Head::Pre => self.pre.pop().expect("settle found an entry").0 .2,
+            Head::Current => self.current.pop_front().expect("settle found an entry"),
+        };
+        let payload = self.slab[idx as usize].payload.take().expect("live node");
+        self.recycle(idx);
         self.live -= 1;
         Some((at, payload))
     }
@@ -192,11 +191,12 @@ impl<T> TimerWheel<T> {
     // -- internals ---------------------------------------------------------
 
     /// Ensures the next live entry sits at the head of `pre` or `current`
-    /// and returns its `(deadline, seq)` key; `None` when nothing pends.
-    fn settle(&mut self) -> Option<(Time, u64)> {
+    /// and returns its deadline and which of the two holds it; `None` when
+    /// nothing pends.
+    fn settle(&mut self) -> Option<(Time, Head)> {
         loop {
             // Drop cancelled heads lazily.
-            if let Some(&Reverse((at, seq, idx))) = self.pre.peek() {
+            if let Some(&Reverse((at, _, idx))) = self.pre.peek() {
                 if self.slab[idx as usize].cancelled {
                     self.pre.pop();
                     self.release(idx);
@@ -204,7 +204,7 @@ impl<T> TimerWheel<T> {
                 }
                 // `pre` entries are strictly earlier than the cursor, and
                 // the cursor bounds everything else from below.
-                return Some((at, seq));
+                return Some((at, Head::Pre));
             }
             if let Some(&idx) = self.current.front() {
                 let node = &self.slab[idx as usize];
@@ -213,7 +213,7 @@ impl<T> TimerWheel<T> {
                     self.release(idx);
                     continue;
                 }
-                return Some((node.at, node.seq));
+                return Some((node.at, Head::Current));
             }
             if !self.refill() {
                 return None;
@@ -259,6 +259,20 @@ impl<T> TimerWheel<T> {
             // above after the jump, so re-placing them lands at level
             // `k - 1` or lower — the earliest one at level 0 exactly.
             let head = self.take_slot(level, slot);
+            let lone = &self.slab[head as usize];
+            if lone.next == NIL && !lone.cancelled {
+                // A chain of one is the earliest entry itself: jump to it
+                // and hand it out. Levels below `k` are empty, and every
+                // overflow deadline lies in a later horizon block, so no
+                // other entry shares its deadline.
+                let at = lone.at;
+                debug_assert!(at > self.elapsed);
+                self.elapsed = at;
+                self.promote();
+                debug_assert_eq!(self.occupied[0], 0);
+                self.current.push_back(head);
+                return true;
+            }
             let mut target: Option<Time> = None;
             let mut cur = head;
             while cur != NIL {
@@ -346,9 +360,18 @@ impl<T> TimerWheel<T> {
     /// Drains a level-0 slot into `current` in ascending `seq` order,
     /// freeing cancelled entries on the way.
     fn drain_slot_sorted(&mut self, slot: usize) {
+        let mut head = self.take_slot(0, slot);
+        if self.slab[head as usize].next == NIL {
+            // One entry: nothing to sort.
+            if self.slab[head as usize].cancelled {
+                self.release(head);
+            } else {
+                self.current.push_back(head);
+            }
+            return;
+        }
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.clear();
-        let mut head = self.take_slot(0, slot);
         while head != NIL {
             let node = &self.slab[head as usize];
             let next = node.next;
@@ -393,10 +416,16 @@ impl<T> TimerWheel<T> {
     /// Returns a node to the free list, bumping its generation so stale
     /// [`TimerId`]s can never act on the recycled slot.
     fn release(&mut self, idx: Idx) {
+        self.slab[idx as usize].payload = None;
+        self.recycle(idx);
+    }
+
+    /// [`TimerWheel::release`] for a node whose payload was taken.
+    fn recycle(&mut self, idx: Idx) {
         let free = self.free;
         let node = &mut self.slab[idx as usize];
+        debug_assert!(node.payload.is_none());
         node.gen = node.gen.wrapping_add(1);
-        node.payload = None;
         node.cancelled = false;
         node.next = free;
         self.free = idx;
