@@ -482,7 +482,7 @@ pub fn run_barnes_svm(cluster: &Cluster, protocol: Protocol, params: &BarnesPara
     let final_bodies: Vec<Body> = (0..params.bodies)
         .map(|i| bytes_body(&bytes[i * BODY_BYTES..(i + 1) * BODY_BYTES]))
         .collect();
-    RunOutcome::collect_svm(cluster, &svm, elapsed, positions_checksum(&final_bodies))
+    RunOutcome::collect(cluster, elapsed, positions_checksum(&final_bodies))
 }
 
 fn body_bytes(b: &Body) -> Vec<u8> {

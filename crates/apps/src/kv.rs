@@ -62,13 +62,13 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use shrimp_core::{
-    Cluster, DesignConfig, HeartbeatConfig, LaunchOutcome, NodeId, NodeProgram, NodeStats,
-    Notification, ProxyBuffer, Vmmc,
+    Cluster, DesignConfig, HeartbeatConfig, LaunchOutcome, NodeId, NodeProgram, Notification,
+    ProxyBuffer, Vmmc,
 };
 use shrimp_mem::{Vaddr, PAGE_SIZE};
 use shrimp_sim::rng::{rng_for_entity, splitmix64, OpenLoopArrivals, ZipfSampler};
 use shrimp_sim::shard::Shards;
-use shrimp_sim::{time, Category, Queue, Time};
+use shrimp_sim::{time, Category, CounterSet, Queue, Time};
 
 /// Fixed wire size of one protocol record: an eight-word header plus the
 /// value payload, power-of-two so a ring of records never straddles a
@@ -609,9 +609,7 @@ async fn run_server(
                         if attempt[q] >= det.max_probes {
                             view.dead.set(true);
                             let lat = now - last_heard[q];
-                            NodeStats::add(&stats.detection_latency, lat);
-                            sim.metrics()
-                                .observe(Category::Core, "detection_latency_ps", lat);
+                            stats.detection_latency.update(|c| c + lat);
                             let lower_all_dead = (0..my_rank).all(|lr| sh.peers[lr].dead.get());
                             if lower_all_dead && !sh.is_leader.get() {
                                 sh.is_leader.set(true);
@@ -863,6 +861,24 @@ struct OutReq {
     val: [u8; VAL_MAX],
 }
 
+/// A client's request outcomes, registered with its shard's registry.
+#[derive(Default)]
+struct KvStats {
+    acked: Cell<u64>,
+    retries: Cell<u64>,
+    not_leader: Cell<u64>,
+}
+
+impl CounterSet for KvStats {
+    const CATEGORY: Category = Category::App;
+
+    fn for_each(&self, f: &mut dyn FnMut(&'static str, u64)) {
+        f("kv_acked", self.acked.get());
+        f("kv_retries", self.retries.get());
+        f("kv_not_leader", self.not_leader.get());
+    }
+}
+
 /// Client state shared by the generator, retry, and reply tasks.
 struct CliState {
     reqs: BTreeMap<u64, OutReq>,
@@ -872,9 +888,7 @@ struct CliState {
     hint: Vec<usize>,
     acked_keys: BTreeMap<u64, u64>,
     next_id: u64,
-    acked: u64,
-    retries: u64,
-    not_leader: u64,
+    stats: Rc<KvStats>,
     verify_failures: u64,
     gen_done: bool,
     phase: Phase,
@@ -928,6 +942,8 @@ async fn run_client(vmmc: Vmmc, p: KvParams, wire: Rc<Wire>, abort_at: Time) -> 
     let me = vmmc.node_id().0;
     let sim = vmmc.sim().clone();
     let halt = Rc::new(Cell::new(false));
+    let stats = Rc::new(KvStats::default());
+    sim.metrics().register(Rc::clone(&stats));
 
     let state = Rc::new(RefCell::new(CliState {
         reqs: BTreeMap::new(),
@@ -937,9 +953,7 @@ async fn run_client(vmmc: Vmmc, p: KvParams, wire: Rc<Wire>, abort_at: Time) -> 
         hint: vec![0; p.groups],
         acked_keys: BTreeMap::new(),
         next_id: 1,
-        acked: 0,
-        retries: 0,
-        not_leader: 0,
+        stats,
         verify_failures: 0,
         gen_done: false,
         phase: Phase::Load,
@@ -1031,7 +1045,7 @@ async fn run_client(vmmc: Vmmc, p: KvParams, wire: Rc<Wire>, abort_at: Time) -> 
                     .collect();
                 for id in stale {
                     rotate(&mut s, &p, id, now);
-                    s.retries += 1;
+                    s.stats.retries.update(|c| c + 1);
                 }
                 pump(&mut s, &w, &p, me, now);
             }
@@ -1066,7 +1080,7 @@ async fn run_client(vmmc: Vmmc, p: KvParams, wire: Rc<Wire>, abort_at: Time) -> 
             if let Some((needs_send, verify, kind, scheduled_at, expect_version)) = info {
                 if rec.d == ST_NOT_LEADER {
                     if !needs_send {
-                        s.not_leader += 1;
+                        s.stats.not_leader.update(|c| c + 1);
                         rotate(&mut s, &p, rec.a, now);
                     }
                 } else {
@@ -1077,7 +1091,7 @@ async fn run_client(vmmc: Vmmc, p: KvParams, wire: Rc<Wire>, abort_at: Time) -> 
                     } else {
                         sim.metrics()
                             .observe(Category::App, "kv_req_ps", now - scheduled_at);
-                        s.acked += 1;
+                        s.stats.acked.update(|c| c + 1);
                         if kind == K_PUT {
                             let slot = s.acked_keys.entry(rec.b).or_insert(0);
                             *slot = (*slot).max(rec.c);
@@ -1128,15 +1142,11 @@ async fn run_client(vmmc: Vmmc, p: KvParams, wire: Rc<Wire>, abort_at: Time) -> 
 
     halt.set(true);
     let s = state.borrow();
-    let m = sim.metrics();
-    m.counter_add(Category::App, "kv_acked", s.acked);
-    m.counter_add(Category::App, "kv_retries", s.retries);
-    m.counter_add(Category::App, "kv_not_leader", s.not_leader);
     for srv in 0..p.servers() {
         wire.outbox.send((srv, Rec::new(K_DONE, me)));
     }
     wire.shutdown(me);
-    (s.verify_failures << 32) | (s.acked & 0xffff_ffff)
+    (s.verify_failures << 32) | (s.stats.acked.get() & 0xffff_ffff)
 }
 
 #[cfg(test)]

@@ -289,7 +289,7 @@ pub fn run_ocean_svm(cluster: &Cluster, protocol: Protocol, params: &OceanParams
         .chunks_exact(8)
         .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().unwrap())))
         .collect();
-    RunOutcome::collect_svm(cluster, &svm, elapsed, grid_checksum(&grid))
+    RunOutcome::collect(cluster, elapsed, grid_checksum(&grid))
 }
 
 async fn ocean_svm_node(node: SvmNode, params: OceanParams, grid: RegionId, err_region: RegionId) {

@@ -571,7 +571,7 @@ pub fn run_radix_svm(cluster: &Cluster, protocol: Protocol, params: &RadixParams
     let mut expected: Vec<u32> = (0..n).flat_map(|i| generate_keys(params, i, k)).collect();
     expected.sort_unstable();
     assert_eq!(all, expected, "radix output is not a permutation of input");
-    RunOutcome::collect_svm(cluster, &svm, elapsed, checksum_sorted(&all))
+    RunOutcome::collect(cluster, elapsed, checksum_sorted(&all))
 }
 
 #[allow(clippy::too_many_arguments)]

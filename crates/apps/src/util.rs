@@ -3,7 +3,7 @@
 
 use shrimp_core::{Cluster, ProxyBuffer, Vmmc};
 use shrimp_mem::{Vaddr, PAGE_SIZE};
-use shrimp_sim::Time;
+use shrimp_sim::{Category, Time};
 
 /// Which SHRIMP transfer mechanism an application version uses for bulk
 /// data (the AU-vs-DU comparison of §4.2 / Figure 4 right).
@@ -24,20 +24,6 @@ impl std::fmt::Display for Mechanism {
     }
 }
 
-/// Per-category SVM time breakdown summed over all nodes (Figure 4's
-/// stacked-bar categories).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SvmBreakdown {
-    /// Time blocked acquiring locks.
-    pub lock: Time,
-    /// Time in barriers.
-    pub barrier: Time,
-    /// Time in releases (diff scans/sends, AU fences).
-    pub release: Time,
-    /// Time in faults (traps, twins, remote fetches).
-    pub fault: Time,
-}
-
 /// Summary of one application run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunOutcome {
@@ -50,40 +36,18 @@ pub struct RunOutcome {
     pub messages: u64,
     /// User-level notifications delivered (Table 3's "notifications").
     pub notifications: u64,
-    /// SVM category breakdown (SVM applications only).
-    pub svm: Option<SvmBreakdown>,
 }
 
 impl RunOutcome {
-    /// Collects message counters from a cluster after a run.
+    /// Collects message counters from a cluster's counter snapshot after a
+    /// run.
     pub fn collect(cluster: &Cluster, elapsed: Time, checksum: u64) -> Self {
+        let counters = cluster.sim().metrics().snapshot();
         RunOutcome {
             elapsed,
             checksum,
-            messages: cluster.total(|s| s.messages_sent.get()),
-            notifications: cluster.total(|s| s.notifications.get()),
-            svm: None,
-        }
-    }
-
-    /// Like [`RunOutcome::collect`], adding the SVM category breakdown.
-    pub fn collect_svm(
-        cluster: &Cluster,
-        svm: &shrimp_svm::Svm,
-        elapsed: Time,
-        checksum: u64,
-    ) -> Self {
-        let mut breakdown = SvmBreakdown::default();
-        for i in 0..cluster.num_nodes() {
-            let s = svm.node(i).stats();
-            breakdown.lock += s.lock_wait.get();
-            breakdown.barrier += s.barrier_wait.get();
-            breakdown.release += s.release_time.get();
-            breakdown.fault += s.fault_time.get();
-        }
-        RunOutcome {
-            svm: Some(breakdown),
-            ..RunOutcome::collect(cluster, elapsed, checksum)
+            messages: counters.counter(Category::Core, "messages_sent"),
+            notifications: counters.counter(Category::Core, "notifications"),
         }
     }
 }
@@ -237,8 +201,9 @@ mod tests {
             .map(|b| cluster.sim().spawn(async move { b.wait().await }))
             .collect();
         cluster.run_until_complete(handles);
-        assert_eq!(cluster.total(|s| s.notifications.get()), 0);
-        assert!(cluster.total(|s| s.messages_sent.get()) > 0);
+        let counters = cluster.sim().metrics().snapshot();
+        assert_eq!(counters.counter(Category::Core, "notifications"), 0);
+        assert!(counters.counter(Category::Core, "messages_sent") > 0);
     }
 
     #[test]

@@ -22,7 +22,7 @@ use shrimp_core::{
     run_chaos_distributed, run_cold, run_distributed, run_warm, Cluster, ClusterCheckpoint,
     DesignConfig, DistributedParams, HeartbeatConfig, LaunchOutcome, RingBulk, WarmParams,
 };
-use shrimp_faults::{FaultScenario, FifoStall, LinkFault, NodeCrash, NodePause};
+use shrimp_faults::{FaultScenario, FaultStats, FifoStall, LinkFault, NodeCrash, NodePause};
 use shrimp_net::MeshConfig;
 use shrimp_sim::{time, Category, MetricValue, MetricsSnapshot, Time, TraceEvent};
 use shrimp_sockets::SocketConfig;
@@ -636,42 +636,20 @@ impl RunSpec {
             cluster.sim().metrics().enable();
         }
         let out = self.run_on(&cluster);
-        let net = cluster.network().stats();
-        // Recovery metrics only exist on chaos/reliability runs; plain rows
-        // omit them so their serialized form is byte-identical to before
-        // the fault plane existed.
-        let recovery = (self.knobs.reliability || self.knobs.faults.is_active()).then(|| {
-            let nic_sum = |f: &dyn Fn(&shrimp_nic::NicCounters) -> u64| -> u64 {
-                (0..cluster.num_nodes())
-                    .map(|i| f(cluster.nic(i).counters()))
-                    .sum()
-            };
-            Recovery {
-                retransmits: cluster.total(|s| s.retransmits.get()),
-                corrupt_detected: nic_sum(&|c| c.corrupt_detected.get()),
-                dup_suppressed: nic_sum(&|c| c.dup_suppressed.get()),
-                faults_injected: cluster.fault_plane().map_or(0, |p| p.stats().total()),
-                detection_latency_ps: nic_sum(&|c| c.detection_latency.get()),
-                recovery_time_ps: cluster.total(|s| s.recovery_time.get()),
-            }
-        });
-        let record = RunRecord {
-            elapsed: out.elapsed,
-            checksum: out.checksum,
-            messages: out.messages,
-            notifications: out.notifications,
-            interrupts: cluster.total(|s| s.interrupts_taken.get()),
-            syscalls: cluster.total(|s| s.syscalls.get()),
-            net_packets: net.packets(),
-            net_bytes: net.bytes(),
-            recovery,
-            kv: None,
-        };
+        let metrics = cluster.sim().metrics().snapshot();
+        let record = RunRecord::from_counters(
+            &metrics,
+            out.elapsed,
+            out.checksum,
+            self.knobs.reliability || self.knobs.faults.is_active(),
+            Category::Nic,
+            None,
+        );
         let events = cluster.sim().events();
         let observation = observe.then(|| Observation {
             events: cluster.sim().trace().take(),
             trace_dropped: cluster.sim().trace().dropped(),
-            metrics: cluster.sim().metrics().snapshot(),
+            metrics,
         });
         let wall_ns = start.elapsed().as_nanos() as u64;
         (
@@ -1067,25 +1045,53 @@ impl RunRecord {
     /// isolated host-time benchmark, builds byte-identical records through
     /// this same conversion instead of a copy of it.
     pub fn from_launch(out: &LaunchOutcome, recovery: bool, kv: Option<KvMetrics>) -> Self {
+        let checksum = out
+            .node_results
+            .iter()
+            .fold(0u64, |acc, &r| acc.wrapping_add(r));
+        RunRecord::from_counters(
+            &out.metrics,
+            out.elapsed,
+            checksum,
+            recovery,
+            Category::Core,
+            kv,
+        )
+    }
+
+    /// The one conversion from a run's counters to its record, read by name
+    /// from the cluster's snapshot (classic path) or the merged shard
+    /// snapshots (launch path). `recovery` adds the recovery block (chaos
+    /// and reliability rows only, so plain rows predate the fault plane).
+    /// `detection` picks the `detection_latency_ps` counter: `Nic`
+    /// (corruption detection) on the classic path, `Core` (the failure
+    /// detector) on the launch path. Splitting the two meanings changes
+    /// the smoke baseline and the benchmark's `Recovery` literal.
+    fn from_counters(
+        counters: &MetricsSnapshot,
+        elapsed: Time,
+        checksum: u64,
+        recovery: bool,
+        detection: Category,
+        kv: Option<KvMetrics>,
+    ) -> Self {
+        let count = |category, name| counters.counter(category, name);
         RunRecord {
-            elapsed: out.elapsed,
-            checksum: out
-                .node_results
-                .iter()
-                .fold(0u64, |acc, &r| acc.wrapping_add(r)),
-            messages: out.messages,
-            notifications: out.notifications,
-            interrupts: out.interrupts,
-            syscalls: out.syscalls,
-            net_packets: out.net_packets,
-            net_bytes: out.net_bytes,
-            recovery: recovery.then_some(Recovery {
-                retransmits: out.retransmits,
-                corrupt_detected: out.corrupt_detected,
-                dup_suppressed: out.dup_suppressed,
-                faults_injected: out.faults_injected,
-                detection_latency_ps: out.detection_latency_ps,
-                recovery_time_ps: out.recovery_time_ps,
+            elapsed,
+            checksum,
+            messages: count(Category::Core, "messages_sent"),
+            notifications: count(Category::Core, "notifications"),
+            interrupts: count(Category::Core, "interrupts_taken"),
+            syscalls: count(Category::Core, "syscalls"),
+            net_packets: count(Category::Net, "packets"),
+            net_bytes: count(Category::Net, "wire_bytes"),
+            recovery: recovery.then(|| Recovery {
+                retransmits: count(Category::Core, "retransmits"),
+                corrupt_detected: count(Category::Nic, "corrupt_detected"),
+                dup_suppressed: count(Category::Nic, "dup_suppressed"),
+                faults_injected: FaultStats::injected(counters),
+                detection_latency_ps: count(detection, "detection_latency_ps"),
+                recovery_time_ps: count(Category::Core, "recovery_time_ps"),
             }),
             kv,
         }
@@ -1871,7 +1877,9 @@ mod tests {
     }
 
     /// A chaos-cluster crash row produces finite detector metrics and
-    /// stays shard-count invariant, record bytes included.
+    /// stays shard-count invariant, record bytes and every counter of the
+    /// merged snapshot included (gauges keep per-shard maxima and are not
+    /// compared).
     #[test]
     fn chaos_cluster_crash_row_reports_detection_and_is_invariant() {
         let spec = matrix(Scale::Smoke, 4)
@@ -1886,5 +1894,21 @@ mod tests {
         let (four, perf4) = spec.execute_timed_at(4);
         assert_eq!(one, four, "chaos-cluster record diverged across shards");
         assert_eq!(perf4.shards, 4);
+
+        let mut params = distributed_params_at(spec.scale).scaled_to(spec.nodes);
+        params.seed = spec.seed;
+        let detector = HeartbeatConfig::for_nodes(spec.nodes);
+        let counters = |k| {
+            let cfg = spec.design_config();
+            let mut m = run_chaos_distributed(&params, cfg, Shards::Fixed(k), detector).metrics;
+            m.samples
+                .retain(|s| matches!(s.value, MetricValue::Counter(_)));
+            m
+        };
+        let base = counters(1);
+        assert_eq!(base.counter(Category::Net, "crashes"), 1);
+        for k in [2, 4] {
+            assert_eq!(counters(k), base, "counters diverged at {k} shards");
+        }
     }
 }

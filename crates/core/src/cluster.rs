@@ -21,7 +21,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
 
-use shrimp_faults::{FaultPlane, FaultScenario, Reliability, ShrimpError};
+use shrimp_faults::{FaultPlane, FaultScenario, FaultStats, Reliability, ShrimpError};
 use shrimp_mem::{AddressSpace, MemBus, NodeMem, Paddr, PAGE_SIZE};
 use shrimp_net::{Flit, MeshConfig, Network, NodeId};
 use shrimp_nic::{IptEntry, Nic, Packet, ShrimpNetwork};
@@ -30,7 +30,7 @@ use shrimp_sim::metrics::MetricsSnapshot;
 use shrimp_sim::shard::{
     run_sharded_phased, PhasedBuilder, ShardConfig, ShardCtx, ShardPlan, Shards,
 };
-use shrimp_sim::{FastMap, Queue, Sim, Time};
+use shrimp_sim::{Category, FastMap, Queue, Sim, Time};
 
 use crate::checkpoint::NodeState;
 use crate::config::DesignConfig;
@@ -194,8 +194,8 @@ impl ClusterBuilder {
         self
     }
 
-    /// Enables the deterministic metrics registry on the machine's
-    /// simulator(s).
+    /// Enables the metrics registry's gauges and histograms on the
+    /// machine's simulator(s); counters are always on.
     pub fn metrics(mut self, on: bool) -> Self {
         self.metrics = on;
         self
@@ -235,25 +235,20 @@ impl ClusterBuilder {
     }
 
     /// Builds the classic single-`Sim` machine on a fresh simulator and
-    /// starts all hardware engines and system-software processes.
+    /// starts all hardware engines and system-software processes. The
+    /// simulator holds only this machine, so its snapshot is its counts.
     pub fn build(self) -> Cluster {
-        let sim = Sim::new();
-        self.build_on(sim)
-    }
-
-    /// Like [`ClusterBuilder::build`] but on a caller-provided simulator
-    /// (so several machines can share one timeline, or the caller controls
-    /// the run loop).
-    pub fn build_on(self, sim: Sim) -> Cluster {
         let n = self.nodes;
-        let cluster = self.assemble_on(sim, 0..n, |sim, mesh| Network::new(sim.clone(), mesh, n));
+        let cluster = self.assemble_on(Sim::new(), 0..n, |sim, mesh| {
+            Network::new(sim.clone(), mesh, n)
+        });
         for i in 0..n {
             cluster.spawn_dispatcher(i);
         }
         cluster
     }
 
-    /// The one construction path of both [`ClusterBuilder::build_on`] and
+    /// The one construction path of both [`ClusterBuilder::build`] and
     /// each launch shard: assembles nodes `owned` of the machine on `sim`,
     /// over the backplane `network` builds from the mesh geometry. Spawns
     /// no task, so each caller keeps its own spawn order.
@@ -288,6 +283,7 @@ impl ClusterBuilder {
         // at any shard count.
         let fault_plane = cfg.faults.is_active().then(|| {
             let plane = FaultPlane::per_entity(cfg.faults);
+            plane.register_counters(sim.metrics());
             net.install_fault_plane(plane.clone());
             plane
         });
@@ -399,22 +395,22 @@ impl ClusterBuilder {
         for tally in &out.results {
             metrics.merge(&tally.metrics);
         }
-        let sum = |f: fn(&ShardTally) -> u64| out.results.iter().map(f).sum::<u64>();
+        let count = |category, name| metrics.counter(category, name);
         Ok(LaunchOutcome {
             elapsed: out.results.iter().map(|t| t.finished).max().unwrap_or(0),
             node_results,
-            messages: sum(|t| t.messages),
-            notifications: sum(|t| t.notifications),
-            interrupts: sum(|t| t.interrupts),
-            syscalls: sum(|t| t.syscalls),
-            net_packets: sum(|t| t.net_packets),
-            net_bytes: sum(|t| t.net_bytes),
-            retransmits: sum(|t| t.retransmits),
-            corrupt_detected: sum(|t| t.corrupt_detected),
-            dup_suppressed: sum(|t| t.dup_suppressed),
-            faults_injected: sum(|t| t.faults_injected),
-            detection_latency_ps: sum(|t| t.detection_latency_ps),
-            recovery_time_ps: sum(|t| t.recovery_time_ps),
+            messages: count(Category::Core, "messages_sent"),
+            notifications: count(Category::Core, "notifications"),
+            interrupts: count(Category::Core, "interrupts_taken"),
+            syscalls: count(Category::Core, "syscalls"),
+            net_packets: count(Category::Net, "packets"),
+            net_bytes: count(Category::Net, "wire_bytes"),
+            retransmits: count(Category::Core, "retransmits"),
+            corrupt_detected: count(Category::Nic, "corrupt_detected"),
+            dup_suppressed: count(Category::Nic, "dup_suppressed"),
+            faults_injected: FaultStats::injected(&metrics),
+            detection_latency_ps: count(Category::Core, "detection_latency_ps"),
+            recovery_time_ps: count(Category::Core, "recovery_time_ps"),
             events: out.events,
             windows: out.windows,
             shards,
@@ -542,18 +538,6 @@ impl ClusterBuilder {
                 ShardTally {
                     finished: merged.iter().map(|&(_, t, _)| t).max().unwrap_or(0),
                     node_results: merged.iter().map(|&(node, _, r)| (node, r)).collect(),
-                    messages: cluster.total(|s| s.messages_sent.get()),
-                    notifications: cluster.total(|s| s.notifications.get()),
-                    interrupts: cluster.total(|s| s.interrupts_taken.get()),
-                    syscalls: cluster.total(|s| s.syscalls.get()),
-                    net_packets: cluster.network().stats().packets(),
-                    net_bytes: cluster.network().stats().bytes(),
-                    retransmits: cluster.total(|s| s.retransmits.get()),
-                    corrupt_detected: cluster.total_nic(|c| c.corrupt_detected.get()),
-                    dup_suppressed: cluster.total_nic(|c| c.dup_suppressed.get()),
-                    faults_injected: cluster.fault_plane().map_or(0, |p| p.stats().total()),
-                    detection_latency_ps: cluster.total(|s| s.detection_latency.get()),
-                    recovery_time_ps: cluster.total(|s| s.recovery_time.get()),
                     node_states: if capture {
                         // Quiesce-point capture: this closure runs at the
                         // engine's global drain barrier, after every shard
@@ -614,29 +598,19 @@ impl Future for CrashRace {
     }
 }
 
-/// One shard's harvest of a [`ClusterBuilder::launch`].
+/// One shard's harvest of a [`ClusterBuilder::launch`]; `metrics` holds
+/// its counts.
 struct ShardTally {
     finished: Time,
     node_results: Vec<(usize, u64)>,
-    messages: u64,
-    notifications: u64,
-    interrupts: u64,
-    syscalls: u64,
-    net_packets: u64,
-    net_bytes: u64,
-    retransmits: u64,
-    corrupt_detected: u64,
-    dup_suppressed: u64,
-    faults_injected: u64,
-    detection_latency_ps: u64,
-    recovery_time_ps: u64,
     node_states: Vec<NodeState>,
     metrics: MetricsSnapshot,
 }
 
 /// The merged, shard-count-invariant outcome of a
 /// [`ClusterBuilder::launch`]: everything but `events`, `windows`, and
-/// `shards` is a pure function of the simulated program.
+/// `shards` is a pure function of the simulated program. The count fields
+/// are read by name from the merged [`LaunchOutcome::metrics`].
 #[derive(Debug, Clone)]
 pub struct LaunchOutcome {
     /// Latest per-node program completion time (simulated).
@@ -683,8 +657,9 @@ pub struct LaunchOutcome {
     /// Per-shard metric registries folded with
     /// [`MetricsSnapshot::merge`] — counters and histograms are
     /// shard-count invariant (the merge is commutative and associative);
-    /// gauges keep elementwise maxima and are **not**. Empty unless
-    /// [`ClusterBuilder::metrics`] enabled the plane.
+    /// gauges keep elementwise maxima and are **not**. Counters are always
+    /// present; gauges and histograms only when [`ClusterBuilder::metrics`]
+    /// enabled them.
     pub metrics: MetricsSnapshot,
 }
 
@@ -727,13 +702,15 @@ fn assemble(
             let paused = cpu.clone();
             sim.schedule(at, move || paused.steal(dur));
         }
+        let stats = Rc::new(NodeStats::default());
+        sim.metrics().register(Rc::clone(&stats));
         nodes.push(Node {
             space: AddressSpace::new(mem.clone()),
             mem,
             bus,
             nic,
             cpu,
-            stats: Rc::new(NodeStats::new()),
+            stats,
             page_dir: RefCell::new(FastMap::default()),
             notifications_blocked: Cell::new(false),
             pending_notifications: RefCell::new(Vec::new()),
@@ -766,19 +743,15 @@ impl Cluster {
                     cluster.inner.sim.sleep(intr_delay).await;
                 }
                 let n = cluster.node(node);
-                NodeStats::bump(&n.stats.interrupts_taken);
+                n.stats.interrupts_taken.update(|c| c + 1);
                 let svc_t0 = cluster.inner.sim.now();
                 n.cpu.run_handler(cluster.inner.cfg.interrupt_cost).await;
-                {
-                    let metrics = cluster.inner.sim.metrics();
-                    metrics.counter_add(shrimp_sim::Category::Core, "interrupts_taken", 1);
-                    // Handler cost plus any CPU contention the dispatch paid.
-                    metrics.observe(
-                        shrimp_sim::Category::Core,
-                        "intr_service_ps",
-                        cluster.inner.sim.now() - svc_t0,
-                    );
-                }
+                // Handler cost plus any CPU contention the dispatch paid.
+                cluster.inner.sim.metrics().observe(
+                    Category::Core,
+                    "intr_service_ps",
+                    cluster.inner.sim.now() - svc_t0,
+                );
                 if !intr.notify {
                     continue; // forced interrupt (Table 4): null handler only
                 }
@@ -800,7 +773,7 @@ impl Cluster {
                         .push((export_id, notification));
                 } else {
                     n.cpu.run_handler(cluster.inner.cfg.notification_cost).await;
-                    NodeStats::bump(&n.stats.notifications);
+                    n.stats.notifications.update(|c| c + 1);
                     export.queue.send(notification);
                 }
             }
@@ -859,16 +832,6 @@ impl Cluster {
     /// A node's software statistics.
     pub fn stats(&self, node: usize) -> Rc<NodeStats> {
         self.node(node).stats.clone()
-    }
-
-    /// Sum of a counter over the owned nodes.
-    pub fn total<F: Fn(&NodeStats) -> u64>(&self, f: F) -> u64 {
-        self.inner.nodes.iter().map(|n| f(&n.stats)).sum()
-    }
-
-    /// Sum of a NIC hardware counter over the owned nodes.
-    pub fn total_nic<F: Fn(&shrimp_nic::NicCounters) -> u64>(&self, f: F) -> u64 {
-        self.inner.nodes.iter().map(|n| f(n.nic.counters())).sum()
     }
 
     /// Captures an owned node's checkpoint state: memory image, allocator
@@ -1076,7 +1039,7 @@ impl Cluster {
             };
             let n = self.node(node);
             n.cpu.run_handler(self.inner.cfg.notification_cost).await;
-            NodeStats::bump(&n.stats.notifications);
+            n.stats.notifications.update(|c| c + 1);
             let export = self.inner.exports.borrow()[export_id as usize].clone();
             export.queue.send(notification);
         }

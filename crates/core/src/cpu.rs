@@ -16,8 +16,6 @@ struct CpuInner {
     sim: Sim,
     /// End of the application's current compute interval, if it is in one.
     computing_end: Cell<Option<Time>>,
-    total_compute: Cell<Time>,
-    total_stolen: Cell<Time>,
 }
 
 /// One node's CPU. Cheap to clone.
@@ -29,8 +27,7 @@ pub struct Cpu {
 impl std::fmt::Debug for Cpu {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Cpu")
-            .field("total_compute", &self.inner.total_compute.get())
-            .field("total_stolen", &self.inner.total_stolen.get())
+            .field("computing_end", &self.inner.computing_end.get())
             .finish()
     }
 }
@@ -42,8 +39,6 @@ impl Cpu {
             inner: Rc::new(CpuInner {
                 sim,
                 computing_end: Cell::new(None),
-                total_compute: Cell::new(0),
-                total_stolen: Cell::new(0),
             }),
         }
     }
@@ -64,9 +59,6 @@ impl Cpu {
             self.run_handler(d).await;
             return;
         }
-        self.inner
-            .total_compute
-            .set(self.inner.total_compute.get() + d);
         let mut end = self.inner.sim.now() + d;
         self.inner.computing_end.set(Some(end));
         loop {
@@ -91,9 +83,6 @@ impl Cpu {
         if d == 0 {
             return;
         }
-        self.inner
-            .total_stolen
-            .set(self.inner.total_stolen.get() + d);
         if let Some(e) = self.inner.computing_end.get() {
             self.inner.computing_end.set(Some(e + d));
         }
@@ -104,16 +93,6 @@ impl Cpu {
     pub async fn run_handler(&self, d: Time) {
         self.steal(d);
         self.inner.sim.sleep(d).await;
-    }
-
-    /// Total application compute time requested so far.
-    pub fn total_compute(&self) -> Time {
-        self.inner.total_compute.get()
-    }
-
-    /// Total time stolen by handlers and stalls so far.
-    pub fn total_stolen(&self) -> Time {
-        self.inner.total_stolen.get()
     }
 }
 
@@ -139,7 +118,6 @@ mod tests {
         let c = cpu.clone();
         sim.schedule(us(3), move || c.steal(us(5)));
         assert_eq!(sim.run_to_completion(), us(15));
-        assert_eq!(cpu.total_stolen(), us(5));
     }
 
     #[test]
@@ -179,9 +157,8 @@ mod tests {
         let h = sim.spawn(async move {
             c.run_handler(us(7)).await;
         });
-        sim.run_to_completion();
+        assert_eq!(sim.run_to_completion(), us(7));
         assert!(h.is_done());
-        assert_eq!(cpu.total_stolen(), us(7));
     }
 
     #[test]

@@ -50,11 +50,10 @@ use shrimp_mem::{Vaddr, PAGE_SIZE};
 use shrimp_net::NodeId;
 use shrimp_sim::rng::splitmix64;
 use shrimp_sim::shard::Shards;
-use shrimp_sim::{time, Category, Queue, Time};
+use shrimp_sim::{time, Queue, Time};
 
 use crate::cluster::{Cluster, LaunchOutcome, NodeProgram, Notification};
 use crate::config::DesignConfig;
-use crate::stats::NodeStats;
 use crate::vmmc::{ProxyBuffer, Vmmc};
 
 /// One round of SplitMix64 keyed by node and step — the deterministic
@@ -506,9 +505,7 @@ async fn run_chaos_node(
                         if view.dead.get() {
                             view.dead.set(false);
                             let rec = now - view.declared_at.get();
-                            NodeStats::add(&stats.recovery_time, rec);
-                            sim.metrics()
-                                .observe(Category::Core, "recovery_time_ps", rec);
+                            stats.recovery_time.update(|c| c + rec);
                         }
                         if done != 0 {
                             view.done.set(true);
@@ -518,9 +515,7 @@ async fn run_chaos_node(
                             view.dead.set(true);
                             view.declared_at.set(now);
                             let lat = now - last_heard[q];
-                            NodeStats::add(&stats.detection_latency, lat);
-                            sim.metrics()
-                                .observe(Category::Core, "detection_latency_ps", lat);
+                            stats.detection_latency.update(|c| c + lat);
                         } else {
                             deadline[q] = now
                                 + node_backoff(

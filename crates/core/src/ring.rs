@@ -72,7 +72,6 @@ pub struct RingSender {
     write_pos: Cell<u64>,
     peer_cursor: Vaddr,
     next_seq: Cell<u64>,
-    bytes: Cell<u64>,
 }
 
 /// Consumer end of a ring.
@@ -136,7 +135,6 @@ pub fn connect_ring(
             write_pos: Cell::new(0),
             peer_cursor: cursor_page,
             next_seq: Cell::new(1),
-            bytes: Cell::new(0),
         },
         RingReceiver {
             vm: consumer.clone(),
@@ -155,11 +153,6 @@ impl RingSender {
     /// the ring so flow control can always make progress).
     pub fn max_payload(&self) -> usize {
         self.capacity / 2 - FRAME_HDR - FRAME_TRL
-    }
-
-    /// Payload bytes sent.
-    pub fn bytes_sent(&self) -> u64 {
-        self.bytes.get()
     }
 
     /// Sends one frame, blocking on ring space. Charges the user-level
@@ -203,7 +196,6 @@ impl RingSender {
 
         let seq = self.next_seq.get();
         self.next_seq.set(seq + 1);
-        self.bytes.set(self.bytes.get() + data.len() as u64);
 
         let mut frame = Vec::with_capacity(fl);
         frame.extend_from_slice(&(seq ^ HDR_MAGIC).to_le_bytes());

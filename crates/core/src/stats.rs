@@ -2,6 +2,8 @@
 
 use std::cell::Cell;
 
+use shrimp_sim::{Category, CounterSet};
+
 /// Counters maintained by one node's VMMC library and system software.
 #[derive(Debug, Default)]
 pub struct NodeStats {
@@ -27,34 +29,17 @@ pub struct NodeStats {
     pub detection_latency: Cell<u64>,
 }
 
-impl NodeStats {
-    /// Creates zeroed counters.
-    pub fn new() -> Self {
-        Self::default()
-    }
+impl CounterSet for NodeStats {
+    const CATEGORY: Category = Category::Core;
 
-    pub(crate) fn bump(cell: &Cell<u64>) {
-        cell.set(cell.get() + 1);
-    }
-
-    /// Adds `v` to one counter cell — the accumulation idiom workload
-    /// subtasks (failure detectors, replicas) use on their shared stats.
-    pub fn add(cell: &Cell<u64>, v: u64) {
-        cell.set(cell.get() + v);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn counters_start_zero_and_bump() {
-        let s = NodeStats::new();
-        assert_eq!(s.messages_sent.get(), 0);
-        NodeStats::bump(&s.messages_sent);
-        NodeStats::add(&s.bytes_sent, 100);
-        assert_eq!(s.messages_sent.get(), 1);
-        assert_eq!(s.bytes_sent.get(), 100);
+    fn for_each(&self, f: &mut dyn FnMut(&'static str, u64)) {
+        f("messages_sent", self.messages_sent.get());
+        f("bytes_sent", self.bytes_sent.get());
+        f("syscalls", self.syscalls.get());
+        f("interrupts_taken", self.interrupts_taken.get());
+        f("notifications", self.notifications.get());
+        f("retransmits", self.retransmits.get());
+        f("recovery_time_ps", self.recovery_time.get());
+        f("detection_latency_ps", self.detection_latency.get());
     }
 }

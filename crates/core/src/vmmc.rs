@@ -479,12 +479,9 @@ impl Vmmc {
         }
         let cfg = self.cluster.config().clone();
         let node = self.cluster.node(self.node);
-        NodeStats::bump(&node.stats.messages_sent);
-        NodeStats::add(&node.stats.bytes_sent, len as u64);
+        node.stats.messages_sent.update(|c| c + 1);
+        node.stats.bytes_sent.update(|c| c + len as u64);
         let send_t0 = self.sim().now();
-        let metrics = self.sim().metrics().clone();
-        metrics.counter_add(shrimp_sim::Category::Core, "messages_sent", 1);
-        metrics.counter_add(shrimp_sim::Category::Core, "bytes_sent", len as u64);
         shrimp_sim::trace_event!(
             self.sim().trace(),
             self.sim().now(),
@@ -504,7 +501,7 @@ impl Vmmc {
         // Table 2 experiment: an "aggressive kernel-based implementation"
         // traps into the kernel before every message send.
         if cfg.syscall_send {
-            NodeStats::bump(&node.stats.syscalls);
+            node.stats.syscalls.update(|c| c + 1);
             node.cpu.compute(cfg.syscall_cost).await;
         }
         // The library splits the transfer at source and destination page
@@ -540,7 +537,7 @@ impl Vmmc {
         }
         // Initiation latency: syscall (if any) + per-chunk UDMA setup +
         // reliable handshakes, up to the last chunk's hand-off to the NIC.
-        metrics.observe(
+        self.sim().metrics().observe(
             shrimp_sim::Category::Core,
             "send_latency_ps",
             self.sim().now() - send_t0,
@@ -585,7 +582,8 @@ impl Vmmc {
             if waiter.acked.get() {
                 node.nic.clear_ack_waiter(seq);
                 if attempt > 0 {
-                    NodeStats::add(&node.stats.recovery_time, self.sim().now() - t0);
+                    let took = self.sim().now() - t0;
+                    node.stats.recovery_time.update(|c| c + took);
                 }
                 return Ok(ev);
             }
@@ -600,10 +598,7 @@ impl Vmmc {
                     attempts: attempt,
                 });
             }
-            NodeStats::bump(&node.stats.retransmits);
-            self.sim()
-                .metrics()
-                .counter_add(shrimp_sim::Category::Core, "retransmits", 1);
+            node.stats.retransmits.update(|c| c + 1);
         }
     }
 
@@ -867,7 +862,7 @@ impl Vmmc {
 mod tests {
     use super::*;
     use crate::config::DesignConfig;
-    use shrimp_sim::time;
+    use shrimp_sim::{time, Category};
 
     fn two_nodes() -> (Cluster, Vmmc, Vmmc) {
         let cluster = Cluster::builder(2).config(DesignConfig::default()).build();
@@ -897,6 +892,32 @@ mod tests {
         // sides' page boundaries.
         assert!(cluster.nic(0).counters().du_transfers.get() >= 3);
         assert_eq!(cluster.stats(0).messages_sent.get(), 1);
+    }
+
+    /// Counters need no observability plane: with gauges and histograms
+    /// off, a snapshot still holds every count, equal to its typed cell.
+    #[test]
+    fn counters_reach_the_snapshot_with_metrics_off() {
+        let (cluster, a, b) = two_nodes();
+        let proxy = a.import(b.export(b.space().alloc(1), PAGE_SIZE));
+        let src = a.space().alloc(1);
+        let h = cluster
+            .sim()
+            .spawn(async move { a.send(src, &proxy, 0, 64).await });
+        cluster.run_until_complete(vec![h]);
+        let snap = cluster.sim().metrics().snapshot();
+        let count = |category, name| snap.counter(category, name);
+        let du = cluster.nic(0).counters().du_transfers.get();
+        assert_eq!(du, 1);
+        assert_eq!(count(Category::Nic, "du_transfers"), du);
+        let received = cluster.nic(1).counters().packets_received.get();
+        assert_eq!(count(Category::Net, "packets"), received);
+        let sent = cluster.stats(0).messages_sent.get();
+        assert_eq!(count(Category::Core, "messages_sent"), sent);
+        assert!(snap
+            .samples
+            .iter()
+            .all(|s| matches!(s.value, shrimp_sim::MetricValue::Counter(_))));
     }
 
     #[test]

@@ -4,7 +4,7 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use shrimp_sim::rng::{rng_for_entity, SimRng};
-use shrimp_sim::{FastMap, Time};
+use shrimp_sim::{Category, CounterSet, FastMap, MetricsRegistry, MetricsSnapshot, Time};
 
 use crate::scenario::{FaultScenario, NodeCrash};
 
@@ -21,7 +21,8 @@ pub enum PacketFate {
     Duplicate,
 }
 
-/// Counts of faults actually injected (as opposed to configured rates).
+/// Counts of faults actually injected (as opposed to configured rates),
+/// reported under `net/` since the plane acts on the backplane.
 #[derive(Debug, Default)]
 pub struct FaultStats {
     /// Packets dropped by the plane.
@@ -40,14 +41,27 @@ pub struct FaultStats {
 }
 
 impl FaultStats {
-    /// Total faults injected.
-    pub fn total(&self) -> u64 {
-        self.drops.get()
-            + self.corrupts.get()
-            + self.dups.get()
-            + self.link_rejects.get()
-            + self.reroutes.get()
-            + self.crashes.get()
+    /// Total faults injected: every counter of the set, read by name from
+    /// `snapshot` (summed over all the planes it covers).
+    pub fn injected(snapshot: &MetricsSnapshot) -> u64 {
+        let mut total = 0;
+        FaultStats::default().for_each(&mut |name, _| {
+            total += snapshot.counter(Self::CATEGORY, name);
+        });
+        total
+    }
+}
+
+impl CounterSet for FaultStats {
+    const CATEGORY: Category = Category::Net;
+
+    fn for_each(&self, f: &mut dyn FnMut(&'static str, u64)) {
+        f("drops", self.drops.get());
+        f("corrupts", self.corrupts.get());
+        f("dups", self.dups.get());
+        f("link_rejects", self.link_rejects.get());
+        f("reroutes", self.reroutes.get());
+        f("crashes", self.crashes.get());
     }
 }
 
@@ -119,6 +133,12 @@ impl FaultPlane {
         &self.inner.stats
     }
 
+    /// Registers the plane's [`FaultStats`] with the registry of the
+    /// simulator it injects into.
+    pub fn register_counters(&self, metrics: &MetricsRegistry) {
+        metrics.register_inline(&self.inner, |p| &p.stats);
+    }
+
     /// Draws the fate of the next mesh packet on edge `src -> dst` and
     /// records any injection.
     ///
@@ -133,13 +153,13 @@ impl FaultPlane {
         let roll = self.with_edge(src, dst, |rng| rng.gen_range(0..100u64)) as u8;
         let stats = &self.inner.stats;
         if roll < s.drop_pct {
-            stats.drops.set(stats.drops.get() + 1);
+            stats.drops.update(|c| c + 1);
             PacketFate::Drop
         } else if roll < s.drop_pct + s.corrupt_pct {
-            stats.corrupts.set(stats.corrupts.get() + 1);
+            stats.corrupts.update(|c| c + 1);
             PacketFate::Corrupt
         } else if roll < s.drop_pct + s.corrupt_pct + s.duplicate_pct {
-            stats.dups.set(stats.dups.get() + 1);
+            stats.dups.update(|c| c + 1);
             PacketFate::Duplicate
         } else {
             PacketFate::Deliver
@@ -154,14 +174,12 @@ impl FaultPlane {
 
     /// Records a send refused because no route avoided a failed link.
     pub fn record_link_reject(&self) {
-        let c = &self.inner.stats.link_rejects;
-        c.set(c.get() + 1);
+        self.inner.stats.link_rejects.update(|c| c + 1);
     }
 
     /// Records a packet detoured around a failed link.
     pub fn record_reroute(&self) {
-        let c = &self.inner.stats.reroutes;
-        c.set(c.get() + 1);
+        self.inner.stats.reroutes.update(|c| c + 1);
     }
 
     /// `true` if the scenario contains a link failure (routing must consult
@@ -217,8 +235,7 @@ impl FaultPlane {
 
     /// Records a node crash actually injected.
     pub fn record_crash(&self) {
-        let c = &self.inner.stats.crashes;
-        c.set(c.get() + 1);
+        self.inner.stats.crashes.update(|c| c + 1);
     }
 }
 
@@ -227,6 +244,13 @@ mod tests {
     use super::*;
     use crate::scenario::{FifoStall, LinkFault};
     use shrimp_sim::time;
+
+    /// Faults `plane` injected, read the way records read them.
+    fn injected(plane: &FaultPlane) -> u64 {
+        let metrics = MetricsRegistry::new();
+        plane.register_counters(&metrics);
+        FaultStats::injected(&metrics.snapshot())
+    }
 
     #[test]
     fn fates_replay_with_the_seed() {
@@ -246,7 +270,7 @@ mod tests {
         assert!(fates_a.contains(&PacketFate::Corrupt));
         assert!(fates_a.contains(&PacketFate::Duplicate));
         assert_eq!(
-            a.stats().total(),
+            injected(&a),
             fates_a
                 .iter()
                 .filter(|f| **f != PacketFate::Deliver)
@@ -260,7 +284,7 @@ mod tests {
         for _ in 0..64 {
             assert_eq!(plane.packet_fate(0, 1), PacketFate::Deliver);
         }
-        assert_eq!(plane.stats().total(), 0);
+        assert_eq!(injected(&plane), 0);
     }
 
     #[test]
@@ -361,7 +385,7 @@ mod tests {
         assert_eq!(plane.stats().crashes.get(), 0);
         plane.record_crash();
         assert_eq!(plane.stats().crashes.get(), 1);
-        assert_eq!(plane.stats().total(), 1);
+        assert_eq!(injected(&plane), 1);
     }
 
     #[test]

@@ -148,7 +148,9 @@ pub fn to_chrome_json(run_id: &str, obs: &Observation) -> String {
 mod tests {
     use super::*;
     use crate::json;
+    use shrimp_core::NodeStats;
     use shrimp_sim::{MetricsRegistry, TraceSink};
+    use std::rc::Rc;
 
     fn sample_observation() -> Observation {
         let sink = TraceSink::new();
@@ -167,7 +169,9 @@ mod tests {
         );
         let m = MetricsRegistry::new();
         m.enable();
-        m.counter_add(Category::Net, "packets", 2);
+        let stats = Rc::new(NodeStats::default());
+        stats.messages_sent.set(2);
+        m.register(stats);
         m.observe(Category::Core, "send_latency_ps", 1_000_000);
         Observation {
             events: sink.take(),
@@ -203,7 +207,7 @@ mod tests {
         assert!(text.contains("\"ts\": 2.750001"), "{text}");
         // The metrics snapshot rides along.
         let metrics = doc.get("metrics").unwrap();
-        assert_eq!(metrics.get("net/packets").unwrap().as_u64(), Some(2));
+        assert_eq!(metrics.get("core/messages_sent").unwrap().as_u64(), Some(2));
         let hist = metrics.get("core/send_latency_ps").unwrap();
         assert_eq!(hist.get("kind").unwrap().as_str(), Some("histogram"));
         assert_eq!(hist.get("count").unwrap().as_u64(), Some(1));

@@ -332,11 +332,12 @@ impl<P: 'static> Network<P> {
                 in_flight: RefCell::new(InFlight::new()),
                 cfg,
                 ingress: (0..n_nodes).map(|_| Queue::new()).collect(),
-                stats: NetStats::new(),
+                stats: NetStats::default(),
                 faults: RefCell::new(None),
                 decoupled: None,
             }),
         }
+        .registered()
     }
 
     /// Creates one shard's view of a sharded backplane running the
@@ -381,11 +382,19 @@ impl<P: 'static> Network<P> {
                 in_flight: RefCell::new(InFlight::new()),
                 cfg,
                 ingress: (0..n_nodes).map(|_| Queue::new()).collect(),
-                stats: NetStats::new(),
+                stats: NetStats::default(),
                 faults: RefCell::new(None),
                 decoupled: Some(Rc::new(decoupled)),
             }),
         }
+        .registered()
+    }
+
+    /// Registers a new backplane's counters with its simulator.
+    fn registered(self) -> Self {
+        let metrics = self.inner.sim.metrics();
+        metrics.register_inline(&self.inner, |n| &n.stats);
+        self
     }
 
     /// Installs a fault plane: subsequent [`Network::send`] calls consult it
@@ -403,11 +412,6 @@ impl<P: 'static> Network<P> {
     /// Mesh configuration.
     pub fn config(&self) -> &MeshConfig {
         &self.inner.cfg
-    }
-
-    /// Aggregate statistics.
-    pub fn stats(&self) -> &NetStats {
-        &self.inner.stats
     }
 
     /// The queue into which packets destined for `node` are delivered; the
@@ -511,19 +515,9 @@ impl<P: 'static> Network<P> {
             head = channels.book(channels.eject(dst), head + cfg.hop_latency, serialization);
             drop(guard);
             let waited = head - (ideal_start + (hops + 1) * cfg.hop_latency);
-            self.inner.stats.record_packet(wire_bytes, hops, waited);
-            let metrics = sim.metrics();
-            metrics.counter_add(shrimp_sim::Category::Net, "packets", 1);
-            metrics.counter_add(shrimp_sim::Category::Net, "wire_bytes", wire_bytes);
-            // Channel-busy time: serialization on the inject channel, each
-            // router-to-router link, and the eject channel (utilization
-            // numerator; the run's elapsed time is the denominator).
-            metrics.counter_add(
-                shrimp_sim::Category::Net,
-                "link_busy_ps",
-                serialization * (hops + 2),
-            );
-            metrics.observe(shrimp_sim::Category::Net, "contention_wait_ps", waited);
+            let (stats, metrics) = (&self.inner.stats, sim.metrics());
+            stats.record_packet(wire_bytes, hops, waited, serialization);
+            metrics.observe(shrimp_sim::Category::Net, "packet_wait_ps", waited);
             shrimp_sim::trace_event!(
                 sim.trace(),
                 sim.now(),
@@ -626,15 +620,8 @@ impl<P: 'static> Network<P> {
             granted
         };
         if src != dst {
-            self.inner.stats.record_packet(wire_bytes, hops as u64, 0);
-            let metrics = sim.metrics();
-            metrics.counter_add(shrimp_sim::Category::Net, "packets", 1);
-            metrics.counter_add(shrimp_sim::Category::Net, "wire_bytes", wire_bytes);
-            metrics.counter_add(
-                shrimp_sim::Category::Net,
-                "link_busy_ps",
-                serialization * (hops as u64 + 2),
-            );
+            let stats = &self.inner.stats;
+            stats.record_packet(wire_bytes, hops as u64, 0, serialization);
             shrimp_sim::trace_event!(
                 sim.trace(),
                 sim.now(),
@@ -842,10 +829,6 @@ impl<P: 'static> Network<P> {
         }
         path.reverse();
         plane.record_reroute();
-        self.inner
-            .sim
-            .metrics()
-            .counter_add(shrimp_sim::Category::Net, "reroutes", 1);
         Some(path)
     }
 }
@@ -910,6 +893,12 @@ mod tests {
         assert_eq!(nw.ingress(NodeId(3)).try_recv(), None);
     }
 
+    fn net_counter(sim: &Sim, name: &str) -> u64 {
+        sim.metrics()
+            .snapshot()
+            .counter(shrimp_sim::Category::Net, name)
+    }
+
     #[test]
     fn route_is_dimension_order() {
         let (_sim, nw) = net(16);
@@ -928,7 +917,7 @@ mod tests {
         sim.run();
         assert_eq!(nw.ingress(NodeId(1)).try_recv(), Some(1));
         assert_eq!(nw.ingress(NodeId(15)).try_recv(), Some(2));
-        assert_eq!(nw.stats().packets(), 2);
+        assert_eq!(net_counter(&sim, "packets"), 2);
     }
 
     #[test]
@@ -947,7 +936,7 @@ mod tests {
         let t = nw.send(NodeId(2), NodeId(2), 128, 7);
         sim.run();
         assert_eq!(nw.ingress(NodeId(2)).try_recv(), Some(7));
-        assert_eq!(nw.stats().packets(), 0); // no mesh traversal recorded
+        assert_eq!(net_counter(&sim, "packets"), 0); // no mesh traversal recorded
         assert!(t > 0);
     }
 
@@ -960,7 +949,7 @@ mod tests {
         sim.run();
         let ser = time::transfer(4096 + 16, 200_000_000);
         assert!(b >= a + ser, "second packet overlapped the first");
-        assert!(nw.stats().contention_wait() > 0);
+        assert!(net_counter(&sim, "contention_wait_ps") > 0);
     }
 
     #[test]
@@ -971,7 +960,7 @@ mod tests {
         sim.run();
         // Identical timing: same hop count, no shared channels.
         assert_eq!(a, b);
-        assert_eq!(nw.stats().contention_wait(), 0);
+        assert_eq!(net_counter(&sim, "contention_wait_ps"), 0);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::cell::Cell;
 
-use shrimp_sim::Time;
+use shrimp_sim::{Category, CounterSet, Time};
 
 /// Counters accumulated by a [`Network`](crate::Network) over a run.
 #[derive(Debug, Default)]
@@ -12,39 +12,29 @@ pub struct NetStats {
     hops: Cell<u64>,
     /// Total time packets spent waiting for busy channels.
     contention_wait: Cell<Time>,
+    /// Channel-busy time: serialization on every channel a packet holds
+    /// (inject, each link, eject); the utilization numerator.
+    link_busy: Cell<Time>,
 }
 
 impl NetStats {
-    /// Creates zeroed statistics.
-    pub fn new() -> Self {
-        Self::default()
+    pub(crate) fn record_packet(&self, bytes: u64, hops: u64, waited: Time, serialization: Time) {
+        self.packets.update(|c| c + 1);
+        self.bytes.update(|c| c + bytes);
+        self.hops.update(|c| c + hops);
+        self.contention_wait.update(|c| c + waited);
+        self.link_busy.update(|c| c + serialization * (hops + 2));
     }
+}
 
-    pub(crate) fn record_packet(&self, bytes: u64, hops: u64, waited: Time) {
-        self.packets.set(self.packets.get() + 1);
-        self.bytes.set(self.bytes.get() + bytes);
-        self.hops.set(self.hops.get() + hops);
-        self.contention_wait
-            .set(self.contention_wait.get() + waited);
-    }
+impl CounterSet for NetStats {
+    const CATEGORY: Category = Category::Net;
 
-    /// Packets injected.
-    pub fn packets(&self) -> u64 {
-        self.packets.get()
-    }
-
-    /// Payload bytes injected.
-    pub fn bytes(&self) -> u64 {
-        self.bytes.get()
-    }
-
-    /// Sum of per-packet hop counts.
-    pub fn hops(&self) -> u64 {
-        self.hops.get()
-    }
-
-    /// Sum of time packets waited on busy channels (contention indicator).
-    pub fn contention_wait(&self) -> Time {
-        self.contention_wait.get()
+    fn for_each(&self, f: &mut dyn FnMut(&'static str, u64)) {
+        f("packets", self.packets.get());
+        f("wire_bytes", self.bytes.get());
+        f("hops", self.hops.get());
+        f("contention_wait_ps", self.contention_wait.get());
+        f("link_busy_ps", self.link_busy.get());
     }
 }

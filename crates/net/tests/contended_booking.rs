@@ -13,7 +13,7 @@ use std::rc::Rc;
 
 use shrimp_faults::{FaultPlane, FaultScenario, LinkFault};
 use shrimp_net::{MeshConfig, Network, NodeId};
-use shrimp_sim::{time, Resource, Sim, Time};
+use shrimp_sim::{time, Category, Resource, Sim, Time};
 use shrimp_testkit::prop::*;
 use shrimp_testkit::{prop_assert_eq, props};
 
@@ -97,7 +97,8 @@ fn run(
     let cfg = MeshConfig::for_nodes(nodes);
     let net: Network<u64> = Network::new(sim.clone(), cfg.clone(), nodes);
     // The reference routes on a network of its own with a plane of its
-    // own, so its route lookups leave the real plane's counters alone.
+    // own, so its route lookups leave the real plane's counters alone; it
+    // sends nothing, so it adds nothing to the simulator's `net/` counters.
     let router: Network<u64> = Network::new(sim.clone(), cfg.clone(), nodes);
     let scenario = FaultScenario {
         link,
@@ -140,12 +141,17 @@ fn run(
     }
     sim.run();
     let (got, want) = arrivals.borrow().iter().copied().unzip();
-    let stats = net.stats();
+    let counters = sim.metrics().snapshot();
+    let count = |name| counters.counter(Category::Net, name);
     let r = reference.borrow();
     (
         (got, want),
         (
-            (stats.packets(), stats.bytes(), stats.contention_wait()),
+            (
+                count("packets"),
+                count("wire_bytes"),
+                count("contention_wait_ps"),
+            ),
             (r.packets, r.bytes, r.wait),
         ),
     )

@@ -3,6 +3,8 @@
 
 use std::cell::Cell;
 
+use shrimp_sim::{Category, CounterSet};
+
 /// Counters maintained by one NIC.
 #[derive(Debug, Default)]
 pub struct NicCounters {
@@ -26,8 +28,6 @@ pub struct NicCounters {
     pub interrupts_raised: Cell<u64>,
     /// Outgoing-FIFO threshold interrupts.
     pub fifo_threshold_interrupts: Cell<u64>,
-    /// High-water mark of outgoing FIFO occupancy in bytes.
-    pub fifo_high_water: Cell<usize>,
     /// Packets whose payload failed the header checksum at ingress.
     pub corrupt_detected: Cell<u64>,
     /// Sequenced packets discarded as already-delivered duplicates.
@@ -41,35 +41,27 @@ pub struct NicCounters {
     pub detection_latency: Cell<u64>,
 }
 
-impl NicCounters {
-    /// Creates zeroed counters.
-    pub fn new() -> Self {
-        Self::default()
-    }
+impl CounterSet for NicCounters {
+    const CATEGORY: Category = Category::Nic;
 
-    pub(crate) fn bump(cell: &Cell<u64>) {
-        cell.set(cell.get() + 1);
-    }
-
-    pub(crate) fn add(cell: &Cell<u64>, v: u64) {
-        cell.set(cell.get() + v);
-    }
-
-    /// Total packets sent by either mechanism.
-    pub fn packets_sent(&self) -> u64 {
-        self.du_transfers.get() + self.au_packets.get()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn packets_sent_sums_both_mechanisms() {
-        let c = NicCounters::new();
-        NicCounters::bump(&c.du_transfers);
-        NicCounters::add(&c.au_packets, 4);
-        assert_eq!(c.packets_sent(), 5);
+    fn for_each(&self, f: &mut dyn FnMut(&'static str, u64)) {
+        f("du_transfers", self.du_transfers.get());
+        f("du_bytes", self.du_bytes.get());
+        f("au_stores", self.au_stores.get());
+        f("au_packets", self.au_packets.get());
+        f("au_bytes", self.au_bytes.get());
+        f("au_combined_stores", self.au_combined_stores.get());
+        f("packets_received", self.packets_received.get());
+        f("protection_drops", self.protection_drops.get());
+        f("interrupts_raised", self.interrupts_raised.get());
+        f(
+            "fifo_threshold_interrupts",
+            self.fifo_threshold_interrupts.get(),
+        );
+        f("corrupt_detected", self.corrupt_detected.get());
+        f("dup_suppressed", self.dup_suppressed.get());
+        f("acks_sent", self.acks_sent.get());
+        f("nacks_sent", self.nacks_sent.get());
+        f("detection_latency_ps", self.detection_latency.get());
     }
 }

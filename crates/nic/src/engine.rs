@@ -184,7 +184,7 @@ impl Nic {
                 membus,
                 net,
                 tables: PageTables::new(),
-                counters: NicCounters::new(),
+                counters: NicCounters::default(),
                 du_queue: Queue::new(),
                 pending_au: RefCell::new(None),
                 au_fifo: Queue::new(),
@@ -204,6 +204,8 @@ impl Nic {
                 power_epoch: Cell::new(0),
             }),
         };
+        let metrics = nic.inner.sim.metrics();
+        metrics.register_inline(&nic.inner, |n| &n.counters);
         // The Xpress-bus board: snoop every main-memory write. The hook
         // holds a weak reference: the board owns the memory, so a strong
         // one would keep both alive forever; a dropped board snoops nothing.
@@ -356,8 +358,8 @@ impl Nic {
 
     fn send_control(&self, dst: NodeId, seq: u64, kind: PacketKind) {
         match kind {
-            PacketKind::Ack => NicCounters::bump(&self.inner.counters.acks_sent),
-            PacketKind::Nack => NicCounters::bump(&self.inner.counters.nacks_sent),
+            PacketKind::Ack => self.inner.counters.acks_sent.update(|c| c + 1),
+            PacketKind::Nack => self.inner.counters.nacks_sent.update(|c| c + 1),
             _ => unreachable!("send_control takes control kinds only"),
         }
         let data = crate::pool::copied(&seq.to_le_bytes());
@@ -384,7 +386,7 @@ impl Nic {
     /// covers the loss.
     fn handle_control(&self, pkt: &Packet) {
         if !pkt.checksum_ok() {
-            NicCounters::bump(&self.inner.counters.corrupt_detected);
+            self.inner.counters.corrupt_detected.update(|c| c + 1);
             return;
         }
         let mut waiters = self.inner.ack_waiters.borrow_mut();
@@ -484,13 +486,10 @@ impl Nic {
 
             let mut data = crate::pool::zeroed(req.len);
             self.inner.mem.read(req.src, &mut data);
-            NicCounters::bump(&self.inner.counters.du_transfers);
-            NicCounters::add(&self.inner.counters.du_bytes, req.len as u64);
-            let metrics = self.inner.sim.metrics();
-            metrics.counter_add(shrimp_sim::Category::Nic, "du_transfers", 1);
-            metrics.counter_add(shrimp_sim::Category::Nic, "du_bytes", req.len as u64);
+            self.inner.counters.du_transfers.update(|c| c + 1);
+            self.inner.counters.du_bytes.update(|c| c + req.len as u64);
             // Requests still queued behind this one (the depth §4.5.3 varies).
-            metrics.gauge_set(
+            self.inner.sim.metrics().gauge_set(
                 shrimp_sim::Category::Nic,
                 "du_queue_depth",
                 self.inner.du_queue.len() as u64,
@@ -552,7 +551,7 @@ impl Nic {
         if !entry.au_enable {
             return;
         }
-        NicCounters::bump(&self.inner.counters.au_stores);
+        self.inner.counters.au_stores.update(|c| c + 1);
         let combining = self.inner.cfg.combining && entry.combine;
 
         if combining {
@@ -566,7 +565,7 @@ impl Nic {
                         * self.inner.cfg.combine_subpage;
                 if contiguous && same_subpage {
                     p.data.extend_from_slice(data);
-                    NicCounters::bump(&self.inner.counters.au_combined_stores);
+                    self.inner.counters.au_combined_stores.update(|c| c + 1);
                     return;
                 }
             }
@@ -637,14 +636,10 @@ impl Nic {
             self.inner.cfg.out_fifo_capacity
         );
         self.inner.fifo_bytes.set(occ);
-        if occ > self.inner.counters.fifo_high_water.get() {
-            self.inner.counters.fifo_high_water.set(occ);
-        }
-        NicCounters::bump(&self.inner.counters.au_packets);
-        NicCounters::add(&self.inner.counters.au_bytes, len as u64);
+        let counters = &self.inner.counters;
+        counters.au_packets.update(|c| c + 1);
+        counters.au_bytes.update(|c| c + len as u64);
         let metrics = self.inner.sim.metrics();
-        metrics.counter_add(shrimp_sim::Category::Nic, "au_packets", 1);
-        metrics.counter_add(shrimp_sim::Category::Nic, "au_bytes", len as u64);
         metrics.gauge_set(shrimp_sim::Category::Nic, "fifo_occupancy", occ as u64);
         trace_event!(
             self.inner.sim.trace(),
@@ -686,8 +681,7 @@ impl Nic {
         // software de-schedules AU writers until the FIFO drains (§4.5.2).
         if occ > self.inner.cfg.out_fifo_threshold && !self.inner.threshold_pending.get() {
             self.inner.threshold_pending.set(true);
-            NicCounters::bump(&self.inner.counters.fifo_threshold_interrupts);
-            metrics.counter_add(shrimp_sim::Category::Nic, "fifo_threshold_interrupts", 1);
+            counters.fifo_threshold_interrupts.update(|c| c + 1);
             let nic = self.clone();
             self.inner
                 .sim
@@ -710,11 +704,6 @@ impl Nic {
     /// writers blocked by [`Nic::au_blocked`] wait on it.
     pub fn drain_gate(&self) -> Gate {
         self.inner.drain_gate.clone()
-    }
-
-    /// Current outgoing-FIFO occupancy in bytes.
-    pub fn fifo_occupancy(&self) -> usize {
-        self.inner.fifo_bytes.get()
     }
 
     async fn drain_engine(&self) {
@@ -786,7 +775,8 @@ impl Nic {
             self.handle_control(pkt);
             return;
         }
-        NicCounters::bump(&self.inner.counters.packets_received);
+        let counters = &self.inner.counters;
+        counters.packets_received.update(|c| c + 1);
         // Wire+contention latency of this packet, source NIC to ingress.
         self.inner.sim.metrics().observe(
             shrimp_sim::Category::Nic,
@@ -797,11 +787,9 @@ impl Nic {
             // In-flight corruption: count it, record how long the damage
             // was in flight, and nack sequenced transfers so the sender
             // retransmits without waiting out its timeout.
-            NicCounters::bump(&self.inner.counters.corrupt_detected);
-            NicCounters::add(
-                &self.inner.counters.detection_latency,
-                self.inner.sim.now().saturating_sub(pkt.sent_at),
-            );
+            counters.corrupt_detected.update(|c| c + 1);
+            let in_flight = self.inner.sim.now().saturating_sub(pkt.sent_at);
+            counters.detection_latency.update(|c| c + in_flight);
             if pkt.seq != 0 {
                 self.send_control(pkt.src, pkt.seq, PacketKind::Nack);
             }
@@ -819,17 +807,17 @@ impl Nic {
                 // Retransmit of a delivered transfer (its ack was lost or
                 // late, or the plane duplicated it): re-ack, never DMA or
                 // interrupt twice.
-                NicCounters::bump(&self.inner.counters.dup_suppressed);
+                counters.dup_suppressed.update(|c| c + 1);
                 self.send_control(pkt.src, pkt.seq, PacketKind::Ack);
                 return;
             }
         }
         let Some(entry) = self.inner.tables.ipt_get(pkt.dst_page) else {
-            NicCounters::bump(&self.inner.counters.protection_drops);
+            counters.protection_drops.update(|c| c + 1);
             return;
         };
         if !entry.accept {
-            NicCounters::bump(&self.inner.counters.protection_drops);
+            counters.protection_drops.update(|c| c + 1);
             return;
         }
         // Receive through the NIC chip port (blocks the outgoing drain),
@@ -857,12 +845,10 @@ impl Nic {
             .mem
             .dma_write(Paddr::from_parts(pkt.dst_page, pkt.offset), &pkt.data);
         if pkt.interrupt && (entry.interrupt_enable || self.inner.cfg.force_arrival_interrupts) {
-            NicCounters::bump(&self.inner.counters.interrupts_raised);
-            let metrics = self.inner.sim.metrics();
-            metrics.counter_add(shrimp_sim::Category::Nic, "interrupts_raised", 1);
+            counters.interrupts_raised.update(|c| c + 1);
             // Latency from the sender's NIC to the interrupt being raised —
             // what the paper's Table 4 pays on every message arrival.
-            metrics.observe(
+            self.inner.sim.metrics().observe(
                 shrimp_sim::Category::Nic,
                 "intr_raise_latency_ps",
                 self.inner.sim.now().saturating_sub(pkt.sent_at),
@@ -922,6 +908,7 @@ mod tests {
     use super::*;
     use shrimp_mem::{AddressSpace, CacheMode};
     use shrimp_net::{MeshConfig, Network};
+    use shrimp_sim::MetricValue;
 
     struct Rig {
         sim: Sim,
@@ -1444,6 +1431,7 @@ mod tests {
         cfg.fifo_interrupt_latency = time::ns(100);
         cfg.combining = false;
         let r = rig(2, cfg);
+        r.sim.metrics().enable();
         let (src_page, _) = bind_au(&r, 0, 1, false, false);
         // Pour stores in, respecting the de-scheduling protocol like the
         // VMMC layer does.
@@ -1466,7 +1454,12 @@ mod tests {
             c.fifo_threshold_interrupts.get() >= 1,
             "threshold never hit"
         );
-        assert!(c.fifo_high_water.get() <= 1024, "FIFO overflowed");
+        let occupancy = r.sim.metrics().snapshot();
+        let high_water = occupancy.get(shrimp_sim::Category::Nic, "fifo_occupancy");
+        assert!(
+            matches!(high_water, Some(&MetricValue::Gauge { max, .. }) if max <= 1024),
+            "FIFO overflowed: {high_water:?}"
+        );
         assert_eq!(c.au_packets.get(), 200);
         assert_eq!(r.nics[1].counters().packets_received.get(), 200);
     }

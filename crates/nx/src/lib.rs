@@ -95,9 +95,6 @@ struct NxInner {
     inl: Vec<Option<RingReceiver>>,
     pending: RefCell<VecDeque<NxMessage>>,
     barrier_epoch: Cell<u32>,
-    sends: Cell<u64>,
-    recvs: Cell<u64>,
-    bytes_sent: Cell<u64>,
 }
 
 /// One process's NX endpoint. Cheap to clone.
@@ -156,9 +153,6 @@ pub fn create(cluster: &Cluster, cfg: NxConfig) -> Vec<Nx> {
                 inl,
                 pending: RefCell::new(VecDeque::new()),
                 barrier_epoch: Cell::new(0),
-                sends: Cell::new(0),
-                recvs: Cell::new(0),
-                bytes_sent: Cell::new(0),
             }),
         });
     }
@@ -181,21 +175,6 @@ impl Nx {
         &self.inner.vmmc
     }
 
-    /// Messages sent by this endpoint.
-    pub fn sends(&self) -> u64 {
-        self.inner.sends.get()
-    }
-
-    /// Messages received by this endpoint.
-    pub fn recvs(&self) -> u64 {
-        self.inner.recvs.get()
-    }
-
-    /// Payload bytes sent.
-    pub fn bytes_sent(&self) -> u64 {
-        self.inner.bytes_sent.get()
-    }
-
     /// Sends `data` with `msg_type` to process `dst`, blocking until the
     /// message is in flight and the source is reusable (NX `csend`).
     ///
@@ -207,10 +186,6 @@ impl Nx {
         let link = self.inner.out[dst].as_ref().expect("no link");
         let guard = self.inner.out_guards[dst].as_ref().unwrap();
         guard.acquire().await;
-        self.inner.sends.set(self.inner.sends.get() + 1);
-        self.inner
-            .bytes_sent
-            .set(self.inner.bytes_sent.get() + data.len() as u64);
         link.send_frame(msg_type, data).await;
         guard.release();
     }
@@ -254,7 +229,6 @@ impl Nx {
             let mut pending = self.inner.pending.borrow_mut();
             if let Some(i) = pending.iter().position(&matches) {
                 let m = pending.remove(i).unwrap();
-                self.inner.recvs.set(self.inner.recvs.get() + 1);
                 return m;
             }
         }
@@ -274,7 +248,6 @@ impl Nx {
                     pulled_any = true;
                     self.return_cursor(src).await;
                     if matches(&m) {
-                        self.inner.recvs.set(self.inner.recvs.get() + 1);
                         return m;
                     }
                     self.inner.pending.borrow_mut().push_back(m);
@@ -487,10 +460,10 @@ mod tests {
                     let m = nx.crecv(Some(1), Some(0)).await;
                     assert_eq!(m.data, vec![i as u8; 1024]);
                 }
-                nx.recvs()
+                1u64
             }
         });
-        assert_eq!(out[1], 8);
+        assert_eq!(out[1], 1, "the receiver took all eight messages");
     }
 
     #[test]

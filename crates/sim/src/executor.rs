@@ -412,8 +412,8 @@ impl Sim {
         &self.inner.trace
     }
 
-    /// The simulator's metrics registry (disabled by default; see
-    /// [`MetricsRegistry::enable`]).
+    /// The simulator's metrics registry: counters always on, gauges and
+    /// histograms off until [`MetricsRegistry::enable`].
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.inner.metrics
     }

@@ -53,7 +53,9 @@ pub mod wheel;
 
 pub use executor::{HandlerId, Sim, TaskHandle, TimerHandler};
 pub use fastmap::{FastMap, FastSet};
-pub use metrics::{HistogramSnapshot, MetricSample, MetricValue, MetricsRegistry, MetricsSnapshot};
+pub use metrics::{
+    CounterSet, HistogramSnapshot, MetricSample, MetricValue, MetricsRegistry, MetricsSnapshot,
+};
 pub use queue::{unbounded, Queue, QueueReceiver, QueueSender};
 pub use rng::SimRng;
 pub use shard::{

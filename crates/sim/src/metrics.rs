@@ -1,16 +1,21 @@
-//! Deterministic metrics registry: typed counters, gauges, and fixed-bucket
-//! latency histograms keyed by `(Category, &'static str)`.
+//! Deterministic metrics registry: always-on counters plus opt-in gauges
+//! and fixed-bucket latency histograms, keyed by `(Category, &'static str)`.
 //!
-//! Like the [`TraceSink`](crate::trace::TraceSink), the registry is off by
-//! default and costs one branch per call site when disabled, so the
+//! Every count lives in one `Cell` field of a typed [`CounterSet`]
+//! (`NodeStats`, `NicCounters`, ...), which registers once with its
+//! simulator's registry; hot paths bump the cell and nothing else. Counters
+//! are therefore always on: a [`MetricsSnapshot`] reads every registered
+//! set, summing equal keys, and records are built from it by name. Gauges
+//! and histograms, like the [`TraceSink`](crate::trace::TraceSink), cost
+//! one branch per call site until [`MetricsRegistry::enable`], so the
 //! deterministic sweep artifacts stay byte-identical whether or not the
-//! observability plane is compiled in. Every recorded quantity is simulated
+//! observability plane is on. Every recorded quantity is simulated
 //! (picoseconds, byte counts, occupancies) — never host wall-clock — so a
-//! [`MetricsSnapshot`] serializes identically on every machine.
+//! snapshot serializes identically on every machine.
 //!
-//! Instruments:
+//! Instruments (one kind per key; a snapshot panics on a clash):
 //!
-//! * **Counter** — monotone sum ([`MetricsRegistry::counter_add`]).
+//! * **Counter** — monotone sum, read from a registered [`CounterSet`].
 //! * **Gauge** — last-written value plus the high-water mark
 //!   ([`MetricsRegistry::gauge_set`]).
 //! * **Histogram** — power-of-two buckets over `u64` with count/sum/min/max
@@ -51,6 +56,22 @@ pub fn bucket_bounds(i: usize) -> (u64, u64) {
     }
 }
 
+/// A typed set of always-on counters: `Cell` fields that hot paths bump
+/// directly and the registry reads through [`CounterSet::for_each`].
+pub trait CounterSet: 'static {
+    /// The component every counter of the set belongs to.
+    const CATEGORY: Category;
+
+    /// Calls `f(name, value)` once per counter: the one place each field
+    /// gets its snapshot name.
+    fn for_each(&self, f: &mut dyn FnMut(&'static str, u64));
+}
+
+type Key = (Category, &'static str);
+
+/// Reads one registered set as `(category, name, value)` triples.
+type SetReader = Box<dyn Fn(&mut dyn FnMut(Category, &'static str, u64))>;
+
 #[derive(Debug, Clone, Copy)]
 struct Hist {
     count: u64,
@@ -82,20 +103,21 @@ impl Hist {
 
 #[derive(Debug, Clone)]
 enum Instrument {
-    Counter(u64),
     Gauge { last: u64, max: u64 },
-    // Boxed: the inline bucket array would bloat every counter/gauge
-    // entry to histogram size.
+    // Boxed: the inline bucket array would bloat every gauge entry to
+    // histogram size.
     Histogram(Box<Hist>),
 }
 
 struct RegistryInner {
     enabled: Cell<bool>,
-    map: RefCell<BTreeMap<(Category, &'static str), Instrument>>,
+    map: RefCell<BTreeMap<Key, Instrument>>,
+    sets: RefCell<Vec<SetReader>>,
 }
 
-/// A shared, deterministic metrics registry. Cheap to clone; disabled by
-/// default ([`MetricsRegistry::enable`]).
+/// A shared, deterministic metrics registry. Cheap to clone. Counters are
+/// always on; gauges and histograms record after
+/// [`MetricsRegistry::enable`].
 #[derive(Clone)]
 pub struct MetricsRegistry {
     inner: Rc<RegistryInner>,
@@ -105,6 +127,7 @@ impl std::fmt::Debug for MetricsRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MetricsRegistry")
             .field("enabled", &self.inner.enabled.get())
+            .field("counter_sets", &self.inner.sets.borrow().len())
             .field("instruments", &self.inner.map.borrow().len())
             .finish()
     }
@@ -117,48 +140,54 @@ impl Default for MetricsRegistry {
 }
 
 impl MetricsRegistry {
-    /// Creates a disabled, empty registry.
+    /// Creates an empty registry with gauges and histograms disabled.
     pub fn new() -> Self {
         MetricsRegistry {
             inner: Rc::new(RegistryInner {
                 enabled: Cell::new(false),
                 map: RefCell::new(BTreeMap::new()),
+                sets: RefCell::new(Vec::new()),
             }),
         }
     }
 
-    /// Enables recording. Until this is called every instrument method is
-    /// a single predictable branch.
+    /// Enables gauges and histograms. Until this is called each of their
+    /// methods is a single predictable branch.
     pub fn enable(&self) {
         self.inner.enabled.set(true);
     }
 
-    /// Disables recording (already-recorded values are kept).
-    pub fn disable(&self) {
-        self.inner.enabled.set(false);
-    }
-
-    /// `true` while recording.
+    /// `true` while gauges and histograms record.
     #[inline]
     pub fn enabled(&self) -> bool {
         self.inner.enabled.get()
     }
 
-    // The three instrument methods inline their disabled check into the
-    // caller (the hot paths call them on every packet) and keep the
-    // recording body out of line.
-
-    /// Adds `v` to the counter `(category, name)` (no-op when disabled).
-    #[inline]
-    pub fn counter_add(&self, category: Category, name: &'static str, v: u64) {
-        if self.enabled() {
-            let empty = || Instrument::Counter(0);
-            self.record(category, name, empty, |inst| match inst {
-                Instrument::Counter(c) => *c = c.saturating_add(v),
-                other => panic!("metric {category}/{name} is not a counter: {other:?}"),
-            });
-        }
+    /// Registers a shared set and keeps it alive, so its counts outlive
+    /// the component that bumped them (an SVM run, a finished client). The
+    /// set must not hold the simulator, or it would form a cycle.
+    pub fn register<S: CounterSet>(&self, set: Rc<S>) {
+        let read: SetReader = Box::new(move |f| set.for_each(&mut |n, v| f(S::CATEGORY, n, v)));
+        self.inner.sets.borrow_mut().push(read);
     }
+
+    /// Registers a set stored inline in `owner` (`set` projects it out),
+    /// read while the owner lives. Only a `Weak` to the owner is kept: an
+    /// owner that holds the simulator forms no cycle, and the hot path
+    /// reaches its cells with no extra pointer.
+    pub fn register_inline<T: 'static, S: CounterSet>(&self, owner: &Rc<T>, set: fn(&T) -> &S) {
+        let owner = Rc::downgrade(owner);
+        let read: SetReader = Box::new(move |f| {
+            if let Some(owner) = owner.upgrade() {
+                set(&owner).for_each(&mut |n, v| f(S::CATEGORY, n, v));
+            }
+        });
+        self.inner.sets.borrow_mut().push(read);
+    }
+
+    // The two opt-in instrument methods inline their disabled check into
+    // the caller (the hot paths call them on every packet) and keep the
+    // recording body out of line.
 
     /// Sets the gauge `(category, name)` to `v`, tracking its high-water
     /// mark (no-op when disabled).
@@ -209,33 +238,49 @@ impl MetricsRegistry {
         );
     }
 
-    /// Snapshots every instrument in deterministic `(Category, name)`
-    /// order. The registry keeps recording afterwards.
+    /// Snapshots every registered counter (summed over the sets that share
+    /// its key) and every gauge and histogram, in deterministic
+    /// `(Category, name)` order. The registry keeps recording afterwards.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a gauge or histogram has a counter's key.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let samples = self
-            .inner
-            .map
-            .borrow()
-            .iter()
-            .map(|(&(category, name), inst)| MetricSample {
+        let mut values = BTreeMap::new();
+        for read in self.inner.sets.borrow().iter() {
+            read(&mut |category, name, v| {
+                let total = values.entry((category, name));
+                if let MetricValue::Counter(c) = total.or_insert(MetricValue::Counter(0)) {
+                    *c = c.saturating_add(v);
+                }
+            });
+        }
+        for (&(category, name), inst) in self.inner.map.borrow().iter() {
+            let value = match inst {
+                &Instrument::Gauge { last, max } => MetricValue::Gauge { last, max },
+                Instrument::Histogram(h) => {
+                    // Trim trailing empty buckets; the index encodes the
+                    // bit length, so a short vector is unambiguous.
+                    let upper = h.buckets.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1);
+                    MetricValue::Histogram(HistogramSnapshot {
+                        count: h.count,
+                        sum: h.sum,
+                        min: if h.count == 0 { 0 } else { h.min },
+                        max: h.max,
+                        buckets: h.buckets[..upper].to_vec(),
+                    })
+                }
+            };
+            if values.insert((category, name), value).is_some() {
+                panic!("metric {category}/{name} is both a counter and another instrument");
+            }
+        }
+        let samples = values
+            .into_iter()
+            .map(|((category, name), value)| MetricSample {
                 category,
                 name,
-                value: match inst {
-                    &Instrument::Counter(v) => MetricValue::Counter(v),
-                    &Instrument::Gauge { last, max } => MetricValue::Gauge { last, max },
-                    Instrument::Histogram(h) => {
-                        // Trim trailing empty buckets; the index encodes the
-                        // bit length, so a short vector is unambiguous.
-                        let upper = h.buckets.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1);
-                        MetricValue::Histogram(HistogramSnapshot {
-                            count: h.count,
-                            sum: h.sum,
-                            min: if h.count == 0 { 0 } else { h.min },
-                            max: h.max,
-                            buckets: h.buckets[..upper].to_vec(),
-                        })
-                    }
-                },
+                value,
             })
             .collect();
         MetricsSnapshot { samples }
@@ -341,6 +386,15 @@ impl MetricsSnapshot {
             .map(|s| &s.value)
     }
 
+    /// The counter `(category, name)`, or `0` when no registered set names
+    /// it — how records are built from a snapshot, by name.
+    pub fn counter(&self, category: Category, name: &str) -> u64 {
+        match self.get(category, name) {
+            Some(&MetricValue::Counter(v)) => v,
+            _ => 0,
+        }
+    }
+
     /// Folds `other` into `self`, instrument by instrument, preserving the
     /// deterministic `(Category, name)` order.
     ///
@@ -433,32 +487,74 @@ fn merge_value(a: &MetricValue, b: &MetricValue) -> MetricValue {
 mod tests {
     use super::*;
 
-    #[test]
-    fn disabled_registry_records_nothing() {
-        let m = MetricsRegistry::new();
-        m.counter_add(Category::Nic, "pkts", 3);
-        m.gauge_set(Category::Nic, "depth", 9);
-        m.observe(Category::Net, "lat_ps", 1234);
-        assert!(m.snapshot().samples.is_empty());
+    /// A one-counter test set: `nic/pkts`.
+    struct Pkts(Cell<u64>);
+
+    impl CounterSet for Pkts {
+        const CATEGORY: Category = Category::Nic;
+
+        fn for_each(&self, f: &mut dyn FnMut(&'static str, u64)) {
+            f("pkts", self.0.get());
+        }
+    }
+
+    fn pkts(n: u64) -> Rc<Pkts> {
+        Rc::new(Pkts(Cell::new(n)))
     }
 
     #[test]
-    fn counters_sum_and_gauges_track_high_water() {
+    fn disabled_registry_records_only_counters() {
+        let m = MetricsRegistry::new();
+        m.register(pkts(3));
+        m.gauge_set(Category::Nic, "depth", 9);
+        m.observe(Category::Net, "lat_ps", 1234);
+        let snap = m.snapshot();
+        assert_eq!(snap.samples.len(), 1);
+        assert_eq!(snap.counter(Category::Nic, "pkts"), 3);
+        assert_eq!(snap.counter(Category::Nic, "absent"), 0);
+    }
+
+    #[test]
+    fn counters_sum_by_key_and_gauges_track_high_water() {
         let m = MetricsRegistry::new();
         m.enable();
-        m.counter_add(Category::Nic, "pkts", 3);
-        m.counter_add(Category::Nic, "pkts", 4);
+        let a = pkts(3);
+        m.register(Rc::clone(&a));
+        m.register(pkts(4));
+        a.0.set(4);
         m.gauge_set(Category::Nic, "depth", 9);
         m.gauge_set(Category::Nic, "depth", 2);
         let snap = m.snapshot();
         assert_eq!(
             snap.get(Category::Nic, "pkts"),
-            Some(&MetricValue::Counter(7))
+            Some(&MetricValue::Counter(8)),
+            "read at snapshot time, summed by key"
         );
         assert_eq!(
             snap.get(Category::Nic, "depth"),
             Some(&MetricValue::Gauge { last: 2, max: 9 })
         );
+    }
+
+    #[test]
+    fn inline_sets_are_read_while_their_owner_lives() {
+        let m = MetricsRegistry::new();
+        let owner = Rc::new((0u8, Pkts(Cell::new(5))));
+        m.register_inline(&owner, |o| &o.1);
+        assert_eq!(m.snapshot().counter(Category::Nic, "pkts"), 5);
+        assert_eq!(Rc::strong_count(&owner), 1, "no strong ref is kept");
+        drop(owner);
+        assert_eq!(m.snapshot().counter(Category::Nic, "pkts"), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "is both a counter and another instrument")]
+    fn a_histogram_on_a_counter_key_panics() {
+        let m = MetricsRegistry::new();
+        m.enable();
+        m.register(pkts(1));
+        m.observe(Category::Nic, "pkts", 7);
+        m.snapshot();
     }
 
     #[test]
@@ -493,9 +589,10 @@ mod tests {
         let build = || {
             let m = MetricsRegistry::new();
             m.enable();
-            m.counter_add(Category::Svm, "b", 1);
-            m.counter_add(Category::Nic, "z", 1);
-            m.counter_add(Category::Nic, "a", 1);
+            m.gauge_set(Category::Svm, "b", 1);
+            m.gauge_set(Category::Nic, "z", 1);
+            m.register(pkts(1));
+            m.gauge_set(Category::Nic, "a", 1);
             m.snapshot()
         };
         let a = build();
@@ -506,6 +603,7 @@ mod tests {
             names,
             vec![
                 (Category::Nic, "a"),
+                (Category::Nic, "pkts"),
                 (Category::Nic, "z"),
                 (Category::Svm, "b"),
             ]
@@ -582,7 +680,7 @@ mod tests {
         let build = |vals: &[u64], extra: bool| {
             let m = MetricsRegistry::new();
             m.enable();
-            m.counter_add(Category::Net, "pkts", vals.len() as u64);
+            m.register(pkts(vals.len() as u64));
             for &v in vals {
                 m.observe(Category::App, "lat", v);
             }
@@ -599,7 +697,7 @@ mod tests {
         ba.merge(&a);
         assert_eq!(ab, ba);
         assert_eq!(
-            ab.get(Category::Net, "pkts"),
+            ab.get(Category::Nic, "pkts"),
             Some(&MetricValue::Counter(5))
         );
         assert_eq!(
@@ -623,11 +721,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "is not a counter")]
+    #[should_panic(expected = "is not a gauge")]
     fn kind_mismatch_panics() {
         let m = MetricsRegistry::new();
         m.enable();
         m.observe(Category::Other, "x", 1);
-        m.counter_add(Category::Other, "x", 1);
+        m.gauge_set(Category::Other, "x", 1);
     }
 }

@@ -2,7 +2,7 @@
 
 use std::cell::Cell;
 
-use shrimp_sim::Time;
+use shrimp_sim::{Category, CounterSet, Time};
 
 /// Counters and category timers maintained by one SVM node.
 ///
@@ -21,10 +21,10 @@ pub struct SvmStats {
     pub release_time: Cell<Time>,
     /// Wall time in read/write faults: traps, twins, remote page fetches.
     pub fault_time: Cell<Time>,
-    /// Page faults taken.
-    pub faults: Cell<u64>,
-    /// Remote page fetches.
-    pub fetches: Cell<u64>,
+    /// Read faults served, each by one remote page fetch.
+    pub read_faults: Cell<u64>,
+    /// Write faults served.
+    pub write_faults: Cell<u64>,
     /// Diffs transmitted to homes.
     pub diffs_sent: Cell<u64>,
     /// Words modified across all transmitted diffs.
@@ -39,44 +39,21 @@ pub struct SvmStats {
     pub barriers: Cell<u64>,
 }
 
-impl SvmStats {
-    /// Creates zeroed statistics.
-    pub fn new() -> Self {
-        Self::default()
-    }
+impl CounterSet for SvmStats {
+    const CATEGORY: Category = Category::Svm;
 
-    pub(crate) fn add_time(cell: &Cell<Time>, d: Time) {
-        cell.set(cell.get() + d);
-    }
-
-    pub(crate) fn bump(cell: &Cell<u64>) {
-        cell.set(cell.get() + 1);
-    }
-
-    pub(crate) fn add(cell: &Cell<u64>, v: u64) {
-        cell.set(cell.get() + v);
-    }
-
-    /// Sum of all categorized (non-compute) wall time.
-    pub fn categorized(&self) -> Time {
-        self.lock_wait.get()
-            + self.barrier_wait.get()
-            + self.release_time.get()
-            + self.fault_time.get()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn categorized_sums_categories() {
-        let s = SvmStats::new();
-        SvmStats::add_time(&s.lock_wait, 10);
-        SvmStats::add_time(&s.barrier_wait, 20);
-        SvmStats::add_time(&s.release_time, 30);
-        SvmStats::add_time(&s.fault_time, 40);
-        assert_eq!(s.categorized(), 100);
+    fn for_each(&self, f: &mut dyn FnMut(&'static str, u64)) {
+        f("lock_wait_ps", self.lock_wait.get());
+        f("barrier_wait_ps", self.barrier_wait.get());
+        f("release_time_ps", self.release_time.get());
+        f("fault_time_ps", self.fault_time.get());
+        f("read_faults", self.read_faults.get());
+        f("write_faults", self.write_faults.get());
+        f("diffs_sent", self.diffs_sent.get());
+        f("diff_words", self.diff_words.get());
+        f("notices_sent", self.notices_sent.get());
+        f("fences", self.fences.get());
+        f("lock_ops", self.lock_ops.get());
+        f("barriers", self.barriers.get());
     }
 }

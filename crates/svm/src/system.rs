@@ -216,8 +216,9 @@ impl Svm {
                 notices_pending: RefCell::new(FastSet::default()),
                 notices_since_barrier: RefCell::new(FastSet::default()),
                 deferred_inval: RefCell::new(FastSet::default()),
-                stats: Rc::new(SvmStats::new()),
+                stats: Rc::new(SvmStats::default()),
             });
+            vmmcs[me].sim().metrics().register(Rc::clone(&sh.stats));
             nodes.push(SvmNode { sh });
         }
 
@@ -610,7 +611,6 @@ impl SvmNode {
     async fn read_fault(&self, region: RegionId, pg: u32) {
         let sh = &self.sh;
         let t0 = sh.vm.sim().now();
-        SvmStats::bump(&sh.stats.faults);
         sh.vm.compute(sh.cfg.fault_cost).await;
         let r = sh.region(region);
         let home = r.homes[pg as usize] as usize;
@@ -654,11 +654,9 @@ impl SvmNode {
             .space()
             .write_raw(r.base.add(pg as u64 * PAGE_SIZE as u64), &data);
         r.state.borrow_mut()[pg as usize] = PState::ReadOnly;
-        SvmStats::bump(&sh.stats.fetches);
-        SvmStats::add_time(&sh.stats.fault_time, sh.vm.sim().now() - t0);
-        let metrics = sh.vm.sim().metrics();
-        metrics.counter_add(shrimp_sim::Category::Svm, "read_faults", 1);
-        metrics.observe(
+        sh.stats.read_faults.update(|c| c + 1);
+        sh.stats.fault_time.update(|c| c + sh.vm.sim().now() - t0);
+        sh.vm.sim().metrics().observe(
             shrimp_sim::Category::Svm,
             "read_fault_service_ps",
             sh.vm.sim().now() - t0,
@@ -679,7 +677,6 @@ impl SvmNode {
             self.read_fault(region, pg).await;
         }
         let t0 = sh.vm.sim().now();
-        SvmStats::bump(&sh.stats.faults);
         sh.vm.compute(sh.cfg.fault_cost).await;
         let home = r.homes[pg as usize] as usize;
         if home != sh.me {
@@ -729,10 +726,9 @@ impl SvmNode {
         sh.notices_pending.borrow_mut().insert((region.0, pg));
         sh.rw_pages.borrow_mut().insert((region.0, pg));
         r.state.borrow_mut()[pg as usize] = PState::ReadWrite;
-        SvmStats::add_time(&sh.stats.fault_time, sh.vm.sim().now() - t0);
-        let metrics = sh.vm.sim().metrics();
-        metrics.counter_add(shrimp_sim::Category::Svm, "write_faults", 1);
-        metrics.observe(
+        sh.stats.write_faults.update(|c| c + 1);
+        sh.stats.fault_time.update(|c| c + sh.vm.sim().now() - t0);
+        sh.vm.sim().metrics().observe(
             shrimp_sim::Category::Svm,
             "write_fault_service_ps",
             sh.vm.sim().now() - t0,
@@ -853,8 +849,8 @@ impl SvmNode {
             sh.vm
                 .compute((PAGE_SIZE as u64 / 4) * sh.cfg.diff_word_scan)
                 .await;
-            SvmStats::bump(&sh.stats.diffs_sent);
-            SvmStats::add(&sh.stats.diff_words, words.len() as u64);
+            sh.stats.diffs_sent.update(|c| c + 1);
+            sh.stats.diff_words.update(|c| c + words.len() as u64);
             match sh.cfg.protocol {
                 Protocol::Hlrc => {
                     let rep = sh
@@ -904,7 +900,7 @@ impl SvmNode {
             sh.vm.flush_au();
             let rep = sh.request_remote(home, &Request::AuFence { seq }).await;
             assert_eq!(rep, Reply::Ack);
-            SvmStats::bump(&sh.stats.fences);
+            sh.stats.fences.update(|c| c + 1);
         }
         // Downgrade written pages so the next interval faults afresh.
         for (reg, pg) in sh.rw_pages.borrow_mut().drain() {
@@ -932,8 +928,8 @@ impl SvmNode {
                 }
             })
             .collect();
-        SvmStats::add(&sh.stats.notices_sent, notices.len() as u64);
-        SvmStats::add_time(&sh.stats.release_time, sh.vm.sim().now() - t0);
+        sh.stats.notices_sent.update(|c| c + notices.len() as u64);
+        sh.stats.release_time.update(|c| c + sh.vm.sim().now() - t0);
         notices
     }
 
@@ -963,7 +959,7 @@ impl SvmNode {
     pub async fn lock(&self, id: usize) {
         let sh = &self.sh;
         let t0 = sh.vm.sim().now();
-        SvmStats::bump(&sh.stats.lock_ops);
+        sh.stats.lock_ops.update(|c| c + 1);
         let mgr = id % sh.n;
         let notices = if mgr == sh.me {
             sh.vm.compute(sh.cfg.local_sync_cost).await;
@@ -1006,7 +1002,7 @@ impl SvmNode {
             }
         };
         self.apply_notices(&notices);
-        SvmStats::add_time(&sh.stats.lock_wait, sh.vm.sim().now() - t0);
+        sh.stats.lock_wait.update(|c| c + sh.vm.sim().now() - t0);
     }
 
     /// Releases lock `id`, publishing this interval's write notices.
@@ -1059,7 +1055,7 @@ impl SvmNode {
             })
             .collect();
         let t0 = sh.vm.sim().now();
-        SvmStats::bump(&sh.stats.barriers);
+        sh.stats.barriers.update(|c| c + 1);
         let merged = if sh.me == 0 {
             sh.vm.compute(sh.cfg.local_sync_cost).await;
             let slot = Rc::new(RefCell::new(None));
@@ -1085,7 +1081,7 @@ impl SvmNode {
             }
         };
         self.apply_notices(&merged);
-        SvmStats::add_time(&sh.stats.barrier_wait, sh.vm.sim().now() - t0);
+        sh.stats.barrier_wait.update(|c| c + sh.vm.sim().now() - t0);
     }
 }
 
@@ -1297,10 +1293,18 @@ mod tests {
         let (elapsed, _) = cluster.run_until_complete(handles);
         for i in 0..4 {
             let s = svm.node(i).stats();
+            let categorized = [
+                &s.lock_wait,
+                &s.barrier_wait,
+                &s.release_time,
+                &s.fault_time,
+            ]
+            .map(|c| c.get())
+            .iter()
+            .sum::<Time>();
             assert!(
-                s.categorized() <= elapsed,
-                "node {i}: categorized {} exceeds elapsed {elapsed}",
-                s.categorized()
+                categorized <= elapsed,
+                "node {i}: categorized {categorized} exceeds elapsed {elapsed}"
             );
             assert!(s.barriers.get() == 3);
             assert_eq!(s.lock_ops.get(), 3);

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use shrimp::sim::time;
+use shrimp::sim::{time, Category};
 use shrimp::vmmc::{Cluster, DesignConfig};
 
 fn main() {
@@ -83,10 +83,11 @@ fn main() {
     });
 
     let (elapsed, _) = cluster.run_until_complete(vec![send_task, au_task, recv_task]);
+    let counters = cluster.sim().metrics().snapshot();
     println!(
         "\nsimulated time: {:.2} us; messages sent: {}; notifications: {}",
         time::to_us(elapsed),
-        cluster.total(|s| s.messages_sent.get()),
-        cluster.total(|s| s.notifications.get()),
+        counters.counter(Category::Core, "messages_sent"),
+        counters.counter(Category::Core, "notifications"),
     );
 }

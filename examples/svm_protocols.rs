@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example svm_protocols`
 
-use shrimp::sim::time;
+use shrimp::sim::{time, Category};
 use shrimp::svm::{Protocol, Svm, SvmConfig};
 use shrimp::vmmc::{Cluster, DesignConfig};
 
@@ -37,26 +37,17 @@ fn run(protocol: Protocol) -> (u64, Vec<(String, f64)>) {
     }
     let (elapsed, _) = cluster.run_until_complete(handles);
 
-    let mut lock = 0u64;
-    let mut barrier = 0u64;
-    let mut release = 0u64;
-    let mut fault = 0u64;
-    for i in 0..nodes {
-        let s = svm.node(i).stats();
-        lock += s.lock_wait.get();
-        barrier += s.barrier_wait.get();
-        release += s.release_time.get();
-        fault += s.fault_time.get();
-    }
+    // Each category summed over the nodes, read from the counter snapshot.
+    let counters = cluster.sim().metrics().snapshot();
     let total = elapsed * nodes as u64;
-    let pct = |t: u64| t as f64 / total as f64 * 100.0;
+    let pct = |name| counters.counter(Category::Svm, name) as f64 / total as f64 * 100.0;
     (
         elapsed,
         vec![
-            ("barrier".into(), pct(barrier)),
-            ("release (diffs/fences)".into(), pct(release)),
-            ("faults/fetches".into(), pct(fault)),
-            ("lock".into(), pct(lock)),
+            ("barrier".into(), pct("barrier_wait_ps")),
+            ("release (diffs/fences)".into(), pct("release_time_ps")),
+            ("faults/fetches".into(), pct("fault_time_ps")),
+            ("lock".into(), pct("lock_wait_ps")),
         ],
     )
 }

@@ -11,7 +11,7 @@
 
 use shrimp::nx::NxConfig;
 use shrimp::sim::rng::rng_for;
-use shrimp::sim::trace::TraceSink;
+use shrimp::sim::trace::{Category, TraceSink};
 use shrimp::vmmc::{Cluster, DesignConfig};
 
 const NODES: usize = 4;
@@ -69,11 +69,12 @@ fn run(seed: u64) -> (String, u64, Vec<u64>, Vec<f64>) {
         0,
         "trace capacity too small"
     );
+    let snapshot = cluster.sim().metrics().snapshot();
     let counters = vec![
-        cluster.total(|s| s.messages_sent.get()),
-        cluster.total(|s| s.bytes_sent.get()),
-        cluster.total(|s| s.interrupts_taken.get()),
-        cluster.total(|s| s.notifications.get()),
+        snapshot.counter(Category::Core, "messages_sent"),
+        snapshot.counter(Category::Core, "bytes_sent"),
+        snapshot.counter(Category::Core, "interrupts_taken"),
+        snapshot.counter(Category::Core, "notifications"),
         outs.iter().map(|(f, _)| *f).fold(0u64, u64::wrapping_add),
     ];
     let sums = outs.into_iter().map(|(_, s)| s).collect();
