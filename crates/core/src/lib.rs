@@ -75,5 +75,5 @@ pub use shrimp_faults::{node_backoff, FaultScenario, NodeCrash, Reliability, Shr
 pub use shrimp_net::NodeId;
 pub use shrimp_sim::shard::Shards;
 pub use stats::NodeStats;
-pub use vmmc::{ExportId, ImportBuilder, ProxyBuffer, SendTicket, UpdatePolicy, Vmmc};
+pub use vmmc::{ExportId, ProxyBuffer, SendTicket, Vmmc};
 pub use warm::{run_cold, run_warm, warm_checkpoint, WarmParams};

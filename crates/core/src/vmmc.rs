@@ -19,7 +19,7 @@ pub struct ExportId(pub u32);
 /// receive buffer (§2.2). Sends address bytes relative to the buffer base.
 ///
 /// Fields are private; use the accessor methods. Construction goes
-/// through [`Vmmc::import`] or the configurable [`ImportBuilder`].
+/// through [`Vmmc::import`].
 #[derive(Debug, Clone)]
 pub struct ProxyBuffer {
     export: ExportId,
@@ -52,147 +52,6 @@ impl ProxyBuffer {
     /// First OPT index of the proxy page range (diagnostics only).
     pub fn proxy_base(&self) -> u64 {
         self.proxy_base
-    }
-}
-
-/// How stores into an imported buffer propagate to the owning node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UpdatePolicy {
-    /// Deliberate update: explicit [`Vmmc::send`] DMA transfers (default).
-    Deliberate,
-    /// Automatic update: a local page range is bound write-through at
-    /// import, and every store to it propagates as a side effect.
-    Automatic {
-        /// Merge consecutive stores into combined packets (§4.5.1).
-        combine: bool,
-        /// Attach the AU interrupt-request bit (receiver notification).
-        notify: bool,
-    },
-}
-
-/// Configurable import of an exported receive buffer: destination-node
-/// sanity check, update policy, and (for automatic update) the local
-/// binding range and its cache mode. Replaces the bare [`Vmmc::import`]
-/// plus field poking of earlier revisions.
-///
-/// ```no_run
-/// # use shrimp_core::{Cluster, DesignConfig, UpdatePolicy};
-/// # let cluster = Cluster::builder(2).config(DesignConfig::default()).build();
-/// # let (a, b) = (cluster.vmmc(0), cluster.vmmc(1));
-/// # let recv = b.space().alloc(1);
-/// # let export = b.export(recv, shrimp_mem::PAGE_SIZE);
-/// # let local = a.space().alloc(1);
-/// let proxy = a
-///     .importer(export)
-///     .from_node(b.node_id())
-///     .automatic(local, true, false)
-///     .finish();
-/// ```
-#[must_use = "an ImportBuilder does nothing until finish() is called"]
-pub struct ImportBuilder<'a> {
-    vmmc: &'a Vmmc,
-    export: ExportId,
-    expect_from: Option<NodeId>,
-    policy: UpdatePolicy,
-    au_local: Option<Vaddr>,
-    cache_mode: CacheMode,
-}
-
-impl ImportBuilder<'_> {
-    /// Asserts at [`finish`](Self::finish) that the export is owned by
-    /// `node` (catches wiring bugs in multi-buffer setups).
-    pub fn from_node(mut self, node: NodeId) -> Self {
-        self.expect_from = Some(node);
-        self
-    }
-
-    /// Sets the update policy. [`UpdatePolicy::Automatic`] requires a
-    /// local binding range, set with [`local_range`](Self::local_range)
-    /// (or use the [`automatic`](Self::automatic) shorthand).
-    pub fn update_policy(mut self, policy: UpdatePolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Sets the page-aligned local range bound for automatic update; the
-    /// binding covers the whole buffer from its base.
-    pub fn local_range(mut self, local: Vaddr) -> Self {
-        self.au_local = Some(local);
-        self
-    }
-
-    /// Shorthand: automatic update from `local` with the given combining
-    /// and notification settings.
-    pub fn automatic(self, local: Vaddr, combine: bool, notify: bool) -> Self {
-        self.update_policy(UpdatePolicy::Automatic { combine, notify })
-            .local_range(local)
-    }
-
-    /// Cache mode of the AU-bound local pages. The default,
-    /// [`CacheMode::WriteThrough`], is what makes the NIC snoop the store
-    /// stream; [`CacheMode::WriteBack`] models a (hypothetical) binding
-    /// whose stores are not propagated until an explicit send.
-    pub fn cache_mode(mut self, mode: CacheMode) -> Self {
-        self.cache_mode = mode;
-        self
-    }
-
-    /// Performs the import: allocates the proxy OPT range and, for an
-    /// automatic-update policy, establishes the local binding.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the export is owned by a node other than the one given
-    /// to [`from_node`](Self::from_node), or if an automatic policy was
-    /// requested without a local range.
-    pub fn finish(self) -> ProxyBuffer {
-        let vmmc = self.vmmc;
-        let info = vmmc.cluster.export_info(self.export);
-        if let Some(expect) = self.expect_from {
-            assert_eq!(
-                NodeId(info.node),
-                expect,
-                "export {:?} owned by node {}, not {}",
-                self.export,
-                info.node,
-                expect.0
-            );
-        }
-        let node = vmmc.cluster.node(vmmc.node);
-        let proxy_base = node.nic.alloc_proxy_range(info.phys_pages.len());
-        for (i, &dst_page) in info.phys_pages.iter().enumerate() {
-            node.nic.opt_set(
-                proxy_base + i as u64,
-                OptEntry {
-                    dst_node: NodeId(info.node),
-                    dst_page,
-                    au_enable: false,
-                    combine: false,
-                    interrupt: false,
-                },
-            );
-        }
-        let proxy = ProxyBuffer {
-            export: self.export,
-            dst_node: info.node,
-            proxy_base,
-            len: info.len,
-        };
-        if let UpdatePolicy::Automatic { combine, notify } = self.policy {
-            let local = self
-                .au_local
-                .expect("automatic update policy requires a local range");
-            vmmc.bind_with_mode(
-                local,
-                &proxy,
-                0,
-                proxy.len,
-                combine,
-                notify,
-                self.cache_mode,
-            );
-        }
-        proxy
     }
 }
 
@@ -326,10 +185,31 @@ impl Vmmc {
         }
     }
 
-    /// Imports an exported buffer with the default (deliberate-update)
-    /// policy. Shorthand for `self.importer(export).finish()`.
+    /// Imports an exported buffer for deliberate update (§2.3): allocates
+    /// the proxy OPT range that maps it. Bind pages for automatic update
+    /// with [`Vmmc::bind`].
     pub fn import(&self, export: ExportId) -> ProxyBuffer {
-        self.importer(export).finish()
+        let info = self.cluster.export_info(export);
+        let node = self.cluster.node(self.node);
+        let proxy_base = node.nic.alloc_proxy_range(info.phys_pages.len());
+        for (i, &dst_page) in info.phys_pages.iter().enumerate() {
+            node.nic.opt_set(
+                proxy_base + i as u64,
+                OptEntry {
+                    dst_node: NodeId(info.node),
+                    dst_page,
+                    au_enable: false,
+                    combine: false,
+                    interrupt: false,
+                },
+            );
+        }
+        ProxyBuffer {
+            export,
+            dst_node: info.node,
+            proxy_base,
+            len: info.len,
+        }
     }
 
     /// Imports a receive buffer on a node owned by *another shard* of a
@@ -370,20 +250,6 @@ impl Vmmc {
             dst_node: dst_node.0,
             proxy_base,
             len,
-        }
-    }
-
-    /// Starts a configurable import of an exported buffer (§2.3): the
-    /// returned [`ImportBuilder`] selects the expected owner, the update
-    /// policy, and the cache mode of automatic-update bindings.
-    pub fn importer(&self, export: ExportId) -> ImportBuilder<'_> {
-        ImportBuilder {
-            vmmc: self,
-            export,
-            expect_from: None,
-            policy: UpdatePolicy::Deliberate,
-            au_local: None,
-            cache_mode: CacheMode::WriteThrough,
         }
     }
 
@@ -486,17 +352,12 @@ impl Vmmc {
             self.sim().trace(),
             self.sim().now(),
             shrimp_sim::Category::Core,
-            [
-                ("node", self.node),
-                ("dst", dst.dst_node),
-                ("len", len),
-                ("notify", notify),
-            ],
-            "{}: send {} B -> node {} +{}",
-            self.node,
-            len,
-            dst.dst_node,
-            dst_off
+            "send",
+            node = self.node,
+            dst = dst.dst_node,
+            len = len,
+            notify = notify,
+            offset = dst_off,
         );
         // Table 2 experiment: an "aggressive kernel-based implementation"
         // traps into the kernel before every message send.
@@ -626,30 +487,6 @@ impl Vmmc {
         combine: bool,
         notify: bool,
     ) {
-        self.bind_with_mode(
-            local,
-            dst,
-            dst_off,
-            len,
-            combine,
-            notify,
-            CacheMode::WriteThrough,
-        );
-    }
-
-    /// [`Vmmc::bind`] with an explicit cache mode for the bound local
-    /// pages (the [`ImportBuilder`] what-if surface).
-    #[allow(clippy::too_many_arguments)] // builder-facing internal variant
-    pub(crate) fn bind_with_mode(
-        &self,
-        local: Vaddr,
-        dst: &ProxyBuffer,
-        dst_off: usize,
-        len: usize,
-        combine: bool,
-        notify: bool,
-        mode: CacheMode,
-    ) {
         assert!(
             local.is_page_aligned(),
             "AU binding source not page-aligned"
@@ -676,7 +513,7 @@ impl Vmmc {
                     interrupt: notify,
                 },
             );
-            node.mem.set_cache_mode(local_phys, mode);
+            node.mem.set_cache_mode(local_phys, CacheMode::WriteThrough);
         }
     }
 
@@ -1213,60 +1050,6 @@ mod tests {
         let hb = sim.spawn(async move { b2.poll_u32(recv, |v| v != 0).await });
         cluster.run_until_complete(vec![ha]);
         assert_eq!(hb.try_take(), Some(123));
-    }
-
-    #[test]
-    fn import_builder_automatic_policy_binds_at_import() {
-        let (cluster, a, b) = two_nodes();
-        let recv = b.space().alloc(2);
-        let export = b.export(recv, 2 * PAGE_SIZE);
-        let local = a.space().alloc(2);
-        let proxy = a
-            .importer(export)
-            .from_node(b.node_id())
-            .automatic(local, true, false)
-            .finish();
-        assert_eq!(proxy.export_id(), export);
-        assert_eq!(proxy.dst_node(), b.node_id());
-        assert_eq!(proxy.len(), 2 * PAGE_SIZE);
-        let a2 = a.clone();
-        let h = cluster.sim().spawn(async move {
-            a2.store_u32(local.add(16), 4242).await;
-            a2.flush_au();
-        });
-        cluster.run_until_complete(vec![h]);
-        assert_eq!(b.space().read_u32(recv.add(16)), 4242);
-    }
-
-    #[test]
-    fn import_builder_write_back_mode_suppresses_propagation() {
-        let (cluster, a, b) = two_nodes();
-        let recv = b.space().alloc(1);
-        let export = b.export(recv, PAGE_SIZE);
-        let local = a.space().alloc(1);
-        let _proxy = a
-            .importer(export)
-            .automatic(local, true, false)
-            .cache_mode(shrimp_mem::CacheMode::WriteBack)
-            .finish();
-        let a2 = a.clone();
-        let h = cluster.sim().spawn(async move {
-            a2.store_u32(local, 7).await;
-            a2.flush_au();
-        });
-        cluster.run_until_complete(vec![h]);
-        // Write-back bound pages are not snooped: nothing arrives.
-        assert_eq!(b.space().read_u32(recv), 0);
-        assert_eq!(cluster.nic(0).counters().au_packets.get(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "owned by node")]
-    fn import_builder_checks_expected_owner() {
-        let (_cluster, a, b) = two_nodes();
-        let recv = b.space().alloc(1);
-        let export = b.export(recv, PAGE_SIZE);
-        let _ = a.importer(export).from_node(a.node_id()).finish();
     }
 
     #[test]

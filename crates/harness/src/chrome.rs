@@ -2,12 +2,12 @@
 //! JSON file loadable in `chrome://tracing` or [Perfetto](https://ui.perfetto.dev).
 //!
 //! Layout follows the trace-viewer convention for a simulated cluster:
-//! one **pid per node** (from the event's structured `"node"` field; events
-//! without one land on pid 0) and one **tid per [`Category`]**, so the
-//! viewer shows a per-node process group with NIC / network / SVM / VMMC
-//! timelines stacked inside it. Timestamps are the simulator's picoseconds
-//! rendered as microseconds with six fractional digits via integer math —
-//! no float formatting — so the file is byte-identical across hosts.
+//! one **pid per node** (the event's `node`) and one **tid per
+//! [`Category`]**, so the viewer shows a per-node process group with NIC /
+//! network / SVM / VMMC timelines stacked inside it. Timestamps are the
+//! simulator's picoseconds rendered as microseconds with six fractional
+//! digits via integer math — no float formatting — so the file is
+//! byte-identical across hosts.
 //!
 //! The metrics snapshot is embedded under a top-level `"metrics"` key
 //! (trace viewers ignore unknown keys), making each trace file a
@@ -18,7 +18,7 @@ use std::fmt::Write as _;
 
 use shrimp_bench::Observation;
 use shrimp_sim::metrics::MetricValue;
-use shrimp_sim::{Category, Time, TraceEvent};
+use shrimp_sim::{Category, Time};
 
 use crate::json::escape;
 
@@ -44,10 +44,6 @@ fn ts_us(at: Time) -> String {
     format!("{}.{:06}", at / 1_000_000, at % 1_000_000)
 }
 
-fn event_pid(e: &TraceEvent) -> u64 {
-    e.field("node").unwrap_or(0)
-}
-
 /// Renders an observation as a Chrome trace document.
 pub fn to_chrome_json(run_id: &str, obs: &Observation) -> String {
     let mut out = String::new();
@@ -59,12 +55,9 @@ pub fn to_chrome_json(run_id: &str, obs: &Observation) -> String {
 
     // Metadata first: name every process (node) and thread (category)
     // that appears, in deterministic order.
-    let pids: BTreeSet<u64> = obs.events.iter().map(event_pid).collect();
-    let threads: BTreeSet<(u64, Category)> = obs
-        .events
-        .iter()
-        .map(|e| (event_pid(e), e.category))
-        .collect();
+    let pids: BTreeSet<u64> = obs.events.iter().map(|e| e.node).collect();
+    let threads: BTreeSet<(u64, Category)> =
+        obs.events.iter().map(|e| (e.node, e.category())).collect();
     let mut first = true;
     let mut sep = |out: &mut String| {
         if !std::mem::take(&mut first) {
@@ -90,24 +83,23 @@ pub fn to_chrome_json(run_id: &str, obs: &Observation) -> String {
         );
     }
 
-    // The timeline: one instant event per trace row, thread-scoped.
+    // The timeline: one instant event per trace row, thread-scoped, named
+    // by its kind, with the node and the fields as args.
     for e in &obs.events {
         sep(&mut out);
         let _ = write!(
             out,
             "    {{\"name\": \"{}\", \"cat\": \"{}\", \"ph\": \"i\", \"s\": \"t\", \
-             \"ts\": {}, \"pid\": {}, \"tid\": {}, \"args\": {{",
-            escape(&e.message),
-            e.category.as_str(),
+             \"ts\": {}, \"pid\": {}, \"tid\": {}, \"args\": {{\"node\": {}",
+            e.kind.name,
+            e.category().as_str(),
             ts_us(e.at),
-            event_pid(e),
-            category_tid(e.category),
+            e.node,
+            category_tid(e.category()),
+            e.node,
         );
-        for (j, (k, v)) in e.kv.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "\"{k}\": {v}");
+        for (k, v) in e.fields() {
+            let _ = write!(out, ", \"{k}\": {v}");
         }
         out.push_str("}}");
     }
@@ -149,23 +141,27 @@ mod tests {
     use super::*;
     use crate::json;
     use shrimp_core::NodeStats;
-    use shrimp_sim::{MetricsRegistry, TraceSink};
+    use shrimp_sim::{trace_event, MetricsRegistry, TraceSink};
     use std::rc::Rc;
 
     fn sample_observation() -> Observation {
         let sink = TraceSink::new();
         sink.enable(None);
-        sink.record_kv(
+        trace_event!(
+            &sink,
             1_500_000,
             Category::Nic,
-            vec![("node", 0), ("len", 64)],
-            "DU out".into(),
+            "du_out",
+            node = 0,
+            len = 64
         );
-        sink.record_kv(
+        trace_event!(
+            &sink,
             2_750_001,
             Category::Net,
-            vec![("node", 1), ("hops", 2)],
-            "packet".into(),
+            "packet",
+            node = 1,
+            hops = 2
         );
         let m = MetricsRegistry::new();
         m.enable();
@@ -197,12 +193,16 @@ mod tests {
             .filter(|e| e.get("ph").and_then(|p| p.as_str()) == Some("i"))
             .collect();
         assert_eq!(instants.len(), 2);
-        // pid routes by the "node" kv; tid by category.
+        // pid routes by the node; tid by category; name is the kind.
         assert_eq!(instants[0].get("pid").unwrap().as_u64(), Some(0));
         assert_eq!(instants[0].get("tid").unwrap().as_u64(), Some(1)); // nic
         assert_eq!(instants[1].get("pid").unwrap().as_u64(), Some(1));
         assert_eq!(instants[1].get("tid").unwrap().as_u64(), Some(2)); // net
-                                                                       // ts is integer-formatted microseconds: 1_500_000 ps = 1.5 us.
+        assert_eq!(instants[1].get("name").unwrap().as_str(), Some("packet"));
+        let args = instants[1].get("args").unwrap();
+        assert_eq!(args.get("node").unwrap().as_u64(), Some(1));
+        assert_eq!(args.get("hops").unwrap().as_u64(), Some(2));
+        // ts is integer-formatted microseconds: 1_500_000 ps = 1.5 us.
         assert!(text.contains("\"ts\": 1.500000"), "{text}");
         assert!(text.contains("\"ts\": 2.750001"), "{text}");
         // The metrics snapshot rides along.

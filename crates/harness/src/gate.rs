@@ -1,11 +1,10 @@
 //! Baseline regression gate: diff a fresh sweep against committed golden
-//! metrics with per-metric tolerance bands.
+//! metrics.
 //!
 //! The simulation is deterministic, so at a fixed code revision every
-//! metric matches its baseline exactly; the tolerance bands absorb small
-//! *intentional* model refinements without forcing a baseline refresh for
-//! every timing tweak. Checksums and syscall counts are exact: a changed
-//! answer is never tolerable drift. A baseline row whose run is missing
+//! metric matches its baseline exactly, and the gate allows no difference:
+//! an intended model change regenerates the baseline with a stated reason
+//! (`--write-baseline`). A baseline row whose run is missing
 //! from the fresh sweep (or no longer completes) is a regression; fresh
 //! rows with no baseline counterpart are reported but pass — they gate
 //! once a refreshed baseline commits them. A sweep narrowed by
@@ -16,31 +15,6 @@ use std::fmt;
 
 use crate::json::Json;
 use crate::runner::RunResult;
-
-/// Per-metric relative tolerance bands (fraction of the baseline value).
-/// Metrics absent from this table use [`DEFAULT_TOLERANCE`].
-pub const TOLERANCES: &[(&str, f64)] = &[
-    ("elapsed_ns", 0.15),
-    ("checksum", 0.0),
-    ("messages", 0.05),
-    ("notifications", 0.05),
-    ("interrupts", 0.10),
-    ("syscalls", 0.0),
-    ("net_packets", 0.05),
-    ("net_bytes", 0.05),
-];
-
-/// Band applied to metrics not named in [`TOLERANCES`].
-pub const DEFAULT_TOLERANCE: f64 = 0.10;
-
-/// The tolerance band for one metric.
-pub fn tolerance_for(metric: &str) -> f64 {
-    TOLERANCES
-        .iter()
-        .find(|(name, _)| *name == metric)
-        .map(|&(_, tol)| tol)
-        .unwrap_or(DEFAULT_TOLERANCE)
-}
 
 /// One detected regression.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,7 +32,7 @@ pub enum RegressionKind {
     MissingRun,
     /// The run no longer completes (panic/timeout); label attached.
     Failed(String),
-    /// A metric moved outside its tolerance band.
+    /// A metric differs from its baseline value.
     Metric {
         /// Metric name.
         name: String,
@@ -66,10 +40,6 @@ pub enum RegressionKind {
         baseline: u64,
         /// Fresh value.
         fresh: u64,
-        /// Observed relative drift.
-        drift: f64,
-        /// Allowed band.
-        tolerance: f64,
     },
 }
 
@@ -86,17 +56,10 @@ impl fmt::Display for Regression {
                 name,
                 baseline,
                 fresh,
-                drift,
-                tolerance,
             } => write!(
                 f,
-                "{}: {} drifted {:+.1}% (baseline {}, now {}, band ±{:.0}%)",
-                self.id,
-                name,
-                drift * 100.0,
-                baseline,
-                fresh,
-                tolerance * 100.0
+                "{}: {name} changed (baseline {baseline}, now {fresh})",
+                self.id
             ),
         }
     }
@@ -148,7 +111,7 @@ impl GateOutcome {
         let mut out = String::new();
         if self.passed() {
             out.push_str(&format!(
-                "gate PASSED: {} baseline rows within tolerance",
+                "gate PASSED: {} baseline rows identical",
                 self.compared
             ));
         } else {
@@ -229,21 +192,13 @@ pub fn check(
             let Some(base_value) = metrics.get(name).and_then(|v| v.as_u64()) else {
                 continue; // metric added since the baseline was written
             };
-            let tolerance = tolerance_for(name);
-            let drift = if base_value == fresh_value {
-                0.0
-            } else {
-                (fresh_value as f64 - base_value as f64) / (base_value.max(1) as f64)
-            };
-            if drift.abs() > tolerance {
+            if base_value != fresh_value {
                 outcome.regressions.push(Regression {
                     id: id.to_string(),
                     kind: RegressionKind::Metric {
                         name: name.to_string(),
                         baseline: base_value,
                         fresh: fresh_value,
-                        drift,
-                        tolerance,
                     },
                 });
             }
@@ -296,45 +251,28 @@ mod tests {
     #[test]
     fn identical_metrics_pass() {
         let results = one_result();
-        let outcome = check(&baseline_of(&results), &results, &ALL).unwrap();
+        let baseline = baseline_of(&results);
+        let outcome = check(&baseline, &results, &ALL).unwrap();
         assert!(outcome.passed(), "{:?}", outcome.regressions);
         assert_eq!(outcome.compared, 1);
         assert!(outcome.uncovered.is_empty());
-    }
-
-    #[test]
-    fn drift_within_tolerance_passes_outside_fails() {
-        let results = one_result();
-        let baseline = baseline_of(&results);
-        // Nudge elapsed within its ±15% band: passes.
-        let mut inside = results.clone();
-        if let RunStatus::Ok(r) = &mut inside[0].status {
-            r.elapsed += r.elapsed / 10; // +10%
-        }
-        assert!(check(&baseline, &inside, &ALL).unwrap().passed());
-        // Push it past the band: fails with a metric regression.
-        let mut outside = results.clone();
-        if let RunStatus::Ok(r) = &mut outside[0].status {
-            r.elapsed *= 2; // +100%
-        }
-        let outcome = check(&baseline, &outside, &ALL).unwrap();
-        assert!(!outcome.passed());
-        assert!(matches!(
-            &outcome.regressions[0].kind,
-            RegressionKind::Metric { name, .. } if name == "elapsed_ns"
-        ));
-    }
-
-    #[test]
-    fn checksum_tolerance_is_exact() {
-        let results = one_result();
-        let baseline = baseline_of(&results);
-        let mut wrong = results.clone();
-        if let RunStatus::Ok(r) = &mut wrong[0].status {
+        // Any difference fails, however small: one simulated ps, one bit
+        // of the answer.
+        let mut moved = results.clone();
+        if let RunStatus::Ok(r) = &mut moved[0].status {
+            r.elapsed += 1;
             r.checksum ^= 1;
         }
-        let outcome = check(&baseline, &wrong, &ALL).unwrap();
-        assert!(!outcome.passed(), "a changed answer must always gate");
+        let outcome = check(&baseline, &moved, &ALL).unwrap();
+        let changed: Vec<&str> = outcome
+            .regressions
+            .iter()
+            .map(|r| match &r.kind {
+                RegressionKind::Metric { name, .. } => name.as_str(),
+                other => panic!("unexpected regression {other:?}"),
+            })
+            .collect();
+        assert_eq!(changed, ["elapsed_ns", "checksum"]);
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! Results aggregate into `results/sweep.json` ([`sweep`], simulated
 //! metrics only — byte-identical across worker counts) plus a
 //! human-readable comparison table, and the [`gate`] diffs fresh runs
-//! against committed golden metrics in `results/baselines/*.json` with
-//! per-metric tolerance bands, exiting non-zero on regression. With
+//! against committed golden metrics in `results/baselines/*.json`,
+//! exiting non-zero if any metric differs from its baseline. With
 //! `--perf`, host wall-clock and simulator events/sec samples land in
 //! `results/perf.json` ([`perf`]) — strictly apart from the deterministic
 //! artifact — with their own generous throughput gate. `--report` reads

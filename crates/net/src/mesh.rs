@@ -522,14 +522,12 @@ impl<P: 'static> Network<P> {
                 sim.trace(),
                 sim.now(),
                 shrimp_sim::Category::Net,
-                [
-                    ("node", src.0),
-                    ("dst", dst.0),
-                    ("bytes", wire_bytes),
-                    ("hops", hops),
-                    ("wait_ps", waited),
-                ],
-                "{src} -> {dst}: {wire_bytes} B over {hops} hops (waited {waited} ps)"
+                "packet",
+                node = src.0,
+                dst = dst.0,
+                bytes = wire_bytes,
+                hops = hops,
+                wait_ps = waited,
             );
             let (fate, salt) = fate_and_salt(plane.as_ref(), src, dst);
             (head + serialization + cfg.transceiver_latency, fate, salt)
@@ -626,13 +624,11 @@ impl<P: 'static> Network<P> {
                 sim.trace(),
                 sim.now(),
                 shrimp_sim::Category::Net,
-                [
-                    ("node", src.0),
-                    ("dst", dst.0),
-                    ("bytes", wire_bytes),
-                    ("hops", hops),
-                ],
-                "{src} -> {dst}: {wire_bytes} B over {hops} hops (decoupled)"
+                "packet_decoupled",
+                node = src.0,
+                dst = dst.0,
+                bytes = wire_bytes,
+                hops = hops,
             );
         }
         // Loopback never touches the mesh, so packet fates cannot reach it.

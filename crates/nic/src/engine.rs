@@ -498,19 +498,12 @@ impl Nic {
                 self.inner.sim.trace(),
                 self.inner.sim.now(),
                 shrimp_sim::Category::Nic,
-                [
-                    ("node", self.inner.node.0),
-                    ("len", req.len),
-                    ("dst", entry.dst_node.0),
-                    ("page", entry.dst_page),
-                    ("offset", req.dst_offset),
-                ],
-                "{}: DU {} B -> {} page {} +{}",
-                self.inner.node,
-                req.len,
-                entry.dst_node,
-                entry.dst_page,
-                req.dst_offset
+                "du_transfer",
+                node = self.inner.node.0,
+                len = req.len,
+                dst = entry.dst_node.0,
+                page = entry.dst_page,
+                offset = req.dst_offset,
             );
             let pkt = Packet {
                 src: self.inner.node,
@@ -645,21 +638,13 @@ impl Nic {
             self.inner.sim.trace(),
             self.inner.sim.now(),
             shrimp_sim::Category::Nic,
-            [
-                ("node", self.inner.node.0),
-                ("len", len),
-                ("dst", p.dst_node.0),
-                ("page", p.dst_page),
-                ("offset", p.offset),
-                ("fifo", occ),
-            ],
-            "{}: AU packet {} B -> {} page {} +{} (fifo {})",
-            self.inner.node,
-            len,
-            p.dst_node,
-            p.dst_page,
-            p.offset,
-            occ
+            "au_packet",
+            node = self.inner.node.0,
+            len = len,
+            dst = p.dst_node.0,
+            page = p.dst_page,
+            offset = p.offset,
+            fifo = occ,
         );
         self.inner.au_fifo.send(
             Packet {
@@ -857,15 +842,10 @@ impl Nic {
                 self.inner.sim.trace(),
                 self.inner.sim.now(),
                 shrimp_sim::Category::Nic,
-                [
-                    ("node", self.inner.node.0),
-                    ("src", pkt.src.0),
-                    ("buffer", entry.buffer_id),
-                ],
-                "{}: interrupt from {} (buffer {})",
-                self.inner.node,
-                pkt.src,
-                entry.buffer_id
+                "interrupt",
+                node = self.inner.node.0,
+                src = pkt.src.0,
+                buffer = entry.buffer_id,
             );
             self.inner.interrupts.send(Interrupt {
                 src: pkt.src,

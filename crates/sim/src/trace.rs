@@ -2,11 +2,14 @@
 //! and for the experiment harness's trace dumps.
 //!
 //! Tracing is off by default and costs one branch per call site when
-//! disabled. Components record `(time, category, kv, message)` rows; the
-//! owner of the [`Sim`](crate::Sim) drains them with
-//! [`TraceSink::take`]. Categories are a closed [`Category`] enum and
-//! each event carries a structured key/value payload, so harnesses
-//! filter and aggregate without string matching.
+//! disabled. Each call site declares its event once, as a static
+//! [`TraceKind`] (name, [`Category`] and field keys), through
+//! [`trace_event!`](crate::trace_event). A recorded [`TraceEvent`] is a
+//! fixed-size `Copy` value: the time, the kind, the node and at most
+//! [`MAX_FIELDS`] numeric field values. Recording allocates nothing per
+//! event; text exists only at export ([`TraceSink::render`], the harness's
+//! Chrome export), where the kind supplies the name and the keys. The owner
+//! of the [`Sim`](crate::Sim) drains events with [`TraceSink::take`].
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -63,24 +66,95 @@ impl std::fmt::Display for Category {
     }
 }
 
-/// One trace row.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The most numeric fields one event carries besides its node.
+pub const MAX_FIELDS: usize = 5;
+
+/// What one trace call site records, declared once as a `static`.
+#[derive(Debug, PartialEq, Eq)]
+pub struct TraceKind {
+    /// Short identifier with no spaces; the event name at export.
+    pub name: &'static str,
+    /// Recording component.
+    pub category: Category,
+    /// The names of the event's field values, in order.
+    pub keys: &'static [&'static str],
+}
+
+impl TraceKind {
+    /// Declares a kind. Panics unless the keys number at most
+    /// [`MAX_FIELDS`], are distinct and leave out `node` (every event's own
+    /// field); in a `static` initializer that panic is a compile error.
+    pub const fn new(
+        name: &'static str,
+        category: Category,
+        keys: &'static [&'static str],
+    ) -> Self {
+        assert!(
+            keys.len() <= MAX_FIELDS,
+            "a trace event has at most five fields"
+        );
+        let mut i = 0;
+        while i < keys.len() {
+            assert!(
+                !str_eq(keys[i], "node"),
+                "`node` is every trace event's own field"
+            );
+            let mut j = 0;
+            while j < i {
+                assert!(!str_eq(keys[i], keys[j]), "duplicate trace field key");
+                j += 1;
+            }
+            i += 1;
+        }
+        TraceKind {
+            name,
+            category,
+            keys,
+        }
+    }
+}
+
+const fn str_eq(a: &str, b: &str) -> bool {
+    let (a, b) = (a.as_bytes(), b.as_bytes());
+    if a.len() != b.len() {
+        return false;
+    }
+    let mut i = 0;
+    while i < a.len() {
+        if a[i] != b[i] {
+            return false;
+        }
+        i += 1;
+    }
+    true
+}
+
+/// One trace row: 64 bytes, no heap.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Simulated time of the event.
     pub at: Time,
-    /// Recording component.
-    pub category: Category,
-    /// Structured payload: named numeric fields (node ids, byte counts,
-    /// page numbers) the harness aggregates over.
-    pub kv: Vec<(&'static str, u64)>,
-    /// Human-readable description.
-    pub message: String,
+    /// The call site's kind: name, category and field keys.
+    pub kind: &'static TraceKind,
+    /// The node the event happened on.
+    pub node: u64,
+    values: [u64; MAX_FIELDS],
 }
 
 impl TraceEvent {
-    /// Looks up a structured payload field by name.
+    /// Recording component.
+    pub fn category(&self) -> Category {
+        self.kind.category
+    }
+
+    /// The `(key, value)` fields in declaration order, `node` excluded.
+    pub fn fields(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        self.kind.keys.iter().copied().zip(self.values)
+    }
+
+    /// Looks up a field by key (`node` excluded).
     pub fn field(&self, key: &str) -> Option<u64> {
-        self.kv.iter().find(|(k, _)| *k == key).map(|&(_, v)| v)
+        self.fields().find(|&(k, _)| k == key).map(|(_, v)| v)
     }
 }
 
@@ -137,61 +211,32 @@ impl TraceSink {
         }
     }
 
-    /// Disables recording (already-recorded events are kept).
-    pub fn disable(&self) {
-        self.inner.borrow_mut().enabled = false;
-    }
-
-    /// `true` while recording. Call sites use this to skip formatting work.
+    /// `true` while recording.
     #[inline]
     pub fn enabled(&self) -> bool {
         self.inner.borrow().enabled
     }
 
-    /// Records an event with no structured payload (no-op when disabled).
-    pub fn record(&self, at: Time, category: Category, message: String) {
-        self.record_kv(at, category, Vec::new(), message);
-    }
-
-    /// Records an event with a structured payload (no-op when disabled).
-    ///
-    /// Duplicate keys are collapsed in place, last write wins:
-    /// [`TraceEvent::field`] is a first-match linear scan, so without this a
-    /// repeated key would shadow its own latest value. First-occurrence
-    /// order is kept so rendered timelines stay stable.
-    pub fn record_kv(
-        &self,
-        at: Time,
-        category: Category,
-        mut kv: Vec<(&'static str, u64)>,
-        message: String,
-    ) {
+    /// Records one event of `kind` (no-op when disabled); `values` line up
+    /// with `kind.keys`. Call sites use [`trace_event!`](crate::trace_event).
+    pub fn record(&self, at: Time, kind: &'static TraceKind, node: u64, values: &[u64]) {
+        debug_assert_eq!(values.len(), kind.keys.len(), "{}: field count", kind.name);
         let mut inner = self.inner.borrow_mut();
         if !inner.enabled {
             return;
         }
-        let mut kept = 0;
-        for i in 0..kv.len() {
-            let (k, v) = kv[i];
-            match kv[..kept].iter_mut().find(|(dk, _)| *dk == k) {
-                Some(slot) => slot.1 = v,
-                None => {
-                    kv[kept] = (k, v);
-                    kept += 1;
-                }
-            }
-        }
-        kv.truncate(kept);
+        let mut event = TraceEvent {
+            at,
+            kind,
+            node,
+            values: [0; MAX_FIELDS],
+        };
+        event.values[..values.len()].copy_from_slice(values);
         if inner.events.len() >= inner.capacity {
             inner.events.pop_front();
             inner.dropped += 1;
         }
-        inner.events.push_back(TraceEvent {
-            at,
-            category,
-            kv,
-            message,
-        });
+        inner.events.push_back(event);
     }
 
     /// Takes all recorded events, leaving the sink empty.
@@ -199,34 +244,26 @@ impl TraceSink {
         std::mem::take(&mut self.inner.borrow_mut().events).into()
     }
 
-    /// Takes only the events of one category, leaving the rest recorded.
-    pub fn take_category(&self, category: Category) -> Vec<TraceEvent> {
-        let mut inner = self.inner.borrow_mut();
-        let (hit, keep): (Vec<_>, Vec<_>) = std::mem::take(&mut inner.events)
-            .into_iter()
-            .partition(|e| e.category == category);
-        inner.events = keep.into();
-        hit
-    }
-
     /// Events dropped to the capacity bound.
     pub fn dropped(&self) -> u64 {
         self.inner.borrow().dropped
     }
 
-    /// Renders events as a plain-text timeline.
+    /// Renders events as a plain-text timeline: one `time category kind
+    /// node=… k=v…` line each.
     pub fn render(events: &[TraceEvent]) -> String {
         use std::fmt::Write;
         let mut out = String::new();
         for e in events {
             let _ = write!(
                 out,
-                "{:>14.3} us  {:<6} {}",
+                "{:>14.3} us  {:<6} {}  node={}",
                 crate::time::to_us(e.at),
-                e.category,
-                e.message
+                e.category().as_str(),
+                e.kind.name,
+                e.node
             );
-            for (k, v) in &e.kv {
+            for (k, v) in e.fields() {
                 let _ = write!(out, "  {k}={v}");
             }
             out.push('\n');
@@ -235,42 +272,35 @@ impl TraceSink {
     }
 }
 
-/// Records into `sink` only if enabled, deferring message formatting.
+/// Records one event into `sink` if it is enabled.
 ///
-/// An optional `[("key", value), ...]` payload before the format string
-/// attaches structured fields:
+/// The call names its kind and category, the event's `node`, and at most
+/// [`MAX_FIELDS`] more numeric fields as `key = value`; the kind is a
+/// `static` built once per call site, so a duplicate key or a sixth field
+/// fails to compile.
 ///
 /// ```
 /// use shrimp_sim::{trace_event, Category, Sim};
 /// let sim = Sim::new();
 /// sim.trace().enable(None);
-/// trace_event!(sim.trace(), sim.now(), Category::Other, "value = {}", 42);
-/// trace_event!(
-///     sim.trace(),
-///     sim.now(),
-///     Category::Nic,
-///     [("len", 64u64)],
-///     "packet out"
-/// );
+/// trace_event!(sim.trace(), sim.now(), Category::Nic, "packet_out", node = 3, len = 64);
 /// let events = sim.trace().take();
-/// assert_eq!(events.len(), 2);
-/// assert_eq!(events[1].field("len"), Some(64));
+/// assert_eq!(events[0].kind.name, "packet_out");
+/// assert_eq!((events[0].node, events[0].field("len")), (3, Some(64)));
+/// ```
+///
+/// ```compile_fail
+/// # use shrimp_sim::{trace_event, Category, Sim};
+/// # let sim = Sim::new();
+/// trace_event!(sim.trace(), 0, Category::Nic, "dup", node = 0, len = 1, len = 2);
 /// ```
 #[macro_export]
 macro_rules! trace_event {
-    ($sink:expr, $at:expr, $cat:expr, [$(($k:expr, $v:expr)),* $(,)?], $($arg:tt)*) => {
+    ($sink:expr, $at:expr, $cat:expr, $name:literal, node = $node:expr $(, $k:ident = $v:expr)* $(,)?) => {
         if $sink.enabled() {
-            // Exact-capacity allocation: the payload length is known here at
-            // the macro site, so the Vec never over- or re-allocates.
-            let mut kv: ::std::vec::Vec<(&'static str, u64)> =
-                ::std::vec::Vec::with_capacity(0usize $(+ { let _ = stringify!($k); 1 })*);
-            $(kv.push(($k, $v as u64));)*
-            $sink.record_kv($at, $cat, kv, format!($($arg)*));
-        }
-    };
-    ($sink:expr, $at:expr, $cat:expr, $($arg:tt)*) => {
-        if $sink.enabled() {
-            $sink.record($at, $cat, format!($($arg)*));
+            static KIND: $crate::trace::TraceKind =
+                $crate::trace::TraceKind::new($name, $cat, &[$(stringify!($k)),*]);
+            $sink.record($at, &KIND, $node as u64, &[$($v as u64),*]);
         }
     };
 }
@@ -279,10 +309,12 @@ macro_rules! trace_event {
 mod tests {
     use super::*;
 
+    static TICK: TraceKind = TraceKind::new("tick", Category::Other, &["i"]);
+
     #[test]
     fn disabled_sink_records_nothing() {
         let sink = TraceSink::new();
-        sink.record(5, Category::Other, "hello".into());
+        sink.record(5, &TICK, 0, &[1]);
         assert!(sink.take().is_empty());
     }
 
@@ -290,11 +322,11 @@ mod tests {
     fn enabled_sink_records_and_drains() {
         let sink = TraceSink::new();
         sink.enable(None);
-        sink.record(1, Category::Nic, "one".into());
-        sink.record(2, Category::Svm, "two".into());
+        crate::trace_event!(&sink, 1, Category::Nic, "one", node = 0);
+        crate::trace_event!(&sink, 2, Category::Svm, "two", node = 1);
         let ev = sink.take();
         assert_eq!(ev.len(), 2);
-        assert_eq!(ev[0].message, "one");
+        assert_eq!(ev[0].kind.name, "one");
         assert!(sink.take().is_empty());
         let text = TraceSink::render(&ev);
         assert!(text.contains("one") && text.contains("two"));
@@ -306,11 +338,11 @@ mod tests {
         let sink = TraceSink::new();
         sink.enable(Some(3));
         for i in 0..5 {
-            sink.record(i, Category::Other, format!("e{i}"));
+            sink.record(i, &TICK, 0, &[i]);
         }
         let ev = sink.take();
         assert_eq!(ev.len(), 3);
-        assert_eq!(ev[0].message, "e2");
+        assert_eq!(ev[0].field("i"), Some(2));
         assert_eq!(sink.dropped(), 2);
     }
 
@@ -319,7 +351,7 @@ mod tests {
         let sink = TraceSink::new();
         sink.enable(Some(100));
         for i in 0..10_000u64 {
-            sink.record_kv(i, Category::Other, vec![("i", i)], String::new());
+            sink.record(i, &TICK, 0, &[i]);
         }
         assert_eq!(sink.dropped(), 9_900);
         let ev = sink.take();
@@ -330,75 +362,38 @@ mod tests {
     }
 
     #[test]
-    fn kv_payload_is_queryable_and_rendered() {
-        let sink = TraceSink::new();
-        sink.enable(None);
-        sink.record_kv(
-            7,
-            Category::Nic,
-            vec![("node", 3), ("len", 4096)],
-            "DU transfer".into(),
-        );
-        let ev = sink.take();
-        assert_eq!(ev[0].field("len"), Some(4096));
-        assert_eq!(ev[0].field("node"), Some(3));
-        assert_eq!(ev[0].field("missing"), None);
-        let text = TraceSink::render(&ev);
-        assert!(text.contains("len=4096"), "{text}");
-    }
-
-    #[test]
-    fn duplicate_kv_keys_collapse_last_write_wins() {
-        let sink = TraceSink::new();
-        sink.enable(None);
-        sink.record_kv(
-            1,
-            Category::Nic,
-            vec![
-                ("node", 1),
-                ("len", 10),
-                ("node", 2),
-                ("len", 20),
-                ("dst", 3),
-            ],
-            "dup".into(),
-        );
-        let ev = sink.take();
-        // One entry per key, first-occurrence order, latest value.
-        assert_eq!(ev[0].kv, vec![("node", 2), ("len", 20), ("dst", 3)]);
-        assert_eq!(ev[0].field("node"), Some(2));
-        assert_eq!(ev[0].field("len"), Some(20));
-    }
-
-    #[test]
-    fn macro_kv_payload_allocates_exact_capacity() {
+    fn fields_are_queryable_and_rendered() {
         let sink = TraceSink::new();
         sink.enable(None);
         crate::trace_event!(
             &sink,
-            1,
+            7,
             Category::Nic,
-            [("a", 1u64), ("b", 2u64), ("a", 3u64)],
-            "macro dedupe"
+            "du_transfer",
+            node = 3,
+            len = 4096,
+            dst = 1
         );
         let ev = sink.take();
-        assert_eq!(ev[0].kv, vec![("a", 3), ("b", 2)]);
-        // Capacity was reserved for the macro-site payload (3 pairs), and
-        // dedupe only shrinks the length, never reallocates.
-        assert!(ev[0].kv.capacity() <= 3);
+        assert_eq!(ev[0].node, 3);
+        assert_eq!(ev[0].field("len"), Some(4096));
+        assert_eq!(ev[0].field("missing"), None);
+        let text = TraceSink::render(&ev);
+        assert!(
+            text.ends_with("nic    du_transfer  node=3  len=4096  dst=1\n"),
+            "{text}"
+        );
     }
 
     #[test]
-    fn take_category_partitions() {
-        let sink = TraceSink::new();
-        sink.enable(None);
-        sink.record(1, Category::Nic, "a".into());
-        sink.record(2, Category::Svm, "b".into());
-        sink.record(3, Category::Nic, "c".into());
-        let nic = sink.take_category(Category::Nic);
-        assert_eq!(nic.len(), 2);
-        let rest = sink.take();
-        assert_eq!(rest.len(), 1);
-        assert_eq!(rest[0].category, Category::Svm);
+    #[should_panic(expected = "duplicate trace field key")]
+    fn duplicate_keys_are_rejected() {
+        let _ = TraceKind::new("dup", Category::Nic, &["len", "dst", "len"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "own field")]
+    fn node_key_is_rejected() {
+        let _ = TraceKind::new("dup", Category::Nic, &["node"]);
     }
 }

@@ -619,17 +619,11 @@ impl SvmNode {
             sh.vm.sim().trace(),
             sh.vm.sim().now(),
             shrimp_sim::Category::Svm,
-            [
-                ("node", sh.me),
-                ("region", region.0),
-                ("page", pg),
-                ("home", home),
-            ],
-            "node {} fetch region {} page {} from {}",
-            sh.me,
-            region.0,
-            pg,
-            home
+            "read_fault",
+            node = sh.me,
+            region = region.0,
+            page = pg,
+            home = home,
         );
         let rep = sh
             .request_remote(
@@ -1036,9 +1030,8 @@ impl SvmNode {
             sh.vm.sim().trace(),
             sh.vm.sim().now(),
             shrimp_sim::Category::Svm,
-            [("node", sh.me)],
-            "node {} enters barrier",
-            sh.me
+            "barrier_enter",
+            node = sh.me,
         );
         self.release_all().await;
         // A barrier is a global synchronization point: publish every write

@@ -285,7 +285,7 @@ fn trace_timeline_captures_hardware_and_protocol_events() {
     let events = cluster.sim().trace().take();
     assert!(!events.is_empty(), "no trace events recorded");
     let cats: std::collections::HashSet<shrimp::sim::Category> =
-        events.iter().map(|e| e.category).collect();
+        events.iter().map(|e| e.category()).collect();
     assert!(
         cats.contains(&shrimp::sim::Category::Nic),
         "no NIC events traced"
