@@ -2,12 +2,13 @@
 
 use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, VecDeque};
 use std::rc::{Rc, Weak};
 
 use shrimp_faults::{FaultPlane, PacketFate, ShrimpError};
 use shrimp_sim::shard::ShardSender;
-use shrimp_sim::{time, HandlerId, Queue, Sim, Time, TimerHandler};
+use shrimp_sim::{time, HandlerId, Parked, Queue, Sim, Time, TimerHandler};
 
 use crate::stats::NetStats;
 
@@ -89,12 +90,17 @@ impl MeshConfig {
     }
 
     /// Minimum latency any packet pays between two *distinct* nodes: the
-    /// injection and ejection transceiver crossings plus one router hop.
-    /// This is the cross-shard **lookahead** of the conservative parallel
-    /// executor (`shrimp_sim::shard`) — no inter-node interaction can take
-    /// effect sooner, so it bounds the synchronization window.
+    /// [`point_latency`](Self::point_latency) of a header-only packet over
+    /// one router-to-router link — both transceiver crossings, the inject,
+    /// link and eject hops, and the header's serialization (360 ns on the
+    /// SHRIMP backplane). Every route between distinct nodes has at least
+    /// one link, contention and the no-overtake clamp only add, and a
+    /// detour only adds links, so no packet arrives sooner. This is the
+    /// cross-shard **lookahead** of the conservative parallel executor
+    /// (`shrimp_sim::shard`): no inter-node interaction can take effect
+    /// sooner, so it bounds the synchronization window.
     pub fn min_remote_latency(&self) -> Time {
-        2 * self.transceiver_latency + self.hop_latency
+        self.point_latency(1, 0)
     }
 
     /// Uncongested end-to-end latency for a `payload_bytes` packet crossing
@@ -180,6 +186,10 @@ struct Decoupled<P> {
     drain_at: Vec<Cell<Time>>,
 }
 
+/// Marks an arrival-timer token as a decoupled drain of node `token & !DRAIN`
+/// rather than the in-flight slot `token` (whose top bit is never set).
+const DRAIN: u32 = 1 << 31;
+
 /// Busy-until times of the contended transport's channels, in one flat
 /// `Vec`: per node an injection, an ejection and a loopback channel, then
 /// per router its 4 outgoing links. A channel serves packets in booking
@@ -236,46 +246,21 @@ impl Channels {
     }
 }
 
-/// Contended-mesh packets waiting for their arrival timer, which carries
-/// the packet's slot here as its token: no allocation per packet.
-struct InFlight<P> {
-    /// `(destination node, packet)` per slot; `None` when free.
-    slots: Vec<Option<(usize, P)>>,
-    free: Vec<usize>,
-}
-
-impl<P> InFlight<P> {
-    fn new() -> Self {
-        InFlight {
-            slots: Vec::new(),
-            free: Vec::new(),
-        }
-    }
-
-    fn insert(&mut self, dst: usize, packet: P) -> u32 {
-        let slot = match self.free.pop() {
-            Some(slot) => slot,
-            None => {
-                self.slots.push(None);
-                self.slots.len() - 1
-            }
-        };
-        self.slots[slot] = Some((dst, packet));
-        u32::try_from(slot).expect("too many packets in flight")
-    }
-
-    fn take(&mut self, token: u32) -> (usize, P) {
-        let packet = self.slots[token as usize].take().expect("packet in flight");
-        self.free.push(token as usize);
-        packet
-    }
+/// One packet waiting for its arrival timer.
+struct Parcel<P> {
+    src: NodeId,
+    dst: NodeId,
+    pkt: P,
 }
 
 struct NetworkInner<P> {
     sim: Sim,
     cfg: MeshConfig,
     channels: RefCell<Channels>,
-    in_flight: RefCell<InFlight<P>>,
+    /// Packets waiting for their arrival timer, whose token is the slot: on
+    /// the contended transport the timer delivers into the ingress queue,
+    /// on the decoupled one it inserts into the destination's reorder heap.
+    in_flight: RefCell<Parked<Parcel<P>>>,
     /// This network as the handler of its arrival timers.
     arrival: HandlerId,
     ingress: Vec<Queue<P>>,
@@ -283,10 +268,8 @@ struct NetworkInner<P> {
     // Installed only for chaos runs; `None` is the zero-overhead fast path.
     faults: RefCell<Option<FaultPlane>>,
     // `Some` on a sharded backplane: the decoupled fixed-latency transport
-    // replaces the contended one wholesale. `Rc` so delivery closures can
-    // capture the transport itself rather than re-proving its presence at
-    // each hop (the old `.expect("decoupled transport")` sites).
-    decoupled: Option<Rc<Decoupled<P>>>,
+    // replaces the contended one wholesale.
+    decoupled: Option<Decoupled<P>>,
 }
 
 /// The routing backplane, generic over the packet payload type `P` (the NIC
@@ -329,7 +312,7 @@ impl<P: 'static> Network<P> {
                 arrival: sim.register_handler(me.clone()),
                 sim,
                 channels: RefCell::new(Channels::new(n_nodes, cfg.capacity(), cfg.width)),
-                in_flight: RefCell::new(InFlight::new()),
+                in_flight: RefCell::default(),
                 cfg,
                 ingress: (0..n_nodes).map(|_| Queue::new()).collect(),
                 stats: NetStats::default(),
@@ -379,12 +362,12 @@ impl<P: 'static> Network<P> {
                 sim,
                 // The decoupled transport books no channel.
                 channels: RefCell::new(Channels::new(0, 0, cfg.width)),
-                in_flight: RefCell::new(InFlight::new()),
+                in_flight: RefCell::default(),
                 cfg,
                 ingress: (0..n_nodes).map(|_| Queue::new()).collect(),
                 stats: NetStats::default(),
                 faults: RefCell::new(None),
-                decoupled: Some(Rc::new(decoupled)),
+                decoupled: Some(decoupled),
             }),
         }
         .registered()
@@ -463,8 +446,8 @@ impl<P: 'static> Network<P> {
     where
         P: Clone + Faultable,
     {
-        if let Some(d) = self.inner.decoupled.clone() {
-            return self.send_decoupled(&d, src, dst, payload_bytes, packet);
+        if let Some(d) = &self.inner.decoupled {
+            return self.send_decoupled(d, src, dst, payload_bytes, packet);
         }
         let sim = &self.inner.sim;
         let cfg = &self.inner.cfg;
@@ -541,17 +524,22 @@ impl<P: 'static> Network<P> {
                     packet.corrupt(salt);
                 }
                 if fate == PacketFate::Duplicate {
-                    self.arrive_at(arrival, dst, packet.clone());
+                    self.arrive_at(arrival, src, dst, packet.clone());
                 }
-                self.arrive_at(arrival, dst, packet);
+                self.arrive_at(arrival, src, dst, packet);
             }
         }
         arrival
     }
 
-    /// Pushes `packet` onto `dst`'s ingress queue at `at` (contended path).
-    fn arrive_at(&self, at: Time, dst: NodeId, packet: P) {
-        let token = self.inner.in_flight.borrow_mut().insert(dst.0, packet);
+    /// Books `packet`'s arrival timer at `at`: it then enters `dst`'s
+    /// ingress queue (contended) or reorder heap (decoupled).
+    fn arrive_at(&self, at: Time, src: NodeId, dst: NodeId, pkt: P) {
+        let token = self
+            .inner
+            .in_flight
+            .borrow_mut()
+            .park(Parcel { src, dst, pkt });
         self.inner
             .sim
             .schedule_handler(at, self.inner.arrival, token);
@@ -569,7 +557,7 @@ impl<P: 'static> Network<P> {
     /// injected fault is therefore identical at any shard count.
     fn send_decoupled(
         &self,
-        d: &Rc<Decoupled<P>>,
+        d: &Decoupled<P>,
         src: NodeId,
         dst: NodeId,
         payload_bytes: usize,
@@ -652,18 +640,9 @@ impl<P: 'static> Network<P> {
             // assigned before the instant executes, and the drain scheduled
             // *during* the instant runs after every same-instant insert.
             if fate == PacketFate::Duplicate {
-                let dup = packet.clone();
-                let net = self.clone();
-                let dd = d.clone();
-                sim.schedule(arrival, move || {
-                    net.insert_decoupled(&dd, arrival, src, dst, dup);
-                });
+                self.arrive_at(arrival, src, dst, packet.clone());
             }
-            let net = self.clone();
-            let dd = d.clone();
-            sim.schedule(arrival, move || {
-                net.insert_decoupled(&dd, arrival, src, dst, packet);
-            });
+            self.arrive_at(arrival, src, dst, packet);
         } else {
             if fate == PacketFate::Duplicate {
                 d.sender.send(
@@ -701,7 +680,7 @@ impl<P: 'static> Network<P> {
     /// form of a wiring bug — a sharded engine driving an unsharded
     /// network — and should surface as a harness error row, not a panic.
     pub fn deliver_remote(&self, arrival: Time, flit: Flit<P>) -> Result<(), ShrimpError> {
-        let Some(d) = self.inner.decoupled.clone() else {
+        let Some(d) = &self.inner.decoupled else {
             return Err(ShrimpError::NoDecoupledTransport { dst: flit.dst.0 });
         };
         debug_assert_eq!(
@@ -709,54 +688,8 @@ impl<P: 'static> Network<P> {
             arrival,
             "remote flit delivered off its arrival instant"
         );
-        self.insert_decoupled(&d, arrival, flit.src, flit.dst, flit.pkt);
+        self.inner.insert_decoupled(d, flit.src, flit.dst, flit.pkt);
         Ok(())
-    }
-
-    /// Queues one decoupled delivery and schedules the destination's drain
-    /// for this instant (once per node per instant).
-    fn insert_decoupled(
-        &self,
-        d: &Rc<Decoupled<P>>,
-        arrival: Time,
-        src: NodeId,
-        dst: NodeId,
-        packet: P,
-    ) {
-        debug_assert_eq!(d.shard_map[dst.0], d.shard, "insert for an unowned node");
-        d.heaps.borrow_mut()[dst.0].push(Reverse(HeapEntry {
-            arrival,
-            src: src.0,
-            pkt: packet,
-        }));
-        if d.drain_at[dst.0].get() != arrival {
-            d.drain_at[dst.0].set(arrival);
-            let net = self.clone();
-            let dd = d.clone();
-            self.inner
-                .sim
-                .schedule(arrival, move || net.drain_decoupled(&dd, dst));
-        }
-    }
-
-    /// Delivers every queued packet whose arrival is now due into the
-    /// node's ingress queue, in `(arrival, src)` order.
-    fn drain_decoupled(&self, d: &Decoupled<P>, dst: NodeId) {
-        let now = self.inner.sim.now();
-        let mut due = Vec::new();
-        {
-            let mut heaps = d.heaps.borrow_mut();
-            let heap = &mut heaps[dst.0];
-            while heap.peek().is_some_and(|e| e.0.arrival <= now) {
-                if let Some(Reverse(entry)) = heap.pop() {
-                    due.push(entry.pkt);
-                }
-            }
-        }
-        let ingress = self.inner.ingress[dst.0].clone();
-        for pkt in due {
-            ingress.send(pkt);
-        }
     }
 
     /// A route from `src` to `dst` that avoids links failed *now*: the
@@ -829,12 +762,52 @@ impl<P: 'static> Network<P> {
     }
 }
 
+impl<P: 'static> NetworkInner<P> {
+    /// Queues one decoupled delivery, arriving now, and books the
+    /// destination's drain for this instant (once per node per instant).
+    fn insert_decoupled(&self, d: &Decoupled<P>, src: NodeId, dst: NodeId, pkt: P) {
+        debug_assert_eq!(d.shard_map[dst.0], d.shard, "insert for an unowned node");
+        let arrival = self.sim.now();
+        d.heaps.borrow_mut()[dst.0].push(Reverse(HeapEntry {
+            arrival,
+            src: src.0,
+            pkt,
+        }));
+        if d.drain_at[dst.0].get() != arrival {
+            d.drain_at[dst.0].set(arrival);
+            let token = u32::try_from(dst.0).expect("node id fits a drain token") | DRAIN;
+            self.sim.schedule_handler(arrival, self.arrival, token);
+        }
+    }
+
+    /// Delivers every queued packet whose arrival is now due into the
+    /// node's ingress queue, in `(arrival, src)` order.
+    fn drain_decoupled(&self, d: &Decoupled<P>, dst: usize) {
+        let now = self.sim.now();
+        let heap = &mut d.heaps.borrow_mut()[dst];
+        while let Some(entry) = heap.peek_mut().filter(|e| e.0.arrival <= now) {
+            self.ingress[dst].send(PeekMut::pop(entry).0.pkt);
+        }
+    }
+}
+
 impl<P: 'static> TimerHandler for NetworkInner<P> {
-    /// A contended-mesh arrival: the packet in slot `token` reaches its
-    /// destination's ingress queue.
+    /// An arrival timer: the packet in slot `token` reaches its
+    /// destination's ingress queue (contended) or reorder heap (decoupled),
+    /// or, with [`DRAIN`] set, a decoupled node's due packets reach its
+    /// ingress queue.
     fn fire(self: Rc<Self>, token: u32) {
-        let (dst, packet) = self.in_flight.borrow_mut().take(token);
-        self.ingress[dst].send(packet);
+        match &self.decoupled {
+            Some(d) if token & DRAIN != 0 => self.drain_decoupled(d, (token & !DRAIN) as usize),
+            Some(d) => {
+                let Parcel { src, dst, pkt } = self.in_flight.borrow_mut().take(token);
+                self.insert_decoupled(d, src, dst, pkt);
+            }
+            None => {
+                let Parcel { dst, pkt, .. } = self.in_flight.borrow_mut().take(token);
+                self.ingress[dst.0].send(pkt);
+            }
+        }
     }
 }
 
@@ -976,19 +949,6 @@ mod tests {
     }
 
     #[test]
-    fn min_remote_latency_lower_bounds_every_send() {
-        let (sim, nw) = net(16);
-        let lookahead = nw.config().min_remote_latency();
-        assert_eq!(lookahead, time::ns(240)); // 2 x 100 ns transceiver + 40 ns hop
-        let t = nw.send(NodeId(0), NodeId(1), 0, 1);
-        sim.run();
-        assert!(
-            t >= lookahead,
-            "send arrived {t} before the lookahead bound"
-        );
-    }
-
-    #[test]
     fn point_latency_matches_uncontended_send() {
         let (sim, nw) = net(16);
         // 0 -> 15 is 6 hops on the 4x4 dimension-order route.
@@ -1113,6 +1073,89 @@ mod tests {
         sim.run();
         assert_eq!(nw.ingress(NodeId(1)).try_recv(), None);
         assert_eq!(plane.stats().link_rejects.get(), 1);
+    }
+
+    /// Sends one `payload`-byte packet per `(src, dst)` pair at time 0 on a
+    /// `nodes`-node mesh, with the link 0 → 1 failed or not, through the
+    /// contended transport or the decoupled one at one shard; returns each
+    /// send's arrival.
+    fn arrivals(
+        nodes: usize,
+        pairs: Vec<(usize, usize)>,
+        payload: usize,
+        fail_link: bool,
+        decoupled: bool,
+    ) -> Vec<Time> {
+        let send = move |nw: Network<u64>| {
+            if fail_link {
+                nw.install_fault_plane(FaultPlane::per_entity(FaultScenario {
+                    link: Some(LinkFault {
+                        from: 0,
+                        to: 1,
+                        at_us: 0,
+                        down_us: 0,
+                    }),
+                    ..FaultScenario::none()
+                }));
+            }
+            pairs
+                .iter()
+                .map(|&(src, dst)| nw.send(NodeId(src), NodeId(dst), payload, 0))
+                .collect::<Vec<Time>>()
+        };
+        let cfg = MeshConfig::for_nodes(nodes);
+        if !decoupled {
+            let sim = Sim::new();
+            let sent = send(Network::new(sim.clone(), cfg, nodes));
+            sim.run();
+            return sent;
+        }
+        let lookahead = cfg.min_remote_latency();
+        let b: shrimp_sim::Builder<Flit<u64>, Vec<Time>> = Box::new(move |ctx| {
+            let nw = Network::sharded(ctx.sim().clone(), cfg, nodes, vec![0; nodes], ctx.sender());
+            let sent = send(nw);
+            Box::new(move || sent)
+        });
+        let mut out = shrimp_sim::run_sharded(&shrimp_sim::ShardConfig::new(1, lookahead), vec![b]);
+        out.results.pop().expect("one shard")
+    }
+
+    #[test]
+    fn min_remote_latency_lower_bounds_every_send() {
+        let cfg = MeshConfig::shrimp_4x4();
+        assert_eq!(cfg.min_remote_latency(), cfg.point_latency(1, 0));
+        // 2 x 100 ns transceiver + 2 x 40 ns hop + 16 header bytes at 200 MB/s.
+        assert_eq!(cfg.min_remote_latency(), time::ns(360));
+        for side in [4usize, 8] {
+            let nodes = side * side;
+            let lookahead = MeshConfig::for_nodes(nodes).min_remote_latency();
+            let pairs: Vec<(usize, usize)> = (0..nodes)
+                .flat_map(|src| (0..nodes).map(move |dst| (src, dst)))
+                .filter(|&(src, dst)| src != dst)
+                .collect();
+            for payload in [0, 1, 4096] {
+                for fail_link in [false, true] {
+                    for decoupled in [false, true] {
+                        let sent = arrivals(nodes, pairs.clone(), payload, fail_link, decoupled);
+                        assert_eq!(sent.len(), pairs.len());
+                        for (&(src, dst), &t) in pairs.iter().zip(&sent) {
+                            assert!(
+                                t >= lookahead,
+                                "{side}x{side}, {payload} B, failed link {fail_link}, \
+                                 decoupled {decoupled}: {src} -> {dst} arrived at {t}, \
+                                 before the {lookahead} ps lookahead"
+                            );
+                        }
+                    }
+                }
+            }
+            // The bound is tight: an adjacent header-only send on an idle
+            // mesh arrives exactly one lookahead after it left.
+            for decoupled in [false, true] {
+                let sent = arrivals(nodes, vec![(0, 1)], 0, false, decoupled);
+                assert_eq!(sent, vec![lookahead], "decoupled {decoupled}");
+            }
+        }
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! Proxy indices come from one contiguous allocator and an import maps
 //! consecutive proxies to consecutive pages of one remote node, so the
 //! proxy region is stored as sorted runs of such entries: one run per
-//! import, not one slot per page. Only the sparse physical-page entries
-//! live in a map.
+//! import, not one slot per page. A directory over the runs, one `u32` per
+//! 64 slots, turns a lookup into one read and a short forward scan. Only
+//! the sparse physical-page entries live in a map.
 
 use std::cell::RefCell;
 
@@ -90,14 +91,77 @@ impl ProxyRun {
     }
 }
 
+/// Proxy slots per directory entry.
+const BLOCK: u64 = 64;
+
+/// The OPT entries at proxy indices.
+#[derive(Debug, Default)]
+struct ProxyRegion {
+    /// Sorted, disjoint runs, no two neighbours of which could be one run.
+    runs: Vec<ProxyRun>,
+    /// Per block of [`BLOCK`] slots, up to the last run's end: the position
+    /// of the first run ending past the block's start.
+    dir: Vec<u32>,
+    /// `dir` no longer matches `runs`; the next lookup rebuilds it.
+    stale: bool,
+}
+
+impl ProxyRegion {
+    /// Adds `run`, which starts at or past the last run's end, extending
+    /// the last run when it continues into it. Every block the region newly
+    /// reaches starts past all earlier runs' ends, so its directory entry
+    /// is the last run.
+    fn append(&mut self, run: ProxyRun) {
+        match self.runs.last_mut().filter(|r| r.continues_into(&run)) {
+            Some(last) => last.len += run.len,
+            None => self.runs.push(run),
+        }
+        if !self.stale {
+            let last = u32::try_from(self.runs.len() - 1).expect("too many proxy runs");
+            let end = self.runs[last as usize].end();
+            while (self.dir.len() as u64) * BLOCK < end {
+                self.dir.push(last);
+            }
+        }
+    }
+
+    /// Recomputes the directory from the runs in one merged pass.
+    fn rebuild(&mut self) {
+        self.dir.clear();
+        let end = self.runs.last().map_or(0, ProxyRun::end);
+        let mut i = 0;
+        for block in 0..end.div_ceil(BLOCK) {
+            while self.runs[i].end() <= block * BLOCK {
+                i += 1;
+            }
+            self.dir
+                .push(u32::try_from(i).expect("too many proxy runs"));
+        }
+        self.stale = false;
+    }
+
+    /// The entry at `slot`: the directory names the first run that can
+    /// hold it, and a short forward scan finds the run that does.
+    fn get(&mut self, slot: u64) -> Option<OptEntry> {
+        if self.stale {
+            self.rebuild();
+        }
+        let from = *self.dir.get(usize::try_from(slot / BLOCK).ok()?)? as usize;
+        self.runs[from..]
+            .iter()
+            .find(|r| r.end() > slot)
+            .filter(|r| r.first <= slot)
+            .map(|r| r.entry_at(slot - r.first))
+    }
+}
+
 /// The two page tables of one NIC.
 #[derive(Debug)]
 pub struct PageTables {
     /// OPT entries at physical page numbers (below [`PROXY_INDEX_BASE`]).
     opt: RefCell<FastMap<u64, OptEntry>>,
-    /// OPT entries at proxy indices: sorted, disjoint runs, no two
-    /// neighbours of which could be one run.
-    proxies: RefCell<Vec<ProxyRun>>,
+    /// OPT entries at proxy indices.
+    proxies: RefCell<ProxyRegion>,
     ipt: RefCell<FastMap<u64, IptEntry>>,
     next_proxy: RefCell<u64>,
 }
@@ -161,7 +225,7 @@ impl PageTables {
     pub fn new() -> Self {
         PageTables {
             opt: RefCell::new(FastMap::default()),
-            proxies: RefCell::new(Vec::new()),
+            proxies: RefCell::new(ProxyRegion::default()),
             ipt: RefCell::new(FastMap::default()),
             next_proxy: RefCell::new(PROXY_INDEX_BASE),
         }
@@ -172,7 +236,7 @@ impl PageTables {
     /// export/import sequence reallocates the same proxy indices.
     pub fn clear(&self) {
         self.opt.borrow_mut().clear();
-        self.proxies.borrow_mut().clear();
+        *self.proxies.borrow_mut() = ProxyRegion::default();
         self.ipt.borrow_mut().clear();
         *self.next_proxy.borrow_mut() = PROXY_INDEX_BASE;
     }
@@ -192,17 +256,19 @@ impl PageTables {
     pub fn opt_set(&self, index: u64, entry: OptEntry) {
         match proxy_slot(index) {
             Some(slot) => {
-                let runs = &mut *self.proxies.borrow_mut();
+                let region = &mut *self.proxies.borrow_mut();
                 let run = ProxyRun {
                     first: slot,
                     len: 1,
                     entry,
                 };
-                // An import's next page: no run lies at or past `slot`.
-                if let Some(last) = runs.last_mut().filter(|r| r.continues_into(&run)) {
-                    last.len += 1;
+                // An import's pages in order: no run lies at or past `slot`.
+                if region.runs.last().is_none_or(|r| r.end() <= slot) {
+                    region.append(run);
                     return;
                 }
+                region.stale = true;
+                let runs = &mut region.runs;
                 let i = remove_slot(runs, slot);
                 if i > 0 && runs[i - 1].continues_into(&run) {
                     runs[i - 1].len += 1;
@@ -222,7 +288,9 @@ impl PageTables {
     pub fn opt_clear(&self, index: u64) {
         match proxy_slot(index) {
             Some(slot) => {
-                remove_slot(&mut self.proxies.borrow_mut(), slot);
+                let region = &mut *self.proxies.borrow_mut();
+                region.stale = true;
+                remove_slot(&mut region.runs, slot);
             }
             None => {
                 self.opt.borrow_mut().remove(&index);
@@ -233,12 +301,7 @@ impl PageTables {
     /// Looks up an OPT entry.
     pub fn opt_get(&self, index: u64) -> Option<OptEntry> {
         match proxy_slot(index) {
-            Some(slot) => {
-                let runs = self.proxies.borrow();
-                runs.get(run_at(&runs, slot))
-                    .filter(|r| r.first <= slot)
-                    .map(|r| r.entry_at(slot - r.first))
-            }
+            Some(slot) => self.proxies.borrow_mut().get(slot),
             None => self.opt.borrow().get(&index).copied(),
         }
     }
@@ -277,7 +340,7 @@ impl PageTables {
         let mut out: Vec<(u64, OptEntry)> =
             self.opt.borrow().iter().map(|(&i, &e)| (i, e)).collect();
         out.sort_unstable_by_key(|&(i, _)| i);
-        for r in self.proxies.borrow().iter() {
+        for r in self.proxies.borrow().runs.iter() {
             out.extend((0..r.len).map(|k| (PROXY_INDEX_BASE + r.first + k, r.entry_at(k))));
         }
         out
@@ -342,7 +405,17 @@ mod tests {
                 );
             }
         }
-        assert_eq!(t.proxies.borrow().len(), 255);
+        let region = t.proxies.borrow();
+        assert_eq!(region.runs.len(), 255);
+        // The append path kept the directory current: one entry per block.
+        assert!(!region.stale);
+        assert_eq!(region.dir.len(), (255 * 16usize).div_ceil(BLOCK as usize));
+        drop(region);
+        assert_eq!(
+            t.opt_get(PROXY_INDEX_BASE + 100).unwrap().dst_node,
+            NodeId(6)
+        );
+        assert_eq!(t.opt_get(PROXY_INDEX_BASE + 255 * 16), None);
         let image = t.opt_entries();
         assert_eq!(image.len(), 255 * 16);
         assert_eq!(image[17].0, PROXY_INDEX_BASE + 17);

@@ -210,7 +210,8 @@ props! {
     /// overwrites inside runs, clears that split runs, physical-page
     /// entries and power cycles leave the OPT, whose proxy region is held
     /// as runs, answering every lookup, the table image and the allocator
-    /// exactly like a per-index map.
+    /// exactly like a per-index map. Lookups run between every two
+    /// mutations, inside an import too.
     fn opt_matches_per_index_model(
         ops in vec_of(zip3(u8_in(0..20), u64_in(0..48), u64_in(0..64)), 1..60),
     ) {
@@ -242,6 +243,9 @@ props! {
                         let e = entry(a, 1000 + a * 16 + i);
                         t.opt_set(base + i, e);
                         model.insert(base + i, e);
+                        for j in base.saturating_sub(2)..base + n + 2 {
+                            prop_assert_eq!(t.opt_get(j), model.get(&j).copied(), "index {:#x}", j);
+                        }
                     }
                 }
                 // A single entry anywhere in the low slots. Neighbours
@@ -297,5 +301,99 @@ props! {
             let image: Vec<(u64, OptEntry)> = model.iter().map(|(&i, &e)| (i, e)).collect();
             prop_assert_eq!(t.opt_entries(), image);
         }
+    }
+    /// A p256 launch node's OPT: 255 imports of 1–8 pages each, one per
+    /// peer, so the proxy region spans many 64-slot directory blocks. Then
+    /// clears that split a run or remove it whole, rewrites that split a
+    /// run or rejoin one, further imports, and power cycles after which
+    /// the node re-runs its imports, with random lookups between every two
+    /// mutations and a sweep of every slot after a power cycle and at the
+    /// end, all checked against a per-index model. A directory left stale
+    /// by any of those mutations answers some lookup wrongly.
+    fn opt_directory_matches_model_at_p256(
+        sizes in vec_of(u64_in(1..9), 255..256),
+        ops in vec_of(zip3(u8_in(0..16), any_u64(), vec_of(any_u64(), 4..5)), 1..80),
+    ) {
+        let t = PageTables::new();
+        let mut model: BTreeMap<u64, OptEntry> = BTreeMap::new();
+        // Each imported index's entry as imported, for rejoining rewrites.
+        let mut imported: BTreeMap<u64, OptEntry> = BTreeMap::new();
+        // Imported indices cleared or rewritten since: a restore rejoins.
+        let mut changed: Vec<u64> = Vec::new();
+        let import = |t: &PageTables,
+                      model: &mut BTreeMap<u64, OptEntry>,
+                      imported: &mut BTreeMap<u64, OptEntry>,
+                      peer: usize,
+                      pages: u64| {
+            let base = t.alloc_proxy_range(pages as usize);
+            for k in 0..pages {
+                let e = OptEntry {
+                    dst_node: NodeId(peer % 256),
+                    dst_page: 100 + k,
+                    au_enable: false,
+                    combine: false,
+                    interrupt: peer.is_multiple_of(3),
+                };
+                t.opt_set(base + k, e);
+                model.insert(base + k, e);
+                imported.insert(base + k, e);
+            }
+        };
+        let import_all = |t: &PageTables,
+                          model: &mut BTreeMap<u64, OptEntry>,
+                          imported: &mut BTreeMap<u64, OptEntry>| {
+            for (peer, &pages) in sizes.iter().enumerate() {
+                import(t, model, imported, peer, pages);
+            }
+        };
+        let sweep = |t: &PageTables, model: &BTreeMap<u64, OptEntry>| {
+            (PROXY_INDEX_BASE..t.next_proxy() + 70)
+                .find(|i| t.opt_get(*i) != model.get(i).copied())
+        };
+        import_all(&t, &mut model, &mut imported);
+        prop_assert_eq!(sweep(&t, &model), None);
+        for &(op, x, ref lookups) in &ops {
+            let span = t.next_proxy() - PROXY_INDEX_BASE + 70;
+            let index = PROXY_INDEX_BASE + x % span;
+            match op {
+                0..=5 => {
+                    t.opt_clear(index);
+                    model.remove(&index);
+                    changed.push(index);
+                }
+                6..=8 if !changed.is_empty() => {
+                    let back = changed.swap_remove((x % changed.len() as u64) as usize);
+                    if let Some(&e) = imported.get(&back) {
+                        t.opt_set(back, e);
+                        model.insert(back, e);
+                    }
+                }
+                9..=10 => {
+                    if let Some(&e) = model.get(&index) {
+                        let e = OptEntry { combine: !e.combine, ..e };
+                        t.opt_set(index, e);
+                        model.insert(index, e);
+                        changed.push(index);
+                    }
+                }
+                11 => import(&t, &mut model, &mut imported, (x % 255) as usize, x % 8 + 1),
+                12 => {
+                    t.clear();
+                    model.clear();
+                    imported.clear();
+                    changed.clear();
+                    import_all(&t, &mut model, &mut imported);
+                    prop_assert_eq!(sweep(&t, &model), None, "after a power cycle");
+                }
+                _ => {}
+            }
+            let probes = [index.saturating_sub(1), index, index + 1];
+            for i in probes.into_iter().chain(lookups.iter().map(|l| PROXY_INDEX_BASE + l % span)) {
+                prop_assert_eq!(t.opt_get(i), model.get(&i).copied(), "index {:#x} after op {}", i, op);
+            }
+        }
+        prop_assert_eq!(sweep(&t, &model), None);
+        let image: Vec<(u64, OptEntry)> = model.iter().map(|(&i, &e)| (i, e)).collect();
+        prop_assert_eq!(t.opt_entries(), image);
     }
 }

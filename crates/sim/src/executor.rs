@@ -83,6 +83,61 @@ pub trait TimerHandler {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HandlerId(u32);
 
+/// Values waiting for their [`TimerHandler`] timer, each in a slot whose
+/// index is the timer's token: once the slab has grown to its peak, booking
+/// a timer that carries a value allocates nothing. A token never has its
+/// top bit set, so a handler may use that bit to tell a second kind of
+/// timer apart.
+pub struct Parked<T> {
+    slots: Vec<Option<T>>,
+    free: Vec<u32>,
+}
+
+impl<T> Default for Parked<T> {
+    fn default() -> Self {
+        Parked {
+            slots: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+}
+
+impl<T> Parked<T> {
+    /// Parks `value` and returns its token.
+    ///
+    /// # Panics
+    ///
+    /// Panics when 2^31 values are parked at once.
+    pub fn park(&mut self, value: T) -> u32 {
+        let token = match self.free.pop() {
+            Some(token) => token,
+            None => {
+                let token = u32::try_from(self.slots.len())
+                    .ok()
+                    .filter(|t| t >> 31 == 0)
+                    .expect("too many values parked");
+                self.slots.push(None);
+                token
+            }
+        };
+        self.slots[token as usize] = Some(value);
+        token
+    }
+
+    /// Takes back the value parked under `token`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when nothing is parked under `token`.
+    pub fn take(&mut self, token: u32) -> T {
+        let value = self.slots[token as usize]
+            .take()
+            .expect("a value parked under the token");
+        self.free.push(token);
+        value
+    }
+}
+
 /// Wake queue shared with `Waker`s. `Waker` must be `Send + Sync`, so the
 /// compiler cannot prove this stays on one thread — but the simulator *is*
 /// strictly single-threaded, so instead of an always-uncontended `Mutex` the

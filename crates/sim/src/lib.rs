@@ -51,7 +51,7 @@ pub mod time;
 pub mod trace;
 pub mod wheel;
 
-pub use executor::{HandlerId, Sim, TaskHandle, TimerHandler};
+pub use executor::{HandlerId, Parked, Sim, TaskHandle, TimerHandler};
 pub use fastmap::{FastMap, FastSet};
 pub use metrics::{
     CounterSet, HistogramSnapshot, MetricSample, MetricValue, MetricsRegistry, MetricsSnapshot,

@@ -20,7 +20,10 @@ use std::task::{Context, Poll, Waker};
 /// A lone waiter's waker is woken by reference and kept as `Idle`, so the
 /// same receiver parking again (the steady state of every engine loop)
 /// reuses it instead of cloning — no reference-count traffic per message.
-enum Waiters {
+///
+/// [`crate::sync`]'s `Event`, `Gate` and `Semaphore` keep their waiters
+/// here too.
+pub(crate) enum Waiters {
     Empty,
     /// No waiter; the last lone waiter's waker, kept for reuse.
     Idle(Waker),
@@ -29,7 +32,7 @@ enum Waiters {
 }
 
 impl Waiters {
-    fn push(&mut self, w: &Waker) {
+    pub(crate) fn push(&mut self, w: &Waker) {
         match self {
             Waiters::Empty => *self = Waiters::One(w.clone()),
             Waiters::Idle(_) => {
@@ -48,7 +51,7 @@ impl Waiters {
         }
     }
 
-    fn wake_all(&mut self) {
+    pub(crate) fn wake_all(&mut self) {
         match self {
             Waiters::Empty | Waiters::Idle(_) => {}
             Waiters::One(_) => {

@@ -11,9 +11,9 @@
 //!   scoped threads. `Sim` stays `!Send`; only the shard's *builder
 //!   closure* and the messages cross threads.
 //! * Shards interact **only** through timestamped messages pushed onto
-//!   lock-free per-edge queues (`EdgeQueue`); in the SHRIMP machine the
-//!   routing backplane is the one such channel, and its link + transceiver
-//!   latency is the synchronization slack.
+//!   per-edge queues (`EdgeQueue`); in the SHRIMP machine the routing
+//!   backplane is the one such channel, and its link + transceiver latency
+//!   is the synchronization slack.
 //! * Execution proceeds in **windows**: with `m` the earliest pending event
 //!   anywhere (local timers or in-flight messages) and `L` the minimum
 //!   cross-shard lookahead, every event strictly before the global safe
@@ -53,17 +53,16 @@
 
 use std::cell::{Cell, RefCell};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::ptr;
-use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::rc::{Rc, Weak};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::thread::{self, Thread};
 
-use crate::executor::Sim;
+use crate::executor::{HandlerId, Parked, Sim, TimerHandler};
 use crate::time::Time;
 
 // ---------------------------------------------------------------------------
-// Lock-free per-edge message queues
+// Per-edge message queues
 // ---------------------------------------------------------------------------
 
 /// A timestamped message in flight between two shards.
@@ -76,67 +75,29 @@ struct Envelope<M> {
     msg: M,
 }
 
-struct EdgeNode<M> {
-    env: Envelope<M>,
-    next: *mut EdgeNode<M>,
-}
-
-/// Lock-free intrusive stack carrying one directed shard-to-shard edge.
+/// One directed shard-to-shard edge at one step parity.
 ///
-/// The producer (source shard, during one step) pushes with a CAS loop; the
-/// consumer (destination shard, in the next step) takes the whole list with
-/// one atomic swap. The queue is safe under full concurrency regardless.
-struct EdgeQueue<M> {
-    head: AtomicPtr<EdgeNode<M>>,
-}
-
-unsafe impl<M: Send> Send for EdgeQueue<M> {}
-unsafe impl<M: Send> Sync for EdgeQueue<M> {}
+/// The producer (source shard) pushes during one step and the consumer
+/// (destination shard) drains in the next, with a barrier between, so the
+/// lock is never contended; it only makes that ordering safe to rely on.
+/// Both sides keep their buffers, so once they have grown a message costs
+/// no allocation.
+struct EdgeQueue<M>(Mutex<Vec<Envelope<M>>>);
 
 impl<M> EdgeQueue<M> {
     fn new() -> Self {
-        EdgeQueue {
-            head: AtomicPtr::new(ptr::null_mut()),
-        }
+        EdgeQueue(Mutex::new(Vec::new()))
     }
 
     fn push(&self, env: Envelope<M>) {
-        let node = Box::into_raw(Box::new(EdgeNode {
-            env,
-            next: ptr::null_mut(),
-        }));
-        loop {
-            let head = self.head.load(Ordering::Acquire);
-            // Safety: `node` came from Box::into_raw above and is not yet
-            // shared; writing its link before publication is unobservable.
-            unsafe { (*node).next = head };
-            if self
-                .head
-                .compare_exchange_weak(head, node, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                break;
-            }
-        }
+        // A push cannot panic midway, so a poisoned lock guards whole data.
+        let mut queue = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        queue.push(env);
     }
 
-    /// Moves every queued envelope into `out`, newest first: the merge
-    /// sorts on a key unique per envelope, so the order taken is moot.
+    /// Moves every queued envelope into `out`.
     fn drain_into(&self, out: &mut Vec<Envelope<M>>) {
-        let mut head = self.head.swap(ptr::null_mut(), Ordering::AcqRel);
-        while !head.is_null() {
-            // Safety: nodes are only produced by `push` and ownership of the
-            // whole chain transferred by the swap above.
-            let node = unsafe { Box::from_raw(head) };
-            head = node.next;
-            out.push(node.env);
-        }
-    }
-}
-
-impl<M> Drop for EdgeQueue<M> {
-    fn drop(&mut self) {
-        self.drain_into(&mut Vec::new());
+        out.append(&mut self.0.lock().unwrap_or_else(PoisonError::into_inner));
     }
 }
 
@@ -176,6 +137,10 @@ struct ShardCore<M> {
     sim: Sim,
     fabric: Arc<Fabric<M>>,
     handler: RefCell<Option<Handler<M>>>,
+    /// This core as the handler of its delivery timers.
+    delivery: HandlerId,
+    /// Messages waiting for their delivery timer, whose token is the slot.
+    parked: RefCell<Parked<M>>,
     /// Next per-edge sequence number, one slot per destination shard.
     edge_seq: RefCell<Vec<u64>>,
     /// Earliest arrival pushed cross-shard since the last barrier report.
@@ -188,7 +153,7 @@ struct ShardCore<M> {
 }
 
 impl<M: 'static> ShardCore<M> {
-    fn send(self: &Rc<Self>, dst: usize, arrival: Time, msg: M) {
+    fn send(&self, dst: usize, arrival: Time, msg: M) {
         assert!(dst < self.shards, "send to shard {dst} of {}", self.shards);
         let now = self.sim.now();
         if dst == self.shard {
@@ -219,23 +184,16 @@ impl<M: 'static> ShardCore<M> {
     }
 
     /// Schedules the delivery handler at `arrival` on this shard's wheel.
-    fn dispatch(self: &Rc<Self>, arrival: Time, msg: M) {
-        let core = Rc::clone(self);
-        self.sim.schedule(arrival, move || {
-            let h = core
-                .handler
-                .borrow()
-                .clone()
-                .expect("shard received a message but no on_message handler is set");
-            h(arrival, msg);
-        });
+    fn dispatch(&self, arrival: Time, msg: M) {
+        let token = self.parked.borrow_mut().park(msg);
+        self.sim.schedule_handler(arrival, self.delivery, token);
     }
 
     /// Starts the next protocol step: drains every inbound edge of the
     /// previous step's parity and merges the messages into the wheel in
     /// `(arrival, src shard, per-edge seq)` order — the deterministic merge
     /// that keeps `(time, seq)` event order independent of thread timing.
-    fn begin_step(self: &Rc<Self>) {
+    fn begin_step(&self) {
         let drain = self.parity.get();
         self.parity.set(drain ^ 1);
         let mut batch = self.batch.take();
@@ -258,6 +216,19 @@ impl<M: 'static> ShardCore<M> {
         } else {
             self.sim.next_deadline()
         }
+    }
+}
+
+impl<M: 'static> TimerHandler for ShardCore<M> {
+    /// A delivery: the message parked under `token` reaches the handler.
+    fn fire(self: Rc<Self>, token: u32) {
+        let msg = self.parked.borrow_mut().take(token);
+        let h = self
+            .handler
+            .borrow()
+            .clone()
+            .expect("shard received a message but no on_message handler is set");
+        h(self.sim.now(), msg);
     }
 }
 
@@ -606,13 +577,16 @@ impl<M: 'static, R> ShardRun<M, R> {
         fabric: Arc<Fabric<M>>,
         builder: PhasedBuilder<M, R>,
     ) -> Self {
-        let core = Rc::new(ShardCore {
+        let sim = Sim::new_at(cfg.start);
+        let core = Rc::new_cyclic(|me: &Weak<ShardCore<M>>| ShardCore {
             shard,
             shards: cfg.shards,
             lookahead: cfg.lookahead,
-            sim: Sim::new_at(cfg.start),
+            delivery: sim.register_handler(me.clone()),
+            sim,
             fabric,
             handler: RefCell::new(None),
+            parked: RefCell::default(),
             edge_seq: RefCell::new(vec![0; cfg.shards]),
             sent_min: Cell::new(None),
             parity: Cell::new(0),

@@ -11,9 +11,10 @@ use std::cell::RefCell;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
-use std::task::{Context, Poll, Waker};
+use std::task::{Context, Poll};
 
 use crate::executor::Sim;
+use crate::queue::Waiters;
 use crate::time::Time;
 
 // ---------------------------------------------------------------------------
@@ -22,7 +23,7 @@ use crate::time::Time;
 
 struct EventInner {
     set: bool,
-    waiters: Vec<Waker>,
+    waiters: Waiters,
 }
 
 /// A one-shot event: once [`Event::set`] is called, all current and future
@@ -52,7 +53,7 @@ impl Event {
         Event {
             inner: Rc::new(RefCell::new(EventInner {
                 set: false,
-                waiters: Vec::new(),
+                waiters: Waiters::Empty,
             })),
         }
     }
@@ -61,9 +62,7 @@ impl Event {
     pub fn set(&self) {
         let mut inner = self.inner.borrow_mut();
         inner.set = true;
-        for w in inner.waiters.drain(..) {
-            w.wake();
-        }
+        inner.waiters.wake_all();
     }
 
     /// `true` once [`Event::set`] has been called.
@@ -91,7 +90,7 @@ impl Future for EventWait {
         if inner.set {
             Poll::Ready(())
         } else {
-            inner.waiters.push(cx.waker().clone());
+            inner.waiters.push(cx.waker());
             Poll::Pending
         }
     }
@@ -103,7 +102,7 @@ impl Future for EventWait {
 
 struct GateInner {
     epoch: u64,
-    waiters: Vec<Waker>,
+    waiters: Waiters,
 }
 
 /// A reusable notification: [`Gate::wait`] blocks until the *next*
@@ -137,7 +136,7 @@ impl Gate {
         Gate {
             inner: Rc::new(RefCell::new(GateInner {
                 epoch: 0,
-                waiters: Vec::new(),
+                waiters: Waiters::Empty,
             })),
         }
     }
@@ -146,9 +145,7 @@ impl Gate {
     pub fn notify(&self) {
         let mut inner = self.inner.borrow_mut();
         inner.epoch += 1;
-        for w in inner.waiters.drain(..) {
-            w.wake();
-        }
+        inner.waiters.wake_all();
     }
 
     /// Waits for the next [`Gate::notify`].
@@ -173,7 +170,7 @@ impl Future for GateWait {
         if inner.epoch != self.epoch {
             Poll::Ready(())
         } else {
-            inner.waiters.push(cx.waker().clone());
+            inner.waiters.push(cx.waker());
             Poll::Pending
         }
     }
@@ -185,7 +182,7 @@ impl Future for GateWait {
 
 struct SemInner {
     permits: usize,
-    waiters: Vec<Waker>,
+    waiters: Waiters,
 }
 
 /// A counted semaphore with FIFO-ish wakeup (all waiters re-check on release;
@@ -209,7 +206,7 @@ impl Semaphore {
         Semaphore {
             inner: Rc::new(RefCell::new(SemInner {
                 permits,
-                waiters: Vec::new(),
+                waiters: Waiters::Empty,
             })),
         }
     }
@@ -225,9 +222,7 @@ impl Semaphore {
     pub fn release(&self) {
         let mut inner = self.inner.borrow_mut();
         inner.permits += 1;
-        for w in inner.waiters.drain(..) {
-            w.wake();
-        }
+        inner.waiters.wake_all();
     }
 
     /// Currently available permits.
@@ -249,7 +244,7 @@ impl Future for SemAcquire {
             inner.permits -= 1;
             Poll::Ready(())
         } else {
-            inner.waiters.push(cx.waker().clone());
+            inner.waiters.push(cx.waker());
             Poll::Pending
         }
     }
