@@ -439,17 +439,6 @@ impl ClusterBuilder {
         let cluster = self.assemble_on(sim.clone(), node_base..node_base + owned, |sim, mesh| {
             Network::sharded(sim.clone(), mesh, n, shard_map, ctx.sender())
         });
-        {
-            let net = cluster.network().clone();
-            ctx.on_message(move |arrival, flit| {
-                // Structurally unreachable: `net` was just built sharded. The
-                // typed error exists for callers that wire a contended
-                // backplane by mistake; surface its message if it ever fires.
-                if let Err(e) = net.deliver_remote(arrival, flit) {
-                    panic!("sharded cluster backplane rejected a remote flit: {e}");
-                }
-            });
-        }
         #[allow(clippy::type_complexity)]
         let finished: Rc<RefCell<Vec<(usize, Time, u64)>>> = Rc::new(RefCell::new(Vec::new()));
         for node in node_base..node_base + owned {

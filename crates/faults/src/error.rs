@@ -41,13 +41,6 @@ pub enum ShrimpError {
         /// Total transmission attempts made (1 + retries).
         attempts: u32,
     },
-    /// A mesh link is failed and no alternative route exists.
-    LinkDown {
-        /// Upstream router index of the failed link.
-        from: usize,
-        /// Downstream router index of the failed link.
-        to: usize,
-    },
     /// A protocol message failed to decode (unknown kind tag).
     CorruptMessage {
         /// Which decoder rejected the message (`"request"` / `"reply"`).
@@ -61,13 +54,6 @@ pub enum ShrimpError {
         wanted: &'static str,
         /// Debug rendering of what actually arrived.
         got: String,
-    },
-    /// A cross-shard flit was handed to a backplane built without the
-    /// decoupled transport (`Network::new` instead of `Network::sharded`),
-    /// which has no reorder heaps to accept it.
-    NoDecoupledTransport {
-        /// Node the flit addressed.
-        dst: usize,
     },
     /// A fault scenario was combined with a fixed shard count larger than
     /// the node count, which the fault plane cannot partition.
@@ -102,20 +88,12 @@ impl std::fmt::Display for ShrimpError {
                 f,
                 "delivery of seq {seq} to node {dst} failed after {attempts} attempts"
             ),
-            ShrimpError::LinkDown { from, to } => {
-                write!(f, "mesh link {from}->{to} is down and no route avoids it")
-            }
             ShrimpError::CorruptMessage { context, kind } => {
                 write!(f, "corrupt SVM {context}: unknown kind {kind}")
             }
             ShrimpError::BadReply { wanted, got } => {
                 write!(f, "SVM protocol expected {wanted} reply, got {got}")
             }
-            ShrimpError::NoDecoupledTransport { dst } => write!(
-                f,
-                "cross-shard flit for node {dst} reached a contended backplane built without \
-                 the decoupled transport; construct the network with Network::sharded"
-            ),
             ShrimpError::ShardOverflow { shards, nodes } => write!(
                 f,
                 "fault scenarios cannot run on {shards} fixed shards with only {nodes} nodes; \

@@ -6,7 +6,7 @@ use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, VecDeque};
 use std::rc::{Rc, Weak};
 
-use shrimp_faults::{FaultPlane, PacketFate, ShrimpError};
+use shrimp_faults::{FaultPlane, PacketFate};
 use shrimp_sim::shard::ShardSender;
 use shrimp_sim::{time, HandlerId, Parked, Queue, Sim, Time, TimerHandler};
 
@@ -164,18 +164,18 @@ impl<P> Ord for HeapEntry<P> {
 /// channels) — zero-lookahead state that cannot be split across shards. The
 /// decoupled model drops contention entirely: every packet pays its
 /// uncongested [`MeshConfig::point_latency`], with a per-`(src, dst)` pair
-/// no-overtake clamp standing in for FIFO channel order. Deliveries into a
-/// node's ingress queue are reordered through a per-destination min-heap
-/// keyed `(arrival, src)` and drained once per simulated instant, so the
-/// delivery order is the total order over `(arrival, src)` — a pure
-/// function of the simulated program, never of the shard layout. That is
-/// what keeps a sharded cluster byte-identical at any `--shards`.
+/// no-overtake clamp standing in for FIFO channel order. Every packet, local
+/// or not, travels as a [`Flit`] through the shard engine, which hands it
+/// back at its arrival instant to the destination shard's backplane. That
+/// inserts it into a per-destination min-heap keyed `(arrival, src)`,
+/// drained once per simulated instant, so the delivery order is the total
+/// order over `(arrival, src)` — a pure function of the simulated program,
+/// never of the shard layout. That is what keeps a sharded cluster
+/// byte-identical at any `--shards`.
 struct Decoupled<P> {
-    /// This backplane's shard.
-    shard: usize,
     /// Owning shard of every node (the node → shard map).
     shard_map: Vec<usize>,
-    /// Cross-shard channel to the peer backplanes.
+    /// The shard engine's channel, to this shard and to its peers.
     sender: ShardSender<Flit<P>>,
     /// Last granted arrival per (src, dst) pair, for the no-overtake clamp,
     /// at `src * n_nodes + dst`.
@@ -186,9 +186,21 @@ struct Decoupled<P> {
     drain_at: Vec<Cell<Time>>,
 }
 
-/// Marks an arrival-timer token as a decoupled drain of node `token & !DRAIN`
-/// rather than the in-flight slot `token` (whose top bit is never set).
-const DRAIN: u32 = 1 << 31;
+impl<P> Decoupled<P> {
+    /// The arrival of a packet from `src` to `dst` whose uncongested arrival
+    /// is `ideal`. No-overtake: a later packet on the same pair arrives at
+    /// least one serialization time behind its predecessor, mirroring the
+    /// contended model's FIFO channels — and making `(arrival, src)` unique
+    /// per destination, which the reorder heap's total order requires. A
+    /// dropped packet still advances the clamp: it occupied its slot, as on
+    /// the contended transport.
+    fn grant(&self, src: NodeId, dst: NodeId, ideal: Time, serialization: Time) -> Time {
+        let mut last = self.last_arrival.borrow_mut();
+        let slot = &mut last[src.0 * self.shard_map.len() + dst.0];
+        *slot = ideal.max(*slot + serialization);
+        *slot
+    }
+}
 
 /// Busy-until times of the contended transport's channels, in one flat
 /// `Vec`: per node an injection, an ejection and a loopback channel, then
@@ -246,30 +258,38 @@ impl Channels {
     }
 }
 
-/// One packet waiting for its arrival timer.
+/// One contended packet waiting for its arrival timer.
 struct Parcel<P> {
-    src: NodeId,
     dst: NodeId,
     pkt: P,
+}
+
+/// How packets cross the mesh: the two timing policies of the one
+/// backplane. They differ only in how a send's arrival is computed and how
+/// the packet is handed over; [`Network::send`] does everything else once.
+enum Transport<P> {
+    /// The classic single-`Sim` model: every packet books the channels on
+    /// its route, and waits in `in_flight` for an arrival timer of the
+    /// network's own, whose token is its slot.
+    Contended {
+        channels: RefCell<Channels>,
+        in_flight: RefCell<Parked<Parcel<P>>>,
+    },
+    /// The sharded model (see `Decoupled`).
+    Decoupled(Decoupled<P>),
 }
 
 struct NetworkInner<P> {
     sim: Sim,
     cfg: MeshConfig,
-    channels: RefCell<Channels>,
-    /// Packets waiting for their arrival timer, whose token is the slot: on
-    /// the contended transport the timer delivers into the ingress queue,
-    /// on the decoupled one it inserts into the destination's reorder heap.
-    in_flight: RefCell<Parked<Parcel<P>>>,
-    /// This network as the handler of its arrival timers.
-    arrival: HandlerId,
+    /// This network as the handler of its timers: contended arrivals, or
+    /// decoupled drains (whose token is the node).
+    timer: HandlerId,
     ingress: Vec<Queue<P>>,
     stats: NetStats,
     // Installed only for chaos runs; `None` is the zero-overhead fast path.
     faults: RefCell<Option<FaultPlane>>,
-    // `Some` on a sharded backplane: the decoupled fixed-latency transport
-    // replaces the contended one wholesale.
-    decoupled: Option<Decoupled<P>>,
+    transport: Transport<P>,
 }
 
 /// The routing backplane, generic over the packet payload type `P` (the NIC
@@ -296,41 +316,28 @@ impl<P> std::fmt::Debug for Network<P> {
 }
 
 impl<P: 'static> Network<P> {
-    /// Creates a backplane with `n_nodes` nodes attached.
+    /// Creates a backplane with `n_nodes` nodes attached, running the
+    /// **contended** transport on one [`Sim`].
     ///
     /// # Panics
     ///
     /// Panics if the mesh cannot hold `n_nodes`.
     pub fn new(sim: Sim, cfg: MeshConfig, n_nodes: usize) -> Self {
-        assert!(
-            n_nodes <= cfg.capacity(),
-            "{n_nodes} nodes exceed mesh capacity {}",
-            cfg.capacity()
-        );
-        Network {
-            inner: Rc::new_cyclic(|me: &Weak<NetworkInner<P>>| NetworkInner {
-                arrival: sim.register_handler(me.clone()),
-                sim,
-                channels: RefCell::new(Channels::new(n_nodes, cfg.capacity(), cfg.width)),
-                in_flight: RefCell::default(),
-                cfg,
-                ingress: (0..n_nodes).map(|_| Queue::new()).collect(),
-                stats: NetStats::default(),
-                faults: RefCell::new(None),
-                decoupled: None,
-            }),
-        }
-        .registered()
+        let transport = Transport::Contended {
+            channels: RefCell::new(Channels::new(n_nodes, cfg.capacity(), cfg.width)),
+            in_flight: RefCell::default(),
+        };
+        Self::with_transport(sim, cfg, n_nodes, transport)
     }
 
     /// Creates one shard's view of a sharded backplane running the
     /// **decoupled** transport (see `Decoupled`): all `n_nodes` node ids
     /// are addressable, but only nodes whose `shard_map` entry equals the
-    /// sender's shard have their ingress consumed here; packets to any
-    /// other node cross shards through `sender` at their arrival time.
+    /// sender's shard have their ingress consumed here. Every packet goes
+    /// to its destination's shard through `sender`, this one included.
     ///
-    /// The shard's delivery handler must forward inbound flits to
-    /// [`Network::deliver_remote`].
+    /// The backplane registers itself as the shard's delivery handler, so a
+    /// shard holds at most one.
     ///
     /// # Panics
     ///
@@ -342,42 +349,42 @@ impl<P: 'static> Network<P> {
         shard_map: Vec<usize>,
         sender: ShardSender<Flit<P>>,
     ) -> Self {
-        assert!(
-            n_nodes <= cfg.capacity(),
-            "{n_nodes} nodes exceed mesh capacity {}",
-            cfg.capacity()
-        );
         assert_eq!(shard_map.len(), n_nodes, "one owning shard per node");
-        let decoupled = Decoupled {
-            shard: sender.shard(),
+        let delivery = sender.clone();
+        let transport = Transport::Decoupled(Decoupled {
             shard_map,
             sender,
             last_arrival: RefCell::new(vec![0; n_nodes * n_nodes]),
             heaps: RefCell::new((0..n_nodes).map(|_| BinaryHeap::new()).collect()),
             drain_at: (0..n_nodes).map(|_| Cell::new(0)).collect(),
-        };
-        Network {
-            inner: Rc::new_cyclic(|me: &Weak<NetworkInner<P>>| NetworkInner {
-                arrival: sim.register_handler(me.clone()),
-                sim,
-                // The decoupled transport books no channel.
-                channels: RefCell::new(Channels::new(0, 0, cfg.width)),
-                in_flight: RefCell::default(),
-                cfg,
-                ingress: (0..n_nodes).map(|_| Queue::new()).collect(),
-                stats: NetStats::default(),
-                faults: RefCell::new(None),
-                decoupled: Some(decoupled),
-            }),
-        }
-        .registered()
+        });
+        let net = Self::with_transport(sim, cfg, n_nodes, transport);
+        // The handler holds the backplane, whose sender holds the shard: the
+        // finished run takes the handler back, which breaks that cycle.
+        let inner = Rc::clone(&net.inner);
+        delivery.on_message(move |_, flit| inner.insert(flit));
+        net
     }
 
-    /// Registers a new backplane's counters with its simulator.
-    fn registered(self) -> Self {
-        let metrics = self.inner.sim.metrics();
-        metrics.register_inline(&self.inner, |n| &n.stats);
-        self
+    /// The one constructor body of both transports; registers the new
+    /// backplane's counters with its simulator.
+    fn with_transport(sim: Sim, cfg: MeshConfig, n_nodes: usize, transport: Transport<P>) -> Self {
+        assert!(
+            n_nodes <= cfg.capacity(),
+            "{n_nodes} nodes exceed mesh capacity {}",
+            cfg.capacity()
+        );
+        let inner = Rc::new_cyclic(|me: &Weak<NetworkInner<P>>| NetworkInner {
+            timer: sim.register_handler(me.clone()),
+            sim,
+            cfg,
+            ingress: (0..n_nodes).map(|_| Queue::new()).collect(),
+            stats: NetStats::default(),
+            faults: RefCell::new(None),
+            transport,
+        });
+        inner.sim.metrics().register_inline(&inner, |n| &n.stats);
+        Network { inner }
     }
 
     /// Installs a fault plane: subsequent [`Network::send`] calls consult it
@@ -442,254 +449,169 @@ impl<P: 'static> Network<P> {
     /// packet whose destination is unreachable (a permanent failure with no
     /// alternative route) is lost at injection and counted in the plane's
     /// stats.
-    pub fn send(&self, src: NodeId, dst: NodeId, payload_bytes: usize, packet: P) -> Time
+    ///
+    /// Fault injection consults only sender-side state: the fate draw comes
+    /// from the `(src, dst)` edge's own stream (on a sharded backplane the
+    /// plane is per-entity), and link-fault routing depends on the send
+    /// instant, which is node-local. Every injected fault is therefore
+    /// identical on both transports and at any shard count.
+    pub fn send(&self, src: NodeId, dst: NodeId, payload_bytes: usize, mut packet: P) -> Time
     where
         P: Clone + Faultable,
     {
-        if let Some(d) = &self.inner.decoupled {
-            return self.send_decoupled(d, src, dst, payload_bytes, packet);
-        }
-        let sim = &self.inner.sim;
-        let cfg = &self.inner.cfg;
+        let inner = &*self.inner;
+        let (sim, cfg) = (&inner.sim, &inner.cfg);
         let wire_bytes = (payload_bytes + cfg.header_bytes) as u64;
         let serialization = time::transfer(wire_bytes, cfg.link_bytes_per_sec);
-        let plane = self.inner.faults.borrow().clone();
-
         let (arrival, fate, salt) = if src == dst {
-            let channels = &mut *self.inner.channels.borrow_mut();
-            let start = channels.book(
-                channels.loopback(src),
-                sim.now() + cfg.transceiver_latency,
-                serialization,
-            );
-            // Loopback never touches the mesh, so link faults cannot reach it.
-            (
-                start + serialization + cfg.transceiver_latency,
-                PacketFate::Deliver,
-                0,
-            )
+            // Loopback crosses the transceiver out and back and never
+            // touches the mesh, so neither link faults nor fates reach it.
+            inner.stats.record_loopback();
+            let ideal = sim.now() + 2 * cfg.transceiver_latency + serialization;
+            let (arrival, _) = self.arrival(src, dst, None, ideal, serialization);
+            (arrival, PacketFate::Deliver, 0)
         } else {
+            let plane = inner.faults.borrow().clone();
             // A failed link sends the packet along the detour, known before
             // any channel is booked; otherwise the route is walked in place.
-            let detour = match &plane {
-                Some(p) if p.has_link_faults() => match self.route_avoiding(src, dst, p) {
-                    Some(path) => Some(path),
+            let detour = match plane.as_ref().filter(|p| p.has_link_faults()) {
+                None => None,
+                Some(p) => match self.route_avoiding(src, dst, p) {
                     None => {
                         p.record_link_reject();
                         return sim.now();
                     }
+                    detour => detour,
                 },
-                _ => None,
             };
-            let mut guard = self.inner.channels.borrow_mut();
-            let channels = &mut *guard;
-            let ideal_start = sim.now() + cfg.transceiver_latency;
-            let mut head = channels.book(channels.inject(src), ideal_start, serialization);
-            let mut hops = 0;
+            let hops = detour.as_ref().map_or_else(
+                || {
+                    let ((sx, sy), (dx, dy)) = (cfg.coords(src), cfg.coords(dst));
+                    sx.abs_diff(dx) + sy.abs_diff(dy)
+                },
+                |path| path.len() - 1,
+            );
+            let ideal = sim.now() + cfg.point_latency(hops, payload_bytes);
+            let (arrival, waited) = self.arrival(src, dst, detour.as_deref(), ideal, serialization);
+            let hops = hops as u64;
+            inner
+                .stats
+                .record_packet(wire_bytes, hops, waited, serialization);
+            match &inner.transport {
+                Transport::Contended { .. } => {
+                    sim.metrics()
+                        .observe(shrimp_sim::Category::Net, "packet_wait_ps", waited);
+                    shrimp_sim::trace_event!(
+                        sim.trace(),
+                        sim.now(),
+                        shrimp_sim::Category::Net,
+                        "packet",
+                        node = src.0,
+                        dst = dst.0,
+                        bytes = wire_bytes,
+                        hops = hops,
+                        wait_ps = waited,
+                    );
+                }
+                Transport::Decoupled(_) => shrimp_sim::trace_event!(
+                    sim.trace(),
+                    sim.now(),
+                    shrimp_sim::Category::Net,
+                    "packet_decoupled",
+                    node = src.0,
+                    dst = dst.0,
+                    bytes = wire_bytes,
+                    hops = hops,
+                ),
+            }
+            let (fate, salt) = fate_and_salt(plane.as_ref(), src, dst);
+            (arrival, fate, salt)
+        };
+        match fate {
+            PacketFate::Drop => return arrival,
+            PacketFate::Corrupt => packet.corrupt(salt),
+            PacketFate::Duplicate => self.hand_off(arrival, src, dst, packet.clone()),
+            PacketFate::Deliver => {}
+        }
+        self.hand_off(arrival, src, dst, packet);
+        arrival
+    }
+
+    /// The arrival of a packet sent now from `src` to `dst` along `detour`
+    /// (else the dimension-order route) whose uncongested arrival is
+    /// `ideal`, and how long it waited for busy channels: the one step the
+    /// two transports time differently. The contended transport books every
+    /// channel the packet holds; the decoupled one grants `ideal` under the
+    /// per-pair no-overtake clamp.
+    fn arrival(
+        &self,
+        src: NodeId,
+        dst: NodeId,
+        detour: Option<&[usize]>,
+        ideal: Time,
+        serialization: Time,
+    ) -> (Time, Time) {
+        match &self.inner.transport {
+            Transport::Contended { channels, .. } => {
+                let channels = &mut *channels.borrow_mut();
+                let arrival = self.book_route(channels, src, dst, detour, serialization);
+                (arrival, arrival - ideal)
+            }
+            Transport::Decoupled(d) => (d.grant(src, dst, ideal, serialization), 0),
+        }
+    }
+
+    /// Books the channels a contended packet holds — the loopback channel,
+    /// or the injection channel, each link of the route and the ejection
+    /// channel — each from when the packet's head reaches it or it frees,
+    /// whichever is later; returns the packet's arrival.
+    fn book_route(
+        &self,
+        channels: &mut Channels,
+        src: NodeId,
+        dst: NodeId,
+        detour: Option<&[usize]>,
+        serialization: Time,
+    ) -> Time {
+        let cfg = &self.inner.cfg;
+        let mut head = self.inner.sim.now() + cfg.transceiver_latency;
+        if src == dst {
+            head = channels.book(channels.loopback(src), head, serialization);
+        } else {
+            head = channels.book(channels.inject(src), head, serialization);
             let mut hop = |channels: &mut Channels, from: usize, to: usize| {
                 let link = channels.link(from, to);
                 head = channels.book(link, head + cfg.hop_latency, serialization);
-                hops += 1;
             };
-            match &detour {
+            match detour {
                 Some(path) => path.windows(2).for_each(|w| hop(channels, w[0], w[1])),
                 None => self.walk_route(src, dst, |from, to| hop(channels, from, to)),
             }
             head = channels.book(channels.eject(dst), head + cfg.hop_latency, serialization);
-            drop(guard);
-            let waited = head - (ideal_start + (hops + 1) * cfg.hop_latency);
-            let (stats, metrics) = (&self.inner.stats, sim.metrics());
-            stats.record_packet(wire_bytes, hops, waited, serialization);
-            metrics.observe(shrimp_sim::Category::Net, "packet_wait_ps", waited);
-            shrimp_sim::trace_event!(
-                sim.trace(),
-                sim.now(),
-                shrimp_sim::Category::Net,
-                "packet",
-                node = src.0,
-                dst = dst.0,
-                bytes = wire_bytes,
-                hops = hops,
-                wait_ps = waited,
-            );
-            let (fate, salt) = fate_and_salt(plane.as_ref(), src, dst);
-            (head + serialization + cfg.transceiver_latency, fate, salt)
-        };
-
-        match fate {
-            PacketFate::Drop => {}
-            PacketFate::Deliver | PacketFate::Corrupt | PacketFate::Duplicate => {
-                let mut packet = packet;
-                if fate == PacketFate::Corrupt {
-                    packet.corrupt(salt);
-                }
-                if fate == PacketFate::Duplicate {
-                    self.arrive_at(arrival, src, dst, packet.clone());
-                }
-                self.arrive_at(arrival, src, dst, packet);
-            }
         }
-        arrival
+        head + serialization + cfg.transceiver_latency
     }
 
-    /// Books `packet`'s arrival timer at `at`: it then enters `dst`'s
-    /// ingress queue (contended) or reorder heap (decoupled).
-    fn arrive_at(&self, at: Time, src: NodeId, dst: NodeId, pkt: P) {
-        let token = self
-            .inner
-            .in_flight
-            .borrow_mut()
-            .park(Parcel { src, dst, pkt });
-        self.inner
-            .sim
-            .schedule_handler(at, self.inner.arrival, token);
-    }
-
-    /// The decoupled send path (see `Decoupled`): uncongested point
-    /// latency plus the per-pair no-overtake clamp, then either a local
-    /// insert into the destination's reorder heap at arrival time or a
-    /// cross-shard flit through the [`ShardSender`].
-    ///
-    /// Fault injection here consults only sender-shard state: the fate draw
-    /// comes from the `(src, dst)` edge's own stream (a per-entity plane —
-    /// the only kind installable on a sharded backplane), and link-fault
-    /// routing depends on the send instant, which is node-local. Every
-    /// injected fault is therefore identical at any shard count.
-    fn send_decoupled(
-        &self,
-        d: &Decoupled<P>,
-        src: NodeId,
-        dst: NodeId,
-        payload_bytes: usize,
-        mut packet: P,
-    ) -> Time
-    where
-        P: Clone + Faultable,
-    {
-        let sim = &self.inner.sim;
-        let cfg = &self.inner.cfg;
-        let wire_bytes = (payload_bytes + cfg.header_bytes) as u64;
-        let serialization = time::transfer(wire_bytes, cfg.link_bytes_per_sec);
-        let plane = self.inner.faults.borrow().clone();
-        let (sx, sy) = cfg.coords(src);
-        let (dx, dy) = cfg.coords(dst);
-        let mut hops = sx.abs_diff(dx) + sy.abs_diff(dy);
-        // A failed link stretches (or severs) the route exactly as on the
-        // contended path; the detour's extra hops feed the point latency.
-        if src != dst {
-            if let Some(p) = plane.as_ref().filter(|p| p.has_link_faults()) {
-                match self.route_avoiding(src, dst, p) {
-                    Some(path) => hops = path.len() - 1,
-                    None => {
-                        p.record_link_reject();
-                        return sim.now();
-                    }
-                }
+    /// Hands `pkt` over for delivery at `arrival`. The contended transport
+    /// parks it behind an arrival timer of its own. The decoupled one sends
+    /// it to the destination's shard, this one included, whose engine hands
+    /// it back at `arrival` to be queued in the reorder heap: so a local
+    /// packet's insert, like a cross-shard one's, is an event at the arrival
+    /// instant, booked before that instant executes, and the drain booked
+    /// *during* the instant runs after every same-instant insert.
+    fn hand_off(&self, arrival: Time, src: NodeId, dst: NodeId, pkt: P) {
+        match &self.inner.transport {
+            Transport::Contended { in_flight, .. } => {
+                let token = in_flight.borrow_mut().park(Parcel { dst, pkt });
+                self.inner
+                    .sim
+                    .schedule_handler(arrival, self.inner.timer, token);
+            }
+            Transport::Decoupled(d) => {
+                d.sender
+                    .send(d.shard_map[dst.0], arrival, Flit { src, dst, pkt });
             }
         }
-        let ideal = if src == dst {
-            // Loopback: transceiver out and back, never touching the mesh.
-            sim.now() + 2 * cfg.transceiver_latency + serialization
-        } else {
-            sim.now() + cfg.point_latency(hops, payload_bytes)
-        };
-        // No-overtake: a later packet on the same (src, dst) pair arrives at
-        // least one serialization time behind its predecessor, mirroring the
-        // contended model's FIFO channels — and making `(arrival, src)`
-        // unique per destination, which the reorder heap's total order
-        // requires.
-        let arrival = {
-            let mut last = d.last_arrival.borrow_mut();
-            let slot = &mut last[src.0 * self.num_nodes() + dst.0];
-            let granted = ideal.max(*slot + serialization);
-            *slot = granted;
-            granted
-        };
-        if src != dst {
-            let stats = &self.inner.stats;
-            stats.record_packet(wire_bytes, hops as u64, 0, serialization);
-            shrimp_sim::trace_event!(
-                sim.trace(),
-                sim.now(),
-                shrimp_sim::Category::Net,
-                "packet_decoupled",
-                node = src.0,
-                dst = dst.0,
-                bytes = wire_bytes,
-                hops = hops,
-            );
-        }
-        // Loopback never touches the mesh, so packet fates cannot reach it.
-        let (fate, salt) = if src == dst {
-            (PacketFate::Deliver, 0)
-        } else {
-            fate_and_salt(plane.as_ref(), src, dst)
-        };
-        if fate == PacketFate::Drop {
-            // The clamp already advanced — a dropped packet still occupied
-            // its channel slot, exactly as on the contended path.
-            return arrival;
-        }
-        if fate == PacketFate::Corrupt {
-            packet.corrupt(salt);
-        }
-        if d.shard_map[dst.0] == d.shard {
-            // Deliveries are *events at the arrival instant*: the insert
-            // runs at `arrival`, so its executor seq — like the seqs of the
-            // cross-shard dispatches merged at the window boundary — is
-            // assigned before the instant executes, and the drain scheduled
-            // *during* the instant runs after every same-instant insert.
-            if fate == PacketFate::Duplicate {
-                self.arrive_at(arrival, src, dst, packet.clone());
-            }
-            self.arrive_at(arrival, src, dst, packet);
-        } else {
-            if fate == PacketFate::Duplicate {
-                d.sender.send(
-                    d.shard_map[dst.0],
-                    arrival,
-                    Flit {
-                        src,
-                        dst,
-                        pkt: packet.clone(),
-                    },
-                );
-            }
-            d.sender.send(
-                d.shard_map[dst.0],
-                arrival,
-                Flit {
-                    src,
-                    dst,
-                    pkt: packet,
-                },
-            );
-        }
-        arrival
-    }
-
-    /// Hands a cross-shard flit to this (sharded) backplane; wire the
-    /// shard's `on_message` handler to this. Must be called at the flit's
-    /// arrival instant — which the shard engine's dispatch guarantees.
-    ///
-    /// # Errors
-    ///
-    /// [`ShrimpError::NoDecoupledTransport`] when this backplane was built
-    /// with [`Network::new`] (the contended transport): it has no reorder
-    /// heaps, so a cross-shard flit has nowhere to land. This is the typed
-    /// form of a wiring bug — a sharded engine driving an unsharded
-    /// network — and should surface as a harness error row, not a panic.
-    pub fn deliver_remote(&self, arrival: Time, flit: Flit<P>) -> Result<(), ShrimpError> {
-        let Some(d) = &self.inner.decoupled else {
-            return Err(ShrimpError::NoDecoupledTransport { dst: flit.dst.0 });
-        };
-        debug_assert_eq!(
-            self.inner.sim.now(),
-            arrival,
-            "remote flit delivered off its arrival instant"
-        );
-        self.inner.insert_decoupled(d, flit.src, flit.dst, flit.pkt);
-        Ok(())
     }
 
     /// A route from `src` to `dst` that avoids links failed *now*: the
@@ -763,10 +685,13 @@ impl<P: 'static> Network<P> {
 }
 
 impl<P: 'static> NetworkInner<P> {
-    /// Queues one decoupled delivery, arriving now, and books the
-    /// destination's drain for this instant (once per node per instant).
-    fn insert_decoupled(&self, d: &Decoupled<P>, src: NodeId, dst: NodeId, pkt: P) {
-        debug_assert_eq!(d.shard_map[dst.0], d.shard, "insert for an unowned node");
+    /// The shard's delivery handler on a sharded backplane: queues a flit,
+    /// arriving now, in its destination's reorder heap, and books the
+    /// node's drain for this instant (once per node per instant).
+    fn insert(&self, Flit { src, dst, pkt }: Flit<P>) {
+        let Transport::Decoupled(d) = &self.transport else {
+            unreachable!("only a sharded backplane receives flits")
+        };
         let arrival = self.sim.now();
         d.heaps.borrow_mut()[dst.0].push(Reverse(HeapEntry {
             arrival,
@@ -775,37 +700,28 @@ impl<P: 'static> NetworkInner<P> {
         }));
         if d.drain_at[dst.0].get() != arrival {
             d.drain_at[dst.0].set(arrival);
-            let token = u32::try_from(dst.0).expect("node id fits a drain token") | DRAIN;
-            self.sim.schedule_handler(arrival, self.arrival, token);
-        }
-    }
-
-    /// Delivers every queued packet whose arrival is now due into the
-    /// node's ingress queue, in `(arrival, src)` order.
-    fn drain_decoupled(&self, d: &Decoupled<P>, dst: usize) {
-        let now = self.sim.now();
-        let heap = &mut d.heaps.borrow_mut()[dst];
-        while let Some(entry) = heap.peek_mut().filter(|e| e.0.arrival <= now) {
-            self.ingress[dst].send(PeekMut::pop(entry).0.pkt);
+            let token = u32::try_from(dst.0).expect("node id fits a timer token");
+            self.sim.schedule_handler(arrival, self.timer, token);
         }
     }
 }
 
 impl<P: 'static> TimerHandler for NetworkInner<P> {
-    /// An arrival timer: the packet in slot `token` reaches its
-    /// destination's ingress queue (contended) or reorder heap (decoupled),
-    /// or, with [`DRAIN`] set, a decoupled node's due packets reach its
-    /// ingress queue.
+    /// A contended arrival: the packet in slot `token` reaches its
+    /// destination's ingress queue. Or a decoupled drain: node `token`'s
+    /// due packets reach its ingress queue, in `(arrival, src)` order.
     fn fire(self: Rc<Self>, token: u32) {
-        match &self.decoupled {
-            Some(d) if token & DRAIN != 0 => self.drain_decoupled(d, (token & !DRAIN) as usize),
-            Some(d) => {
-                let Parcel { src, dst, pkt } = self.in_flight.borrow_mut().take(token);
-                self.insert_decoupled(d, src, dst, pkt);
-            }
-            None => {
-                let Parcel { dst, pkt, .. } = self.in_flight.borrow_mut().take(token);
+        match &self.transport {
+            Transport::Contended { in_flight, .. } => {
+                let Parcel { dst, pkt } = in_flight.borrow_mut().take(token);
                 self.ingress[dst.0].send(pkt);
+            }
+            Transport::Decoupled(d) => {
+                let (now, dst) = (self.sim.now(), token as usize);
+                let heap = &mut d.heaps.borrow_mut()[dst];
+                while let Some(entry) = heap.peek_mut().filter(|e| e.0.arrival <= now) {
+                    self.ingress[dst].send(PeekMut::pop(entry).0.pkt);
+                }
             }
         }
     }
@@ -840,26 +756,6 @@ mod tests {
         let sim = Sim::new();
         let nw = Network::new(sim.clone(), MeshConfig::shrimp_4x4(), n);
         (sim, nw)
-    }
-
-    #[test]
-    fn remote_flit_on_contended_backplane_is_a_typed_error() {
-        // Regression: wiring a sharded engine's on_message handler to a
-        // backplane built with `Network::new` used to hit
-        // `.expect("decoupled transport")` and abort. The misconfiguration
-        // must surface as a `ShrimpError` the harness can report as a row.
-        let (_sim, nw) = net(4);
-        let flit = Flit {
-            src: NodeId(0),
-            dst: NodeId(3),
-            pkt: 7u64,
-        };
-        assert_eq!(
-            nw.deliver_remote(0, flit).unwrap_err(),
-            ShrimpError::NoDecoupledTransport { dst: 3 }
-        );
-        // Nothing was queued for the addressed node.
-        assert_eq!(nw.ingress(NodeId(3)).try_recv(), None);
     }
 
     fn net_counter(sim: &Sim, name: &str) -> u64 {

@@ -8,6 +8,9 @@ use shrimp_sim::{Category, CounterSet, Time};
 #[derive(Debug, Default)]
 pub struct NetStats {
     packets: Cell<u64>,
+    /// Node-to-self sends, which loop back through the NIC and never enter
+    /// the mesh (so `packets` leaves them out).
+    loopback_packets: Cell<u64>,
     bytes: Cell<u64>,
     hops: Cell<u64>,
     /// Total time packets spent waiting for busy channels.
@@ -25,6 +28,10 @@ impl NetStats {
         self.contention_wait.update(|c| c + waited);
         self.link_busy.update(|c| c + serialization * (hops + 2));
     }
+
+    pub(crate) fn record_loopback(&self) {
+        self.loopback_packets.update(|c| c + 1);
+    }
 }
 
 impl CounterSet for NetStats {
@@ -32,6 +39,7 @@ impl CounterSet for NetStats {
 
     fn for_each(&self, f: &mut dyn FnMut(&'static str, u64)) {
         f("packets", self.packets.get());
+        f("loopback_packets", self.loopback_packets.get());
         f("wire_bytes", self.bytes.get());
         f("hops", self.hops.get());
         f("contention_wait_ps", self.contention_wait.get());

@@ -1,10 +1,11 @@
 //! The decoupled transport allocates nothing per packet.
 //!
-//! A sharded backplane delivers a local packet through a handler timer over
-//! its in-flight slab, drains each node's reorder heap straight into the
-//! ingress queue, and hands a cross-shard packet to the shard engine, which
-//! parks it in a slab behind a handler timer of its own. Once those buffers
-//! have grown to their peak, a packet costs no allocation. This binary
+//! A sharded backplane hands every packet, local or cross-shard, to the
+//! shard engine, which parks it in a slab behind a handler timer; the
+//! backplane's own delivery handler queues it in the destination's reorder
+//! heap, and each node's drain pops the heap straight into the ingress
+//! queue. Once those buffers have grown to their peak, a packet costs no
+//! allocation. This binary
 //! counts allocations with its own global allocator and drives `N` paced
 //! sends through `Network::sharded`, at one shard (every delivery local)
 //! and at two (every delivery crosses shards): the allocations made after
@@ -72,8 +73,6 @@ fn allocs_after_warmup(shards: usize, sends: u64) -> usize {
                 let mesh = MeshConfig::for_nodes(NODES);
                 let net =
                     Network::sharded(sim.clone(), mesh, NODES, shard_map.clone(), ctx.sender());
-                let remote = net.clone();
-                ctx.on_message(move |at, flit| remote.deliver_remote(at, flit).unwrap());
                 for node in (8..NODES).filter(|&n| shard_map[n] == ctx.shard()) {
                     let ingress = net.ingress(NodeId(node));
                     sim.spawn(async move { while ingress.recv().await.is_some() {} });

@@ -22,6 +22,9 @@ pub struct NicCounters {
     pub au_combined_stores: Cell<u64>,
     /// Packets received and DMA'd to memory.
     pub packets_received: Cell<u64>,
+    /// Acks and nacks received by a powered board (`packets_received`
+    /// leaves them out).
+    pub control_received: Cell<u64>,
     /// Packets dropped by the IPT protection check.
     pub protection_drops: Cell<u64>,
     /// Host interrupts raised by arriving packets (header bit AND IPT bit).
@@ -52,6 +55,7 @@ impl CounterSet for NicCounters {
         f("au_bytes", self.au_bytes.get());
         f("au_combined_stores", self.au_combined_stores.get());
         f("packets_received", self.packets_received.get());
+        f("control_received", self.control_received.get());
         f("protection_drops", self.protection_drops.get());
         f("interrupts_raised", self.interrupts_raised.get());
         f(

@@ -756,11 +756,12 @@ impl Nic {
             // absorbed by the backplane with no counters, acks, or DMA.
             return;
         }
+        let counters = &self.inner.counters;
         if pkt.kind.is_control() {
+            counters.control_received.update(|c| c + 1);
             self.handle_control(pkt);
             return;
         }
-        let counters = &self.inner.counters;
         counters.packets_received.update(|c| c + 1);
         // Wire+contention latency of this packet, source NIC to ingress.
         self.inner.sim.metrics().observe(

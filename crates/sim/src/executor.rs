@@ -85,9 +85,7 @@ pub struct HandlerId(u32);
 
 /// Values waiting for their [`TimerHandler`] timer, each in a slot whose
 /// index is the timer's token: once the slab has grown to its peak, booking
-/// a timer that carries a value allocates nothing. A token never has its
-/// top bit set, so a handler may use that bit to tell a second kind of
-/// timer apart.
+/// a timer that carries a value allocates nothing.
 pub struct Parked<T> {
     slots: Vec<Option<T>>,
     free: Vec<u32>,
@@ -107,15 +105,12 @@ impl<T> Parked<T> {
     ///
     /// # Panics
     ///
-    /// Panics when 2^31 values are parked at once.
+    /// Panics when 2^32 values are parked at once.
     pub fn park(&mut self, value: T) -> u32 {
         let token = match self.free.pop() {
             Some(token) => token,
             None => {
-                let token = u32::try_from(self.slots.len())
-                    .ok()
-                    .filter(|t| t >> 31 == 0)
-                    .expect("too many values parked");
+                let token = u32::try_from(self.slots.len()).expect("too many values parked");
                 self.slots.push(None);
                 token
             }

@@ -13,7 +13,10 @@
 //! * Shards interact **only** through timestamped messages pushed onto
 //!   per-edge queues (`EdgeQueue`); in the SHRIMP machine the routing
 //!   backplane is the one such channel, and its link + transceiver latency
-//!   is the synchronization slack.
+//!   is the synchronization slack. The backplane sends every packet through
+//!   [`ShardSender::send`], to its own shard too (a same-shard message is a
+//!   delivery timer on the local wheel), and registers its own delivery
+//!   handler with [`ShardSender::on_message`].
 //! * Execution proceeds in **windows**: with `m` the earliest pending event
 //!   anywhere (local timers or in-flight messages) and `L` the minimum
 //!   cross-shard lookahead, every event strictly before the global safe
@@ -153,6 +156,10 @@ struct ShardCore<M> {
 }
 
 impl<M: 'static> ShardCore<M> {
+    fn on_message(&self, f: impl Fn(Time, M) + 'static) {
+        *self.handler.borrow_mut() = Some(Rc::new(f));
+    }
+
     fn send(&self, dst: usize, arrival: Time, msg: M) {
         assert!(dst < self.shards, "send to shard {dst} of {}", self.shards);
         let now = self.sim.now();
@@ -263,7 +270,7 @@ impl<M: 'static> ShardCtx<M> {
     /// time, on this shard's thread) for every message addressed to this
     /// shard. Must be set during building if the shard ever receives.
     pub fn on_message(&self, f: impl Fn(Time, M) + 'static) {
-        *self.core.handler.borrow_mut() = Some(Rc::new(f));
+        self.core.on_message(f)
     }
 
     /// Sends `msg` to shard `dst`, arriving at absolute simulated time
@@ -303,6 +310,13 @@ impl<M> Clone for ShardSender<M> {
 }
 
 impl<M: 'static> ShardSender<M> {
+    /// Registers the shard's delivery handler, replacing any earlier one;
+    /// see [`ShardCtx::on_message`]. A component built on the shard, such as
+    /// a sharded backplane, wires its own delivery through this.
+    pub fn on_message(&self, f: impl Fn(Time, M) + 'static) {
+        self.core.on_message(f)
+    }
+
     /// Sends `msg` to shard `dst` at `arrival`; see [`ShardCtx::send`].
     pub fn send(&self, dst: usize, arrival: Time, msg: M) {
         self.core.send(dst, arrival, msg)
@@ -442,8 +456,10 @@ pub struct ShardOutcome<R> {
 }
 
 /// A shard's world-building closure: runs on the shard's thread, spawns the
-/// shard's processes on `ctx.sim()`, registers `ctx.on_message(..)`, and
-/// returns the harvest closure invoked after the run completes.
+/// shard's processes on `ctx.sim()`, registers the delivery handler
+/// (`ctx.on_message(..)`, or through a component that wires its own, such
+/// as a sharded backplane), and returns the harvest closure invoked after
+/// the run completes.
 pub type Builder<M, R> = Box<dyn FnOnce(&ShardCtx<M>) -> Box<dyn FnOnce() -> R> + Send>;
 
 /// The end-of-run closures a [`PhasedBuilder`] returns.
