@@ -28,7 +28,7 @@ use shrimp_nic::{IptEntry, Nic, Packet, ShrimpNetwork};
 use shrimp_sim::executor::{join_all, TaskHandle};
 use shrimp_sim::metrics::MetricsSnapshot;
 use shrimp_sim::shard::{
-    run_sharded_phased, PhasedBuilder, ShardConfig, ShardCtx, ShardPlan, Shards,
+    run_sharded_phased, OutputBound, PhasedBuilder, ShardConfig, ShardCtx, ShardPlan, Shards,
 };
 use shrimp_sim::{Category, FastMap, Queue, Sim, Time};
 
@@ -439,6 +439,18 @@ impl ClusterBuilder {
         let cluster = self.assemble_on(sim.clone(), node_base..node_base + owned, |sim, mesh| {
             Network::sharded(sim.clone(), mesh, n, shard_map, ctx.sender())
         });
+        // With reliability off, a packet crosses shards only at the end of a
+        // deliberate-update DMA of at least `dma_setup`, announced to the
+        // backplane as it starts (see `shrimp_sim::shard`). Acks and nacks
+        // leave as soon as a packet lands, so a reliable run keeps the
+        // plain lookahead.
+        if !self.cfg.reliability.enabled {
+            let (net, slack) = (cluster.network().clone(), self.cfg.nic.dma_setup);
+            ctx.set_output_bound(move || OutputBound {
+                floor: net.output_floor(),
+                slack,
+            });
+        }
         #[allow(clippy::type_complexity)]
         let finished: Rc<RefCell<Vec<(usize, Time, u64)>>> = Rc::new(RefCell::new(Vec::new()));
         for node in node_base..node_base + owned {

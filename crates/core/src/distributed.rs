@@ -174,6 +174,22 @@ pub(crate) fn setup_node(vmmc: &Vmmc, p: &DistributedParams) -> NodeSetup {
     }
 }
 
+/// Writes the `len`-byte seeded payload of `node`'s round `step` into the
+/// stage buffer at `stage`: byte `i` is the low byte of `choice(seed, node,
+/// step, i)`. Filled through a stack buffer, so a send allocates nothing
+/// for its payload.
+fn stage_payload(vmmc: &Vmmc, stage: Vaddr, len: usize, seed: u64, node: usize, step: u32) {
+    const CHUNK: usize = 256;
+    let mut chunk = [0u8; CHUNK];
+    for off in (0..len).step_by(CHUNK) {
+        let part = &mut chunk[..(len - off).min(CHUNK)];
+        for (i, b) in part.iter_mut().enumerate() {
+            *b = (choice(seed, node, step, (off + i) as u64) & 0xff) as u8;
+        }
+        vmmc.space().write_raw(stage.add(off as u64), part);
+    }
+}
+
 /// One compute/send round of the workload: seeded jitter, then one
 /// deliberate-update send to a seeded peer.
 pub(crate) async fn work_step(vmmc: &Vmmc, p: &DistributedParams, s: &NodeSetup, step: u32) {
@@ -187,10 +203,7 @@ pub(crate) async fn work_step(vmmc: &Vmmc, p: &DistributedParams, s: &NodeSetup,
     }
     let pick = choice(p.seed, me, step, 0x7065) as usize;
     let dst = (me + 1 + pick % (n - 1)) % n;
-    let bytes: Vec<u8> = (0..slot)
-        .map(|i| (choice(p.seed, me, step, i as u64) & 0xff) as u8)
-        .collect();
-    vmmc.space().write_raw(s.stage, &bytes);
+    stage_payload(vmmc, s.stage, slot, p.seed, me, step);
     let proxy = s.proxies[dst].as_ref().expect("never send to self");
     vmmc.send(s.stage, proxy, me * slot, slot).await;
 }
@@ -207,10 +220,7 @@ pub(crate) async fn finish_node(vmmc: &Vmmc, p: &DistributedParams, s: &NodeSetu
         // Closing round: one notifying send per peer. It follows every
         // data send on the same (src, dst) pair, so its notification
         // witnesses that all of this node's data has landed there.
-        let fin: Vec<u8> = (0..slot)
-            .map(|i| (choice(p.seed, me, p.steps, i as u64) & 0xff) as u8)
-            .collect();
-        vmmc.space().write_raw(s.stage, &fin);
+        stage_payload(vmmc, s.stage, slot, p.seed, me, p.steps);
         for proxy in s.proxies.iter().flatten() {
             vmmc.send_notify(s.stage, proxy, me * slot, slot).await;
         }
@@ -551,10 +561,7 @@ async fn run_chaos_node(
         if hops >= n {
             continue; // every peer is dead; nothing to send to
         }
-        let bytes: Vec<u8> = (0..slot)
-            .map(|i| (choice(p.seed, me, step, i as u64) & 0xff) as u8)
-            .collect();
-        vmmc.space().write_raw(stage, &bytes);
+        stage_payload(&vmmc, stage, slot, p.seed, me, step);
         let proxy = data_proxies[dst].as_ref().expect("never send to self");
         vmmc.send(stage, proxy, me * slot, slot).await;
     }
@@ -632,6 +639,15 @@ mod tests {
                 "outcome diverged at {shards} shards"
             );
         }
+    }
+
+    /// The NIC's output bound sets the window count: 240 windows at the
+    /// fixed 360 ns lookahead, 108 with the bound. A bound that quietly
+    /// fell back to the lookahead would show here.
+    #[test]
+    fn two_shard_windows_are_pinned() {
+        let out = run_distributed(&small(), DesignConfig::as_built(), Shards::Fixed(2));
+        assert_eq!(out.windows, 108);
     }
 
     #[test]

@@ -343,7 +343,7 @@ impl Vmmc {
                 capacity: dst.len,
             });
         }
-        let cfg = self.cluster.config().clone();
+        let cfg = self.cluster.config();
         let node = self.cluster.node(self.node);
         node.stats.messages_sent.update(|c| c + 1);
         node.stats.bytes_sent.update(|c| c + len as u64);

@@ -119,6 +119,12 @@ impl MeshConfig {
     pub fn coords(&self, node: NodeId) -> (usize, usize) {
         (node.0 % self.width, node.0 / self.width)
     }
+
+    /// Links on the dimension-order route from `src` to `dst`.
+    fn hops(&self, src: NodeId, dst: NodeId) -> usize {
+        let ((sx, sy), (dx, dy)) = (self.coords(src), self.coords(dst));
+        sx.abs_diff(dx) + sy.abs_diff(dy)
+    }
 }
 
 /// A packet in flight between two shards of a sharded backplane: the
@@ -184,6 +190,9 @@ struct Decoupled<P> {
     heaps: RefCell<Vec<BinaryHeap<Reverse<HeapEntry<P>>>>>,
     /// Instant for which a drain of the node's heap is already scheduled.
     drain_at: Vec<Cell<Time>>,
+    /// Per sending node, its announced packet bound for another shard:
+    /// `(send instant, arrival floor)`, until that send or a withdrawal.
+    announced: Vec<Cell<Option<(Time, Time)>>>,
 }
 
 impl<P> Decoupled<P> {
@@ -357,6 +366,7 @@ impl<P: 'static> Network<P> {
             last_arrival: RefCell::new(vec![0; n_nodes * n_nodes]),
             heaps: RefCell::new((0..n_nodes).map(|_| BinaryHeap::new()).collect()),
             drain_at: (0..n_nodes).map(|_| Cell::new(0)).collect(),
+            announced: (0..n_nodes).map(|_| Cell::new(None)).collect(),
         });
         let net = Self::with_transport(sim, cfg, n_nodes, transport);
         // The handler holds the backplane, whose sender holds the shard: the
@@ -410,6 +420,50 @@ impl<P: 'static> Network<P> {
         self.inner.ingress[node.0].clone()
     }
 
+    /// Announces that `src` will send a `payload_bytes` packet to `dst` at
+    /// `at` (in SHRIMP, when the deliberate-update DMA that starts now
+    /// ends). On a sharded backplane, a packet bound for another shard sets
+    /// `src`'s arrival floor to `at` plus its uncontended point latency over
+    /// the dimension-order hops: a detour only adds links, and the
+    /// no-overtake clamp only delays. A same-shard packet sets none. The
+    /// floor lasts until `src` sends at or after `at`, or
+    /// [`Network::withdraw_send`]. The contended transport ignores it.
+    pub fn announce_send(&self, src: NodeId, dst: NodeId, payload_bytes: usize, at: Time) {
+        if let Transport::Decoupled(d) = &self.inner.transport {
+            let cfg = &self.inner.cfg;
+            let remote = d.shard_map[dst.0] != d.shard_map[src.0];
+            let floor = remote.then(|| {
+                (
+                    at,
+                    at + cfg.point_latency(cfg.hops(src, dst), payload_bytes),
+                )
+            });
+            d.announced[src.0].set(floor);
+        }
+    }
+
+    /// Withdraws `src`'s announced send (its DMA aborted).
+    pub fn withdraw_send(&self, src: NodeId) {
+        if let Transport::Decoupled(d) = &self.inner.transport {
+            d.announced[src.0].set(None);
+        }
+    }
+
+    /// The earliest arrival floor announced by a node of this shard and not
+    /// yet sent or withdrawn; `None` when there is none (and always on the
+    /// contended transport). The shard's output bound.
+    pub fn output_floor(&self) -> Option<Time> {
+        match &self.inner.transport {
+            Transport::Decoupled(d) => d
+                .announced
+                .iter()
+                .filter_map(|a| a.get())
+                .map(|(_, floor)| floor)
+                .min(),
+            Transport::Contended { .. } => None,
+        }
+    }
+
     /// Router index sequence for the dimension-order (X then Y) route from
     /// `src` to `dst`, inclusive of both endpoints.
     pub fn route(&self, src: NodeId, dst: NodeId) -> Vec<usize> {
@@ -461,6 +515,14 @@ impl<P: 'static> Network<P> {
     {
         let inner = &*self.inner;
         let (sim, cfg) = (&inner.sim, &inner.cfg);
+        if let Transport::Decoupled(d) = &inner.transport {
+            // The announced packet leaves now. An earlier send from `src`
+            // (its automatic-update FIFO) leaves the announcement standing.
+            let slot = &d.announced[src.0];
+            if slot.get().is_some_and(|(at, _)| sim.now() >= at) {
+                slot.set(None);
+            }
+        }
         let wire_bytes = (payload_bytes + cfg.header_bytes) as u64;
         let serialization = time::transfer(wire_bytes, cfg.link_bytes_per_sec);
         let (arrival, fate, salt) = if src == dst {
@@ -484,13 +546,9 @@ impl<P: 'static> Network<P> {
                     detour => detour,
                 },
             };
-            let hops = detour.as_ref().map_or_else(
-                || {
-                    let ((sx, sy), (dx, dy)) = (cfg.coords(src), cfg.coords(dst));
-                    sx.abs_diff(dx) + sy.abs_diff(dy)
-                },
-                |path| path.len() - 1,
-            );
+            let hops = detour
+                .as_ref()
+                .map_or_else(|| cfg.hops(src, dst), |path| path.len() - 1);
             let ideal = sim.now() + cfg.point_latency(hops, payload_bytes);
             let (arrival, waited) = self.arrival(src, dst, detour.as_deref(), ideal, serialization);
             let hops = hops as u64;

@@ -474,10 +474,16 @@ impl Nic {
                 + time::transfer(req.len as u64, self.inner.cfg.eisa_bytes_per_sec);
             let (_, end) = self.inner.eisa.reserve(&self.inner.sim, dur);
             let end = end.max(self.inner.membus.occupy_reserve(&self.inner.sim, dur).1);
+            // The packet leaves at `end`: a sharded backplane bounds its
+            // shard's next window by its arrival.
+            self.inner
+                .net
+                .announce_send(self.inner.node, entry.dst_node, req.len, end);
             self.inner.sim.sleep_until(end).await;
             if !self.inner.powered.get() || self.inner.power_epoch.get() != epoch {
                 // Power was lost mid-DMA; the source memory is gone. The
                 // transfer aborts without touching the wire.
+                self.inner.net.withdraw_send(self.inner.node);
                 done.set();
                 self.inner.du_slots.release();
                 continue;

@@ -59,8 +59,8 @@ pub use metrics::{
 pub use queue::{unbounded, Queue, QueueReceiver, QueueSender};
 pub use rng::SimRng;
 pub use shard::{
-    run_sharded, run_sharded_phased, Builder, PhasedBuilder, ShardConfig, ShardCtx, ShardOutcome,
-    ShardPlan, ShardSender, Shards,
+    run_sharded, run_sharded_phased, Builder, OutputBound, PhasedBuilder, ShardConfig, ShardCtx,
+    ShardOutcome, ShardPlan, ShardSender, Shards,
 };
 pub use snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 pub use sync::{Event, Gate, Resource, Semaphore};

@@ -19,13 +19,21 @@
 //!   handler with [`ShardSender::on_message`].
 //! * Execution proceeds in **windows**: with `m` the earliest pending event
 //!   anywhere (local timers or in-flight messages) and `L` the minimum
-//!   cross-shard lookahead, every event strictly before the global safe
-//!   horizon `H = m + L` is causally independent of anything another shard
-//!   has yet to do — any message sent at `t ≥ m` arrives no earlier than
-//!   `t + L ≥ H`. Each shard runs `run_for(H - 1)`, publishes its earliest
-//!   pending event and cross-shard send in its report slot, and arrives at
-//!   the barrier. There is no coordinator; every shard then reads all slots
-//!   and derives the same next horizon and drain decision itself.
+//!   cross-shard lookahead, any message sent at `t ≥ m` arrives no earlier
+//!   than `t + L`. A shard may also publish an [`OutputBound`]
+//!   ([`ShardCtx::set_output_bound`]): a `floor` under the arrival of every
+//!   message it has already committed to send, and a `slack` that every
+//!   message it has not yet committed to pays on top of `L`. The global safe
+//!   horizon is then `H = min over shards s of min(floor_s, m + L +
+//!   slack_s)`, never below `m + L`, and exactly `m + L` when no shard
+//!   publishes a bound. Every event strictly before `H` is causally
+//!   independent of anything another shard has yet to do, and
+//!   [`ShardCtx::send`] panics on a cross-shard arrival before the running
+//!   window's `H`. Each shard runs `run_for(H - 1)`, publishes its earliest
+//!   pending event, its earliest cross-shard send and its bound in its
+//!   report slot, and arrives at the barrier. There is no coordinator;
+//!   every shard then reads all slots and derives the same next horizon
+//!   and drain decision itself.
 //! * The **barrier** is an arrival counter and a generation word: the last
 //!   arriver resets the count, bumps the generation and unparks the rest. A
 //!   waiter spins a bounded while first, if the host has a core per shard.
@@ -44,15 +52,25 @@
 //!   `Sim` and calls [`Sim::run`]; no windows, no barriers, no queues.
 //!
 //! What may run sharded: a model is shard-safe when every cross-shard
-//! interaction honours the lookahead (`arrival ≥ now + L`) and same-time
-//! message handling is order-independent (commutative state updates). The
-//! SHRIMP cluster meets both conditions on `shrimp-core`'s
+//! interaction honours the horizon (`arrival ≥ now + L`, and no earlier
+//! than its shard's published bound allows) and same-time message
+//! handling is order-independent (commutative state updates). The SHRIMP
+//! cluster meets both conditions on `shrimp-core`'s
 //! `ClusterBuilder::launch` path: nodes are partitioned across shards, the
 //! decoupled mesh transport keeps no shared link reservations, and the
-//! fault plane draws from one RNG stream per directed mesh edge, so the
-//! mesh latency is the only bound on a window. Only the classic contended
-//! transport, whose link reservations couple all nodes with zero
-//! lookahead, stays on one `Sim`.
+//! fault plane draws from one RNG stream per directed mesh edge. Its
+//! lookahead is the mesh's `min_remote_latency`, a header-only packet over
+//! one link (360 ns). With reliability off, only the NIC's
+//! deliberate-update engine sends across shards, and only at the end of a
+//! DMA of at least its `dma_setup` (1.5 µs): an automatic-update binding
+//! resolves only a shard-local export. So each shard publishes `slack =
+//! dma_setup` (a packet not yet in DMA at the barrier starts it at `t ≥ m`
+//! and arrives no earlier than `m + dma_setup + L`) and `floor` = the
+//! earliest announced arrival of a packet in DMA bound for another shard
+//! (its DMA end plus its uncontended point latency). Acks and nacks leave
+//! as soon as a packet lands, so a reliable run publishes no bound and
+//! keeps `H = m + L`. Only the classic contended transport, whose link
+//! reservations couple all nodes with zero lookahead, stays on one `Sim`.
 
 use std::cell::{Cell, RefCell};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -130,6 +148,19 @@ impl<M> Fabric<M> {
 
 type Handler<M> = Rc<dyn Fn(Time, M)>;
 
+/// What a shard's model promises about its next cross-shard messages at a
+/// barrier; see the module docs and [`ShardCtx::set_output_bound`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct OutputBound {
+    /// No message this shard has already committed to send (in SHRIMP, a
+    /// packet whose DMA is under way) arrives at another shard before
+    /// `floor`; `None` when there is none.
+    pub floor: Option<Time>,
+    /// Every other message this shard sends pays at least `slack` on top of
+    /// the lookahead, counted from the earliest pending event anywhere.
+    pub slack: Time,
+}
+
 /// Shared state of one shard. Lives on the shard's thread behind an `Rc`
 /// (deliberately `!Send` — it owns the shard's [`Sim`]); [`ShardCtx`] and
 /// [`ShardSender`] are views of it.
@@ -148,6 +179,12 @@ struct ShardCore<M> {
     edge_seq: RefCell<Vec<u64>>,
     /// Earliest arrival pushed cross-shard since the last barrier report.
     sent_min: Cell<Option<Time>>,
+    /// The model's output bound, read at every barrier report.
+    bound: RefCell<Option<Box<dyn Fn() -> OutputBound>>>,
+    /// No cross-shard send of the running step may arrive before this: the
+    /// window's horizon (the run's start while building, and the last
+    /// window's horizon during the drain step).
+    horizon: Cell<Time>,
     /// Parity of the protocol step in progress (building is step 0, then one
     /// step per window or drain): cross-shard sends go to its edge queues.
     parity: Cell<usize>,
@@ -172,6 +209,13 @@ impl<M: 'static> ShardCore<M> {
             arrival >= now + self.lookahead,
             "cross-shard send violates lookahead: arrival {arrival} < now {now} + {}",
             self.lookahead
+        );
+        let horizon = self.horizon.get();
+        assert!(
+            arrival >= horizon,
+            "cross-shard send violates the window horizon: arrival {arrival} < horizon \
+             {horizon} (sent at {now} by shard {}; its output bound was too wide)",
+            self.shard
         );
         let seq = {
             let mut seqs = self.edge_seq.borrow_mut();
@@ -224,6 +268,22 @@ impl<M: 'static> ShardCore<M> {
             self.sim.next_deadline()
         }
     }
+
+    /// This shard's barrier report for the step just run, the build step
+    /// included: a message sent while building is merged at the start of
+    /// the first window, so its arrival bounds that window like any other.
+    fn report(&self) -> Report {
+        let bound = self
+            .bound
+            .borrow()
+            .as_ref()
+            .map_or_else(OutputBound::default, |f| f());
+        Report {
+            pending: self.pending(),
+            sent_min: self.sent_min.take(),
+            bound,
+        }
+    }
 }
 
 impl<M: 'static> TimerHandler for ShardCore<M> {
@@ -261,9 +321,22 @@ impl<M: 'static> ShardCtx<M> {
         self.core.shards
     }
 
-    /// The run's minimum cross-shard lookahead.
+    /// The run's minimum cross-shard lookahead: no message crosses shards
+    /// sooner after it is sent. Windows are at least this wide, and wider
+    /// when the shards publish an [`OutputBound`].
     pub fn lookahead(&self) -> Time {
         self.core.lookahead
+    }
+
+    /// Registers the model's output bound, read on this shard's thread at
+    /// the end of every step and published with the shard's barrier
+    /// report; it widens the next window (see the module docs). Without
+    /// one the shard publishes `OutputBound::default()`, which leaves the
+    /// horizon at `m + lookahead`. A bound that is too wide is caught, not
+    /// trusted: [`ShardCtx::send`] panics on a cross-shard arrival before
+    /// the running window's horizon.
+    pub fn set_output_bound(&self, f: impl Fn() -> OutputBound + 'static) {
+        *self.core.bound.borrow_mut() = Some(Box::new(f));
     }
 
     /// Registers the delivery handler invoked (at the message's arrival
@@ -279,9 +352,10 @@ impl<M: 'static> ShardCtx<M> {
     /// # Panics
     ///
     /// Cross-shard sends must respect the lookahead
-    /// (`arrival >= now + lookahead`); same-shard sends only that `arrival`
-    /// is not in the past. Violations panic — they would break the
-    /// conservative synchronization contract.
+    /// (`arrival >= now + lookahead`) and arrive no earlier than the running
+    /// window's horizon, which the shards' output bounds may have widened;
+    /// same-shard sends only that `arrival` is not in the past. Violations
+    /// panic — they would break the conservative synchronization contract.
     pub fn send(&self, dst: usize, arrival: Time, msg: M) {
         self.core.send(dst, arrival, msg)
     }
@@ -332,7 +406,7 @@ impl<M: 'static> ShardSender<M> {
         self.core.shards
     }
 
-    /// The run's minimum cross-shard lookahead.
+    /// The run's minimum cross-shard lookahead; see [`ShardCtx::lookahead`].
     pub fn lookahead(&self) -> Time {
         self.core.lookahead
     }
@@ -388,7 +462,9 @@ pub struct ShardConfig {
     /// Number of shards (`>= 1`).
     pub shards: usize,
     /// Minimum cross-shard lookahead in ps (`>= 1`); in SHRIMP, the mesh's
-    /// injection + ejection transceiver crossings plus one router hop.
+    /// `min_remote_latency`: the point latency of a header-only packet over
+    /// one link (both transceiver crossings, the inject, link and eject
+    /// hops, and the header's serialization; 360 ns).
     pub lookahead: Time,
     /// Threaded or (cfg-gated) serial execution.
     pub mode: ExecMode,
@@ -426,7 +502,8 @@ pub struct WindowShard {
     /// Executor events the window processed.
     pub fired: u64,
     /// Earliest arrival among cross-shard messages sent this window
-    /// (`>= horizon` when present — the lookahead guarantee).
+    /// (`>= horizon` when present: the horizon guarantee, which
+    /// [`ShardCtx::send`] asserts).
     pub sent_min_arrival: Option<Time>,
 }
 
@@ -488,16 +565,37 @@ pub type PhasedBuilder<M, R> = Box<dyn FnOnce(&ShardCtx<M>) -> ShardPlan<R> + Se
 // The window protocol
 // ---------------------------------------------------------------------------
 
-/// What a shard publishes at each barrier: its earliest pending event and
-/// the earliest arrival it sent cross-shard during the step.
-type Report = [Option<Time>; 2];
+/// What a shard publishes at each barrier: its earliest pending event, the
+/// earliest arrival it sent cross-shard during the step, and its model's
+/// output bound.
+#[derive(Clone, Copy)]
+struct Report {
+    pending: Option<Time>,
+    sent_min: Option<Time>,
+    bound: OutputBound,
+}
 
-/// Computes the next global safe horizon from the barrier reports. `None`
-/// means the simulation is exhausted (no timers anywhere, nothing in
-/// flight).
-fn next_horizon(reports: impl IntoIterator<Item = Report>, lookahead: Time) -> Option<Time> {
-    let earliest = reports.into_iter().flatten().flatten().min();
-    earliest.map(|m| m.saturating_add(lookahead))
+/// Computes the next global safe horizon from the barrier reports:
+/// `min over shards s of min(floor_s, m + lookahead + slack_s)`, where `m`
+/// is the earliest pending event or in-flight arrival anywhere, and never
+/// below `m + lookahead`. `None` means the simulation is exhausted (no
+/// timers anywhere, nothing in flight). Takes the reports twice, through a
+/// clonable iterator, so it allocates nothing.
+fn next_horizon(reports: impl Iterator<Item = Report> + Clone, lookahead: Time) -> Option<Time> {
+    let m = reports
+        .clone()
+        .flat_map(|r| [r.pending, r.sent_min])
+        .flatten()
+        .min()?;
+    let base = m.saturating_add(lookahead);
+    let bound = reports
+        .map(|r| {
+            let wide = base.saturating_add(r.bound.slack);
+            r.bound.floor.map_or(wide, |floor| floor.min(wide))
+        })
+        .min()
+        .unwrap_or(base);
+    Some(bound.max(base))
 }
 
 /// Runs `builders` (one per shard) to completion under the conservative
@@ -605,6 +703,8 @@ impl<M: 'static, R> ShardRun<M, R> {
             parked: RefCell::default(),
             edge_seq: RefCell::new(vec![0; cfg.shards]),
             sent_min: Cell::new(None),
+            bound: RefCell::new(None),
+            horizon: Cell::new(cfg.start),
             parity: Cell::new(0),
             batch: RefCell::new(Vec::new()),
         });
@@ -633,6 +733,7 @@ impl<M: 'static, R> ShardRun<M, R> {
         match horizon {
             Some(horizon) => {
                 let (before, events) = (core.sim.now(), core.sim.events());
+                core.horizon.set(horizon);
                 core.sim.run_for(horizon - 1);
                 self.windows += 1;
                 if let Some(log) = self.log.as_mut() {
@@ -649,16 +750,17 @@ impl<M: 'static, R> ShardRun<M, R> {
             // can still send to a queue another shard is about to close.
             None => self.shutdown.take().expect("checked above")(),
         }
-        Some([core.pending(), core.sent_min.take()])
+        Some(core.report())
     }
 
     /// This shard's share of the run's outcome. Once harvested, the shard
-    /// lets go of its world: the delivery handler (which holds the shard's
-    /// backplane, whose sender holds this core) and every process still
-    /// blocked.
+    /// lets go of its world: the delivery handler and the output bound
+    /// (which hold the shard's backplane, whose sender holds this core) and
+    /// every process still blocked.
     fn finish(self) -> ShardOutcome<R> {
         let results = vec![(self.harvest)()];
         self.core.handler.take();
+        self.core.bound.take();
         self.core.sim.release_blocked();
         ShardOutcome {
             results,
@@ -691,26 +793,43 @@ fn merge<R>(shares: impl IntoIterator<Item = ShardOutcome<R>>) -> ShardOutcome<R
 /// a park/unpark round trip.
 const SPIN_ITERS: u32 = 4096;
 
-/// One shard's barrier [`Report`] per step parity, `u64::MAX` standing for
-/// `None` (a timer at `Time::MAX` could never fire anyway: its horizon
-/// saturates), on a cache line of its own.
+/// One shard's barrier [`Report`] per step parity, as `[pending, sent_min,
+/// floor, slack]` with `u64::MAX` standing for `None` (a timer at
+/// `Time::MAX` could never fire anyway: its horizon saturates), on a cache
+/// line of its own.
 #[derive(Default)]
 #[repr(align(64))]
-struct Slot([[AtomicU64; 2]; 2]);
+struct Slot([[AtomicU64; 4]; 2]);
 
 impl Slot {
     // Relaxed suffices: a slot is written before its owner arrives at the
     // barrier and read after the reader leaves it; the barrier orders both.
     fn store(&self, parity: usize, report: Report) {
-        for (cell, value) in self.0[parity].iter().zip(report) {
-            cell.store(value.unwrap_or(u64::MAX), Ordering::Relaxed);
+        let Report {
+            pending,
+            sent_min,
+            bound: OutputBound { floor, slack },
+        } = report;
+        let time = |t: Option<Time>| t.unwrap_or(u64::MAX);
+        let values = [time(pending), time(sent_min), time(floor), slack];
+        for (cell, value) in self.0[parity].iter().zip(values) {
+            cell.store(value, Ordering::Relaxed);
         }
     }
 
     fn load(&self, parity: usize) -> Report {
-        self.0[parity]
+        let [pending, sent_min, floor, slack] = self.0[parity]
             .each_ref()
-            .map(|cell| Some(cell.load(Ordering::Relaxed)).filter(|&t| t != u64::MAX))
+            .map(|cell| cell.load(Ordering::Relaxed));
+        let time = |t: u64| Some(t).filter(|&t| t != u64::MAX);
+        Report {
+            pending: time(pending),
+            sent_min: time(sent_min),
+            bound: OutputBound {
+                floor: time(floor),
+                slack,
+            },
+        }
     }
 }
 
@@ -799,8 +918,7 @@ where
     let shard_main = |shard: usize, builder: PhasedBuilder<M, R>| {
         let body = AssertUnwindSafe(|| {
             let mut run = ShardRun::build(shard, cfg, Arc::clone(&fabric), builder);
-            // Sends made while building are reported after the first window.
-            slots[shard].store(0, [run.core.pending(), None]);
+            slots[shard].store(0, run.core.report());
             loop {
                 if !barrier.wait(shard) {
                     return None;
@@ -860,7 +978,7 @@ where
         .enumerate()
         .map(|(shard, b)| ShardRun::build(shard, cfg, Arc::clone(&fabric), b))
         .collect();
-    let mut reports: Vec<Report> = runs.iter().map(|r| [r.core.pending(), None]).collect();
+    let mut reports: Vec<Report> = runs.iter().map(|r| r.core.report()).collect();
     // Every shard agrees on each step, so all of them stop at the same one.
     loop {
         let horizon = next_horizon(reports.iter().copied(), cfg.lookahead);
@@ -911,6 +1029,192 @@ mod tests {
                 b
             })
             .collect()
+    }
+
+    fn report(
+        pending: Option<Time>,
+        sent_min: Option<Time>,
+        floor: Option<Time>,
+        slack: Time,
+    ) -> Report {
+        Report {
+            pending,
+            sent_min,
+            bound: OutputBound { floor, slack },
+        }
+    }
+
+    #[test]
+    fn horizon_without_a_bound_is_earliest_plus_lookahead() {
+        let reports = [
+            report(Some(ns(40)), None, None, 0),
+            report(Some(ns(90)), Some(ns(25)), None, 0),
+            report(None, None, None, 0),
+        ];
+        assert_eq!(next_horizon(reports.iter().copied(), ns(7)), Some(ns(32)));
+        // Exhausted everywhere: no horizon, whatever the bounds say.
+        let idle = [report(None, None, Some(ns(5)), ns(100)); 2];
+        assert_eq!(next_horizon(idle.iter().copied(), ns(7)), None);
+    }
+
+    #[test]
+    fn horizon_combines_floors_and_slacks_by_min() {
+        let l = ns(10);
+        // m = 100: shard 0 offers 100 + 10 + 50, shard 1 its floor 130.
+        let reports = [
+            report(Some(ns(100)), None, None, ns(50)),
+            report(Some(ns(200)), None, Some(ns(130)), ns(50)),
+        ];
+        assert_eq!(next_horizon(reports.iter().copied(), l), Some(ns(130)));
+        // The smaller slack wins when no floor is nearer.
+        let reports = [
+            report(Some(ns(100)), None, Some(ns(500)), ns(80)),
+            report(Some(ns(300)), None, None, ns(20)),
+        ];
+        assert_eq!(next_horizon(reports.iter().copied(), l), Some(ns(130)));
+        // A shard that registered no bound pins the horizon to m + L.
+        let reports = [
+            report(Some(ns(100)), None, None, ns(80)),
+            report(None, None, None, 0),
+        ];
+        assert_eq!(next_horizon(reports.iter().copied(), l), Some(ns(110)));
+    }
+
+    #[test]
+    fn horizon_is_never_below_earliest_plus_lookahead() {
+        let l = ns(10);
+        for floor in [0, ns(50), ns(109), ns(110), ns(111), ns(400)] {
+            for slack in [0, ns(1), ns(60)] {
+                let reports = [
+                    report(Some(ns(100)), Some(ns(150)), Some(floor), slack),
+                    report(Some(ns(120)), None, None, slack),
+                ];
+                let h = next_horizon(reports.iter().copied(), l).expect("pending work");
+                assert!(h >= ns(110), "floor {floor}, slack {slack}: horizon {h}");
+                assert_eq!(h, ns(110).max(floor.min(ns(110) + slack)));
+            }
+        }
+    }
+
+    /// What a [`delayed_ring`] shard publishes: a slack, and whether it
+    /// also publishes the floor of the forward it is delaying.
+    #[derive(Clone, Copy)]
+    struct Claim {
+        slack: Time,
+        floor: bool,
+    }
+
+    /// A ring whose every forward is committed at receipt and sent `delay`
+    /// later (like a DMA), so each shard may publish `slack = delay` and,
+    /// while a forward is delayed, its arrival as the floor. A larger slack
+    /// or a missing floor is a false bound.
+    fn delayed_ring(
+        n: usize,
+        lookahead: Time,
+        steps: u32,
+        delay: Time,
+        claim: Option<Claim>,
+    ) -> Vec<Builder<u32, u64>> {
+        (0..n)
+            .map(|shard| {
+                let b: Builder<u32, u64> = Box::new(move |ctx: &ShardCtx<u32>| {
+                    let mailbox: Queue<u32> = Queue::new();
+                    let inbox = mailbox.clone();
+                    ctx.on_message(move |_at, hop| inbox.send(hop));
+                    let committed: Rc<Cell<Option<Time>>> = Rc::default();
+                    if let Some(Claim { slack, floor }) = claim {
+                        let committed = Rc::clone(&committed);
+                        ctx.set_output_bound(move || OutputBound {
+                            floor: committed.get().filter(|_| floor),
+                            slack,
+                        });
+                    }
+                    let tx = ctx.sender();
+                    let sim = ctx.sim().clone();
+                    let seen = Rc::new(Cell::new(0u64));
+                    let seen2 = Rc::clone(&seen);
+                    if shard == 0 {
+                        tx.send(1 % n, lookahead, 0);
+                    }
+                    ctx.sim().spawn(async move {
+                        while let Some(hop) = mailbox.recv().await {
+                            seen2.set(seen2.get() + 1);
+                            if hop + 1 >= steps {
+                                break;
+                            }
+                            committed.set(Some(sim.now() + delay + lookahead));
+                            sim.sleep(delay).await;
+                            tx.send((tx.shard() + 1) % n, sim.now() + lookahead, hop + 1);
+                            committed.set(None);
+                        }
+                    });
+                    Box::new(move || seen.get())
+                });
+                b
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_published_slack_widens_windows_without_changing_the_run() {
+        let (l, delay, steps) = (ns(5), ns(40), 60);
+        let mut cfg = ShardConfig::new(3, l);
+        cfg.observe_windows = true;
+        let plain = run_sharded(&cfg, delayed_ring(3, l, steps, delay, None));
+        let claim = Some(Claim {
+            slack: delay,
+            floor: true,
+        });
+        let bounded = run_sharded(&cfg, delayed_ring(3, l, steps, delay, claim));
+        assert_eq!(plain.results, bounded.results);
+        assert_eq!(plain.elapsed, bounded.elapsed);
+        assert_eq!(plain.events, bounded.events);
+        // Without the bound a hop takes two windows (its arrival, then its
+        // delay timer); with it, one.
+        assert!(
+            bounded.windows * 3 < plain.windows * 2,
+            "slack {delay} left {} windows of {}",
+            bounded.windows,
+            plain.windows
+        );
+        for rec in bounded.window_log.as_ref().unwrap() {
+            for w in &rec.shards {
+                assert!(w.sent_min_arrival.is_none_or(|t| t >= rec.horizon));
+            }
+        }
+        let mut serial_cfg = cfg;
+        serial_cfg.mode = ExecMode::Serial;
+        let serial = run_sharded(&serial_cfg, delayed_ring(3, l, steps, delay, claim));
+        assert_eq!(serial.windows, bounded.windows);
+        assert_eq!(serial.events, bounded.events);
+    }
+
+    #[test]
+    #[should_panic(expected = "violates the window horizon")]
+    fn a_too_wide_slack_panics_at_the_send() {
+        let (l, delay) = (ns(5), ns(40));
+        let claim = Claim {
+            slack: 2 * delay,
+            floor: true,
+        };
+        run_sharded(
+            &ShardConfig::new(2, l),
+            delayed_ring(2, l, 20, delay, Some(claim)),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "violates the window horizon")]
+    fn a_missing_floor_panics_at_the_send() {
+        let (l, delay) = (ns(5), ns(40));
+        let claim = Claim {
+            slack: delay,
+            floor: false,
+        };
+        run_sharded(
+            &ShardConfig::new(2, l),
+            delayed_ring(2, l, 20, delay, Some(claim)),
+        );
     }
 
     #[test]
