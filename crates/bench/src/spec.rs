@@ -5,8 +5,9 @@
 //! knobs flipped relative to the machine as built ([`Knobs`]), a problem
 //! [`Scale`] and a workload seed. Specs are plain `Send` data — the
 //! `shrimp-harness` sweep runner shards them across worker threads —
-//! and [`RunSpec::execute`] builds the cluster, runs the application and
-//! returns the deterministic [`RunRecord`] metrics. The paper's figures
+//! and [`RunSpec::run`] builds the cluster, runs the application and
+//! returns the deterministic [`RunRecord`] metrics beside the host-side
+//! [`PerfSample`]. The paper's figures
 //! and tables are rendered from those rows (`shrimp-harness --report`),
 //! never from a second run of the same spec.
 
@@ -24,7 +25,7 @@ use shrimp_core::{
 };
 use shrimp_faults::{FaultScenario, FaultStats, FifoStall, LinkFault, NodeCrash, NodePause};
 use shrimp_net::MeshConfig;
-use shrimp_sim::{time, Category, MetricValue, MetricsSnapshot, Time, TraceEvent};
+use shrimp_sim::{time, Category, MetricValue, MetricsSnapshot, SnapshotError, Time, TraceEvent};
 use shrimp_sockets::SocketConfig;
 use shrimp_svm::Protocol;
 
@@ -461,6 +462,9 @@ pub struct RunSpec {
     pub shards: Shards,
 }
 
+/// Why the run wrappers cannot fail: only a checkpoint input is decoded.
+const NO_CHECKPOINT: &str = "a run without a checkpoint input decodes none";
+
 impl RunSpec {
     /// A default-version, as-built run of `app` on `nodes` nodes.
     pub fn new(experiment: &'static str, app: App, nodes: usize, scale: Scale) -> Self {
@@ -566,181 +570,83 @@ impl RunSpec {
     /// Runs the spec to completion on a fresh cluster and collects the
     /// deterministic metrics.
     pub fn execute(&self) -> RunRecord {
-        self.execute_timed().0
+        self.run(1, false, None).expect(NO_CHECKPOINT).record
     }
 
-    /// [`RunSpec::execute`] plus a host-side [`PerfSample`]: wall-clock time
-    /// around cluster construction + run + metric capture, and the number of
-    /// simulator events the run dispatched. The sample is returned beside the
-    /// record — never inside it — so the deterministic artifact cannot pick
-    /// up host timing.
+    /// [`RunSpec::execute`] plus the run's [`PerfSample`] (see
+    /// [`RunOutput::perf`]).
     pub fn execute_timed(&self) -> (RunRecord, PerfSample) {
-        self.execute_timed_at(1)
+        let out = self.run(1, false, None).expect(NO_CHECKPOINT);
+        (out.record, out.perf)
     }
 
-    /// [`RunSpec::execute_timed`] under a sweep-wide `--shards` setting.
-    /// Only `launch()` rows with [`Shards::Auto`] are affected; everything
-    /// else (and every [`RunRecord`]) is independent of it.
-    pub fn execute_timed_at(&self, cli_shards: usize) -> (RunRecord, PerfSample) {
-        let (record, perf, _) = self.execute_inner(false, cli_shards);
-        (record, perf)
-    }
-
-    /// [`RunSpec::execute_timed`] with the observability plane switched on:
-    /// the simulator's [`TraceSink`](shrimp_sim::TraceSink) and
-    /// [`MetricsRegistry`](shrimp_sim::MetricsRegistry) record throughout
-    /// the run, and everything they captured comes back as an
-    /// [`Observation`]. The plain `execute`/`execute_timed` paths never
-    /// enable either, so their artifacts stay byte-identical.
+    /// [`RunSpec::execute_timed`] with the observability plane switched
+    /// on, returning what it captured (see [`RunOutput::obs`]).
     pub fn execute_observed(&self) -> (RunRecord, PerfSample, Observation) {
-        self.execute_observed_at(1)
+        let out = self.run(1, true, None).expect(NO_CHECKPOINT);
+        (out.record, out.perf, out.obs.unwrap_or_default())
     }
 
-    /// [`RunSpec::execute_observed`] under a sweep-wide `--shards` setting
-    /// (see [`RunSpec::execute_timed_at`]).
-    pub fn execute_observed_at(&self, cli_shards: usize) -> (RunRecord, PerfSample, Observation) {
-        let (record, perf, obs) = self.execute_inner(true, cli_shards);
-        (
-            record,
-            perf,
-            obs.expect("observed run must yield an observation"),
-        )
-    }
-
-    fn execute_inner(
-        &self,
-        observe: bool,
-        cli_shards: usize,
-    ) -> (RunRecord, PerfSample, Option<Observation>) {
-        if matches!(
-            self.app,
-            App::ClusterNodes | App::WarmClusterNodes | App::KvNodes
-        ) {
-            let (record, perf, _) = self
-                .execute_launch(cli_shards, None)
-                .expect("a run without an external checkpoint decodes none");
-            // Per-shard trace interleavings are a host-layout detail the
-            // deterministic artifacts must not depend on, so an observed
-            // launch row yields an empty observation.
-            return (record, perf, observe.then(Observation::default));
-        }
-        let start = std::time::Instant::now();
-        let cluster = Cluster::builder(self.nodes)
-            .config(self.design_config())
-            .build();
-        if observe {
-            // Per-packet network events push a smoke row past the sink's
-            // default 64 K bound; a 1 M cap keeps whole smoke timelines.
-            // Bigger scales overflow it and report via `trace_dropped`.
-            cluster.sim().trace().enable(Some(1 << 20));
-            cluster.sim().metrics().enable();
-        }
-        let out = self.run_on(&cluster);
-        let metrics = cluster.sim().metrics().snapshot();
-        let record = RunRecord::from_counters(
-            &metrics,
-            out.elapsed,
-            out.checksum,
-            self.knobs.reliability || self.knobs.faults.is_active(),
-            Category::Nic,
-            None,
-        );
-        let events = cluster.sim().events();
-        let observation = observe.then(|| Observation {
-            events: cluster.sim().trace().take(),
-            trace_dropped: cluster.sim().trace().dropped(),
-            metrics,
-        });
-        let wall_ns = start.elapsed().as_nanos() as u64;
-        (
-            record,
-            PerfSample {
-                wall_ns,
-                events,
-                peak_rss_bytes: peak_rss_bytes(),
-                shards: 1,
-                windows: 0,
-            },
-            observation,
-        )
-    }
-
-    /// The warm-start execution path ([`App::WarmClusterNodes`]).
+    /// Runs the row: the one execution path of every spec.
     ///
-    /// With `checkpoint` (an encoded
-    /// [`ClusterCheckpoint`], the harness
-    /// `--checkpoint-in` payload) the warmup phase is skipped entirely:
-    /// the machine restores from the artifact and runs only phase B —
-    /// the warm start. Without it the row runs **cold**: warmup under the
-    /// as-built machine, checkpoint encode + decode, then the identical
-    /// phase B — so cold and warm rows are byte-identical by construction
-    /// and differ only in wall-clock.
+    /// The application alone picks the machine. Classic rows build one
+    /// single-`Sim` cluster and run the application on it; the
+    /// [`ClusterBuilder::launch`](shrimp_core::ClusterBuilder::launch) rows
+    /// ([`App::ClusterNodes`], with the heartbeat failure detector when the
+    /// knobs carry a fault scenario, [`App::KvNodes`] and
+    /// [`App::WarmClusterNodes`]) launch their node program on
+    /// [`RunSpec::effective_shards`]`(shards)` shards. Their record comes
+    /// from the shard-count-invariant [`LaunchOutcome`], so every
+    /// [`RunRecord`] is byte-identical at any `shards`; only the
+    /// [`PerfSample`] sees the parallelism.
     ///
-    /// Returns the record, the perf sample, and the encoded checkpoint
-    /// the row ran from (the input echoed back on warm starts, freshly
-    /// captured on cold runs — the harness `--checkpoint-out` payload).
+    /// `observe` switches the trace sink and the metrics registry's gauges
+    /// and histograms on for the run (see [`RunOutput::obs`]); the record
+    /// is the same either way.
+    ///
+    /// `checkpoint` is an encoded [`ClusterCheckpoint`] (the harness
+    /// `--checkpoint-in` payload) for a warm row to resume from: the
+    /// warmup phase is skipped and only phase B, the warm start, runs.
+    /// Without it a warm row runs cold: warmup, checkpoint encode and
+    /// decode, then the identical phase B, so cold and warm rows are
+    /// byte-identical by construction. Other rows ignore it.
     ///
     /// # Errors
     ///
-    /// Any [`shrimp_sim::SnapshotError`] from decoding the artifact, and
-    /// [`FingerprintMismatch`](shrimp_sim::SnapshotError::FingerprintMismatch)
-    /// when it was produced by a different workload shape (scale, nodes,
-    /// or seed) than this spec.
+    /// Any [`SnapshotError`] from decoding `checkpoint`, and
+    /// [`SnapshotError::FingerprintMismatch`] when it was captured from a
+    /// different workload shape (scale, nodes or seed) than this spec.
     ///
     /// # Panics
     ///
-    /// Panics when called on any app but [`App::WarmClusterNodes`], or on
-    /// a spec whose knobs carry a fault scenario (the restore plane is
-    /// fault-free).
-    pub fn execute_warm_at(
+    /// Panics when the application panics, and on a warm row whose knobs
+    /// carry a fault scenario (the restore plane is fault-free).
+    pub fn run(
         &self,
-        cli_shards: usize,
+        shards: usize,
+        observe: bool,
         checkpoint: Option<&[u8]>,
-    ) -> Result<(RunRecord, PerfSample, Vec<u8>), shrimp_sim::SnapshotError> {
-        assert_eq!(
-            self.app,
-            App::WarmClusterNodes,
-            "execute_warm_at only runs warm-cluster rows"
-        );
-        self.execute_launch(cli_shards, checkpoint)
-    }
-
-    /// The one execution path of every row on
-    /// [`ClusterBuilder::launch`](shrimp_core::ClusterBuilder::launch):
-    /// [`App::ClusterNodes`] (with the heartbeat failure detector when the
-    /// knobs carry a fault scenario), [`App::KvNodes`] and
-    /// [`App::WarmClusterNodes`] differ only in the program and parameters
-    /// they launch. The [`RunRecord`] comes from the shard-count-invariant
-    /// [`LaunchOutcome`] through [`RunRecord::from_launch`], so it is
-    /// byte-identical at every shard count, while the [`PerfSample`]
-    /// (wall-clock, executor events, effective shards) sees the
-    /// parallelism. `checkpoint` and the returned bytes are the warm
-    /// rows' checkpoint artifact (see [`RunSpec::execute_warm_at`]); other
-    /// rows return no bytes.
-    fn execute_launch(
-        &self,
-        cli_shards: usize,
-        checkpoint: Option<&[u8]>,
-    ) -> Result<(RunRecord, PerfSample, Vec<u8>), shrimp_sim::SnapshotError> {
+    ) -> Result<RunOutput, SnapshotError> {
         let start = std::time::Instant::now();
-        let shards = Shards::Fixed(self.effective_shards(cli_shards));
         let cfg = self.design_config();
+        let recovery = self.knobs.reliability || self.knobs.faults.is_active();
+        let launch_shards = Shards::Fixed(self.effective_shards(shards));
         let mut kv = None;
-        let mut bytes = Vec::new();
+        let mut bytes = None;
         let out = match self.app {
             App::ClusterNodes => {
                 let mut params = distributed_params_at(self.scale).scaled_to(self.nodes);
                 params.seed = self.seed;
                 if self.knobs.faults.is_active() {
                     let detector = HeartbeatConfig::for_nodes(self.nodes);
-                    run_chaos_distributed(&params, cfg, shards, detector)
+                    run_chaos_distributed(&params, cfg, launch_shards, detector)
                 } else {
-                    run_distributed(&params, cfg, shards)
+                    run_distributed(&params, cfg, launch_shards)
                 }
             }
             App::KvNodes => {
                 let params = kv_params_for(self.scale, self.nodes, self.seed);
-                let out = run_kv(&params, cfg, shards);
+                let out = run_kv(&params, cfg, launch_shards);
                 kv = Some(KvMetrics::capture(&params, &out));
                 out
             }
@@ -753,44 +659,65 @@ impl RunSpec {
                 match checkpoint {
                     Some(input) => {
                         let ckpt = ClusterCheckpoint::decode(input)?;
-                        bytes = input.to_vec();
-                        run_warm(&params, cfg, shards, &ckpt)?
+                        bytes = Some(input.to_vec());
+                        run_warm(&params, cfg, launch_shards, &ckpt)?
                     }
                     None => {
-                        let (out, captured) = run_cold(&params, cfg, shards);
-                        bytes = captured;
+                        let (out, captured) = run_cold(&params, cfg, launch_shards);
+                        bytes = Some(captured);
                         out
                     }
                 }
             }
-            app => panic!("{} does not run on the launch path", app.name()),
+            _ => {
+                let mut builder = Cluster::builder(self.nodes).config(cfg).metrics(observe);
+                if observe {
+                    // Per-packet network events push a smoke row past the
+                    // sink's default 64 K bound; a 1 M cap keeps whole smoke
+                    // timelines. Bigger scales overflow it and report via
+                    // `trace_dropped`.
+                    builder = builder.trace_capacity(Some(1 << 20));
+                }
+                let cluster = builder.build();
+                let out = self.run_on(&cluster);
+                let metrics = cluster.sim().metrics().snapshot();
+                let record = RunRecord::from_counters(
+                    &metrics,
+                    out.elapsed,
+                    out.checksum,
+                    recovery,
+                    Category::Nic,
+                    None,
+                );
+                let events = cluster.sim().events();
+                let obs = observe.then(|| Observation {
+                    events: cluster.sim().trace().take(),
+                    trace_dropped: cluster.sim().trace().dropped(),
+                    metrics,
+                });
+                return Ok(RunOutput {
+                    record,
+                    perf: PerfSample::since(start, events, 1, 0),
+                    obs,
+                    checkpoint: None,
+                });
+            }
         };
-        let recovery = self.knobs.reliability || self.knobs.faults.is_active();
-        let record = RunRecord::from_launch(&out, recovery, kv);
-        let wall_ns = start.elapsed().as_nanos() as u64;
-        Ok((
-            record,
-            PerfSample {
-                wall_ns,
-                events: out.events,
-                peak_rss_bytes: peak_rss_bytes(),
-                shards: out.shards,
-                windows: out.windows,
-            },
-            bytes,
-        ))
+        // An observed launch row yields an empty observation: per-shard
+        // trace interleavings are a host-layout detail, and merged gauges
+        // keep per-shard maxima, so neither is shard-count invariant.
+        Ok(RunOutput {
+            record: RunRecord::from_launch(&out, recovery, kv),
+            perf: PerfSample::since(start, out.events, out.shards, out.windows),
+            obs: observe.then(Observation::default),
+            checkpoint: bytes,
+        })
     }
 
-    /// Runs the spec's application on a caller-provided cluster and returns
-    /// its [`RunOutcome`] — the step [`RunSpec::execute`] wraps with
-    /// cluster construction and metric capture.
-    ///
-    /// # Panics
-    ///
-    /// Panics for the `launch()` apps ([`App::ClusterNodes`],
-    /// [`App::WarmClusterNodes`], [`App::KvNodes`]), which build their own
-    /// sharded clusters; they run through [`RunSpec::execute_timed_at`].
-    pub fn run_on(&self, cluster: &Cluster) -> RunOutcome {
+    /// Runs a classic row's application on `cluster`: the step
+    /// [`RunSpec::run`] wraps with cluster construction and metric capture.
+    /// The `launch()` apps never reach it.
+    pub(crate) fn run_on(&self, cluster: &Cluster) -> RunOutcome {
         let scale = self.scale;
         match self.app {
             App::BarnesSvm => {
@@ -821,10 +748,9 @@ impl RunSpec {
                 assert_eq!(self.variant, Variant::Default, "a send has one version");
                 run_send_overhead(cluster, SEND_BYTES)
             }
-            App::ClusterNodes | App::WarmClusterNodes | App::KvNodes => panic!(
-                "{} builds its own sharded cluster; execute the spec instead of run_on",
-                self.app.name()
-            ),
+            App::ClusterNodes | App::WarmClusterNodes | App::KvNodes => {
+                unreachable!("{} runs on the launch path", self.app.name())
+            }
         }
     }
 
@@ -927,6 +853,39 @@ pub struct PerfSample {
     /// Shard synchronization windows the run executed (0 on every classic
     /// row and on the one-shard path). Host-side metadata like `shards`.
     pub windows: u64,
+}
+
+impl PerfSample {
+    /// The sample of a run that started at `start` and has just finished.
+    fn since(start: std::time::Instant, events: u64, shards: usize, windows: u64) -> Self {
+        PerfSample {
+            wall_ns: start.elapsed().as_nanos() as u64,
+            events,
+            peak_rss_bytes: peak_rss_bytes(),
+            shards,
+            windows,
+        }
+    }
+}
+
+/// Everything one [`RunSpec::run`] returns.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunOutput {
+    /// The deterministic metrics, byte-identical at every shard count and
+    /// whether or not the run was observed.
+    pub record: RunRecord,
+    /// Host wall-clock around cluster construction, run and metric
+    /// capture, plus the events and shard windows the run executed. Beside
+    /// the record, never inside it, so the deterministic artifact cannot
+    /// pick up host timing.
+    pub perf: PerfSample,
+    /// What the observability plane captured, present exactly when the run
+    /// was observed. Empty on `launch()` rows.
+    pub obs: Option<Observation>,
+    /// The encoded [`ClusterCheckpoint`] a warm row ran from: the input
+    /// echoed back on a warm start, freshly captured on a cold run (the
+    /// harness `--checkpoint-out` payload). `None` on every other row.
+    pub checkpoint: Option<Vec<u8>>,
 }
 
 /// Everything the observability plane captured during one observed run:
@@ -1747,13 +1706,27 @@ mod tests {
         assert!(s.elapsed > a.elapsed, "syscalls cost nothing");
     }
 
+    /// Runs `spec` unobserved, with no checkpoint input, under a
+    /// sweep-wide shard count of `shards`.
+    fn timed(spec: &RunSpec, shards: usize) -> (RunRecord, PerfSample) {
+        let out = spec.run(shards, false, None).expect(NO_CHECKPOINT);
+        (out.record, out.perf)
+    }
+
+    fn smoke_row(id: &str) -> RunSpec {
+        matrix(Scale::Smoke, 4)
+            .into_iter()
+            .find(|s| s.id() == id)
+            .unwrap_or_else(|| panic!("matrix lost {id}"))
+    }
+
     #[test]
     fn cluster_record_is_shard_count_invariant() {
         // The 16-node Auto row: the CLI shard count reaches the perf
         // sample but never the record.
         let auto = RunSpec::new("cluster", App::ClusterNodes, 16, Scale::Smoke);
-        let (one, perf1) = auto.execute_timed_at(1);
-        let (four, perf4) = auto.execute_timed_at(4);
+        let (one, perf1) = timed(&auto, 1);
+        let (four, perf4) = timed(&auto, 4);
         assert_eq!(one, four, "CLI shard count leaked into the record");
         assert_eq!((perf1.shards, perf4.shards), (1, 4));
         assert!(one.messages > 0 && one.notifications > 0 && one.interrupts > 0);
@@ -1761,13 +1734,63 @@ mod tests {
         let pinned = auto.clone().with_shards(Shards::Fixed(2));
         assert_eq!(pinned.effective_shards(4), 2);
         assert_eq!(auto.effective_shards(4), 4);
-        let (two, perf2) = pinned.execute_timed_at(4);
+        let (two, perf2) = timed(&pinned, 4);
         assert_eq!(one, two);
         assert_eq!(perf2.shards, 2);
-        // Observed launch runs yield an empty observation, deterministically.
-        let (rec, _, obs) = auto.execute_observed_at(2);
-        assert_eq!(rec, one);
-        assert_eq!(obs, Observation::default());
+
+        // One row per family, observed or not, at one shard or two: the
+        // record never changes, and the perf sample reports the shards the
+        // row ran on (classic rows run on one `Sim` whatever is asked).
+        let warm = smoke_row("warm/cluster-warm-default/p64/as-built");
+        let ckpt = warm
+            .run(1, false, None)
+            .expect(NO_CHECKPOINT)
+            .checkpoint
+            .expect("a cold warm row captures its checkpoint");
+        let rows: [(RunSpec, Option<&[u8]>); 6] = [
+            (smoke_row("fig3/radix-svm-aurc/p2/as-built"), None),
+            (
+                smoke_row("cluster/cluster-distributed-default/p16/as-built"),
+                None,
+            ),
+            (
+                smoke_row("chaos-cluster/cluster-distributed-default/p64/crash5"),
+                None,
+            ),
+            (smoke_row("kv/kv-replicated-default/p16/as-built"), None),
+            (warm.clone(), None),
+            (warm, Some(&ckpt)),
+        ];
+        for (spec, checkpoint) in &rows {
+            let launch = spec.app != App::RadixSvm;
+            let base = spec.run(1, false, *checkpoint).unwrap();
+            for shards in [1, 2] {
+                for observe in [false, true] {
+                    let out = spec.run(shards, observe, *checkpoint).unwrap();
+                    let what = format!("{} at {shards} shards, observe {observe}", spec.id());
+                    assert_eq!(out.record, base.record, "{what}: record changed");
+                    assert_eq!(out.perf.shards, if launch { shards } else { 1 }, "{what}");
+                    assert_eq!(out.obs.is_some(), observe, "{what}: observation");
+                    if launch {
+                        // Observed launch runs yield an empty observation,
+                        // deterministically.
+                        assert_eq!(out.obs.unwrap_or_default(), Observation::default());
+                    } else if observe {
+                        assert!(!out.obs.unwrap().events.is_empty(), "{what}: no trace");
+                    }
+                    let warm_row = spec.app == App::WarmClusterNodes;
+                    assert_eq!(out.checkpoint.is_some(), warm_row, "{what}: checkpoint");
+                    if let Some(input) = checkpoint {
+                        assert_eq!(out.checkpoint.as_deref(), Some(*input), "{what}: echo");
+                    }
+                }
+            }
+        }
+        assert_eq!(
+            rows[5].0.run(2, false, Some(&ckpt)).unwrap().record,
+            rows[4].0.execute(),
+            "the warm start diverged from its own cold run"
+        );
     }
 
     /// An unpinned chaos row follows `--shards` only up to its node count:
@@ -1775,14 +1798,10 @@ mod tests {
     /// pinned rows, while a pin wider than the machine is still refused.
     #[test]
     fn unpinned_chaos_row_clamps_wide_cli_shards() {
-        let spec = matrix(Scale::Smoke, 4)
-            .into_iter()
-            .find(|s| {
-                s.id() == "chaos-cluster/cluster-distributed-default/p16/rel+drop3+corrupt2+dup3"
-            })
-            .expect("matrix lost the 16-node chaos-cluster row");
-        let (one, _) = spec.execute_timed_at(1);
-        let (wide, perf) = spec.execute_timed_at(17);
+        let spec =
+            smoke_row("chaos-cluster/cluster-distributed-default/p16/rel+drop3+corrupt2+dup3");
+        let (one, _) = timed(&spec, 1);
+        let (wide, perf) = timed(&spec, 17);
         assert_eq!(one, wide, "--shards 17 leaked into the chaos record");
         assert_eq!(perf.shards, 16);
         let err = Cluster::builder(spec.nodes)
@@ -1807,9 +1826,9 @@ mod tests {
         // KV metrics block included, since the latency histogram merges
         // commutatively across shards — must not.
         let auto = RunSpec::new("kv", App::KvNodes, 16, Scale::Smoke);
-        let (one, perf1) = auto.execute_timed_at(1);
-        let (two, _) = auto.execute_timed_at(2);
-        let (four, perf4) = auto.execute_timed_at(4);
+        let (one, perf1) = timed(&auto, 1);
+        let (two, _) = timed(&auto, 2);
+        let (four, perf4) = timed(&auto, 4);
         assert_eq!(one, two, "--shards 2 leaked into the kv record");
         assert_eq!(one, four, "--shards 4 leaked into the kv record");
         assert_eq!((perf1.shards, perf4.shards), (1, 4));
@@ -1835,8 +1854,8 @@ mod tests {
             .iter()
             .find(|s| s.experiment == "kv" && s.knobs.faults.crash.is_some())
             .expect("kv group lost its crash row");
-        let (one, _) = spec.execute_timed_at(1);
-        let (four, _) = spec.execute_timed_at(4);
+        let (one, _) = timed(spec, 1);
+        let (four, _) = timed(spec, 4);
         assert_eq!(one, four, "--shards 4 leaked into the kv chaos row");
         let kv = one.kv.expect("kv chaos row lacks its KV metrics block");
         assert_eq!(
@@ -1862,17 +1881,21 @@ mod tests {
             .filter(|s| s.experiment == "warm")
             .collect();
         assert_eq!(rows.len(), 3, "the warm group lost rows");
-        let (_, _, bytes) = rows[0].execute_warm_at(1, None).unwrap();
+        let bytes = rows[0].run(1, false, None).unwrap().checkpoint.unwrap();
         for row in &rows {
-            let (warm, _, echoed) = row.execute_warm_at(2, Some(&bytes)).unwrap();
-            let (cold, _) = row.execute_timed_at(1);
-            assert_eq!(warm, cold, "{} diverged warm vs cold", row.id());
-            assert_eq!(echoed, bytes, "warm start must echo its input artifact");
+            let warm = row.run(2, false, Some(&bytes)).unwrap();
+            let (cold, _) = timed(row, 1);
+            assert_eq!(warm.record, cold, "{} diverged warm vs cold", row.id());
+            assert_eq!(
+                warm.checkpoint,
+                Some(bytes.clone()),
+                "warm start must echo its input artifact"
+            );
         }
         let foreign = rows[0].clone().with_seed(9);
         assert!(matches!(
-            foreign.execute_warm_at(1, Some(&bytes)),
-            Err(shrimp_sim::SnapshotError::FingerprintMismatch)
+            foreign.run(1, false, Some(&bytes)),
+            Err(SnapshotError::FingerprintMismatch)
         ));
     }
 
@@ -1886,12 +1909,12 @@ mod tests {
             .into_iter()
             .find(|s| s.experiment == "chaos-cluster" && s.knobs.faults.label() == "crashres5")
             .expect("matrix lost the 64-node crash/restart row");
-        let (one, _) = spec.execute_timed_at(1);
+        let (one, _) = timed(&spec, 1);
         let r = one.recovery.as_ref().expect("chaos row without recovery");
         assert_eq!(r.faults_injected, 1);
         assert!(r.detection_latency_ps > 0, "crash went undetected");
         assert!(r.recovery_time_ps > 0, "restart went unwitnessed");
-        let (four, perf4) = spec.execute_timed_at(4);
+        let (four, perf4) = timed(&spec, 4);
         assert_eq!(one, four, "chaos-cluster record diverged across shards");
         assert_eq!(perf4.shards, 4);
 

@@ -21,7 +21,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
 
-use shrimp_faults::{FaultPlane, FaultScenario, FaultStats, Reliability, ShrimpError};
+use shrimp_faults::{FaultPlane, FaultStats, ShrimpError};
 use shrimp_mem::{AddressSpace, MemBus, NodeMem, Paddr, PAGE_SIZE};
 use shrimp_net::{Flit, MeshConfig, Network, NodeId};
 use shrimp_nic::{IptEntry, Nic, Packet, ShrimpNetwork};
@@ -119,8 +119,9 @@ impl std::fmt::Debug for Cluster {
     }
 }
 
-/// Typed construction of a [`Cluster`]: node count, design configuration,
-/// mesh geometry, fault plane, reliability, shard count, and observation.
+/// Typed construction of a [`Cluster`]: node count, design configuration
+/// (mesh geometry, fault scenario and reliability included), shard count,
+/// and observation.
 ///
 /// ```
 /// use shrimp_core::{Cluster, DesignConfig};
@@ -159,29 +160,6 @@ impl ClusterBuilder {
     /// [`DesignConfig::as_built`]).
     pub fn config(mut self, cfg: DesignConfig) -> Self {
         self.cfg = cfg;
-        self
-    }
-
-    /// Overrides the mesh geometry (defaults to the smallest mesh that
-    /// holds the node count, [`MeshConfig::for_nodes`]).
-    pub fn mesh(mut self, mesh: MeshConfig) -> Self {
-        self.cfg.mesh = Some(mesh);
-        self
-    }
-
-    /// Sets the fault-injection scenario. Both [`ClusterBuilder::build`]
-    /// and [`ClusterBuilder::launch`] draw packet fates from per-entity
-    /// streams (one per directed mesh edge), so the same scenario
-    /// partitions cleanly across shards with byte-identical fates at any
-    /// shard count.
-    pub fn faults(mut self, faults: FaultScenario) -> Self {
-        self.cfg.faults = faults;
-        self
-    }
-
-    /// Sets the reliable-delivery policy.
-    pub fn reliability(mut self, reliability: Reliability) -> Self {
-        self.cfg.reliability = reliability;
         self
     }
 

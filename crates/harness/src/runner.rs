@@ -16,7 +16,7 @@ use std::sync::{Arc, Mutex, Once};
 use std::thread;
 use std::time::Duration;
 
-use shrimp_bench::{App, Observation, PerfSample, RunRecord, RunSpec};
+use shrimp_bench::{Observation, PerfSample, RunRecord, RunSpec};
 
 /// How one run ended.
 #[derive(Debug, Clone, PartialEq)]
@@ -142,8 +142,8 @@ where
         return Vec::new();
     }
     let workers = opts.workers.clamp(1, specs.len());
-    let deques: Arc<Vec<Mutex<VecDeque<usize>>>> =
-        Arc::new((0..workers).map(|_| Mutex::new(VecDeque::new())).collect());
+    let deques: Vec<Mutex<VecDeque<usize>>> =
+        (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
     for (i, _) in specs.iter().enumerate() {
         deques[i % workers].lock().unwrap().push_back(i);
     }
@@ -151,33 +151,12 @@ where
     let results: Mutex<Vec<RunResult>> = Mutex::new(Vec::with_capacity(specs.len()));
     let on_done = &on_done;
     let results_ref = &results;
+    let deques = &deques;
     thread::scope(|scope| {
         for w in 0..workers {
-            let deques = Arc::clone(&deques);
-            let timeout = opts.timeout;
-            let observe = opts.observe;
-            let shards = opts.shards;
-            let checkpoint_in = opts.checkpoint_in.clone();
-            let checkpoint_out = opts.checkpoint_out;
             scope.spawn(move || {
-                while let Some(index) = next_index(&deques, w) {
-                    let spec = specs[index].clone();
-                    let (status, perf, obs, checkpoint) = execute_isolated(
-                        spec.clone(),
-                        timeout,
-                        observe,
-                        shards,
-                        checkpoint_in.clone(),
-                        checkpoint_out,
-                    );
-                    let result = RunResult {
-                        index,
-                        spec,
-                        status,
-                        perf,
-                        obs,
-                        checkpoint,
-                    };
+                while let Some(index) = next_index(deques, w) {
+                    let result = execute_isolated(index, specs[index].clone(), opts);
                     on_done(&result);
                     results_ref.lock().unwrap().push(result);
                 }
@@ -207,50 +186,19 @@ fn next_index(deques: &[Mutex<VecDeque<usize>>], w: usize) -> Option<usize> {
 /// [`RunStatus::Panicked`] and over-long runs into [`RunStatus::TimedOut`]
 /// (the run thread is abandoned; a detached thread cannot corrupt other
 /// runs since every run owns its whole simulation).
-fn execute_isolated(
-    spec: RunSpec,
-    timeout: Duration,
-    observe: bool,
-    shards: usize,
-    checkpoint_in: Option<Arc<Vec<u8>>>,
-    checkpoint_out: bool,
-) -> (
-    RunStatus,
-    Option<PerfSample>,
-    Option<Observation>,
-    Option<Vec<u8>>,
-) {
+fn execute_isolated(index: usize, spec: RunSpec, opts: &RunnerOptions) -> RunResult {
     let (tx, rx) = mpsc::channel();
-    let id = spec.id();
+    let (observe, shards) = (opts.observe, opts.shards);
+    let checkpoint_in = opts.checkpoint_in.clone();
+    let run_spec = spec.clone();
     let handle = thread::Builder::new()
-        .name(format!("run-{id}"))
+        .name(format!("run-{}", spec.id()))
         .spawn(move || {
             install_panic_location_hook();
             let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                // Warm-start rows route through the checkpoint-aware path
-                // whenever a checkpoint flows in or out; without either
-                // flag they take the ordinary dispatch below, which runs
-                // the identical cold pipeline.
-                let route = spec.app == App::WarmClusterNodes
-                    && (checkpoint_in.is_some() || checkpoint_out);
-                if route {
-                    let bytes_in = checkpoint_in.as_ref().map(|b| b.as_slice());
-                    let (record, perf, bytes) = spec
-                        .execute_warm_at(shards, bytes_in)
-                        .unwrap_or_else(|e| panic!("checkpoint rejected: {e}"));
-                    (
-                        record,
-                        perf,
-                        observe.then(Observation::default),
-                        checkpoint_out.then_some(bytes),
-                    )
-                } else if observe {
-                    let (record, perf, obs) = spec.execute_observed_at(shards);
-                    (record, perf, Some(obs), None)
-                } else {
-                    let (record, perf) = spec.execute_timed_at(shards);
-                    (record, perf, None, None)
-                }
+                run_spec
+                    .run(shards, observe, checkpoint_in.as_deref().map(Vec::as_slice))
+                    .unwrap_or_else(|e| panic!("checkpoint rejected: {e}"))
             }));
             // The receiver may have given up (timeout); ignore send errors.
             let _ = tx.send(outcome.map_err(|payload| {
@@ -262,16 +210,30 @@ fn execute_isolated(
             }));
         })
         .expect("spawn run thread");
-    match rx.recv_timeout(timeout) {
-        Ok(Ok((record, perf, obs, checkpoint))) => {
+    let outcome = match rx.recv_timeout(opts.timeout) {
+        Ok(outcome) => {
             let _ = handle.join();
-            (RunStatus::Ok(record), Some(perf), obs, checkpoint)
+            outcome.map_err(RunStatus::Panicked)
         }
-        Ok(Err(msg)) => {
-            let _ = handle.join();
-            (RunStatus::Panicked(msg), None, None, None)
-        }
-        Err(_) => (RunStatus::TimedOut, None, None, None),
+        Err(_) => Err(RunStatus::TimedOut),
+    };
+    match outcome {
+        Ok(out) => RunResult {
+            index,
+            spec,
+            status: RunStatus::Ok(out.record),
+            perf: Some(out.perf),
+            obs: out.obs,
+            checkpoint: out.checkpoint.filter(|_| opts.checkpoint_out),
+        },
+        Err(status) => RunResult {
+            index,
+            spec,
+            status,
+            perf: None,
+            obs: None,
+            checkpoint: None,
+        },
     }
 }
 

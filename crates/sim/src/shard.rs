@@ -14,9 +14,9 @@
 //!   per-edge queues (`EdgeQueue`); in the SHRIMP machine the routing
 //!   backplane is the one such channel, and its link + transceiver latency
 //!   is the synchronization slack. The backplane sends every packet through
-//!   [`ShardSender::send`], to its own shard too (a same-shard message is a
+//!   [`ShardCtx::send`], to its own shard too (a same-shard message is a
 //!   delivery timer on the local wheel), and registers its own delivery
-//!   handler with [`ShardSender::on_message`].
+//!   handler with [`ShardCtx::on_message`].
 //! * Execution proceeds in **windows**: with `m` the earliest pending event
 //!   anywhere (local timers or in-flight messages) and `L` the minimum
 //!   cross-shard lookahead, any message sent at `t ≥ m` arrives no earlier
@@ -162,8 +162,8 @@ pub struct OutputBound {
 }
 
 /// Shared state of one shard. Lives on the shard's thread behind an `Rc`
-/// (deliberately `!Send` — it owns the shard's [`Sim`]); [`ShardCtx`] and
-/// [`ShardSender`] are views of it.
+/// (deliberately `!Send` — it owns the shard's [`Sim`]); every [`ShardCtx`]
+/// of the shard is a view of it.
 struct ShardCore<M> {
     shard: usize,
     shards: usize,
@@ -193,10 +193,6 @@ struct ShardCore<M> {
 }
 
 impl<M: 'static> ShardCore<M> {
-    fn on_message(&self, f: impl Fn(Time, M) + 'static) {
-        *self.handler.borrow_mut() = Some(Rc::new(f));
-    }
-
     fn send(&self, dst: usize, arrival: Time, msg: M) {
         assert!(dst < self.shards, "send to shard {dst} of {}", self.shards);
         let now = self.sim.now();
@@ -300,9 +296,23 @@ impl<M: 'static> TimerHandler for ShardCore<M> {
 }
 
 /// A shard's face of the sharded run, handed to its builder on the shard's
-/// own thread.
+/// own thread. Clonable, so processes spawned on the shard's [`Sim`] and
+/// components built on it, such as a sharded backplane, keep their own
+/// handle; `!Send`, like everything else on the shard thread.
 pub struct ShardCtx<M> {
     core: Rc<ShardCore<M>>,
+}
+
+/// The handle a component keeps to send on its shard: a clone of the
+/// builder's [`ShardCtx`] ([`ShardCtx::sender`]).
+pub type ShardSender<M> = ShardCtx<M>;
+
+impl<M> Clone for ShardCtx<M> {
+    fn clone(&self) -> Self {
+        ShardCtx {
+            core: Rc::clone(&self.core),
+        }
+    }
 }
 
 impl<M: 'static> ShardCtx<M> {
@@ -341,9 +351,11 @@ impl<M: 'static> ShardCtx<M> {
 
     /// Registers the delivery handler invoked (at the message's arrival
     /// time, on this shard's thread) for every message addressed to this
-    /// shard. Must be set during building if the shard ever receives.
+    /// shard, replacing any earlier one. Must be set during building if the
+    /// shard ever receives; a component built on the shard, such as a
+    /// sharded backplane, wires its own delivery through this.
     pub fn on_message(&self, f: impl Fn(Time, M) + 'static) {
-        self.core.on_message(f)
+        *self.core.handler.borrow_mut() = Some(Rc::new(f));
     }
 
     /// Sends `msg` to shard `dst`, arriving at absolute simulated time
@@ -360,55 +372,10 @@ impl<M: 'static> ShardCtx<M> {
         self.core.send(dst, arrival, msg)
     }
 
-    /// A clonable sending handle for use inside spawned processes, which
-    /// outlive the builder's borrow of the context.
+    /// A clonable handle for use inside spawned processes, which outlive
+    /// the builder's borrow of the context.
     pub fn sender(&self) -> ShardSender<M> {
-        ShardSender {
-            core: Rc::clone(&self.core),
-        }
-    }
-}
-
-/// Clonable sending half of a [`ShardCtx`], for processes spawned on the
-/// shard's [`Sim`]. `!Send`, like everything else on the shard thread.
-pub struct ShardSender<M> {
-    core: Rc<ShardCore<M>>,
-}
-
-impl<M> Clone for ShardSender<M> {
-    fn clone(&self) -> Self {
-        ShardSender {
-            core: Rc::clone(&self.core),
-        }
-    }
-}
-
-impl<M: 'static> ShardSender<M> {
-    /// Registers the shard's delivery handler, replacing any earlier one;
-    /// see [`ShardCtx::on_message`]. A component built on the shard, such as
-    /// a sharded backplane, wires its own delivery through this.
-    pub fn on_message(&self, f: impl Fn(Time, M) + 'static) {
-        self.core.on_message(f)
-    }
-
-    /// Sends `msg` to shard `dst` at `arrival`; see [`ShardCtx::send`].
-    pub fn send(&self, dst: usize, arrival: Time, msg: M) {
-        self.core.send(dst, arrival, msg)
-    }
-
-    /// The owning shard's index.
-    pub fn shard(&self) -> usize {
-        self.core.shard
-    }
-
-    /// Total number of shards in the run.
-    pub fn shards(&self) -> usize {
-        self.core.shards
-    }
-
-    /// The run's minimum cross-shard lookahead; see [`ShardCtx::lookahead`].
-    pub fn lookahead(&self) -> Time {
-        self.core.lookahead
+        self.clone()
     }
 }
 
