@@ -47,14 +47,6 @@ pub enum App {
     /// Table 1 application, so it is absent from [`App::all`]; it builds
     /// its own sharded cluster per run.
     ClusterNodes,
-    /// The warm-start variant of the distributed-cluster workload
-    /// (`shrimp_core::warm`): the warmup prefix runs once under the
-    /// as-built machine, is checkpointed at the drain barrier, and each
-    /// row resumes from the checkpoint under its own knobs. Used by the
-    /// `"warm"` experiment group and the harness
-    /// `--checkpoint-out`/`--checkpoint-in` flags. Not a Table 1
-    /// application, so it is absent from [`App::all`].
-    WarmClusterNodes,
     /// The replicated key-value service (`shrimp_apps::kv`): sharded
     /// primary/backup replication groups on the `launch()` path, driven
     /// by a deterministic open-loop Zipf load whose per-request latency
@@ -101,7 +93,6 @@ impl App {
             App::DfsSockets => "DFS-sockets",
             App::RenderSockets => "Render-sockets",
             App::ClusterNodes => "Cluster-distributed",
-            App::WarmClusterNodes => "Cluster-warm",
             App::KvNodes => "KV-replicated",
             App::MicroLatency => "Latency-4B",
             App::MicroBulk => "Bulk-16KiB",
@@ -117,7 +108,6 @@ impl App {
             App::BarnesNx | App::OceanNx => "NX",
             App::DfsSockets | App::RenderSockets => "Sockets",
             App::ClusterNodes
-            | App::WarmClusterNodes
             | App::KvNodes
             | App::MicroLatency
             | App::MicroBulk
@@ -144,13 +134,6 @@ impl App {
             App::ClusterNodes => {
                 let p = spec::distributed_params_at(scale);
                 format!("{} nodes x {} rounds", p.nodes, p.steps)
-            }
-            App::WarmClusterNodes => {
-                let p = spec::warm_params_at(scale, 16, 1);
-                format!(
-                    "{} nodes x {} rounds ({} warmup)",
-                    p.base.nodes, p.base.steps, p.warmup
-                )
             }
             App::KvNodes => {
                 let p = spec::kv_params_at(scale);

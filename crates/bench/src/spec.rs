@@ -20,12 +20,12 @@ use shrimp_apps::radix::{run_radix_svm, run_radix_vmmc, RadixParams};
 use shrimp_apps::render::{run_render, RenderParams};
 use shrimp_apps::{Mechanism, RunOutcome};
 use shrimp_core::{
-    run_chaos_distributed, run_cold, run_distributed, run_warm, Cluster, ClusterCheckpoint,
-    DesignConfig, DistributedParams, HeartbeatConfig, LaunchOutcome, RingBulk, WarmParams,
+    run_chaos_distributed, run_distributed, Cluster, DesignConfig, DistributedParams,
+    HeartbeatConfig, LaunchOutcome, RingBulk,
 };
 use shrimp_faults::{FaultScenario, FaultStats, FifoStall, LinkFault, NodeCrash, NodePause};
 use shrimp_net::MeshConfig;
-use shrimp_sim::{time, Category, MetricValue, MetricsSnapshot, SnapshotError, Time, TraceEvent};
+use shrimp_sim::{time, Category, MetricValue, MetricsSnapshot, Time, TraceEvent};
 use shrimp_sockets::SocketConfig;
 use shrimp_svm::Protocol;
 
@@ -186,17 +186,6 @@ pub fn distributed_params_at(scale: Scale) -> DistributedParams {
         Scale::Reduced => DistributedParams::with_steps(96),
         Scale::Full => DistributedParams::with_steps(384),
     }
-}
-
-/// Warm-start workload at a scale: the distributed-cluster shape on
-/// `nodes` nodes, split at the midpoint — half the rounds are warmup
-/// (phase A, checkpointed once), half resume from the checkpoint (phase
-/// B, per knob setting). Derived, not stored: every warm row of a given
-/// (scale, nodes, seed) shares one checkpoint fingerprint.
-pub fn warm_params_at(scale: Scale, nodes: usize, seed: u64) -> WarmParams {
-    let mut base = distributed_params_at(scale).scaled_to(nodes);
-    base.seed = seed;
-    WarmParams::split(base)
 }
 
 /// Replicated KV service at a scale: the 16-node smoke shape (two groups
@@ -427,7 +416,7 @@ impl Knobs {
 
 /// Shard-count selection for the rows that run on
 /// [`ClusterBuilder::launch`](shrimp_core::ClusterBuilder::launch) (the
-/// cluster, chaos-cluster, warm and kv groups): `Auto` follows the
+/// cluster, chaos-cluster and kv groups): `Auto` follows the
 /// sweep-wide `--shards` setting, clamped to the row's node count, and
 /// `Fixed(k)` pins the row. One shared spelling across the whole
 /// workspace — this is `shrimp_sim::shard::Shards`, re-exported through
@@ -456,14 +445,14 @@ pub struct RunSpec {
     pub knobs: Knobs,
     /// Problem scale.
     pub scale: Scale,
-    /// Workload seed (radix data; other workloads use fixed seeds).
+    /// Workload seed: the radix keys (both radix apps), the distributed
+    /// workload's jitter, peers and payloads (cluster and chaos-cluster
+    /// rows) and the kv service's keys and arrivals. Every other
+    /// application runs the same workload at any seed.
     pub seed: u64,
     /// Shard-count selection (rows on the `launch()` path only).
     pub shards: Shards,
 }
-
-/// Why the run wrappers cannot fail: only a checkpoint input is decoded.
-const NO_CHECKPOINT: &str = "a run without a checkpoint input decodes none";
 
 impl RunSpec {
     /// A default-version, as-built run of `app` on `nodes` nodes.
@@ -570,20 +559,20 @@ impl RunSpec {
     /// Runs the spec to completion on a fresh cluster and collects the
     /// deterministic metrics.
     pub fn execute(&self) -> RunRecord {
-        self.run(1, false, None).expect(NO_CHECKPOINT).record
+        self.run(1, false).record
     }
 
     /// [`RunSpec::execute`] plus the run's [`PerfSample`] (see
     /// [`RunOutput::perf`]).
     pub fn execute_timed(&self) -> (RunRecord, PerfSample) {
-        let out = self.run(1, false, None).expect(NO_CHECKPOINT);
+        let out = self.run(1, false);
         (out.record, out.perf)
     }
 
     /// [`RunSpec::execute_timed`] with the observability plane switched
     /// on, returning what it captured (see [`RunOutput::obs`]).
     pub fn execute_observed(&self) -> (RunRecord, PerfSample, Observation) {
-        let out = self.run(1, true, None).expect(NO_CHECKPOINT);
+        let out = self.run(1, true);
         (out.record, out.perf, out.obs.unwrap_or_default())
     }
 
@@ -593,46 +582,25 @@ impl RunSpec {
     /// single-`Sim` cluster and run the application on it; the
     /// [`ClusterBuilder::launch`](shrimp_core::ClusterBuilder::launch) rows
     /// ([`App::ClusterNodes`], with the heartbeat failure detector when the
-    /// knobs carry a fault scenario, [`App::KvNodes`] and
-    /// [`App::WarmClusterNodes`]) launch their node program on
-    /// [`RunSpec::effective_shards`]`(shards)` shards. Their record comes
-    /// from the shard-count-invariant [`LaunchOutcome`], so every
-    /// [`RunRecord`] is byte-identical at any `shards`; only the
-    /// [`PerfSample`] sees the parallelism.
+    /// knobs carry a fault scenario, and [`App::KvNodes`]) launch their
+    /// node program on [`RunSpec::effective_shards`]`(shards)` shards.
+    /// Their record comes from the shard-count-invariant
+    /// [`LaunchOutcome`], so every [`RunRecord`] is byte-identical at any
+    /// `shards`; only the [`PerfSample`] sees the parallelism.
     ///
     /// `observe` switches the trace sink and the metrics registry's gauges
     /// and histograms on for the run (see [`RunOutput::obs`]); the record
     /// is the same either way.
     ///
-    /// `checkpoint` is an encoded [`ClusterCheckpoint`] (the harness
-    /// `--checkpoint-in` payload) for a warm row to resume from: the
-    /// warmup phase is skipped and only phase B, the warm start, runs.
-    /// Without it a warm row runs cold: warmup, checkpoint encode and
-    /// decode, then the identical phase B, so cold and warm rows are
-    /// byte-identical by construction. Other rows ignore it.
-    ///
-    /// # Errors
-    ///
-    /// Any [`SnapshotError`] from decoding `checkpoint`, and
-    /// [`SnapshotError::FingerprintMismatch`] when it was captured from a
-    /// different workload shape (scale, nodes or seed) than this spec.
-    ///
     /// # Panics
     ///
-    /// Panics when the application panics, and on a warm row whose knobs
-    /// carry a fault scenario (the restore plane is fault-free).
-    pub fn run(
-        &self,
-        shards: usize,
-        observe: bool,
-        checkpoint: Option<&[u8]>,
-    ) -> Result<RunOutput, SnapshotError> {
+    /// Panics when the application panics.
+    pub fn run(&self, shards: usize, observe: bool) -> RunOutput {
         let start = std::time::Instant::now();
         let cfg = self.design_config();
         let recovery = self.knobs.reliability || self.knobs.faults.is_active();
         let launch_shards = Shards::Fixed(self.effective_shards(shards));
         let mut kv = None;
-        let mut bytes = None;
         let out = match self.app {
             App::ClusterNodes => {
                 let mut params = distributed_params_at(self.scale).scaled_to(self.nodes);
@@ -649,25 +617,6 @@ impl RunSpec {
                 let out = run_kv(&params, cfg, launch_shards);
                 kv = Some(KvMetrics::capture(&params, &out));
                 out
-            }
-            App::WarmClusterNodes => {
-                assert!(
-                    !self.knobs.faults.is_active(),
-                    "warm-start rows cannot carry a fault scenario"
-                );
-                let params = warm_params_at(self.scale, self.nodes, self.seed);
-                match checkpoint {
-                    Some(input) => {
-                        let ckpt = ClusterCheckpoint::decode(input)?;
-                        bytes = Some(input.to_vec());
-                        run_warm(&params, cfg, launch_shards, &ckpt)?
-                    }
-                    None => {
-                        let (out, captured) = run_cold(&params, cfg, launch_shards);
-                        bytes = Some(captured);
-                        out
-                    }
-                }
             }
             _ => {
                 let mut builder = Cluster::builder(self.nodes).config(cfg).metrics(observe);
@@ -695,23 +644,21 @@ impl RunSpec {
                     trace_dropped: cluster.sim().trace().dropped(),
                     metrics,
                 });
-                return Ok(RunOutput {
+                return RunOutput {
                     record,
                     perf: PerfSample::since(start, events, 1, 0),
                     obs,
-                    checkpoint: None,
-                });
+                };
             }
         };
         // An observed launch row yields an empty observation: per-shard
         // trace interleavings are a host-layout detail, and merged gauges
         // keep per-shard maxima, so neither is shard-count invariant.
-        Ok(RunOutput {
+        RunOutput {
             record: RunRecord::from_launch(&out, recovery, kv),
             perf: PerfSample::since(start, out.events, out.shards, out.windows),
             obs: observe.then(Observation::default),
-            checkpoint: bytes,
-        })
+        }
     }
 
     /// Runs a classic row's application on `cluster`: the step
@@ -748,7 +695,7 @@ impl RunSpec {
                 assert_eq!(self.variant, Variant::Default, "a send has one version");
                 run_send_overhead(cluster, SEND_BYTES)
             }
-            App::ClusterNodes | App::WarmClusterNodes | App::KvNodes => {
+            App::ClusterNodes | App::KvNodes => {
                 unreachable!("{} runs on the launch path", self.app.name())
             }
         }
@@ -882,10 +829,6 @@ pub struct RunOutput {
     /// What the observability plane captured, present exactly when the run
     /// was observed. Empty on `launch()` rows.
     pub obs: Option<Observation>,
-    /// The encoded [`ClusterCheckpoint`] a warm row ran from: the input
-    /// echoed back on a warm start, freshly captured on a cold run (the
-    /// harness `--checkpoint-out` payload). `None` on every other row.
-    pub checkpoint: Option<Vec<u8>>,
 }
 
 /// Everything the observability plane captured during one observed run:
@@ -1334,14 +1277,27 @@ pub fn matrix(scale: Scale, max_nodes: usize) -> Vec<RunSpec> {
     // proportional, so row cost is bounded by the scale's step count).
     // The 16-node Auto row follows the sweep-wide `--shards` flag and must
     // stay byte-identical at every setting; the pinned 64-node pair is
-    // the scaling pair of the `--perf` speedup gate; the 256-node row
-    // exercises the machine at Paragon scale (too heavy for the smoke
-    // gate).
+    // the scaling pair of the `--perf` speedup gate; the two 64-node Auto
+    // knob rows take a system call per send and an interrupt per message
+    // on the `launch()` path; the 256-node row exercises the machine at
+    // Paragon scale (too heavy for the smoke gate).
     specs.push(RunSpec::new("cluster", App::ClusterNodes, 16, scale));
     for sh in [1usize, 4] {
         specs.push(
             RunSpec::new("cluster", App::ClusterNodes, 64, scale).with_shards(Shards::Fixed(sh)),
         );
+    }
+    for knobs in [
+        Knobs {
+            syscall_send: true,
+            ..Knobs::as_built()
+        },
+        Knobs {
+            interrupt_per_message: true,
+            ..Knobs::as_built()
+        },
+    ] {
+        specs.push(RunSpec::new("cluster", App::ClusterNodes, 64, scale).with_knobs(knobs));
     }
     if scale != Scale::Smoke {
         specs.push(RunSpec::new("cluster", App::ClusterNodes, 256, scale));
@@ -1410,26 +1366,6 @@ pub fn matrix(scale: Scale, max_nodes: usize) -> Vec<RunSpec> {
                 ..Knobs::as_built()
             }),
         );
-    }
-
-    // Warm-start: three knob settings forked from one post-warmup
-    // checkpoint of the 64-node distributed workload (half the rounds are
-    // warmup — see `warm_params_at`). All three rows share a checkpoint
-    // fingerprint, so the harness `--checkpoint-in` mode resumes every
-    // one of them from a single artifact; rows are byte-identical whether
-    // run cold or warm, and at every shard count.
-    for knobs in [
-        Knobs::as_built(),
-        Knobs {
-            syscall_send: true,
-            ..Knobs::as_built()
-        },
-        Knobs {
-            interrupt_per_message: true,
-            ..Knobs::as_built()
-        },
-    ] {
-        specs.push(RunSpec::new("warm", App::WarmClusterNodes, 64, scale).with_knobs(knobs));
     }
 
     // Replicated KV service: two groups of three replicas on the
@@ -1577,7 +1513,6 @@ mod tests {
             "chaos",
             "cluster",
             "chaos-cluster",
-            "warm",
             "kv",
             "micro",
             "ablation",
@@ -1622,7 +1557,7 @@ mod tests {
                 "cluster group lost its p{nodes} row"
             );
         }
-        assert_eq!(group("warm").len(), 3, "smoke warm group changed size");
+        assert_eq!(cluster.len(), 5, "smoke cluster group changed size");
         assert_eq!(group("micro").len(), 7, "micro group changed size");
         // Every study point but the five as-built ones (the EISA study's
         // twice, DU and AU) is a row, and none repeats a configuration the
@@ -1706,10 +1641,9 @@ mod tests {
         assert!(s.elapsed > a.elapsed, "syscalls cost nothing");
     }
 
-    /// Runs `spec` unobserved, with no checkpoint input, under a
-    /// sweep-wide shard count of `shards`.
+    /// Runs `spec` unobserved under a sweep-wide shard count of `shards`.
     fn timed(spec: &RunSpec, shards: usize) -> (RunRecord, PerfSample) {
-        let out = spec.run(shards, false, None).expect(NO_CHECKPOINT);
+        let out = spec.run(shards, false);
         (out.record, out.perf)
     }
 
@@ -1741,32 +1675,19 @@ mod tests {
         // One row per family, observed or not, at one shard or two: the
         // record never changes, and the perf sample reports the shards the
         // row ran on (classic rows run on one `Sim` whatever is asked).
-        let warm = smoke_row("warm/cluster-warm-default/p64/as-built");
-        let ckpt = warm
-            .run(1, false, None)
-            .expect(NO_CHECKPOINT)
-            .checkpoint
-            .expect("a cold warm row captures its checkpoint");
-        let rows: [(RunSpec, Option<&[u8]>); 6] = [
-            (smoke_row("fig3/radix-svm-aurc/p2/as-built"), None),
-            (
-                smoke_row("cluster/cluster-distributed-default/p16/as-built"),
-                None,
-            ),
-            (
-                smoke_row("chaos-cluster/cluster-distributed-default/p64/crash5"),
-                None,
-            ),
-            (smoke_row("kv/kv-replicated-default/p16/as-built"), None),
-            (warm.clone(), None),
-            (warm, Some(&ckpt)),
+        let rows = [
+            "fig3/radix-svm-aurc/p2/as-built",
+            "cluster/cluster-distributed-default/p16/as-built",
+            "chaos-cluster/cluster-distributed-default/p64/crash5",
+            "kv/kv-replicated-default/p16/as-built",
+            "cluster/cluster-distributed-default/p64/syscall",
         ];
-        for (spec, checkpoint) in &rows {
+        for spec in rows.map(smoke_row) {
             let launch = spec.app != App::RadixSvm;
-            let base = spec.run(1, false, *checkpoint).unwrap();
+            let base = spec.run(1, false);
             for shards in [1, 2] {
                 for observe in [false, true] {
-                    let out = spec.run(shards, observe, *checkpoint).unwrap();
+                    let out = spec.run(shards, observe);
                     let what = format!("{} at {shards} shards, observe {observe}", spec.id());
                     assert_eq!(out.record, base.record, "{what}: record changed");
                     assert_eq!(out.perf.shards, if launch { shards } else { 1 }, "{what}");
@@ -1778,18 +1699,58 @@ mod tests {
                     } else if observe {
                         assert!(!out.obs.unwrap().events.is_empty(), "{what}: no trace");
                     }
-                    let warm_row = spec.app == App::WarmClusterNodes;
-                    assert_eq!(out.checkpoint.is_some(), warm_row, "{what}: checkpoint");
-                    if let Some(input) = checkpoint {
-                        assert_eq!(out.checkpoint.as_deref(), Some(*input), "{what}: echo");
-                    }
                 }
             }
         }
+    }
+
+    /// The seed reaches the record of exactly the apps its doc names: one
+    /// smoke row per application, at seeds 1 and 2.
+    #[test]
+    fn seed_moves_exactly_the_seeded_apps() {
+        let specs = matrix(Scale::Smoke, 4);
+        let mut seen: Vec<App> = Vec::new();
+        for spec in &specs {
+            if seen.contains(&spec.app) {
+                continue;
+            }
+            seen.push(spec.app);
+            let seeded = matches!(
+                spec.app,
+                App::RadixSvm | App::RadixVmmc | App::ClusterNodes | App::KvNodes
+            );
+            let one = spec.execute();
+            let two = spec.clone().with_seed(2).execute();
+            assert_eq!(one != two, seeded, "{}: seed 2 vs seed 1", spec.id());
+        }
+        assert_eq!(seen.len(), 13, "the smoke matrix's applications changed");
+    }
+
+    /// The 64-node knob rows carry the two costs onto the `launch()` path:
+    /// a system call per send on one, an interrupt per message on the
+    /// other, and the as-built row's answer on both.
+    #[test]
+    fn cluster_knob_rows_trap_or_interrupt_every_message() {
+        let built = smoke_row("cluster/cluster-distributed-default/p64/as-built/sh1").execute();
+        let syscall = smoke_row("cluster/cluster-distributed-default/p64/syscall").execute();
+        assert!(syscall.messages > 0);
         assert_eq!(
-            rows[5].0.run(2, false, Some(&ckpt)).unwrap().record,
-            rows[4].0.execute(),
-            "the warm start diverged from its own cold run"
+            syscall.syscalls, syscall.messages,
+            "a send skipped its trap"
+        );
+        assert_eq!(
+            syscall.checksum, built.checksum,
+            "syscalls changed the answer"
+        );
+        let intr = smoke_row("cluster/cluster-distributed-default/p64/intr").execute();
+        assert!(intr.messages > 0);
+        assert_eq!(
+            intr.interrupts, intr.messages,
+            "a message raised no interrupt"
+        );
+        assert_eq!(
+            intr.checksum, built.checksum,
+            "interrupts changed the answer"
         );
     }
 
@@ -1870,33 +1831,6 @@ mod tests {
             rec.detection_latency_ps > 0,
             "no detection latency recorded"
         );
-    }
-
-    /// Every warm row forks from one shared checkpoint artifact, matches
-    /// its own cold run byte-for-byte, and refuses foreign checkpoints.
-    #[test]
-    fn warm_rows_fork_from_one_checkpoint_and_match_cold() {
-        let rows: Vec<RunSpec> = matrix(Scale::Smoke, 4)
-            .into_iter()
-            .filter(|s| s.experiment == "warm")
-            .collect();
-        assert_eq!(rows.len(), 3, "the warm group lost rows");
-        let bytes = rows[0].run(1, false, None).unwrap().checkpoint.unwrap();
-        for row in &rows {
-            let warm = row.run(2, false, Some(&bytes)).unwrap();
-            let (cold, _) = timed(row, 1);
-            assert_eq!(warm.record, cold, "{} diverged warm vs cold", row.id());
-            assert_eq!(
-                warm.checkpoint,
-                Some(bytes.clone()),
-                "warm start must echo its input artifact"
-            );
-        }
-        let foreign = rows[0].clone().with_seed(9);
-        assert!(matches!(
-            foreign.run(1, false, Some(&bytes)),
-            Err(SnapshotError::FingerprintMismatch)
-        ));
     }
 
     /// A chaos-cluster crash row produces finite detector metrics and

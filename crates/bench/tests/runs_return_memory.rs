@@ -76,8 +76,8 @@ static GLOBAL: Counting = Counting;
 const ALLOWANCE: isize = 16 * 1024;
 
 /// One smoke row per application — the 16-node Table 1 row of each paper
-/// application (`dfs-sockets` among them), the first warm-start row, the
-/// kv primary-crash row and the first row of each microbenchmark — plus
+/// application (`dfs-sockets` among them), the 64-node cluster syscall
+/// row, the kv primary-crash row and the first row of each microbenchmark — plus
 /// the 16-node cluster row and the chaos-cluster crash and crash/restart
 /// rows at one and two shards.
 fn rows() -> Vec<RunSpec> {
@@ -90,7 +90,7 @@ fn rows() -> Vec<RunSpec> {
     rows.extend(
         specs
             .iter()
-            .find(|s| s.app == App::WarmClusterNodes)
+            .find(|s| s.id() == "cluster/cluster-distributed-default/p64/syscall")
             .cloned(),
     );
     rows.extend(

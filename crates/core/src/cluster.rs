@@ -22,7 +22,7 @@ use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
 
 use shrimp_faults::{FaultPlane, FaultStats, ShrimpError};
-use shrimp_mem::{AddressSpace, MemBus, NodeMem, Paddr, PAGE_SIZE};
+use shrimp_mem::{AddressSpace, MemBus, NodeMem, PAGE_SIZE};
 use shrimp_net::{Flit, MeshConfig, Network, NodeId};
 use shrimp_nic::{IptEntry, Nic, Packet, ShrimpNetwork};
 use shrimp_sim::executor::{join_all, TaskHandle};
@@ -32,7 +32,6 @@ use shrimp_sim::shard::{
 };
 use shrimp_sim::{Category, FastMap, Queue, Sim, Time};
 
-use crate::checkpoint::NodeState;
 use crate::config::DesignConfig;
 use crate::cpu::Cpu;
 use crate::stats::NodeStats;
@@ -138,8 +137,6 @@ pub struct ClusterBuilder {
     shards: Shards,
     metrics: bool,
     trace_capacity: Option<Option<usize>>,
-    capture: bool,
-    start: Time,
 }
 
 impl ClusterBuilder {
@@ -151,8 +148,6 @@ impl ClusterBuilder {
             shards: Shards::Auto,
             metrics: false,
             trace_capacity: None,
-            capture: false,
-            start: 0,
         }
     }
 
@@ -182,26 +177,6 @@ impl ClusterBuilder {
     /// Enables trace capture with the given capacity (`None` = unbounded).
     pub fn trace_capacity(mut self, capacity: Option<usize>) -> Self {
         self.trace_capacity = Some(capacity);
-        self
-    }
-
-    /// Captures every node's checkpoint state
-    /// ([`NodeState`]) at the launch's
-    /// global drain barrier and returns it in
-    /// [`LaunchOutcome::node_states`]. The barrier is the quiesce point:
-    /// every program has completed and no packet is in flight, so the
-    /// capture is byte-identical at every shard count.
-    pub fn capture_state(mut self, on: bool) -> Self {
-        self.capture = on;
-        self
-    }
-
-    /// Starts every shard's simulated clock at `start` instead of 0 — a
-    /// run resuming from a checkpoint sets this to the checkpoint's
-    /// quiesce time so restored timelines continue where the captured one
-    /// stopped.
-    pub fn resume_at(mut self, start: Time) -> Self {
-        self.start = start;
         self
     }
 
@@ -337,9 +312,7 @@ impl ClusterBuilder {
             .mesh
             .clone()
             .unwrap_or_else(|| MeshConfig::for_nodes(n));
-        let mut shard_cfg = ShardConfig::new(shards, mesh.min_remote_latency());
-        shard_cfg.start = self.start;
-        let capture = self.capture;
+        let shard_cfg = ShardConfig::new(shards, mesh.min_remote_latency());
         let builders: Vec<PhasedBuilder<ClusterFlit, ShardTally>> = (0..shards)
             .map(|_| {
                 let builder = self.clone();
@@ -359,16 +332,6 @@ impl ClusterBuilder {
             }
         }
         assert_eq!(finished_nodes, n, "a node's program never completed");
-        let node_states = capture.then(|| {
-            let mut states: Vec<NodeState> = out
-                .results
-                .iter()
-                .flat_map(|t| t.node_states.iter().cloned())
-                .collect();
-            states.sort_unstable_by_key(|s| s.node);
-            assert_eq!(states.len(), n, "a node's state was never captured");
-            states
-        });
         let mut metrics = MetricsSnapshot::default();
         for tally in &out.results {
             metrics.merge(&tally.metrics);
@@ -392,7 +355,6 @@ impl ClusterBuilder {
             events: out.events,
             windows: out.windows,
             shards,
-            node_states,
             metrics,
         })
     }
@@ -493,7 +455,6 @@ impl ClusterBuilder {
             }
         }
         let to_shutdown = cluster.clone();
-        let capture = self.capture;
         ShardPlan {
             shutdown: Box::new(move || to_shutdown.shutdown()),
             harvest: Box::new(move || {
@@ -517,17 +478,6 @@ impl ClusterBuilder {
                 ShardTally {
                     finished: merged.iter().map(|&(_, t, _)| t).max().unwrap_or(0),
                     node_results: merged.iter().map(|&(node, _, r)| (node, r)).collect(),
-                    node_states: if capture {
-                        // Quiesce-point capture: this closure runs at the
-                        // engine's global drain barrier, after every shard
-                        // is exhausted — no packet is in flight.
-                        cluster
-                            .owned_nodes()
-                            .map(|node| cluster.capture_node(node))
-                            .collect()
-                    } else {
-                        Vec::new()
-                    },
                     metrics: cluster.sim().metrics().snapshot(),
                 }
             }),
@@ -582,7 +532,6 @@ impl Future for CrashRace {
 struct ShardTally {
     finished: Time,
     node_results: Vec<(usize, u64)>,
-    node_states: Vec<NodeState>,
     metrics: MetricsSnapshot,
 }
 
@@ -630,9 +579,6 @@ pub struct LaunchOutcome {
     pub windows: u64,
     /// Effective shard count the launch ran with.
     pub shards: usize,
-    /// Per-node checkpoint state captured at the drain barrier, indexed by
-    /// node — `Some` only when [`ClusterBuilder::capture_state`] was set.
-    pub node_states: Option<Vec<NodeState>>,
     /// Per-shard metric registries folded with
     /// [`MetricsSnapshot::merge`] — counters and histograms are
     /// shard-count invariant (the merge is commutative and associative);
@@ -811,74 +757,6 @@ impl Cluster {
     /// A node's software statistics.
     pub fn stats(&self, node: usize) -> Rc<NodeStats> {
         self.node(node).stats.clone()
-    }
-
-    /// Captures an owned node's checkpoint state: memory image, allocator
-    /// cursors, NIC sequence counter, and page-table images. Meaningful
-    /// only at a quiesce point (the launch drain barrier — see
-    /// [`ClusterBuilder::capture_state`]); capturing mid-run would race
-    /// in-flight packets.
-    pub fn capture_node(&self, node: usize) -> NodeState {
-        let n = self.node(node);
-        let tables = n.nic.tables();
-        NodeState {
-            node,
-            pages: n.mem.dump_pages(),
-            next_phys_page: n.mem.next_phys_page(),
-            nic_seq: n.nic.seq_counter(),
-            next_proxy: tables.next_proxy(),
-            opt: tables.opt_entries(),
-            // Buffer ids index the shard-local export directory; store the
-            // shard-count-invariant ordinal form instead.
-            ipt: crate::checkpoint::canonicalize_ipt(tables.ipt_entries()),
-        }
-    }
-
-    /// Restores an owned node from a captured [`NodeState`], after the
-    /// resuming program has replayed its allocation and export/import
-    /// preamble.
-    ///
-    /// The restore is *verified*: the replayed allocator cursors and
-    /// OPT/IPT images must equal the captured ones — they are pure
-    /// functions of the preamble, so a mismatch means the resuming program
-    /// (or its configuration) diverged from the one that produced the
-    /// checkpoint. Only then are the memory image and the NIC sequence
-    /// counter (state the preamble cannot reproduce) written back.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any divergence between the replayed preamble and the
-    /// captured state.
-    pub fn restore_node(&self, node: usize, state: &NodeState) {
-        assert_eq!(state.node, node, "checkpoint state is for another node");
-        let n = self.node(node);
-        assert_eq!(
-            n.mem.next_phys_page(),
-            state.next_phys_page,
-            "node {node}: replayed page allocator diverged from the checkpoint"
-        );
-        let tables = n.nic.tables();
-        assert_eq!(
-            tables.next_proxy(),
-            state.next_proxy,
-            "node {node}: replayed proxy allocator diverged from the checkpoint"
-        );
-        assert_eq!(
-            tables.opt_entries(),
-            state.opt,
-            "node {node}: replayed OPT image diverged from the checkpoint"
-        );
-        assert_eq!(
-            crate::checkpoint::canonicalize_ipt(tables.ipt_entries()),
-            state.ipt,
-            "node {node}: replayed IPT image diverged from the checkpoint"
-        );
-        // A captured zero page written back into a page the preamble never
-        // wrote is a no-op, so it stays unmaterialized.
-        for (page, data) in &state.pages {
-            n.mem.write_raw(Paddr::from_parts(*page, 0), data);
-        }
-        n.nic.set_seq_counter(state.nic_seq);
     }
 
     /// Crashes a node with full loss of volatile state: the NIC loses

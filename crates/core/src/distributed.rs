@@ -132,20 +132,18 @@ pub fn node_program(p: DistributedParams) -> NodeProgram {
 }
 
 /// The deterministic buffer map every incarnation of the workload builds
-/// in [`setup_node`]. Shared with the warm-start resume path
-/// (`crate::warm`), whose preamble must replay this map exactly.
-pub(crate) struct NodeSetup {
-    pub(crate) recv: Vaddr,
-    pub(crate) stage: Vaddr,
-    pub(crate) inbox: Queue<Notification>,
-    pub(crate) proxies: Vec<Option<ProxyBuffer>>,
+/// in [`setup_node`].
+struct NodeSetup {
+    recv: Vaddr,
+    stage: Vaddr,
+    inbox: Queue<Notification>,
+    proxies: Vec<Option<ProxyBuffer>>,
 }
 
 /// The workload preamble: receive buffer, export + notifications, peer
 /// page map, stage buffer, proxy imports. Pure allocation and table
-/// programming — no sends, no awaits — so a checkpoint restore can verify
-/// its replay against the captured allocator cursors and table images.
-pub(crate) fn setup_node(vmmc: &Vmmc, p: &DistributedParams) -> NodeSetup {
+/// programming: no sends, no awaits.
+fn setup_node(vmmc: &Vmmc, p: &DistributedParams) -> NodeSetup {
     let me = vmmc.node_id().0;
     let n = p.nodes;
     let slot = p.payload;
@@ -192,7 +190,7 @@ fn stage_payload(vmmc: &Vmmc, stage: Vaddr, len: usize, seed: u64, node: usize, 
 
 /// One compute/send round of the workload: seeded jitter, then one
 /// deliberate-update send to a seeded peer.
-pub(crate) async fn work_step(vmmc: &Vmmc, p: &DistributedParams, s: &NodeSetup, step: u32) {
+async fn work_step(vmmc: &Vmmc, p: &DistributedParams, s: &NodeSetup, step: u32) {
     let me = vmmc.node_id().0;
     let n = p.nodes;
     let slot = p.payload;
@@ -210,7 +208,7 @@ pub(crate) async fn work_step(vmmc: &Vmmc, p: &DistributedParams, s: &NodeSetup,
 
 /// The closing notify round plus the receive-buffer checksum that is the
 /// node's program result.
-pub(crate) async fn finish_node(vmmc: &Vmmc, p: &DistributedParams, s: &NodeSetup) -> u64 {
+async fn finish_node(vmmc: &Vmmc, p: &DistributedParams, s: &NodeSetup) -> u64 {
     let me = vmmc.node_id().0;
     let n = p.nodes;
     let slot = p.payload;

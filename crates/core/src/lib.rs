@@ -52,7 +52,6 @@
 
 #![warn(missing_docs)]
 
-pub mod checkpoint;
 pub mod cluster;
 pub mod config;
 pub mod cpu;
@@ -60,9 +59,7 @@ pub mod distributed;
 pub mod ring;
 pub mod stats;
 pub mod vmmc;
-pub mod warm;
 
-pub use checkpoint::{ClusterCheckpoint, NodeState};
 pub use cluster::{Cluster, ClusterBuilder, ClusterFlit, LaunchOutcome, NodeProgram, Notification};
 pub use config::DesignConfig;
 pub use cpu::Cpu;
@@ -76,4 +73,3 @@ pub use shrimp_net::NodeId;
 pub use shrimp_sim::shard::Shards;
 pub use stats::NodeStats;
 pub use vmmc::{ExportId, ProxyBuffer, SendTicket, Vmmc};
-pub use warm::{run_cold, run_warm, warm_checkpoint, WarmParams};

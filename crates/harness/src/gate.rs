@@ -236,7 +236,6 @@ mod tests {
             status: RunStatus::Ok(record),
             perf: None,
             obs: None,
-            checkpoint: None,
         }
     }
 

@@ -23,7 +23,7 @@ FLAGS:
   --nodes <N>         override the matrix's maximum node count
   --workers <N>       worker threads (default: available parallelism)
   --shards <N>        shard count for launch() rows (cluster, chaos-cluster,
-                      warm, kv) without a pinned /shK id segment (default 1;
+                      kv) without a pinned /shK id segment (default 1;
                       clamped to each row's node count). Artifacts and
                       baselines are byte-identical at every setting; only
                       wall-clock changes
@@ -50,17 +50,6 @@ FLAGS:
   --perf-baseline <PATH>
                       perf baseline to gate against
                       (default results/baselines/perf-<scale>.json)
-  --checkpoint-out <PATH>
-                      capture the warm-start rows' post-warmup checkpoint
-                      and write the (byte-identical, shard-count-invariant)
-                      artifact to PATH after the sweep
-  --checkpoint-in <PATH>
-                      warm-start rows resume from the checkpoint at PATH
-                      instead of re-running their warmup phase; an
-                      artifact that does not decode exits 2 before any row
-                      runs, a fingerprint mismatch fails the row. Other
-                      rows are unaffected, and sweep.json stays
-                      byte-identical
   --trace-out <PATH>  run with tracing + metrics enabled and export each
                       run's timeline as Chrome trace_event JSON (open in
                       chrome://tracing or ui.perfetto.dev); with several
@@ -97,8 +86,6 @@ struct Cli {
     perf: bool,
     perf_out: Option<PathBuf>,
     perf_baseline: Option<PathBuf>,
-    checkpoint_out: Option<PathBuf>,
-    checkpoint_in: Option<PathBuf>,
     trace_out: Option<PathBuf>,
     list: bool,
     report: Option<PathBuf>,
@@ -120,8 +107,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         perf: false,
         perf_out: None,
         perf_baseline: None,
-        checkpoint_out: None,
-        checkpoint_in: None,
         trace_out: None,
         list: false,
         report: None,
@@ -161,10 +146,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             "--perf" => cli.perf = true,
             "--perf-out" => cli.perf_out = Some(PathBuf::from(value("--perf-out")?)),
             "--perf-baseline" => cli.perf_baseline = Some(PathBuf::from(value("--perf-baseline")?)),
-            "--checkpoint-out" => {
-                cli.checkpoint_out = Some(PathBuf::from(value("--checkpoint-out")?))
-            }
-            "--checkpoint-in" => cli.checkpoint_in = Some(PathBuf::from(value("--checkpoint-in")?)),
             "--trace-out" => cli.trace_out = Some(PathBuf::from(value("--trace-out")?)),
             "--list" => cli.list = true,
             "--report" => cli.report = Some(PathBuf::from(value("--report")?)),
@@ -253,25 +234,6 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    let checkpoint_in = match &cli.checkpoint_in {
-        Some(path) => match std::fs::read(path) {
-            // An artifact that does not decode is refused here, once,
-            // before any row runs.
-            Ok(bytes) => match shrimp_core::ClusterCheckpoint::decode(&bytes) {
-                Ok(_) => Some(std::sync::Arc::new(bytes)),
-                Err(e) => {
-                    eprintln!("error: checkpoint {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-            },
-            Err(e) => {
-                eprintln!("error: reading checkpoint {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        },
-        None => None,
-    };
-
     let opts = RunnerOptions {
         workers: cli.workers.unwrap_or_else(|| {
             std::thread::available_parallelism()
@@ -281,8 +243,6 @@ fn main() -> ExitCode {
         timeout: cli.timeout,
         observe: cli.trace_out.is_some(),
         shards: cli.shards,
-        checkpoint_in,
-        checkpoint_out: cli.checkpoint_out.is_some(),
     };
     println!(
         "[shrimp-harness] {} runs at {} scale (max {} nodes) on {} workers, {}s timeout/run",
@@ -314,42 +274,6 @@ fn main() -> ExitCode {
     }
     print!("{}", sweep::render_table(&results));
     println!("\nwrote {}", out_path.display());
-
-    // Every warm row forks from the same warmup fingerprint, so their
-    // captured artifacts must be byte-identical — write one, refuse many.
-    if let Some(ck_path) = &cli.checkpoint_out {
-        let captured: Vec<&Vec<u8>> = results
-            .iter()
-            .filter_map(|r| r.checkpoint.as_ref())
-            .collect();
-        match captured.first() {
-            None => {
-                eprintln!(
-                    "error: --checkpoint-out: no warm-start row completed \
-                     (run the `warm` experiment group)"
-                );
-                return ExitCode::from(2);
-            }
-            Some(first) => {
-                if captured.iter().any(|b| b != first) {
-                    eprintln!("error: --checkpoint-out: warm rows captured diverging checkpoints");
-                    return ExitCode::FAILURE;
-                }
-                if let Some(parent) = ck_path.parent() {
-                    let _ = std::fs::create_dir_all(parent);
-                }
-                if let Err(e) = std::fs::write(ck_path, first) {
-                    eprintln!("error: writing {}: {e}", ck_path.display());
-                    return ExitCode::from(2);
-                }
-                println!(
-                    "wrote checkpoint {} ({} bytes)",
-                    ck_path.display(),
-                    first.len()
-                );
-            }
-        }
-    }
 
     if let Some(trace_path) = &cli.trace_out {
         let observed: Vec<_> = results.iter().filter(|r| r.obs.is_some()).collect();

@@ -391,7 +391,6 @@ mod tests {
                 windows: 0,
             }),
             obs: None,
-            checkpoint: None,
         }
     }
 
@@ -499,7 +498,6 @@ mod tests {
                 windows: 0,
             }),
             obs: None,
-            checkpoint: None,
         }
     }
 

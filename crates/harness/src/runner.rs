@@ -12,7 +12,7 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex, Once};
+use std::sync::{Mutex, Once};
 use std::thread;
 use std::time::Duration;
 
@@ -67,11 +67,6 @@ pub struct RunResult {
     /// simulated data; `sweep.json` embeds the metrics per row and the
     /// Chrome-trace exporter renders the timeline.
     pub obs: Option<Observation>,
-    /// The encoded [`ClusterCheckpoint`](shrimp_core::ClusterCheckpoint)
-    /// this run produced (or echoed), present only on warm-start rows when
-    /// the sweep ran with [`RunnerOptions::checkpoint_out`]
-    /// (`--checkpoint-out`). Kept beside — never inside — `sweep.json`.
-    pub checkpoint: Option<Vec<u8>>,
 }
 
 /// Runner knobs.
@@ -91,16 +86,6 @@ pub struct RunnerOptions {
     /// classic single-`Sim` rows ignore it, and every [`RunRecord`] is
     /// byte-identical at any setting — only wall-clock can change.
     pub shards: usize,
-    /// A serialized [`ClusterCheckpoint`](shrimp_core::ClusterCheckpoint)
-    /// for warm-start rows to resume from (`--checkpoint-in`). Warm rows
-    /// skip their warmup phase and fork from this image; a fingerprint
-    /// mismatch fails the row loudly. Non-warm rows ignore it.
-    pub checkpoint_in: Option<Arc<Vec<u8>>>,
-    /// Capture each warm-start row's checkpoint bytes into
-    /// [`RunResult::checkpoint`] (`--checkpoint-out`). Every warm row in a
-    /// sweep shares one warmup fingerprint, so all captured artifacts are
-    /// byte-identical; the CLI asserts that before writing the file.
-    pub checkpoint_out: bool,
 }
 
 impl Default for RunnerOptions {
@@ -112,8 +97,6 @@ impl Default for RunnerOptions {
             timeout: Duration::from_secs(600),
             observe: false,
             shards: 1,
-            checkpoint_in: None,
-            checkpoint_out: false,
         }
     }
 }
@@ -189,17 +172,13 @@ fn next_index(deques: &[Mutex<VecDeque<usize>>], w: usize) -> Option<usize> {
 fn execute_isolated(index: usize, spec: RunSpec, opts: &RunnerOptions) -> RunResult {
     let (tx, rx) = mpsc::channel();
     let (observe, shards) = (opts.observe, opts.shards);
-    let checkpoint_in = opts.checkpoint_in.clone();
     let run_spec = spec.clone();
     let handle = thread::Builder::new()
         .name(format!("run-{}", spec.id()))
         .spawn(move || {
             install_panic_location_hook();
-            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                run_spec
-                    .run(shards, observe, checkpoint_in.as_deref().map(Vec::as_slice))
-                    .unwrap_or_else(|e| panic!("checkpoint rejected: {e}"))
-            }));
+            let outcome =
+                std::panic::catch_unwind(AssertUnwindSafe(|| run_spec.run(shards, observe)));
             // The receiver may have given up (timeout); ignore send errors.
             let _ = tx.send(outcome.map_err(|payload| {
                 let msg = panic_message(&*payload);
@@ -224,7 +203,6 @@ fn execute_isolated(index: usize, spec: RunSpec, opts: &RunnerOptions) -> RunRes
             status: RunStatus::Ok(out.record),
             perf: Some(out.perf),
             obs: out.obs,
-            checkpoint: out.checkpoint.filter(|_| opts.checkpoint_out),
         },
         Err(status) => RunResult {
             index,
@@ -232,7 +210,6 @@ fn execute_isolated(index: usize, spec: RunSpec, opts: &RunnerOptions) -> RunRes
             status,
             perf: None,
             obs: None,
-            checkpoint: None,
         },
     }
 }

@@ -172,7 +172,6 @@ mod tests {
                 status: RunStatus::Ok(record),
                 perf: None,
                 obs: None,
-                checkpoint: None,
             },
             RunResult {
                 index: 1,
@@ -180,7 +179,6 @@ mod tests {
                 status: RunStatus::Panicked("boom".to_string()),
                 perf: None,
                 obs: None,
-                checkpoint: None,
             },
         ]
     }

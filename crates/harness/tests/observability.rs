@@ -49,7 +49,6 @@ fn observed_fig3_row_exports_multi_category_trace_and_histograms() {
         status: RunStatus::Ok(record),
         perf: None,
         obs: Some(obs),
-        checkpoint: None,
     };
     let text = sweep::to_json("smoke", &[result]);
     let doc = json::parse(&text).expect("sweep artifact is valid JSON");

@@ -105,28 +105,8 @@ impl NodeMem {
     }
 
     /// The next physical page number the allocator will hand out.
-    ///
-    /// Checkpoint capture records this, and restore *verifies* it: a
-    /// restored node re-runs its allocation preamble, so a cursor mismatch
-    /// means the replayed layout diverged from the captured one.
     pub fn next_phys_page(&self) -> u64 {
         self.inner.frames.borrow().len() as u64
-    }
-
-    /// Every allocated page's number and contents (pages never written
-    /// included, as zeros), in page order — the deterministic memory image
-    /// a checkpoint stores.
-    pub fn dump_pages(&self) -> Vec<(u64, Vec<u8>)> {
-        let frames = self.inner.frames.borrow();
-        (1..frames.len())
-            .map(|p| {
-                let data = match &frames[p].bytes {
-                    Some(bytes) => bytes.to_vec(),
-                    None => vec![0; PAGE_SIZE],
-                };
-                (p as u64, data)
-            })
-            .collect()
     }
 
     fn with_frame<R>(&self, page: u64, f: impl FnOnce(&mut Frame) -> R) -> R {

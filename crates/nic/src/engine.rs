@@ -326,20 +326,6 @@ impl Nic {
         s
     }
 
-    /// The last reliable-delivery sequence number handed out (0 if none).
-    /// Checkpoint capture records this so a restored node's numbering
-    /// continues where the captured incarnation stopped.
-    pub fn seq_counter(&self) -> u64 {
-        self.inner.seq_counter.get()
-    }
-
-    /// Overwrites the reliable-delivery sequence counter (checkpoint
-    /// restore only; the counter otherwise only moves through
-    /// [`Nic::next_seq`]).
-    pub fn set_seq_counter(&self, v: u64) {
-        self.inner.seq_counter.set(v);
-    }
-
     /// Registers a waiter for the ack of `seq`, replacing any earlier
     /// attempt's waiter for the same sequence number.
     pub fn register_ack_waiter(&self, seq: u64) -> AckWaiter {

@@ -326,33 +326,9 @@ impl PageTables {
         }
     }
 
-    /// The next proxy index the allocator will hand out. Checkpoint restore
-    /// verifies this against the captured value after replaying the
-    /// import/export preamble.
+    /// The next proxy index the allocator will hand out.
     pub fn next_proxy(&self) -> u64 {
         *self.next_proxy.borrow()
-    }
-
-    /// Every OPT entry, sorted by index — the deterministic table image a
-    /// checkpoint stores. Physical pages all sort below the proxy region,
-    /// so the sorted map part is followed by the proxy runs, expanded.
-    pub fn opt_entries(&self) -> Vec<(u64, OptEntry)> {
-        let mut out: Vec<(u64, OptEntry)> =
-            self.opt.borrow().iter().map(|(&i, &e)| (i, e)).collect();
-        out.sort_unstable_by_key(|&(i, _)| i);
-        for r in self.proxies.borrow().runs.iter() {
-            out.extend((0..r.len).map(|k| (PROXY_INDEX_BASE + r.first + k, r.entry_at(k))));
-        }
-        out
-    }
-
-    /// Every IPT entry, sorted by page — the deterministic table image a
-    /// checkpoint stores.
-    pub fn ipt_entries(&self) -> Vec<(u64, IptEntry)> {
-        let mut out: Vec<(u64, IptEntry)> =
-            self.ipt.borrow().iter().map(|(&p, &e)| (p, e)).collect();
-        out.sort_unstable_by_key(|&(p, _)| p);
-        out
     }
 }
 
@@ -416,11 +392,11 @@ mod tests {
             NodeId(6)
         );
         assert_eq!(t.opt_get(PROXY_INDEX_BASE + 255 * 16), None);
-        let image = t.opt_entries();
-        assert_eq!(image.len(), 255 * 16);
-        assert_eq!(image[17].0, PROXY_INDEX_BASE + 17);
-        assert_eq!(image[17].1.dst_node, NodeId(1));
-        assert_eq!(image[17].1.dst_page, 101);
+        for i in 0..255 * 16 {
+            let e = t.opt_get(PROXY_INDEX_BASE + i).expect("mapped proxy");
+            assert_eq!(e.dst_node, NodeId(i as usize / 16));
+            assert_eq!(e.dst_page, 100 + i % 16);
+        }
     }
 
     #[test]

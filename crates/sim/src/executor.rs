@@ -426,19 +426,9 @@ impl std::fmt::Debug for Sim {
 impl Sim {
     /// Creates an empty simulator at time zero.
     pub fn new() -> Self {
-        Sim::new_at(0)
-    }
-
-    /// Creates an empty simulator whose clock starts at `start`.
-    ///
-    /// Restored runs use this to resume simulated time where a checkpoint
-    /// left off: timers pop in `(time, seq)` order regardless of where the
-    /// clock was born, so a simulator started at `start` behaves exactly
-    /// like one that idled from zero to `start`.
-    pub fn new_at(start: Time) -> Self {
         Sim {
             inner: Rc::new(SimInner {
-                now: Cell::new(start),
+                now: Cell::new(0),
                 trace: TraceSink::new(),
                 metrics: MetricsRegistry::new(),
                 events: Cell::new(0),
@@ -975,15 +965,6 @@ mod tests {
         let e = run_once();
         assert!(e > 0, "polls and timer fires must be counted");
         assert_eq!(e, run_once(), "event count must be deterministic");
-    }
-
-    #[test]
-    fn new_at_starts_clock_at_offset() {
-        let sim = Sim::new_at(us(100));
-        assert_eq!(sim.now(), us(100));
-        let s = sim.clone();
-        sim.spawn(async move { s.sleep(us(5)).await });
-        assert_eq!(sim.run_to_completion(), us(105));
     }
 
     #[test]

@@ -45,7 +45,6 @@ pub mod metrics;
 pub mod queue;
 pub mod rng;
 pub mod shard;
-pub mod snapshot;
 pub mod sync;
 pub mod time;
 pub mod trace;
@@ -62,7 +61,6 @@ pub use shard::{
     run_sharded, run_sharded_phased, Builder, OutputBound, PhasedBuilder, ShardConfig, ShardCtx,
     ShardOutcome, ShardPlan, ShardSender, Shards,
 };
-pub use snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 pub use sync::{Event, Gate, Resource, Semaphore};
 pub use time::Time;
 pub use trace::{Category, TraceEvent, TraceSink};

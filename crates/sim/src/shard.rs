@@ -438,12 +438,6 @@ pub struct ShardConfig {
     /// Record a [`WindowRecord`] per window (for the safety-horizon property
     /// tests). Disables the `shards == 1` fast path so windows exist.
     pub observe_windows: bool,
-    /// Simulated time every shard's clock starts at (0 for a fresh run).
-    ///
-    /// A run restored from a checkpoint sets this to the checkpoint's
-    /// quiesce time so the resumed timeline continues where the captured
-    /// one stopped, at any shard count.
-    pub start: Time,
 }
 
 impl ShardConfig {
@@ -454,7 +448,6 @@ impl ShardConfig {
             lookahead,
             mode: ExecMode::default(),
             observe_windows: false,
-            start: 0,
         }
     }
 }
@@ -658,7 +651,7 @@ impl<M: 'static, R> ShardRun<M, R> {
         fabric: Arc<Fabric<M>>,
         builder: PhasedBuilder<M, R>,
     ) -> Self {
-        let sim = Sim::new_at(cfg.start);
+        let sim = Sim::new();
         let core = Rc::new_cyclic(|me: &Weak<ShardCore<M>>| ShardCore {
             shard,
             shards: cfg.shards,
@@ -671,7 +664,7 @@ impl<M: 'static, R> ShardRun<M, R> {
             edge_seq: RefCell::new(vec![0; cfg.shards]),
             sent_min: Cell::new(None),
             bound: RefCell::new(None),
-            horizon: Cell::new(cfg.start),
+            horizon: Cell::new(0),
             parity: Cell::new(0),
             batch: RefCell::new(Vec::new()),
         });

@@ -50,9 +50,9 @@ fn streams_restart_identically_after_partial_consumption() {
 
 #[test]
 fn serialized_rng_state_is_pinned_and_resumes_byte_identically() {
-    // The checkpoint plane serializes RNG streams as their raw xoshiro
-    // state words; these pins freeze both the state layout after partial
-    // consumption and the resume semantics of `from_state`.
+    // `state` exposes a stream as its raw xoshiro state words; these pins
+    // freeze both the state layout after partial consumption and the
+    // resume semantics of `from_state`.
     let mut a = rng_for("fig3", 1);
     for _ in 0..3 {
         a.gen_u64();
@@ -66,11 +66,11 @@ fn serialized_rng_state_is_pinned_and_resumes_byte_identically() {
             0xca9a_0cf1_17e7_60e0,
         ],
         "rng_for(\"fig3\", 1) state after 3 draws changed — \
-         every restored checkpoint reshuffles"
+         its layout changed"
     );
     let mut b = SimRng::from_state(a.state());
     for _ in 0..8 {
-        assert_eq!(a.gen_u64(), b.gen_u64(), "restored stream diverged");
+        assert_eq!(a.gen_u64(), b.gen_u64(), "resumed stream diverged");
     }
     assert_eq!(a.state(), b.state(), "states diverged after resume");
 }
@@ -106,8 +106,8 @@ fn kv_workload_sampler_streams_are_pinned() {
 
 #[test]
 fn entity_streams_are_pinned() {
-    // Per-entity streams are what the sharded fault plane re-derives on
-    // restore, so both the draws and the serialized state are frozen.
+    // Per-entity streams are what the sharded fault plane derives on every
+    // shard, so both the draws and the state words are frozen.
     let mut e = rng_for_entity("faults", 1, 7);
     assert_eq!(e.gen_u64(), 0x9412_9c9c_e7ff_dd2d);
     assert_eq!(e.gen_u64(), 0x307d_bb8a_c915_4acf);

@@ -59,9 +59,8 @@ impl DetRng {
     /// Returns the raw xoshiro state.
     ///
     /// Feeding the returned words back through [`DetRng::from_state`]
-    /// resumes the stream exactly where it left off — the property the
-    /// simulation checkpoint plane relies on (and `rng_golden.rs` pins), so
-    /// the state layout is part of the serialized-snapshot format.
+    /// resumes the stream exactly where it left off (`rng_golden.rs` pins
+    /// both the layout and the resume).
     pub fn state(&self) -> [u64; 4] {
         self.s
     }
