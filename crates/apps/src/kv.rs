@@ -32,9 +32,10 @@
 //!
 //! # Failover
 //!
-//! Group peers gossip heartbeats ([`HeartbeatConfig`]) and run the
-//! lease-plus-backoff failure detector of the chaos workload. A backup
-//! whose lower ranks are all declared dead promotes itself: it marks its
+//! Each replication group runs the shared heartbeat failure detector of
+//! [`shrimp_core::liveness`] over its own replicas, on the [`kv_detector`]
+//! schedule. A declared replica stays dead, and a backup whose lower ranks
+//! are all declared dead promotes itself: it marks its
 //! applied log committed and re-ships it (the ordinary shipping pump,
 //! restarted from index zero) to the surviving peers, which deduplicate
 //! by origin. Retried writes deduplicate by `(client, request)` at every
@@ -62,8 +63,8 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use shrimp_core::{
-    Cluster, DesignConfig, HeartbeatConfig, LaunchOutcome, NodeId, NodeProgram, Notification,
-    ProxyBuffer, Vmmc,
+    crash_onset, Cluster, DesignConfig, HeartbeatConfig, LaunchOutcome, Liveness, NodeProgram,
+    Notification, ProxyBuffer, Verdict, Vmmc, CTRL_SLOT,
 };
 use shrimp_mem::{Vaddr, PAGE_SIZE};
 use shrimp_sim::rng::{rng_for_entity, splitmix64, OpenLoopArrivals, ZipfSampler};
@@ -82,9 +83,6 @@ const RING_W: u64 = 16;
 const REGION: usize = RING_W as usize * REC;
 /// Maximum value payload carried by one record.
 const VAL_MAX: usize = 64;
-/// Bytes of one node's slot in the heartbeat control buffer:
-/// `[counter: u64][done flag: u64]`, little-endian.
-const CTRL_SLOT: usize = 16;
 
 /// How long a client waits on an unanswered request before rotating its
 /// primary hint and resending (retries are idempotent: replicas
@@ -230,14 +228,7 @@ pub fn run_kv(params: &KvParams, cfg: DesignConfig, shards: Shards) -> LaunchOut
 /// chaos-workload schedule ([`HeartbeatConfig::for_nodes`], 1 µs period)
 /// would falsely declare a merely-busy primary dead and split the group.
 pub fn kv_detector(replication: usize) -> HeartbeatConfig {
-    let period = time::us(100);
-    HeartbeatConfig {
-        period,
-        lease: 3 * period * replication.saturating_sub(1).max(1) as Time,
-        backoff_base: time::us(100),
-        backoff_cap: time::us(400),
-        max_probes: 3,
-    }
+    HeartbeatConfig::new(time::us(100), replication, time::us(100), time::us(400))
 }
 
 /// The per-node program of the KV service, reusable under a caller-built
@@ -397,13 +388,7 @@ async fn run_kv_node(vmmc: Vmmc, p: KvParams, det: HeartbeatConfig) -> u64 {
 
     // A node scheduled to crash aborts its subtasks at the onset (the
     // engine tombstones the program itself).
-    let abort_at = vmmc
-        .cluster()
-        .fault_plane()
-        .and_then(|plane| plane.crash_of(me))
-        .map(|c| c.onset())
-        .filter(|&t| t > sim.now())
-        .unwrap_or(Time::MAX);
+    let abort_at = crash_onset(&vmmc);
 
     // Allocation order is the node-map contract: every node performs the
     // identical sequence on a fresh address space, so peers compute each
@@ -418,19 +403,8 @@ async fn run_kv_node(vmmc: Vmmc, p: KvParams, det: HeartbeatConfig) -> u64 {
     let _ = vmmc.export(ctrl, ctrl_len);
     let stage = vmmc.space().alloc(1);
     let hb_stage = vmmc.space().alloc(1);
-
-    let ring_pages: Vec<u64> = (0..ring_len.div_ceil(PAGE_SIZE) as u64)
-        .map(|i| vmmc.space().phys_page(recv.page() + i))
-        .collect();
-    let ctrl_pages: Vec<u64> = (0..ctrl_len.div_ceil(PAGE_SIZE) as u64)
-        .map(|i| vmmc.space().phys_page(ctrl.page() + i))
-        .collect();
-    let ring_proxies: Vec<Option<ProxyBuffer>> = (0..n)
-        .map(|peer| (peer != me).then(|| vmmc.import_remote(NodeId(peer), &ring_pages, ring_len)))
-        .collect();
-    let ctrl_proxies: Vec<Option<ProxyBuffer>> = (0..n)
-        .map(|peer| (peer != me).then(|| vmmc.import_remote(NodeId(peer), &ctrl_pages, ctrl_len)))
-        .collect();
+    let ring_proxies = vmmc.import_peers(recv, ring_len);
+    let ctrl_proxies = vmmc.import_peers(ctrl, ctrl_len);
 
     let wire = Rc::new(Wire {
         recv,
@@ -470,24 +444,13 @@ async fn run_kv_node(vmmc: Vmmc, p: KvParams, det: HeartbeatConfig) -> u64 {
     }
 }
 
-/// What one replica's detector believes about one group peer.
-#[derive(Default)]
-struct PeerView {
-    dead: Cell<bool>,
-    done: Cell<bool>,
-}
-
-/// State shared between a replica's main loop, detector, and ack-flush.
-struct SrvShared {
-    halt: Cell<bool>,
-    my_done: Cell<bool>,
-    /// Set once every rank below this node's is declared dead.
-    is_leader: Cell<bool>,
-    /// Indexed by group rank (this node's own slot unused).
-    peers: Vec<PeerView>,
-    /// Replicated records processed, per sending rank — what the
-    /// ack-flush task reports to the current primary.
-    applied_from: Vec<Cell<u64>>,
+/// The group's primary as this replica sees it: the lowest rank not
+/// declared dead. Declarations are never withdrawn here, so a replica
+/// that became primary stays primary.
+fn primary_rank(live: &Liveness, my_rank: usize) -> usize {
+    (0..my_rank)
+        .find(|&q| !live.peer(q).is_dead())
+        .unwrap_or(my_rank)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -506,150 +469,79 @@ async fn run_server(
     let r = p.replication;
     let group = me / r;
     let my_rank = me % r;
-    let ctrl_proxies = Rc::new(ctrl_proxies);
+    let first = p.node_of(group, 0);
 
-    let shared = Rc::new(SrvShared {
-        halt: Cell::new(false),
-        my_done: Cell::new(false),
-        is_leader: Cell::new(my_rank == 0),
-        peers: (0..r).map(|_| PeerView::default()).collect(),
-        applied_from: (0..r).map(|_| Cell::new(0)).collect(),
-    });
+    let live = Rc::new(Liveness::new(det, p.seed, first..first + r, me, abort_at));
+    // Replicated records processed, per sending rank — what the ack-flush
+    // task reports to the current primary.
+    let applied_from: Rc<Vec<Cell<u64>>> = Rc::new((0..r).map(|_| Cell::new(0)).collect());
 
     // Heartbeat sender: one group peer per period, round-robin, carrying
     // the counter and this node's done flag.
     if r > 1 {
-        let (sim, vmmc, sh, proxies) = (
-            sim.clone(),
-            vmmc.clone(),
-            Rc::clone(&shared),
-            Rc::clone(&ctrl_proxies),
-        );
+        let (sim, vmmc, live) = (sim.clone(), vmmc.clone(), Rc::clone(&live));
         sim.clone().spawn(async move {
-            let mut counter = 0u64;
-            let mut target = (my_rank + 1) % r;
+            let mut hb = live.heartbeat(hb_stage);
             loop {
                 sim.sleep(det.period).await;
                 if sim.now() >= abort_at {
                     break;
                 }
-                counter += 1;
-                let halting = sh.halt.get();
-                let mut bytes = [0u8; CTRL_SLOT];
-                bytes[..8].copy_from_slice(&counter.to_le_bytes());
-                bytes[8..].copy_from_slice(&u64::from(sh.my_done.get()).to_le_bytes());
-                vmmc.space().write_raw(hb_stage, &bytes);
+                let halting = live.halt.get();
+                let target = hb.stage(&vmmc, live.my_done.get());
                 if halting {
                     // Farewell round: a peer still settling must observe
                     // this node's done flag, or it waits out a false dead
                     // declaration before it can halt — so the last
                     // heartbeat broadcasts to every peer, then stops.
-                    for q in 0..r {
-                        if q == my_rank {
-                            continue;
-                        }
-                        let peer = p.node_of(group, q);
-                        if let Some(proxy) = ctrl_proxies_at(&proxies, peer) {
-                            vmmc.send(hb_stage, proxy, me * CTRL_SLOT, CTRL_SLOT).await;
-                        }
+                    for q in (0..r).filter(|&q| q != my_rank) {
+                        hb.send(&vmmc, &ctrl_proxies, q).await;
                     }
                     break;
                 }
-                let peer = p.node_of(group, target);
-                if let Some(proxy) = ctrl_proxies_at(&proxies, peer) {
-                    vmmc.send(hb_stage, proxy, me * CTRL_SLOT, CTRL_SLOT).await;
-                }
-                target = (target + 1) % r;
-                if target == my_rank {
-                    target = (target + 1) % r;
-                }
+                hb.send(&vmmc, &ctrl_proxies, target).await;
             }
         });
     }
 
-    // Failure detector over group peers: lease plus seeded-backoff probe
-    // extensions, as in the chaos cluster workload. Declaring the last
-    // live lower rank dead promotes this node; the failover time
-    // (promotion minus the dead primary's last heartbeat) is recorded.
+    // Failure detector over group peers. A declared replica stays dead —
+    // its heartbeats after a restart do not rejoin it to the group — and
+    // declaring the last live lower rank dead promotes this node; the
+    // failover time (promotion minus the dead primary's last heartbeat)
+    // is recorded.
     if r > 1 {
-        let (sim, vmmc, sh) = (sim.clone(), vmmc.clone(), Rc::clone(&shared));
-        let stats = vmmc.stats();
-        sim.clone().spawn(async move {
-            let start = sim.now();
-            let mut last_val = vec![0u64; r];
-            let mut last_heard = vec![start; r];
-            let mut deadline = vec![start + det.lease; r];
-            let mut attempt = vec![0u32; r];
-            loop {
-                sim.sleep(det.period).await;
-                let now = sim.now();
-                if sh.halt.get() || now >= abort_at {
-                    break;
-                }
-                for q in 0..r {
-                    if q == my_rank {
-                        continue;
-                    }
-                    let peer = p.node_of(group, q);
-                    let mut b = [0u8; CTRL_SLOT];
-                    vmmc.space()
-                        .read(ctrl.add((peer * CTRL_SLOT) as u64), &mut b);
-                    let hb = u64::from_le_bytes(b[..8].try_into().expect("8 bytes"));
-                    let done = u64::from_le_bytes(b[8..].try_into().expect("8 bytes"));
-                    let view = &sh.peers[q];
-                    if hb != last_val[q] {
-                        last_val[q] = hb;
-                        last_heard[q] = now;
-                        attempt[q] = 0;
-                        deadline[q] = now + det.lease;
-                        if done != 0 {
-                            view.done.set(true);
-                        }
-                    } else if !view.dead.get() && now >= deadline[q] {
-                        if attempt[q] >= det.max_probes {
-                            view.dead.set(true);
-                            let lat = now - last_heard[q];
-                            stats.detection_latency.update(|c| c + lat);
-                            let lower_all_dead = (0..my_rank).all(|lr| sh.peers[lr].dead.get());
-                            if lower_all_dead && !sh.is_leader.get() {
-                                sh.is_leader.set(true);
-                                sim.metrics().observe(Category::App, "kv_failover_ps", lat);
-                            }
-                        } else {
-                            deadline[q] = now
-                                + shrimp_core::node_backoff(
-                                    p.seed,
-                                    p.node_of(group, q),
-                                    attempt[q],
-                                    det.backoff_base,
-                                    det.backoff_cap,
-                                );
-                            attempt[q] += 1;
-                        }
-                    }
+        let (clock, views) = (sim.clone(), Rc::clone(&live));
+        sim.spawn(Rc::clone(&live).monitor(vmmc.clone(), ctrl, move |q, v| {
+            if let Verdict::Declared { silent } = v {
+                if q < my_rank && primary_rank(&views, my_rank) == my_rank {
+                    let metrics = clock.metrics();
+                    metrics.observe(Category::App, "kv_failover_ps", silent);
                 }
             }
-        });
+        }));
     }
 
     // Ack-flush: batches replication acknowledgements to the current
     // primary, at most one ack record per flush period.
     if r > 1 {
-        let (sim, sh, w) = (sim.clone(), Rc::clone(&shared), Rc::clone(&wire));
+        let (sim, live, applied_from, w) = (
+            sim.clone(),
+            Rc::clone(&live),
+            Rc::clone(&applied_from),
+            Rc::clone(&wire),
+        );
         sim.clone().spawn(async move {
             let mut last_acked = vec![0u64; r];
             loop {
                 sim.sleep(p.ack_flush).await;
-                if sh.halt.get() || sim.now() >= abort_at {
+                if live.halt.get() || sim.now() >= abort_at {
                     break;
                 }
-                let lead = (0..r)
-                    .find(|&q| q == my_rank || !sh.peers[q].dead.get())
-                    .unwrap_or(my_rank);
+                let lead = primary_rank(&live, my_rank);
                 if lead == my_rank {
                     continue; // this node is the primary; nothing to ack
                 }
-                let applied = sh.applied_from[lead].get();
+                let applied = applied_from[lead].get();
                 if applied > last_acked[lead] {
                     last_acked[lead] = applied;
                     let mut rec = Rec::new(K_ACK, me);
@@ -682,7 +574,7 @@ async fn run_server(
         // applied log as the committed base. Shipping restarts from index
         // zero per peer (`shipped` was never advanced as a backup), which
         // re-ships the inherited log to survivors — they dedup by origin.
-        if shared.is_leader.get() && !i_lead {
+        if !i_lead && primary_rank(&live, my_rank) == my_rank {
             i_lead = true;
             for (key, version, _, val) in &log[committed..] {
                 store.insert(*key, (*version, *val));
@@ -734,10 +626,10 @@ async fn run_server(
                 let srank = src % r;
                 assert_eq!(
                     rec.a,
-                    shared.applied_from[srank].get() + 1,
+                    applied_from[srank].get() + 1,
                     "kv replication stream from rank {srank} skipped an entry"
                 );
-                shared.applied_from[srank].set(rec.a);
+                applied_from[srank].set(rec.a);
                 let origin = rec.d;
                 if !i_lead && !dedup.contains_key(&origin) {
                     log.push((rec.b, rec.c, origin, rec.val));
@@ -760,7 +652,7 @@ async fn run_server(
         if i_lead {
             // Ship the log tail to every live peer, window-capped.
             for q in 0..r {
-                if q == my_rank || shared.peers[q].dead.get() {
+                if q == my_rank || live.peer(q).is_dead() {
                     continue;
                 }
                 while shipped[q] < log.len() as u64 && shipped[q] - acked[q] < RING_W {
@@ -778,7 +670,7 @@ async fn run_server(
             // Commit = every live backup acknowledged the prefix; with no
             // live backups the whole log commits.
             let target = (0..r)
-                .filter(|&q| q != my_rank && !shared.peers[q].dead.get())
+                .filter(|&q| q != my_rank && !live.peer(q).is_dead())
                 .map(|q| acked[q])
                 .min()
                 .unwrap_or(log.len() as u64) as usize;
@@ -804,23 +696,17 @@ async fn run_server(
             }
         }
     }
-    shared.my_done.set(true);
+    live.my_done.set(true);
 
     // Settle: every group peer is done or declared dead (heartbeat done
     // flags ride the same detector samples).
-    loop {
-        let settled = (0..r)
-            .filter(|&q| q != my_rank)
-            .all(|q| shared.peers[q].done.get() || shared.peers[q].dead.get());
-        if settled {
-            break;
-        }
+    while !live.settled() {
         sim.sleep(det.period).await;
         if sim.now() >= abort_at {
             break;
         }
     }
-    shared.halt.set(true);
+    live.halt.set(true);
     wire.shutdown(me);
 
     // Program result: a deterministic digest of the final store.
@@ -835,10 +721,6 @@ async fn run_server(
         }
     }
     h
-}
-
-fn ctrl_proxies_at(proxies: &[Option<ProxyBuffer>], peer: usize) -> Option<&ProxyBuffer> {
-    proxies.get(peer).and_then(|p| p.as_ref())
 }
 
 /// Client phases: issue the load, then re-read every acked write.

@@ -354,7 +354,7 @@ impl Knobs {
     /// cluster.
     pub fn apply(&self, cfg: &mut DesignConfig, nodes: usize) {
         cfg.syscall_send = self.syscall_send;
-        cfg.interrupt_per_message = self.interrupt_per_message;
+        cfg.nic.interrupt_per_message = self.interrupt_per_message;
         if let Some(c) = self.combining {
             cfg.nic.combining = c;
         }

@@ -217,12 +217,7 @@ impl ClusterBuilder {
         if let Some(capacity) = self.trace_capacity {
             sim.trace().enable(capacity);
         }
-        let mut cfg = self.cfg.clone();
-        // The Table 4 experiment is a firmware change: interrupts fire on
-        // every message arrival whether or not the receiver enabled them.
-        if cfg.interrupt_per_message {
-            cfg.nic.force_arrival_interrupts = true;
-        }
+        let cfg = self.cfg.clone();
         let mesh = cfg
             .mesh
             .clone()

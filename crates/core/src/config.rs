@@ -21,9 +21,6 @@ pub struct DesignConfig {
     /// Table 2: require a system call before every message send (the
     /// "aggressive kernel-based implementation" of §4.3).
     pub syscall_send: bool,
-    /// Table 4: force an interrupt (null kernel handler) on every arriving
-    /// message.
-    pub interrupt_per_message: bool,
     /// Cost of a kernel trap + argument checks + return (1994-era Pentium).
     pub syscall_cost: Time,
     /// Cost of taking an interrupt and running a null kernel handler.
@@ -57,7 +54,6 @@ impl DesignConfig {
             nic: NicConfig::shrimp_default(),
             mesh: None,
             syscall_send: false,
-            interrupt_per_message: false,
             syscall_cost: time::us(25),
             interrupt_cost: time::us(20),
             notification_cost: time::us(15),
@@ -89,7 +85,7 @@ impl DesignConfig {
         if self.syscall_send {
             parts.push("syscall-send".to_string());
         }
-        if self.interrupt_per_message {
+        if self.nic.interrupt_per_message {
             parts.push("interrupt-per-message".to_string());
         }
         if self.nic.combining != base.nic.combining {
@@ -144,7 +140,7 @@ mod tests {
     fn default_is_the_machine_as_built() {
         let c = DesignConfig::default();
         assert!(!c.syscall_send);
-        assert!(!c.interrupt_per_message);
+        assert!(!c.nic.interrupt_per_message);
         assert!(c.nic.combining);
         assert_eq!(c.cpu_hz, 60_000_000);
     }

@@ -32,28 +32,26 @@
 //!
 //! # Chaos
 //!
-//! [`run_chaos_distributed`] runs a fault-tolerant variant of the same
-//! workload: every node additionally exports a small control buffer,
-//! gossips a heartbeat counter round-robin to its peers, and runs a
-//! lease-based failure detector ([`HeartbeatConfig`]) that declares silent
-//! peers dead after seeded-backoff probe extensions, routes data sends
-//! around them, and witnesses deterministic restarts. Detection latency
-//! and recovery time land in [`LaunchOutcome::detection_latency_ps`] and
+//! [`run_chaos_distributed`] runs a fault-tolerant variant: every node
+//! also runs the heartbeat failure detector of [`crate::liveness`], routes
+//! data sends around the peers it declares dead, and revives a declared
+//! peer that is heard again (a restart). Detection latency and recovery
+//! time land in [`LaunchOutcome::detection_latency_ps`] and
 //! [`LaunchOutcome::recovery_time_ps`].
 
-use std::cell::Cell;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use shrimp_faults::{node_backoff, NodeCrash};
+use shrimp_faults::NodeCrash;
 use shrimp_mem::{Vaddr, PAGE_SIZE};
-use shrimp_net::NodeId;
 use shrimp_sim::rng::splitmix64;
 use shrimp_sim::shard::Shards;
-use shrimp_sim::{time, Queue, Time};
+use shrimp_sim::{time, Time};
 
-use crate::cluster::{Cluster, LaunchOutcome, NodeProgram, Notification};
+use crate::cluster::{Cluster, LaunchOutcome, NodeProgram};
 use crate::config::DesignConfig;
+pub use crate::liveness::HeartbeatConfig;
+use crate::liveness::{crash_onset, Liveness, Verdict, CTRL_SLOT};
 use crate::vmmc::{ProxyBuffer, Vmmc};
 
 /// One round of SplitMix64 keyed by node and step — the deterministic
@@ -131,47 +129,6 @@ pub fn node_program(p: DistributedParams) -> NodeProgram {
     Arc::new(move |vmmc: Vmmc| Box::pin(run_node(vmmc, p)))
 }
 
-/// The deterministic buffer map every incarnation of the workload builds
-/// in [`setup_node`].
-struct NodeSetup {
-    recv: Vaddr,
-    stage: Vaddr,
-    inbox: Queue<Notification>,
-    proxies: Vec<Option<ProxyBuffer>>,
-}
-
-/// The workload preamble: receive buffer, export + notifications, peer
-/// page map, stage buffer, proxy imports. Pure allocation and table
-/// programming: no sends, no awaits.
-fn setup_node(vmmc: &Vmmc, p: &DistributedParams) -> NodeSetup {
-    let me = vmmc.node_id().0;
-    let n = p.nodes;
-    let slot = p.payload;
-    let len = n * slot;
-    let npages = len.div_ceil(PAGE_SIZE);
-
-    // The receive buffer is every node's FIRST allocation, so its physical
-    // pages are the same deterministic sequence on every fresh node — the
-    // fact import_remote relies on below.
-    let recv = vmmc.space().alloc(npages);
-    let export = vmmc.export(recv, len);
-    let inbox = vmmc.enable_notifications(export);
-    let peer_pages: Vec<u64> = (0..npages as u64)
-        .map(|i| vmmc.space().phys_page(recv.page() + i))
-        .collect();
-    let stage = vmmc.space().alloc(slot.div_ceil(PAGE_SIZE).max(1));
-
-    let proxies: Vec<_> = (0..n)
-        .map(|peer| (peer != me).then(|| vmmc.import_remote(NodeId(peer), &peer_pages, len)))
-        .collect();
-    NodeSetup {
-        recv,
-        stage,
-        inbox,
-        proxies,
-    }
-}
-
 /// Writes the `len`-byte seeded payload of `node`'s round `step` into the
 /// stage buffer at `stage`: byte `i` is the low byte of `choice(seed, node,
 /// step, i)`. Filled through a stack buffer, so a send allocates nothing
@@ -189,8 +146,16 @@ fn stage_payload(vmmc: &Vmmc, stage: Vaddr, len: usize, seed: u64, node: usize, 
 }
 
 /// One compute/send round of the workload: seeded jitter, then one
-/// deliberate-update send to a seeded peer.
-async fn work_step(vmmc: &Vmmc, p: &DistributedParams, s: &NodeSetup, step: u32) {
+/// deliberate-update send to a seeded peer, or to the first peer after it
+/// that is not `dead` (no send when every peer is).
+async fn work_step(
+    vmmc: &Vmmc,
+    p: &DistributedParams,
+    stage: Vaddr,
+    proxies: &[Option<ProxyBuffer>],
+    step: u32,
+    dead: impl Fn(usize) -> bool,
+) {
     let me = vmmc.node_id().0;
     let n = p.nodes;
     let slot = p.payload;
@@ -199,48 +164,14 @@ async fn work_step(vmmc: &Vmmc, p: &DistributedParams, s: &NodeSetup, step: u32)
     if n == 1 {
         return;
     }
-    let pick = choice(p.seed, me, step, 0x7065) as usize;
-    let dst = (me + 1 + pick % (n - 1)) % n;
-    stage_payload(vmmc, s.stage, slot, p.seed, me, step);
-    let proxy = s.proxies[dst].as_ref().expect("never send to self");
-    vmmc.send(s.stage, proxy, me * slot, slot).await;
-}
-
-/// The closing notify round plus the receive-buffer checksum that is the
-/// node's program result.
-async fn finish_node(vmmc: &Vmmc, p: &DistributedParams, s: &NodeSetup) -> u64 {
-    let me = vmmc.node_id().0;
-    let n = p.nodes;
-    let slot = p.payload;
-    let len = n * slot;
-
-    if n > 1 {
-        // Closing round: one notifying send per peer. It follows every
-        // data send on the same (src, dst) pair, so its notification
-        // witnesses that all of this node's data has landed there.
-        stage_payload(vmmc, s.stage, slot, p.seed, me, p.steps);
-        for proxy in s.proxies.iter().flatten() {
-            vmmc.send_notify(s.stage, proxy, me * slot, slot).await;
-        }
-        let mut checked_in = 0;
-        while checked_in < n - 1 {
-            s.inbox
-                .recv()
-                .await
-                .expect("notification queue closed before all peers checked in");
-            checked_in += 1;
-        }
-    }
-
-    // Checksum the receive buffer (node-local reads of a now-final buffer;
-    // the scan is charged as a local copy).
-    checksum_recv(
-        vmmc,
-        s.recv,
-        len,
-        p.seed ^ ((me as u64) << 32) ^ 0x5348_524d_5044_4953,
-    )
-    .await
+    let pick = (me + 1 + choice(p.seed, me, step, 0x7065) as usize % (n - 1)) % n;
+    let mut peers = (pick..n + pick).map(|q| q % n);
+    let Some(dst) = peers.find(|&q| q != me && !dead(q)) else {
+        return;
+    };
+    stage_payload(vmmc, stage, slot, p.seed, me, step);
+    let proxy = proxies[dst].as_ref().expect("never send to self");
+    vmmc.send(stage, proxy, me * slot, slot).await;
 }
 
 /// Hashes the `len`-byte receive buffer at `recv` as it stands now, a page
@@ -266,58 +197,41 @@ async fn checksum_recv(vmmc: &Vmmc, recv: Vaddr, len: usize, mut st: u64) -> u64
 }
 
 async fn run_node(vmmc: Vmmc, p: DistributedParams) -> u64 {
-    let setup = setup_node(&vmmc, &p);
+    let me = vmmc.node_id().0;
+    let n = p.nodes;
+    let slot = p.payload;
+    let len = n * slot;
+
+    // The receive buffer is every node's FIRST allocation, so its physical
+    // pages are the same deterministic sequence on every fresh node — the
+    // fact `import_peers` relies on.
+    let recv = vmmc.space().alloc(len.div_ceil(PAGE_SIZE));
+    let export = vmmc.export(recv, len);
+    let inbox = vmmc.enable_notifications(export);
+    let stage = vmmc.space().alloc(slot.div_ceil(PAGE_SIZE).max(1));
+    let proxies = vmmc.import_peers(recv, len);
+
     for step in 0..p.steps {
-        work_step(&vmmc, &p, &setup, step).await;
+        work_step(&vmmc, &p, stage, &proxies, step, |_| false).await;
     }
-    finish_node(&vmmc, &p, &setup).await
-}
-
-/// Bytes of one node's slot in every peer's control buffer:
-/// `[heartbeat counter: u64][done flag: u64]`, little-endian.
-const CTRL_SLOT: usize = 16;
-
-/// Knobs of the lease-based heartbeat failure detector run by the chaos
-/// workload. Every node gossips a monotonically increasing counter to one
-/// peer per `period`, rotating round-robin, so each peer hears from it
-/// once per *cycle* (`period * (nodes - 1)`). A peer silent past its
-/// `lease` gets up to `max_probes` deadline extensions of
-/// [`node_backoff`] length (seeded exponential backoff with deterministic
-/// jitter) before it is declared dead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HeartbeatConfig {
-    /// Gap between consecutive heartbeat sends (to rotating targets).
-    pub period: Time,
-    /// Silence tolerated from one peer before probing begins.
-    pub lease: Time,
-    /// Base of the probe-extension backoff schedule.
-    pub backoff_base: Time,
-    /// Cap of the probe-extension backoff schedule.
-    pub backoff_cap: Time,
-    /// Probes granted past the lease before declaring a peer dead.
-    pub max_probes: u32,
-}
-
-impl HeartbeatConfig {
-    /// The default detector for an `n`-node cluster: 1 µs heartbeat
-    /// period, a lease of three full gossip cycles, and three probes on a
-    /// 5 µs-base / 40 µs-cap backoff.
-    pub fn for_nodes(n: usize) -> Self {
-        let period = time::us(1);
-        HeartbeatConfig {
-            period,
-            lease: 3 * period * n.saturating_sub(1).max(1) as Time,
-            backoff_base: time::us(5),
-            backoff_cap: time::us(40),
-            max_probes: 3,
+    if n > 1 {
+        // Closing round: one notifying send per peer. It follows every
+        // data send on the same (src, dst) pair, so its notification
+        // witnesses that all of this node's data has landed there.
+        stage_payload(&vmmc, stage, slot, p.seed, me, p.steps);
+        for proxy in proxies.iter().flatten() {
+            vmmc.send_notify(stage, proxy, me * slot, slot).await;
+        }
+        for _ in 1..n {
+            inbox
+                .recv()
+                .await
+                .expect("notification queue closed before all peers checked in");
         }
     }
-
-    /// One full gossip rotation: the gap between two heartbeats arriving
-    /// at the *same* peer.
-    pub fn cycle(&self, n: usize) -> Time {
-        self.period * n.saturating_sub(1).max(1) as Time
-    }
+    // Checksum the now-final receive buffer: the node's program result.
+    let seed = p.seed ^ ((me as u64) << 32) ^ 0x5348_524d_5044_4953;
+    checksum_recv(&vmmc, recv, len, seed).await
 }
 
 /// Runs the fault-tolerant chaos workload on a sharded cluster: the
@@ -365,23 +279,6 @@ pub fn chaos_node_program(
     Arc::new(move |vmmc: Vmmc| Box::pin(run_chaos_node(vmmc, p, detector, run_until)))
 }
 
-/// What one node's detector believes about one peer. Shared between the
-/// worker, the heartbeat sender, and the monitor subtasks.
-#[derive(Default)]
-struct PeerView {
-    dead: Cell<bool>,
-    declared_at: Cell<Time>,
-    done: Cell<bool>,
-}
-
-struct ChaosShared {
-    /// Set by the worker once the run is complete; stops the subtasks.
-    halt: Cell<bool>,
-    /// This node's done flag, gossiped inside its heartbeats.
-    my_done: Cell<bool>,
-    peers: Vec<PeerView>,
-}
-
 async fn run_chaos_node(
     vmmc: Vmmc,
     p: DistributedParams,
@@ -393,207 +290,85 @@ async fn run_chaos_node(
     let sim = vmmc.sim().clone();
     let slot = p.payload;
     let len = n * slot;
-    let npages = len.div_ceil(PAGE_SIZE);
     let ctrl_len = n * CTRL_SLOT;
-    let ctrl_pages = ctrl_len.div_ceil(PAGE_SIZE);
-
-    // If this node is scheduled to crash ahead, its subtasks self-abort at
-    // the onset; a restarted incarnation (booted at or after the onset)
-    // sees no future crash and runs clean.
-    let abort_at = vmmc
-        .cluster()
-        .fault_plane()
-        .and_then(|plane| plane.crash_of(me))
-        .map(|c| c.onset())
-        .filter(|&t| t > sim.now())
-        .unwrap_or(Time::MAX);
+    let abort_at = crash_onset(&vmmc);
 
     // Allocation order is the node-map contract (see `run_node`): data
     // receive buffer first, control buffer second, so peers compute both
     // from their own layout. A restarted incarnation repeats the same
     // sequence on rewound allocators and lands on the same pages.
-    let recv = vmmc.space().alloc(npages);
+    let recv = vmmc.space().alloc(len.div_ceil(PAGE_SIZE));
     let _ = vmmc.export(recv, len);
-    let ctrl = vmmc.space().alloc(ctrl_pages);
+    let ctrl = vmmc.space().alloc(ctrl_len.div_ceil(PAGE_SIZE));
     let _ = vmmc.export(ctrl, ctrl_len);
     let hb_stage = vmmc.space().alloc(1);
     let stage = vmmc.space().alloc(slot.div_ceil(PAGE_SIZE).max(1));
+    let data_proxies = vmmc.import_peers(recv, len);
+    let ctrl_proxies = vmmc.import_peers(ctrl, ctrl_len);
 
-    let data_pages: Vec<u64> = (0..npages as u64)
-        .map(|i| vmmc.space().phys_page(recv.page() + i))
-        .collect();
-    let ctrl_phys: Vec<u64> = (0..ctrl_pages as u64)
-        .map(|i| vmmc.space().phys_page(ctrl.page() + i))
-        .collect();
-    let data_proxies: Vec<_> = (0..n)
-        .map(|peer| (peer != me).then(|| vmmc.import_remote(NodeId(peer), &data_pages, len)))
-        .collect();
-    let ctrl_proxies: Rc<Vec<_>> = Rc::new(
-        (0..n)
-            .map(|peer| {
-                (peer != me).then(|| vmmc.import_remote(NodeId(peer), &ctrl_phys, ctrl_len))
-            })
-            .collect(),
-    );
-
-    let shared = Rc::new(ChaosShared {
-        halt: Cell::new(false),
-        my_done: Cell::new(false),
-        peers: (0..n).map(|_| PeerView::default()).collect(),
-    });
+    let live = Rc::new(Liveness::new(det, p.seed, 0..n, me, abort_at));
 
     // Heartbeat sender: one peer per period, round-robin, carrying the
     // counter and this node's done flag. Dead peers keep receiving
     // heartbeats — a restarted incarnation must hear the world to rejoin.
     if n > 1 {
-        let (sim, vmmc, sh, proxies) = (
-            sim.clone(),
-            vmmc.clone(),
-            Rc::clone(&shared),
-            Rc::clone(&ctrl_proxies),
-        );
+        let (sim, vmmc, live) = (sim.clone(), vmmc.clone(), Rc::clone(&live));
         sim.clone().spawn(async move {
-            let mut counter: u64 = 0;
-            let mut target = (me + 1) % n;
+            let mut hb = live.heartbeat(hb_stage);
             loop {
                 sim.sleep(det.period).await;
-                if sh.halt.get() || sim.now() >= abort_at {
+                if live.halt.get() || sim.now() >= abort_at {
                     break;
                 }
-                counter += 1;
-                let mut bytes = [0u8; CTRL_SLOT];
-                bytes[..8].copy_from_slice(&counter.to_le_bytes());
-                bytes[8..].copy_from_slice(&u64::from(sh.my_done.get()).to_le_bytes());
-                vmmc.space().write_raw(hb_stage, &bytes);
-                let proxy = proxies[target].as_ref().expect("never heartbeat self");
-                vmmc.send(hb_stage, proxy, me * CTRL_SLOT, CTRL_SLOT).await;
-                target = (target + 1) % n;
-                if target == me {
-                    target = (target + 1) % n;
-                }
+                let target = hb.stage(&vmmc, live.my_done.get());
+                hb.send(&vmmc, &ctrl_proxies, target).await;
             }
         });
     }
 
-    // Monitor: samples every peer's control slot each period. A counter
-    // change refreshes the lease (and witnesses a rejoin); silence past
-    // the deadline earns seeded-backoff probe extensions, then a death
-    // declaration.
+    // Monitor: a heard peer that was declared dead has restarted, so it
+    // is revived and its outage booked as recovery time.
     if n > 1 {
-        let (sim, vmmc, sh) = (sim.clone(), vmmc.clone(), Rc::clone(&shared));
-        let stats = vmmc.stats();
-        sim.clone().spawn(async move {
-            let start = sim.now();
-            let mut last_val = vec![0u64; n];
-            let mut last_heard = vec![start; n];
-            let mut deadline = vec![start + det.lease; n];
-            let mut attempt = vec![0u32; n];
-            let mut slots = vec![0u8; ctrl_len];
-            loop {
-                sim.sleep(det.period).await;
-                let now = sim.now();
-                if sh.halt.get() || now >= abort_at {
-                    break;
-                }
-                // One read of the whole control buffer: nothing below
-                // awaits, so every slot is sampled at this same instant.
-                vmmc.space().read(ctrl, &mut slots);
-                for (q, b) in slots.chunks_exact(CTRL_SLOT).enumerate() {
-                    if q == me {
-                        continue;
-                    }
-                    let hb = u64::from_le_bytes(b[..8].try_into().unwrap());
-                    let done = u64::from_le_bytes(b[8..].try_into().unwrap());
-                    let view = &sh.peers[q];
-                    if hb != last_val[q] {
-                        last_val[q] = hb;
-                        last_heard[q] = now;
-                        attempt[q] = 0;
-                        deadline[q] = now + det.lease;
-                        if view.dead.get() {
-                            view.dead.set(false);
-                            let rec = now - view.declared_at.get();
-                            stats.recovery_time.update(|c| c + rec);
-                        }
-                        if done != 0 {
-                            view.done.set(true);
-                        }
-                    } else if !view.dead.get() && now >= deadline[q] {
-                        if attempt[q] >= det.max_probes {
-                            view.dead.set(true);
-                            view.declared_at.set(now);
-                            let lat = now - last_heard[q];
-                            stats.detection_latency.update(|c| c + lat);
-                        } else {
-                            deadline[q] = now
-                                + node_backoff(
-                                    p.seed,
-                                    q,
-                                    attempt[q],
-                                    det.backoff_base,
-                                    det.backoff_cap,
-                                );
-                            attempt[q] += 1;
-                        }
-                    }
-                }
+        let (clock, views, stats) = (sim.clone(), Rc::clone(&live), vmmc.stats());
+        sim.spawn(Rc::clone(&live).monitor(vmmc.clone(), ctrl, move |q, v| {
+            if let Verdict::Heard {
+                declared_at: Some(at),
+                ..
+            } = v
+            {
+                views.peer(q).revive();
+                stats.recovery_time.update(|c| c + (clock.now() - at));
             }
-        });
+        }));
     }
 
-    // Worker: same compute/send rounds as `run_node`, but data sends
-    // route around peers the detector has declared dead.
+    // Worker: the compute/send rounds of `run_node`, with data sends
+    // routed around peers the detector has declared dead.
     for step in 0..p.steps {
-        let jitter = choice(p.seed, me, step, 0x6a69) % 1024;
-        vmmc.compute(p.compute + jitter).await;
-        if n == 1 {
-            continue;
-        }
-        let pick = choice(p.seed, me, step, 0x7065) as usize;
-        let mut dst = (me + 1 + pick % (n - 1)) % n;
-        let mut hops = 0;
-        while (dst == me || shared.peers[dst].dead.get()) && hops < n {
-            dst = (dst + 1) % n;
-            hops += 1;
-        }
-        if hops >= n {
-            continue; // every peer is dead; nothing to send to
-        }
-        stage_payload(&vmmc, stage, slot, p.seed, me, step);
-        let proxy = data_proxies[dst].as_ref().expect("never send to self");
-        vmmc.send(stage, proxy, me * slot, slot).await;
+        work_step(&vmmc, &p, stage, &data_proxies, step, |q| {
+            live.peer(q).is_dead()
+        })
+        .await;
     }
-    shared.my_done.set(true);
+    live.my_done.set(true);
 
     // Completion: every peer has either gossiped its done flag or been
     // declared dead, and the hold-open window (for witnessing restarts)
     // has elapsed. Because the done flag rides the same per-pair FIFO as
     // the data sends, seeing it means that peer's data has landed.
-    loop {
-        let settled = (0..n)
-            .filter(|&q| q != me)
-            .all(|q| shared.peers[q].done.get() || shared.peers[q].dead.get());
-        if settled && sim.now() >= run_until {
-            break;
-        }
+    while !(live.settled() && sim.now() >= run_until) {
         sim.sleep(det.period).await;
     }
-    shared.halt.set(true);
-
-    checksum_recv(
-        &vmmc,
-        recv,
-        len,
-        p.seed ^ ((me as u64) << 32) ^ 0x4348_414f_5344_4953,
-    )
-    .await
+    live.halt.set(true);
+    let seed = p.seed ^ ((me as u64) << 32) ^ 0x4348_414f_5344_4953;
+    checksum_recv(&vmmc, recv, len, seed).await
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use shrimp_net::NodeId;
     use std::cell::Cell;
-    use std::rc::Rc;
 
     fn small() -> DistributedParams {
         DistributedParams {

@@ -56,6 +56,7 @@ pub mod cluster;
 pub mod config;
 pub mod cpu;
 pub mod distributed;
+pub mod liveness;
 pub mod ring;
 pub mod stats;
 pub mod vmmc;
@@ -65,8 +66,8 @@ pub use config::DesignConfig;
 pub use cpu::Cpu;
 pub use distributed::{
     chaos_node_program, node_program, run_chaos_distributed, run_distributed, DistributedParams,
-    HeartbeatConfig,
 };
+pub use liveness::{crash_onset, HeartbeatConfig, Liveness, PeerView, Verdict, CTRL_SLOT};
 pub use ring::{connect_ring, RingBulk, RingFrame, RingReceiver, RingSender};
 pub use shrimp_faults::{node_backoff, FaultScenario, NodeCrash, Reliability, ShrimpError};
 pub use shrimp_net::NodeId;

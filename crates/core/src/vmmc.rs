@@ -253,6 +253,20 @@ impl Vmmc {
         }
     }
 
+    /// Imports every other node's copy of this node's `len`-byte buffer
+    /// at `buf`, in node order: the same allocation sequence put each
+    /// copy on the same physical pages, so they are read off this node's
+    /// own map ([`Vmmc::import_remote`]). Indexed by node; `None` at this
+    /// node.
+    pub fn import_peers(&self, buf: Vaddr, len: usize) -> Vec<Option<ProxyBuffer>> {
+        let pages: Vec<u64> = (0..len.div_ceil(PAGE_SIZE) as u64)
+            .map(|i| self.space().phys_page(buf.page() + i))
+            .collect();
+        (0..self.cluster.num_nodes())
+            .map(|peer| (peer != self.node).then(|| self.import_remote(NodeId(peer), &pages, len)))
+            .collect()
+    }
+
     // ------------------------------------------------------------------
     // Deliberate update
     // ------------------------------------------------------------------
@@ -384,7 +398,7 @@ impl Vmmc {
                 dst_offset: d % PAGE_SIZE,
                 len: step,
                 // Table 4 experiment: force an interrupt per message.
-                interrupt: is_last && (notify || cfg.interrupt_per_message),
+                interrupt: is_last && (notify || cfg.nic.interrupt_per_message),
                 notify: is_last && notify,
                 seq: 0,
             };
@@ -959,7 +973,7 @@ mod tests {
     fn interrupt_per_message_forces_null_handler_interrupts() {
         let run = |forced: bool| -> (Time, u64, u64) {
             let mut cfg = DesignConfig::default();
-            cfg.interrupt_per_message = forced;
+            cfg.nic.interrupt_per_message = forced;
             let cluster = Cluster::builder(2).config(cfg).build();
             let a = cluster.vmmc(0);
             let b = cluster.vmmc(1);

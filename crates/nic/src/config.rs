@@ -41,10 +41,11 @@ pub struct NicConfig {
     /// Per-packet processing at the receiving NIC before the DMA to memory
     /// (header decode, IPT lookup, DMA arm).
     pub incoming_packet_overhead: Time,
-    /// Table 4 firmware what-if: raise a host interrupt for every arriving
-    /// packet whose header interrupt bit is set, regardless of the receiving
-    /// page's IPT interrupt-enable bit.
-    pub force_arrival_interrupts: bool,
+    /// Table 4 what-if: every message's last packet carries the header
+    /// interrupt bit, and the receiving firmware raises a host interrupt
+    /// (a null kernel handler) for it regardless of the receiving page's
+    /// IPT interrupt-enable bit.
+    pub interrupt_per_message: bool,
     /// Fraction (0..=1) of a DMA transfer's duration stolen from the CPU,
     /// because the memory bus cannot cycle-share between the CPU and the
     /// NIC (§2.1); this is what nullifies the §4.5.3 queueing benefit.
@@ -66,7 +67,7 @@ impl NicConfig {
             out_fifo_threshold: 16 * 1024,
             fifo_interrupt_latency: time::us(5),
             incoming_packet_overhead: time::ns(400),
-            force_arrival_interrupts: false,
+            interrupt_per_message: false,
             dma_cpu_stall_fraction: 0.6,
         }
     }

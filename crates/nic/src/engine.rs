@@ -822,7 +822,7 @@ impl Nic {
         self.inner
             .mem
             .dma_write(Paddr::from_parts(pkt.dst_page, pkt.offset), &pkt.data);
-        if pkt.interrupt && (entry.interrupt_enable || self.inner.cfg.force_arrival_interrupts) {
+        if pkt.interrupt && (entry.interrupt_enable || self.inner.cfg.interrupt_per_message) {
             counters.interrupts_raised.update(|c| c + 1);
             // Latency from the sender's NIC to the interrupt being raised —
             // what the paper's Table 4 pays on every message arrival.

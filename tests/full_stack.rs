@@ -147,7 +147,7 @@ fn design_knobs_change_time_but_never_results() {
     assert!(sys.elapsed > base.elapsed, "syscalls should cost time");
     // Interrupt per message: slower, same answer.
     let mut cfg = DesignConfig::default();
-    cfg.interrupt_per_message = true;
+    cfg.nic.interrupt_per_message = true;
     let intr = run_radix_vmmc(
         &Cluster::builder(4).config(cfg).build(),
         &params,
