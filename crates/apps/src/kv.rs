@@ -64,7 +64,7 @@ use std::sync::Arc;
 
 use shrimp_core::{
     crash_onset, Cluster, DesignConfig, HeartbeatConfig, LaunchOutcome, Liveness, NodeProgram,
-    Notification, ProxyBuffer, Verdict, Vmmc, CTRL_SLOT,
+    Notification, Verdict, Vmmc, CTRL_SLOT,
 };
 use shrimp_mem::{Vaddr, PAGE_SIZE};
 use shrimp_sim::rng::{rng_for_entity, splitmix64, OpenLoopArrivals, ZipfSampler};
@@ -403,8 +403,7 @@ async fn run_kv_node(vmmc: Vmmc, p: KvParams, det: HeartbeatConfig) -> u64 {
     let _ = vmmc.export(ctrl, ctrl_len);
     let stage = vmmc.space().alloc(1);
     let hb_stage = vmmc.space().alloc(1);
-    let ring_proxies = vmmc.import_peers(recv, ring_len);
-    let ctrl_proxies = vmmc.import_peers(ctrl, ctrl_len);
+    let ring_proxies = vmmc.import_peers(0..n, recv, ring_len);
 
     let wire = Rc::new(Wire {
         recv,
@@ -438,7 +437,7 @@ async fn run_kv_node(vmmc: Vmmc, p: KvParams, det: HeartbeatConfig) -> u64 {
     }
 
     if me < p.servers() {
-        run_server(vmmc, p, det, wire, ctrl, hb_stage, ctrl_proxies, abort_at).await
+        run_server(vmmc, p, det, wire, ctrl, hb_stage, abort_at).await
     } else {
         run_client(vmmc, p, wire, abort_at).await
     }
@@ -453,7 +452,6 @@ fn primary_rank(live: &Liveness, my_rank: usize) -> usize {
         .unwrap_or(my_rank)
 }
 
-#[allow(clippy::too_many_arguments)]
 async fn run_server(
     vmmc: Vmmc,
     p: KvParams,
@@ -461,7 +459,6 @@ async fn run_server(
     wire: Rc<Wire>,
     ctrl: Vaddr,
     hb_stage: Vaddr,
-    ctrl_proxies: Vec<Option<ProxyBuffer>>,
     abort_at: Time,
 ) -> u64 {
     let me = vmmc.node_id().0;
@@ -470,6 +467,9 @@ async fn run_server(
     let group = me / r;
     let my_rank = me % r;
     let first = p.node_of(group, 0);
+    // Heartbeats go only to group peers, so only their control buffers
+    // are imported (clients import none).
+    let ctrl_proxies = vmmc.import_peers(first..first + r, ctrl, p.nodes * CTRL_SLOT);
 
     let live = Rc::new(Liveness::new(det, p.seed, first..first + r, me, abort_at));
     // Replicated records processed, per sending rank — what the ack-flush

@@ -15,8 +15,8 @@ pub mod spec;
 use shrimp_sim::{time, Time};
 
 pub use spec::{
-    matrix, Ablation, Knobs, KvMetrics, Observation, PerfSample, RunOutput, RunRecord, RunSpec,
-    Scale, Shards, Variant,
+    matrix, Ablation, ConfigKey, Knobs, KvMetrics, Observation, PerfSample, RunOutput, RunRecord,
+    RunSpec, Scale, Shards, Variant,
 };
 
 /// The applications of Table 1, with their default versions: AURC for the

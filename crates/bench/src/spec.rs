@@ -537,23 +537,25 @@ impl RunSpec {
         cfg
     }
 
-    /// Two runs are the same configuration when they run the same
-    /// application version on the same machine, whatever their groups and
-    /// however their knobs spell the design: a knob that restates the
-    /// machine as built (combining on, a 256-byte sub-page) is no change.
-    pub fn same_config(&self, other: &RunSpec) -> bool {
-        let machine = |s: &RunSpec| {
-            let mut cfg = s.design_config();
-            cfg.mesh
-                .get_or_insert_with(|| MeshConfig::for_nodes(s.nodes));
-            cfg
-        };
-        self.app == other.app
-            && self.resolved_variant() == other.resolved_variant()
-            && self.nodes == other.nodes
-            && self.seed == other.seed
-            && self.shards == other.shards
-            && machine(self) == machine(other)
+    /// The identity of the simulation this spec runs (see [`ConfigKey`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a zero-node spec: no mesh holds it.
+    pub fn config_key(&self) -> ConfigKey {
+        let mut machine = self.design_config();
+        machine
+            .mesh
+            .get_or_insert_with(|| MeshConfig::for_nodes(self.nodes));
+        ConfigKey {
+            app: self.app,
+            variant: self.resolved_variant(),
+            nodes: self.nodes,
+            scale: self.scale,
+            seed: self.seed,
+            shards: self.shards,
+            machine,
+        }
     }
 
     /// Runs the spec to completion on a fresh cluster and collects the
@@ -703,9 +705,8 @@ impl RunSpec {
 
     /// The version this run executes: [`Variant::Default`] resolved to
     /// AURC for the SVM applications and to deliberate update for the
-    /// VMMC and NX ones (every other variant is already explicit). Two
-    /// runs with the same app, resolved variant, nodes, knobs and seed
-    /// are the same configuration whatever their ids say.
+    /// VMMC and NX ones (every other variant is already explicit). It is
+    /// the version half of [`RunSpec::config_key`].
     pub fn resolved_variant(&self) -> Variant {
         match (self.variant, self.app) {
             (Variant::Default, App::BarnesSvm | App::OceanSvm | App::RadixSvm) => {
@@ -745,6 +746,26 @@ impl RunSpec {
             v => panic!("variant {v:?} does not apply to {}", self.app.name()),
         }
     }
+}
+
+/// The identity of one simulation: every fact of a [`RunSpec`] that its
+/// run reads, and nothing else. Two specs with equal keys run the same
+/// simulation and yield the same [`RunRecord`], whatever their
+/// experiment groups and however their knobs spell the design: a knob
+/// that restates the machine as built (combining on, a 256-byte
+/// sub-page) is no change, and the default version is its resolved one
+/// ([`RunSpec::resolved_variant`]). The sweep runs each key once, and
+/// `--report` finds a configuration's row by key.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ConfigKey {
+    app: App,
+    variant: Variant,
+    nodes: usize,
+    scale: Scale,
+    seed: u64,
+    shards: Shards,
+    /// The design after the knobs, with the mesh resolved.
+    machine: DesignConfig,
 }
 
 /// The deterministic metrics of one completed run. Simulated quantities
@@ -1427,7 +1448,7 @@ pub fn matrix(scale: Scale, max_nodes: usize) -> Vec<RunSpec> {
             ablation: None,
             ..spec.knobs
         });
-        if !spec.same_config(&twin) {
+        if spec.config_key() != twin.config_key() {
             specs.push(spec);
         }
     }
@@ -1567,11 +1588,37 @@ mod tests {
         for row in &ablation {
             let repeats: Vec<String> = specs
                 .iter()
-                .filter(|s| s.id() != row.id() && s.same_config(row))
+                .filter(|s| s.id() != row.id() && s.config_key() == row.config_key())
                 .map(RunSpec::id)
                 .collect();
             assert!(repeats.is_empty(), "{} repeats {repeats:?}", row.id());
         }
+    }
+
+    /// A shared [`ConfigKey`] claims one simulation: the sweep writes a
+    /// twin's row from its first occurrence's run, so each twin run on its
+    /// own must give that run's record. The count pins which rows are
+    /// twins (`table1/*-default`, `fig4-*`, `combining/…/comb`,
+    /// `du-queue/…/duq1`).
+    #[test]
+    fn rows_sharing_a_config_key_share_a_record() {
+        let specs = matrix(Scale::Smoke, 4);
+        let keys: Vec<ConfigKey> = specs.iter().map(RunSpec::config_key).collect();
+        let mut twins = 0;
+        for (i, twin) in specs.iter().enumerate() {
+            let Some(first) = keys[..i].iter().position(|k| *k == keys[i]) else {
+                continue;
+            };
+            twins += 1;
+            assert_eq!(
+                twin.execute(),
+                specs[first].execute(),
+                "{} differs from {}",
+                twin.id(),
+                specs[first].id()
+            );
+        }
+        assert_eq!(twins, 21, "the smoke matrix's twin count changed");
     }
 
     /// The seven `micro` rows' times, pinned to the picosecond values the

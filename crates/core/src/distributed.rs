@@ -209,7 +209,7 @@ async fn run_node(vmmc: Vmmc, p: DistributedParams) -> u64 {
     let export = vmmc.export(recv, len);
     let inbox = vmmc.enable_notifications(export);
     let stage = vmmc.space().alloc(slot.div_ceil(PAGE_SIZE).max(1));
-    let proxies = vmmc.import_peers(recv, len);
+    let proxies = vmmc.import_peers(0..n, recv, len);
 
     for step in 0..p.steps {
         work_step(&vmmc, &p, stage, &proxies, step, |_| false).await;
@@ -303,8 +303,8 @@ async fn run_chaos_node(
     let _ = vmmc.export(ctrl, ctrl_len);
     let hb_stage = vmmc.space().alloc(1);
     let stage = vmmc.space().alloc(slot.div_ceil(PAGE_SIZE).max(1));
-    let data_proxies = vmmc.import_peers(recv, len);
-    let ctrl_proxies = vmmc.import_peers(ctrl, ctrl_len);
+    let data_proxies = vmmc.import_peers(0..n, recv, len);
+    let ctrl_proxies = vmmc.import_peers(0..n, ctrl, ctrl_len);
 
     let live = Rc::new(Liveness::new(det, p.seed, 0..n, me, abort_at));
 

@@ -1,6 +1,8 @@
 //! The user-level VMMC library: export/import, deliberate update,
 //! automatic-update bindings, notifications, and polling.
 
+use std::ops::Range;
+
 use shrimp_faults::{backoff_timeout, ShrimpError};
 use shrimp_mem::{AddressSpace, CacheMode, Vaddr, PAGE_SIZE, WORD_BYTES};
 use shrimp_net::NodeId;
@@ -253,17 +255,25 @@ impl Vmmc {
         }
     }
 
-    /// Imports every other node's copy of this node's `len`-byte buffer
-    /// at `buf`, in node order: the same allocation sequence put each
-    /// copy on the same physical pages, so they are read off this node's
-    /// own map ([`Vmmc::import_remote`]). Indexed by node; `None` at this
-    /// node.
-    pub fn import_peers(&self, buf: Vaddr, len: usize) -> Vec<Option<ProxyBuffer>> {
+    /// Imports the copy of this node's `len`-byte buffer at `buf` held by
+    /// every other node in `peers`, in node order: the same allocation
+    /// sequence put each copy on the same physical pages, so they are read
+    /// off this node's own map ([`Vmmc::import_remote`]). Indexed by node;
+    /// `None` at this node and outside `peers`.
+    pub fn import_peers(
+        &self,
+        peers: Range<usize>,
+        buf: Vaddr,
+        len: usize,
+    ) -> Vec<Option<ProxyBuffer>> {
         let pages: Vec<u64> = (0..len.div_ceil(PAGE_SIZE) as u64)
             .map(|i| self.space().phys_page(buf.page() + i))
             .collect();
         (0..self.cluster.num_nodes())
-            .map(|peer| (peer != self.node).then(|| self.import_remote(NodeId(peer), &pages, len)))
+            .map(|peer| {
+                (peer != self.node && peers.contains(&peer))
+                    .then(|| self.import_remote(NodeId(peer), &pages, len))
+            })
             .collect()
     }
 

@@ -45,7 +45,9 @@ FLAGS:
   --no-gate           skip the regression gate
   --perf              also write host wall-clock/events-per-sec samples to
                       results/perf.json and gate them (generous ±40% band)
-                      against results/baselines/perf-<scale>.json if present
+                      against results/baselines/perf-<scale>.json if present;
+                      one sample per configuration (rows that repeat an
+                      earlier row's configuration reuse its run)
   --perf-out <PATH>   perf artifact path (default results/perf.json)
   --perf-baseline <PATH>
                       perf baseline to gate against

@@ -15,9 +15,9 @@
 //!
 //! A row is found by configuration, not by id text. A changed row (a
 //! syscall per send, an interrupt per arrival) is divided by its as-built
-//! twin: the row with the same application, resolved variant
-//! ([`RunSpec::resolved_variant`]), node count, seed and machine design,
-//! whatever its experiment group ([`RunSpec::same_config`]). An artifact
+//! twin: any matrix row whose [`RunSpec::config_key`] is the twin's,
+//! whatever its experiment group. The sweep writes every such row from
+//! one run, so which of them answers does not matter. An artifact
 //! that cannot answer — unreadable, missing a needed row, or holding a
 //! failed one — is a [`ReportError`] naming the row, never a panic and
 //! never a silent zero.
@@ -29,7 +29,9 @@ use std::path::Path;
 use shrimp_apps::micro::{BULK_BYTES, WORD_BYTES};
 use shrimp_apps::Mechanism;
 use shrimp_bench::spec::ablation_points;
-use shrimp_bench::{format_table, matrix, secs, Ablation, App, Knobs, RunSpec, Scale, Variant};
+use shrimp_bench::{
+    format_table, matrix, secs, Ablation, App, ConfigKey, Knobs, RunSpec, Scale, Variant,
+};
 use shrimp_svm::Protocol;
 
 use crate::json::{self, Json};
@@ -152,12 +154,15 @@ pub fn build(doc: &Json) -> Result<Report, ReportError> {
     })
 }
 
-/// The artifact's rows by id, and the matrix they were drawn from.
+/// The artifact's rows by configuration, and the matrix they were drawn
+/// from.
 struct Sweep<'a> {
     scale: Scale,
     /// The headline node count (the paper's 16).
     nodes: usize,
-    rows: HashMap<&'a str, &'a Json>,
+    /// One row per configuration the artifact holds, with its id: the
+    /// first in matrix order.
+    rows: Vec<(ConfigKey, String, &'a Json)>,
     specs: Vec<RunSpec>,
 }
 
@@ -176,13 +181,13 @@ impl<'a> Sweep<'a> {
             .get("rows")
             .and_then(Json::as_arr)
             .ok_or_else(|| unreadable("no \"rows\" array"))?;
-        let mut rows = HashMap::new();
+        let mut by_id = HashMap::new();
         for row in list {
             let id = row
                 .get("id")
                 .and_then(Json::as_str)
                 .ok_or_else(|| unreadable("a row has no \"id\""))?;
-            rows.insert(id, row);
+            by_id.insert(id, row);
         }
         // The headline size is the widest run of a Table 1 application
         // (every such group runs at it); the cluster and kv groups run at
@@ -198,11 +203,22 @@ impl<'a> Sweep<'a> {
             .filter(|&n| n > 0)
             .max()
             .unwrap_or(scale.default_nodes());
+        let specs = matrix(scale, nodes);
+        let mut rows: Vec<(ConfigKey, String, &Json)> = Vec::new();
+        for spec in &specs {
+            let id = spec.id();
+            let key = spec.config_key();
+            if let Some(row) = by_id.get(id.as_str()) {
+                if rows.iter().all(|(k, ..)| *k != key) {
+                    rows.push((key, id, row));
+                }
+            }
+        }
         Ok(Sweep {
             scale,
             nodes,
             rows,
-            specs: matrix(scale, nodes),
+            specs,
         })
     }
 
@@ -215,23 +231,13 @@ impl<'a> Sweep<'a> {
             .collect()
     }
 
-    /// The metrics of `wanted`'s configuration: its own row if present,
-    /// else the first matrix row run under the same configuration.
+    /// The metrics of `wanted`'s configuration, from any row run under it.
     fn metrics(&self, wanted: &RunSpec) -> Result<&'a Json, ReportError> {
-        let twins = self.specs.iter().filter(|s| s.same_config(wanted));
-        let ids: Vec<String> = std::iter::once(wanted)
-            .chain(twins)
-            .map(RunSpec::id)
-            .collect();
-        let found = ids
-            .iter()
-            .find_map(|id| self.rows.get(id.as_str()).map(|row| (id, *row)));
-        let Some((id, row)) = found else {
-            // Name the row the matrix writes: `wanted` itself, or, for a
-            // twin no group runs under its own id, the first that has it.
-            let in_matrix = |id: &&String| self.specs.iter().any(|s| s.id() == **id);
-            let named = ids.iter().find(in_matrix).unwrap_or(&ids[0]);
-            return Err(ReportError::MissingRow(named.clone()));
+        let key = wanted.config_key();
+        let Some((_, id, row)) = self.rows.iter().find(|(k, ..)| *k == key) else {
+            // Name the row the matrix runs this configuration under.
+            let named = self.specs.iter().find(|s| s.config_key() == key);
+            return Err(ReportError::MissingRow(named.unwrap_or(wanted).id()));
         };
         match row.get("status").and_then(Json::as_str) {
             Some("ok") => row.get("metrics").ok_or_else(|| {
@@ -1153,14 +1159,20 @@ mod tests {
         breaks_only(edit, "the AU advantage on Radix-VMMC rises");
     }
 
+    /// Every row of a configuration is one run, so the edit moves a whole
+    /// configuration: HLRC's Radix-SVM runs, at both DU queue depths (so
+    /// §4.5.3's ratio holds), get faster than AURC's.
     #[test]
     fn radix_aurc_slower_than_hlrc_breaks_only_figure_4_left() {
         let aurc = RunSpec::new("fig4-svm-au", App::RadixSvm, 16, Scale::Reduced)
             .with_variant(Variant::Protocol(Protocol::Aurc));
         let hlrc = aurc.clone().with_variant(Variant::Protocol(Protocol::Hlrc));
+        let (a, h) = (synthetic_elapsed(&aurc), synthetic_elapsed(&hlrc));
         let doc = document(Scale::Reduced, |s, text| {
-            Some(if *s == aurc {
-                row(s, "ok", synthetic_elapsed(&hlrc) + 1)
+            let radix_hlrc = s.app == App::RadixSvm && s.nodes == 16 && s.variant == hlrc.variant;
+            Some(if radix_hlrc {
+                let faster = u128::from(synthetic_elapsed(s)) * u128::from(a - 1) / u128::from(h);
+                row(s, "ok", faster as u64)
             } else {
                 text
             })

@@ -7,6 +7,13 @@
 //! wedged simulation can be timed out (the worker abandons the thread and
 //! moves on) and a panicking one is contained by `catch_unwind` and
 //! reported as a failed row instead of killing the sweep.
+//!
+//! Specs with equal [`RunSpec::config_key`]s are one simulation under
+//! several ids (each study varies one choice against the machine as
+//! built), so the runner runs each configuration once: the first spec in
+//! index order that carries it. Every later twin gets its own row, under
+//! its own index and spec, with that run's status and observation but no
+//! [`PerfSample`], so host timing counts each simulation once.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -16,7 +23,7 @@ use std::sync::{Mutex, Once};
 use std::thread;
 use std::time::Duration;
 
-use shrimp_bench::{Observation, PerfSample, RunRecord, RunSpec};
+use shrimp_bench::{ConfigKey, Observation, PerfSample, RunRecord, RunSpec};
 
 /// How one run ended.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,6 +68,7 @@ pub struct RunResult {
     /// Host-side wall-clock/events sample for completed runs. Kept outside
     /// [`RunStatus`] (and outside `sweep.json`) so the deterministic artifact
     /// never sees host timing; `--perf` renders it into `results/perf.json`.
+    /// `None` on a twin row, which reuses an earlier row's run.
     pub perf: Option<PerfSample>,
     /// Trace timeline + metrics snapshot, present only when the sweep ran
     /// with [`RunnerOptions::observe`] (`--trace-out`). Deterministic
@@ -101,7 +109,8 @@ impl Default for RunnerOptions {
     }
 }
 
-/// Executes every spec and returns results sorted by spec index.
+/// Executes every distinct configuration once and returns one result per
+/// spec, sorted by spec index.
 ///
 /// Work is sharded round-robin into one deque per worker; an idle worker
 /// pops from its own deque front and steals from the back of the longest
@@ -111,8 +120,13 @@ pub fn run_sweep(specs: &[RunSpec], opts: &RunnerOptions) -> Vec<RunResult> {
     run_sweep_with_progress(specs, opts, |_| {})
 }
 
-/// [`run_sweep`] with a per-completion callback (progress reporting).
-/// The callback runs on worker threads and must not assume ordering.
+/// [`run_sweep`] with a per-row callback (progress reporting), called for
+/// every spec, twins included. The callback runs on worker threads and
+/// must not assume ordering.
+///
+/// # Panics
+///
+/// Panics when a spec's [`RunSpec::config_key`] does (a zero-node spec).
 pub fn run_sweep_with_progress<F>(
     specs: &[RunSpec],
     opts: &RunnerOptions,
@@ -124,24 +138,46 @@ where
     if specs.is_empty() {
         return Vec::new();
     }
-    let workers = opts.workers.clamp(1, specs.len());
+    // The index of each spec's first twin: the run that answers for it.
+    let keys: Vec<ConfigKey> = specs.iter().map(RunSpec::config_key).collect();
+    let first: Vec<usize> = keys
+        .iter()
+        .map(|key| {
+            keys.iter()
+                .position(|k| k == key)
+                .expect("a key is its own twin")
+        })
+        .collect();
+    let runs: Vec<usize> = (0..specs.len()).filter(|&i| first[i] == i).collect();
+    let workers = opts.workers.clamp(1, runs.len());
     let deques: Vec<Mutex<VecDeque<usize>>> =
         (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-    for (i, _) in specs.iter().enumerate() {
-        deques[i % workers].lock().unwrap().push_back(i);
+    for (n, &i) in runs.iter().enumerate() {
+        deques[n % workers].lock().unwrap().push_back(i);
     }
 
     let results: Mutex<Vec<RunResult>> = Mutex::new(Vec::with_capacity(specs.len()));
     let on_done = &on_done;
-    let results_ref = &results;
-    let deques = &deques;
+    let (results_ref, deques, first) = (&results, &deques, &first);
     thread::scope(|scope| {
         for w in 0..workers {
             scope.spawn(move || {
                 while let Some(index) = next_index(deques, w) {
-                    let result = execute_isolated(index, specs[index].clone(), opts);
-                    on_done(&result);
-                    results_ref.lock().unwrap().push(result);
+                    let ran = execute_isolated(index, specs[index].clone(), opts);
+                    let twins = (index + 1..specs.len())
+                        .filter(|&j| first[j] == index)
+                        .map(|j| RunResult {
+                            index: j,
+                            spec: specs[j].clone(),
+                            status: ran.status.clone(),
+                            perf: None,
+                            obs: ran.obs.clone(),
+                        })
+                        .collect::<Vec<_>>();
+                    for result in std::iter::once(ran).chain(twins) {
+                        on_done(&result);
+                        results_ref.lock().unwrap().push(result);
+                    }
                 }
             });
         }
@@ -303,6 +339,68 @@ mod tests {
             s => panic!("expected panic status, got {s:?}"),
         }
         assert_eq!(results[2].status.label(), "ok");
+    }
+
+    /// Twins (equal config keys under different ids) interleaved with
+    /// distinct configurations: three DFS seeds and one panicking spec,
+    /// each under the groups "a" and "b".
+    fn specs_with_twins() -> Vec<RunSpec> {
+        let dfs =
+            |group, seed| RunSpec::new(group, App::DfsSockets, 2, Scale::Smoke).with_seed(seed);
+        let broken = |group| {
+            RunSpec::new(group, App::OceanSvm, 2, Scale::Smoke).with_variant(Variant::ForcedAu)
+        };
+        vec![
+            broken("a"),
+            dfs("a", 1),
+            dfs("a", 2),
+            dfs("b", 1),
+            broken("b"),
+            dfs("a", 3),
+            dfs("b", 3),
+            dfs("b", 2),
+        ]
+    }
+
+    #[test]
+    fn each_configuration_runs_once_and_every_id_gets_its_row() {
+        let specs = specs_with_twins();
+        let keys: Vec<ConfigKey> = specs.iter().map(RunSpec::config_key).collect();
+        for workers in [1, 3] {
+            let reported = Mutex::new(Vec::new());
+            let results = run_sweep_with_progress(
+                &specs,
+                &RunnerOptions {
+                    workers,
+                    ..RunnerOptions::default()
+                },
+                |r| reported.lock().unwrap().push(r.index),
+            );
+            let mut reported = reported.into_inner().unwrap();
+            reported.sort();
+            assert_eq!(reported, (0..specs.len()).collect::<Vec<_>>());
+            assert_eq!(results.len(), specs.len());
+            for (i, r) in results.iter().enumerate() {
+                assert_eq!((r.index, &r.spec), (i, &specs[i]));
+                let first = keys.iter().position(|k| *k == keys[i]).unwrap();
+                let ran = &results[first];
+                assert_eq!(
+                    r.status,
+                    ran.status,
+                    "{} vs {}",
+                    specs[i].id(),
+                    specs[first].id()
+                );
+                // Only the row that ran carries a sample, so each
+                // completed configuration has exactly one.
+                let sampled = r.perf.is_some();
+                assert_eq!(sampled, i == first && r.status.label() == "ok");
+            }
+            assert_eq!(results.iter().filter(|r| r.perf.is_some()).count(), 3);
+            for i in [0, 4] {
+                assert_eq!(results[i].status.label(), "panic");
+            }
+        }
     }
 
     #[test]
